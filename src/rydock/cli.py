@@ -129,8 +129,8 @@ def effective_config(args) -> dict:
         raise InputError(f"bad config value: {exc}") from None
     if cfg["shots"] < 1:
         raise InputError("shots must be >= 1")
-    if cfg["dt"] <= 0:
-        raise InputError("dt must be positive")
+    if not (math.isfinite(cfg["dt"]) and cfg["dt"] > 0):
+        raise InputError(f"dt must be a positive finite number, got {cfg['dt']}")
     if cfg["optimizer"] not in ("tpe", "nm"):
         raise InputError(f"unknown optimizer {cfg['optimizer']!r}")
     if cfg["family"] not in ("simple", "complex"):

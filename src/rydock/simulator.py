@@ -8,11 +8,16 @@ number operator n = (1 + sigma_z)/2, so this differs from a sigma_z-based
 writing only by a state-independent shift. Note the detuning sign: positive
 delta *lowers* the energy of excited atoms.
 
-Everything diagonal lives in a single length-2^N vector; the drive is one
-sparse bit-flip operator. Each step applies the midpoint-rule propagator
-psi <- exp(-i H(t + dt/2) dt) psi through a truncated power series (terms
-until the increment norm falls below 1e-12), with the diagonal recentred
-and the step split whenever the series would need a large spectral radius.
+Everything diagonal lives in a single length-2^N vector. Each step applies
+the midpoint-rule propagator psi <- exp(-i H(t + dt/2) dt) psi through a
+truncated power series, with terms added until one falls below 1e-12 in
+norm. The diagonal is recentred first, and a step is split into sub-steps
+whenever ||H|| * dt would exceed THETA_MAX. The series runs on one step
+operator per `evolve` call, -i * tau * H, preassembled with fixed slots for
+the 2^N diagonal entries and the N * 2^N bit-flip entries; a step only
+rewrites the values in those slots. The operator is a dense matrix up to
+DENSE_MAX_ATOMS atoms, where numpy's matrix product costs less than sparse
+dispatch, and a complex CSR matrix above that.
 The state is never renormalised: norm drift is an error signal, and drift
 beyond 1e-4 raises.
 
@@ -22,6 +27,7 @@ bitstrings put atom 0 leftmost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +43,9 @@ SERIES_TOL = 1e-12
 DRIFT_LIMIT = 1e-4
 # Maximum allowed ||H|| * dt per series application; larger steps are split.
 THETA_MAX = 6.0
+# Largest register whose step operator is a dense matrix: below this size
+# numpy's `@` beats scipy's sparse dispatch; above it the CSR form wins.
+DENSE_MAX_ATOMS = 7
 
 
 @dataclass(frozen=True)
@@ -132,19 +141,39 @@ def build_hamiltonian(reg: Register, omega: float, delta: float,
     )
 
 
-def _series_step(psi, diag, omega, half_flip, tau):
-    """psi <- exp(-i (omega * F + diag) tau) psi by power series."""
-    acc = psi.copy()
-    term = psi
-    for k in range(1, 400):
-        hterm = diag * term
-        if omega != 0.0:
-            hterm = hterm + omega * (half_flip @ term)
-        term = (-1j * tau / k) * hterm
-        acc = acc + term
-        if np.linalg.norm(term) < SERIES_TOL:
-            return acc
-    raise NumericalError("propagator series failed to converge")
+@dataclass(frozen=True)
+class _StepOperator:
+    """-i tau (diag + omega/2 sum_k sigma_x_k) with writable value slots.
+
+    `values` is a flat view of the operator's entries: `diag_slots` index
+    the 2^N diagonal entries and `drive_slots` the N * 2^N bit-flip
+    entries, so a step rewrites the operator with two indexed assignments.
+    """
+
+    matrix: object  # dense ndarray or csr_matrix; both apply with `@`
+    values: np.ndarray
+    diag_slots: np.ndarray
+    drive_slots: np.ndarray
+
+
+def _step_operator(n: int) -> _StepOperator:
+    """Zeroed step operator for n atoms, dense up to DENSE_MAX_ATOMS."""
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int32)
+    # row i holds column i, then columns i ^ 2^k for k = 0..n-1
+    cols = np.stack([idx] + [idx ^ (1 << k) for k in range(n)], axis=1)
+    if n <= DENSE_MAX_ATOMS:
+        matrix = np.zeros((dim, dim), dtype=np.complex128)
+        values = matrix.reshape(-1)
+        slots = idx[:, None] * dim + cols
+    else:
+        width = n + 1
+        indptr = np.arange(0, dim * width + 1, width, dtype=np.int32)
+        matrix = csr_matrix((np.zeros(dim * width, dtype=np.complex128),
+                             cols.ravel(), indptr), shape=(dim, dim))
+        values = matrix.data
+        slots = np.arange(dim * width, dtype=np.int32).reshape(dim, width)
+    return _StepOperator(matrix, values, slots[:, 0], slots[:, 1:].ravel())
 
 
 def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
@@ -156,11 +185,13 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     never hidden by renormalising.
     """
     _check_cap(reg.n)
-    if dt <= 0:
-        raise InputError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise InputError(f"dt must be a positive finite number, got {dt}")
     inter = interaction_diagonal(reg, dev)
     occ = occupation_diagonal(reg)
-    half_flip = _half_flip_operator(reg.n)
+    step = _step_operator(reg.n)
+    op, values = step.matrix, step.values
+    tol_sq = SERIES_TOL * SERIES_TOL
     dim = 1 << reg.n
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
@@ -178,14 +209,28 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
             om, de = float(omegas[k]), float(deltas[k])
             diag = inter - de * occ
             centre = 0.5 * (float(diag.max()) + float(diag.min()))
-            diag = diag - centre
+            diag -= centre
             tau = float(widths[k]) * 1e-3  # ns -> us
             bound = float(np.abs(diag).max()) + 0.5 * abs(om) * reg.n
             nsub = max(1, int(np.ceil(bound * tau / THETA_MAX)))
             sub = tau / nsub
             phase = np.exp(-1j * centre * sub)
+            values[step.diag_slots] = (-1j * sub) * diag
+            values[step.drive_slots] = (-0.5j * sub) * om
             for _ in range(nsub):
-                psi = phase * _series_step(psi, diag, om, half_flip, sub)
+                # psi <- exp(op) psi by power series, terms until below SERIES_TOL
+                acc = psi.copy()
+                term = psi
+                for j in range(1, 400):
+                    term = op @ term
+                    term *= 1.0 / j
+                    acc += term
+                    if np.vdot(term, term).real < tol_sq:
+                        break
+                else:
+                    raise NumericalError("propagator series failed to converge")
+                acc *= phase
+                psi = acc
 
     drift = abs(np.linalg.norm(psi) - 1.0)
     if drift > DRIFT_LIMIT:

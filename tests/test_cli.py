@@ -77,6 +77,8 @@ def test_effective_config_validation(tmp_path):
         {"family": "warble"},
         {"shots": 0},
         {"dt": 0},
+        {"dt": float("nan")},
+        {"dt": float("inf")},
         {"seed": "xyz"},
         ["not", "an", "object"],
     ):
@@ -219,6 +221,13 @@ def test_exit_codes(tmp_path, capsys):
     register = _p2_register(tmp_path)
     assert main(["vqaa", "--register", register, "--config", str(cfg),
                  "--out", str(tmp_path)]) == 2
+
+    # a non-finite step is refused before any evolution runs
+    for dt in ("nan", "inf"):
+        assert main(["vqaa", "--register", register, "--rounds", "1",
+                     "--dt", dt, "--out", str(tmp_path / "nonfinite")]) == 2
+        assert "positive finite" in capsys.readouterr().err
+    assert not (tmp_path / "nonfinite").exists()
 
 
 def test_train_predict_eval_round(tmp_path, capsys):

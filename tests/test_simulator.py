@@ -19,6 +19,8 @@ from rydock.pulses import (
 from rydock.register import Atom, DeviceParams, Register
 from rydock.rng import substream
 from rydock.simulator import (
+    DENSE_MAX_ATOMS,
+    THETA_MAX,
     StateVector,
     bitstring_of,
     build_hamiltonian,
@@ -202,6 +204,31 @@ def test_oracle_simple_family_two_atoms():
     assert np.linalg.norm(got - want) < 1e-8
 
 
+def test_oracle_split_substeps():
+    # atoms 4 um apart: U ~ 1300 rad/us, so ||H|| * tau ~ 10 at dt 8 and
+    # every step runs as several THETA_MAX-sized sub-steps
+    reg = line_register(0.0, 4.0, 8.0)
+    diag = interaction_diagonal(reg, DEV)
+    assert 0.5 * np.ptp(diag) * 8e-3 > THETA_MAX
+    seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=400.0),
+                          DEV.omega_max, DEV.delta_abs_max)
+    got = evolve(reg, seq, DEV, dt=8.0).amplitudes
+    want = expm_evolve(reg, seq, DEV, dt=8.0)
+    assert np.linalg.norm(got - want) < 1e-8
+
+
+def test_oracle_above_dense_threshold():
+    # one atom past DENSE_MAX_ATOMS, so the step operator is sparse
+    n = DENSE_MAX_ATOMS + 1
+    reg = line_register(*(9.0 * k for k in range(n)),
+                        weights=[1.0 + 0.25 * k for k in range(n)])
+    seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=200.0),
+                          DEV.omega_max, DEV.delta_abs_max)
+    got = evolve(reg, seq, DEV, dt=8.0).amplitudes
+    want = expm_evolve(reg, seq, DEV, dt=8.0)
+    assert np.linalg.norm(got - want) < 1e-8
+
+
 def test_norm_preserved():
     reg = line_register(0.0, 9.0, 18.0)
     seq = simple_sequence(SimpleParams(omega=4.0, delta=3.0, time=1000.0),
@@ -224,8 +251,9 @@ def test_dt_refinement_converges():
 def test_evolve_input_errors():
     reg = line_register(0.0)
     seq = PulseSequence(segments=(constant_segment(1.0, 0.0, 100.0),))
-    with pytest.raises(InputError):
-        evolve(reg, seq, DEV, dt=0.0)
+    for dt in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            evolve(reg, seq, DEV, dt=dt)
     phased = PulseSequence(segments=(Segment(
         omega=Ramp(1.0, 1.0, 100.0), delta=Ramp(0.0, 0.0, 100.0), phase=0.3),))
     with pytest.raises(InputError):
