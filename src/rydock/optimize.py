@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import InfeasibilityError, InputError
 from .graphs import WeightedGraph, brute_force_mwis, is_independent
@@ -261,8 +260,8 @@ def nelder_mead(objective, x0, bounds, max_iter: int = 200, seed: int = 0):
 def _trunc_norm_pdf(x, mu, sigma, lo, hi):
     z = (x - mu) / sigma
     phi = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2 * math.pi))
-    cdf = 0.5 * (erf((hi - mu) / (sigma * math.sqrt(2)))
-                 - erf((lo - mu) / (sigma * math.sqrt(2))))
+    cdf = 0.5 * (math.erf((hi - mu) / (sigma * math.sqrt(2)))
+                 - math.erf((lo - mu) / (sigma * math.sqrt(2))))
     return phi / max(cdf, 1e-300)
 
 
@@ -358,18 +357,23 @@ class VqaaResult:
 
 def _evaluate(params, emb, dev, family, shots, shot_seed, dt,
               coherence_ns=None, gini_threshold=GINI_THRESHOLD):
+    """Returns (ScoreBreakdown, stripped Histogram, final StateVector), the
+    state being None on the exact omega=0 shortcut."""
     if params["omega"] == 0.0:
         # hardware validation rejects a dead drive, but box searches can
         # land exactly on the omega=0 bound; the outcome there is exact
         zeros = "0" * emb.graph.n
         hist = Histogram(shots=shots, counts={zeros: shots})
-        return score(hist, emb.graph, gini_threshold), hist
+        return score(hist, emb.graph, gini_threshold), hist, None
     seq = sequence_for(params, family, dev, coherence_ns)
     state = evolve(emb.register, seq, dev, dt=dt)
+    return (*_measure_scored(state, emb, shots, shot_seed, gini_threshold), state)
+
+
+def _measure_scored(state, emb, shots, shot_seed, gini_threshold):
     hist = measure(state, shots, shot_seed)
     stripped = strip_ancillas(hist, emb)
-    sb = score(stripped, emb.graph, gini_threshold)
-    return sb, stripped
+    return score(stripped, emb.graph, gini_threshold), stripped
 
 
 def evaluate_params(emb: Embedding, dev: DeviceParams, params: dict,
@@ -381,7 +385,7 @@ def evaluate_params(emb: Embedding, dev: DeviceParams, params: dict,
     Returns (ScoreBreakdown, stripped Histogram).
     """
     return _evaluate(params, emb, dev, family, shots, seed, dt,
-                     gini_threshold=gini_threshold)
+                     gini_threshold=gini_threshold)[:2]
 
 
 def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
@@ -398,16 +402,19 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
     a relaxed-budget space, `rounds` iterations each.
 
     Every evaluation draws its shots from a stream keyed by (seed, round),
-    and the winning trial is re-measured at 5x shots for reporting.
+    and the final state of the winning trial is kept and re-measured at 5x
+    shots for reporting.
     """
     if rounds < 1:
         raise InputError("rounds must be >= 1")
     g = emb.graph
     trials = []
+    best = best_state = None
     log_fh = open(log_path, "w") if log_path else None
 
     def run_one(params, rnd):
-        sb, stripped = _evaluate(
+        nonlocal best, best_state
+        sb, stripped, state = _evaluate(
             params, emb, dev, family, shots,
             substream(seed, "shots", rnd), dt,
             coherence_ns=budget, gini_threshold=gini_threshold,
@@ -417,6 +424,8 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
             mean_f=sb.mean_f, top=tuple(stripped.top(10)),
         )
         trials.append(trial)
+        if best is None or _rank(trial) > _rank(best):
+            best, best_state = trial, state
         if log_fh:
             log_fh.write(json.dumps({
                 "round": rnd, "params": trial.params, "score": trial.score,
@@ -468,17 +477,24 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
         if log_fh:
             log_fh.close()
 
-    best = max(trials, key=lambda t: (t.score, t.gini, t.mean_f, -t.round))
-    low_confidence = best.score == 0.0
-    rb, rh = _evaluate(
-        best.params, emb, dev, family, shots * REFINE_SHOT_FACTOR,
-        substream(seed, "refine"), dt,
-        coherence_ns=budget, gini_threshold=gini_threshold,
-    )
+    refine_seed = substream(seed, "refine")
+    if best_state is None:
+        rb, rh, _ = _evaluate(
+            best.params, emb, dev, family, shots * REFINE_SHOT_FACTOR,
+            refine_seed, dt, coherence_ns=budget, gini_threshold=gini_threshold,
+        )
+    else:
+        rb, rh = _measure_scored(best_state, emb, shots * REFINE_SHOT_FACTOR,
+                                 refine_seed, gini_threshold)
     return VqaaResult(
         best=best, trials=tuple(trials), refined=rb, refined_histogram=rh,
-        low_confidence=low_confidence, second_pass=second_pass, family=family,
+        low_confidence=best.score == 0.0, second_pass=second_pass, family=family,
     )
+
+
+def _rank(trial: Trial) -> tuple:
+    """Ordering of trials: the best one has the largest key."""
+    return (trial.score, trial.gini, trial.mean_f, -trial.round)
 
 
 def prefix_result(emb: Embedding, dev: DeviceParams, trials, k: int,
@@ -498,8 +514,8 @@ def prefix_result(emb: Embedding, dev: DeviceParams, trials, k: int,
     if not 1 <= k <= len(trials):
         raise InputError(f"prefix {k} outside 1..{len(trials)}")
     head = trials[:k]
-    best = max(head, key=lambda t: (t.score, t.gini, t.mean_f, -t.round))
-    rb, rh = _evaluate(
+    best = max(head, key=_rank)
+    rb, rh, _ = _evaluate(
         best.params, emb, dev, family, shots * REFINE_SHOT_FACTOR,
         substream(seed, "refine"), dt,
         coherence_ns=dev.coherence_time, gini_threshold=gini_threshold,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import InputError
 
@@ -46,10 +45,17 @@ class Ramp:
 
 @dataclass(frozen=True)
 class Interpolated:
-    """Shape-preserving piecewise cubic through evenly spaced points.
+    """Shape-preserving piecewise cubic (PCHIP) through evenly spaced points.
 
-    Monotone between neighbouring points, so samples never overshoot the
-    range of the control points.
+    Interior slopes are the Fritsch-Carlson weighted harmonic mean of the
+    neighbouring secant slopes, and zero where those change sign or either
+    is flat, so the curve is monotone between neighbouring points and never
+    overshoots their range. End slopes use the one-sided three-point
+    formula, set to zero when it disagrees in sign with the end secant and
+    capped at three times that secant when the first two secants differ in
+    sign. Two points give a straight line. Slopes, coefficients and the
+    evaluation order follow scipy's `PchipInterpolator`, and the samples
+    match it bit for bit.
     """
 
     points: tuple
@@ -63,15 +69,46 @@ class Interpolated:
 
     @cached_property
     def _spline(self):
-        xs = np.linspace(0.0, self.duration, len(self.points))
-        return PchipInterpolator(xs, np.asarray(self.points, dtype=float))
+        """Knots and per-interval coefficients of c0 s^3 + c1 s^2 + c2 s + c3."""
+        x = np.linspace(0.0, self.duration, len(self.points))
+        y = np.asarray(self.points, dtype=float)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        if len(y) == 2:
+            d = np.array([m[0], m[0]])
+        else:
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            keep = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+            d = np.zeros_like(y)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                d[1:-1] = np.where(keep, 1.0 / whmean, 0.0)
+            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        return x, (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
 
     def sample(self, t):
+        x, (c0, c1, c2, c3) = self._spline
         t = np.clip(np.asarray(t, dtype=float), 0.0, self.duration)
-        return self._spline(t)
+        k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+        s = t - x[k]
+        s2 = s * s
+        return c3[k] + c2[k] * s + c1[k] * s2 + c0[k] * (s2 * s)
 
     def bounds(self):
         return float(min(self.points)), float(max(self.points))
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope with the two shape-preserving clamps."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 @dataclass(frozen=True)

@@ -526,12 +526,6 @@ def _detour_curve(p0, p1, offset):
     return np.concatenate(parts, axis=0)
 
 
-def _chain_positions(p0, p1, count, bend):
-    """`count` points along a quadratic arc from p0 to p1 with apex offset
-    `bend` (um), evenly spaced by arc length."""
-    return _even_on_curve(_arc_curve(p0, p1, bend), count)
-
-
 def insert_quantum_link(emb: Embedding, u: str, v: str,
                         dev: DeviceParams) -> Embedding:
     """Realise the long edge (u, v) with an even chain of ancilla atoms.
@@ -691,11 +685,17 @@ def load_register(path, dev: DeviceParams | None = None) -> Embedding:
     if radius <= 0:
         cut = GEOMETRIC_EDGE_FACTOR * reg.min_distance()
         intended = {frozenset(p) for p, d in reg.pair_distances().items() if d <= cut}
-        return _embedding_for(reg, dev, spacing, intended, links)
-    return Embedding(
-        register=reg,
-        blockade_radius=radius,
-        induced_edges=_induced_pairs(reg, radius),
-        link_map=links,
-        spacing=spacing,
-    )
+        emb = _embedding_for(reg, dev, spacing, intended, links)
+    else:
+        emb = Embedding(
+            register=reg,
+            blockade_radius=radius,
+            induced_edges=_induced_pairs(reg, radius),
+            link_map=links,
+            spacing=spacing,
+        )
+    if graph is not None and emb.projected_edges() != {frozenset(e) for e in graph.edges}:
+        raise InfeasibilityError(
+            f"{path}: the register's disk graph does not realise its stored graph"
+        )
+    return emb

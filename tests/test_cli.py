@@ -1,11 +1,15 @@
 """Command line surface: config layering, digests, output files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
+import rydock
 from rydock.cli import DEFAULTS, _load_trials, config_digest, effective_config, main
 from rydock.errors import InputError
 from rydock.graphs import load_graph
@@ -222,6 +226,15 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["vqaa", "--register", register, "--config", str(cfg),
                  "--out", str(tmp_path)]) == 2
 
+    # a stored blockade radius whose disk graph is not the stored graph
+    doc = json.loads(Path(register).read_text())
+    doc["blockade_radius"] = 1.0
+    shrunk = tmp_path / "shrunk.json"
+    shrunk.write_text(json.dumps(doc))
+    assert main(["vqaa", "--register", str(shrunk), "--rounds", "1",
+                 "--out", str(tmp_path / "shrunk")]) == 3
+    assert "does not realise" in capsys.readouterr().err
+
     # a non-finite step is refused before any evolution runs
     for dt in ("nan", "inf"):
         assert main(["vqaa", "--register", register, "--rounds", "1",
@@ -270,3 +283,20 @@ def test_train_predict_eval_round(tmp_path, capsys):
     rc = main(["predict", "--register", register,
                "--models", str(tmp_path / "missing"), "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_cli_import_loads_no_scipy_beyond_sparse():
+    code = (
+        "import sys, scipy\n"
+        "before = set(sys.modules)\n"
+        "import rydock.cli\n"
+        "loaded = {m.split('.')[1] for m in set(sys.modules) - before\n"
+        "          if m.startswith('scipy.')}\n"
+        "print(' '.join(sorted(m for m in loaded if not m.startswith('_'))))\n"
+    )
+    src = str(Path(rydock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["sparse"]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import rydock.optimize
 from rydock.errors import InputError
 from rydock.graphs import WeightedGraph
 from rydock.histogram import Histogram
@@ -288,6 +289,27 @@ def test_vqaa_tpe_contract():
                  optimizer="tpe", seed=0, dt=8.0)
     assert [t.score for t in again.trials] == [t.score for t in res.trials]
     assert again.refined_histogram.counts == res.refined_histogram.counts
+
+
+def test_vqaa_refines_the_kept_best_state(monkeypatch):
+    emb = k2_embedding()
+    evolve_calls = []
+
+    def counting_evolve(*args, **kwargs):
+        evolve_calls.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(rydock.optimize, "evolve", counting_evolve)
+    res = vqaa(emb, DEV, family="simple", rounds=5, shots=100,
+               optimizer="tpe", seed=3, dt=8.0)
+    assert not res.second_pass
+    assert len(evolve_calls) == 5
+    # the re-measure of the kept state equals re-evolving the winner
+    sb, hist = evaluate_params(emb, DEV, res.best.params, family="simple",
+                               shots=100 * REFINE_SHOT_FACTOR,
+                               seed=substream(3, "refine"), dt=8.0)
+    assert res.refined == sb
+    assert res.refined_histogram.counts == hist.counts
 
 
 def test_vqaa_trial_log(tmp_path):

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from rydock.errors import InputError
 from rydock.pulses import (
@@ -58,6 +61,32 @@ def test_interpolated_monotone_between_points():
     w = Interpolated((-3.0, 0.0, 3.0), 120.0)
     dense = w.sample(np.linspace(0.0, 120.0, 400))
     assert np.all(np.diff(dense) >= -1e-9)
+
+
+# Small integers give repeated points, flat sides and sign changes; the
+# wide floats cover everything else a waveform can carry.
+_knot_values = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(_knot_values, min_size=2, max_size=8),
+    duration=st.floats(MIN_WAVEFORM_NS, 5000.0),
+    times=st.lists(st.floats(-1000.0, 6000.0), max_size=40),
+)
+def test_interpolated_matches_scipy_pchip_exactly(points, duration, times):
+    # scipy is the oracle only: the waveform itself is a numpy port
+    w = Interpolated(tuple(points), duration)
+    knots = np.linspace(0.0, duration, len(points))
+    t = np.concatenate([times, knots, [0.0, duration, -1.0, duration + 1.0]])
+    with np.errstate(over="ignore"):  # scipy's own 1/slope on subnormal secants
+        want = PchipInterpolator(knots, np.asarray(points))(np.clip(t, 0.0, duration))
+    assert np.array_equal(w.sample(t), want)
+    # scalar samples, as `PulseSequence.omega_at` takes them, agree too
+    assert all(w.sample(x) == y for x, y in zip(t[-4:], want[-4:]))
 
 
 def test_segment_duration_mismatch():

@@ -5,6 +5,7 @@ hand-built augmented graphs, since those are the properties the physics
 depends on and the easiest to get silently wrong.
 """
 
+import json
 import math
 
 import numpy as np
@@ -407,6 +408,22 @@ def test_save_load_roundtrip(tmp_path):
     assert back.graph.edges == g.edges
     with pytest.raises(InputError):
         load_register(tmp_path / "missing.json", DEV)
+
+
+def test_load_register_checks_stored_radius(tmp_path):
+    g = WeightedGraph.from_parts(["u", "v", "w"], [("u", "v"), ("v", "w")])
+    emb = embedding_from_positions([(0, 0), (9, 0), (18, 0)], DEV,
+                                   spacing=9.0, graph=g)
+    path = tmp_path / "reg.json"
+    save_register(emb, path)
+    assert load_register(path, DEV).projected_edges() == {frozenset(e) for e in g.edges}
+    doc = json.loads(path.read_text())
+    # too small a radius drops both edges; too large a one adds (u, w)
+    for radius in (1.0, 100.0):
+        doc["blockade_radius"] = radius
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InfeasibilityError):
+            load_register(path, DEV)
 
 
 def test_embedding_without_origin_graph():
