@@ -45,6 +45,7 @@ from .mlqaa.dataset import (
 )
 from .mlqaa.gcn import (
     TARGETS,
+    _from_scale,
     featurize,
     load_models,
     mape,
@@ -55,6 +56,7 @@ from .mlqaa.gcn import (
 from .optimize import (
     Trial,
     normalized_score,
+    normalized_value,
     prefix_result,
     qaa_sweep,
     score,
@@ -399,6 +401,7 @@ def cmd_train(args) -> int:
     cfg = effective_config(args)
     meta = _meta(cfg, "train")
     out = _outdir(cfg)
+    dev = _device(cfg)
     records = load_dataset(args.dataset)
     if not records:
         raise InputError("dataset is empty")
@@ -407,11 +410,17 @@ def cmd_train(args) -> int:
     )
     report = {**meta, "train_size": len(train_recs), "holdout_size": len(hold_recs),
               "epochs": cfg["epochs"], "mape": {}}
+    # predictions come in each model's label scale; the Rabi band of every
+    # holdout register maps them back to device units before comparison
+    bands = [omega_bounds(r.embedding(dev), dev) for r in hold_recs]
     for target in TARGETS:
-        model = train(train_recs, target, epochs=cfg["epochs"], seed=cfg["seed"])
+        model = train(train_recs, target, epochs=cfg["epochs"], seed=cfg["seed"],
+                      dev=dev)
         save_models({target: model}, os.path.join(out, f"mlqaa_{target}.npz"),
                     meta=_meta(cfg, "train"))
-        preds = [model.predict(featurize(np.asarray(r.positions))) for r in hold_recs]
+        preds = [_from_scale(model.predict(featurize(np.asarray(r.positions))),
+                             model.scale, band)
+                 for r, band in zip(hold_recs, bands)]
         truth = [r.params[target] for r in hold_recs]
         value = mape(preds, truth) if hold_recs else float("nan")
         report["mape"][target] = value
@@ -470,7 +479,7 @@ def cmd_mlqaa_eval(args) -> int:
             "name": rec.name, "n_atoms": emb.register.n,
             "spacing": rec.spacing,
             "mlqaa_norm": normalized_score(hist, g, sb),
-            "vqaa_norm": normalized_score_from_value(rec.score, g),
+            "vqaa_norm": normalized_value(rec.score, g),
         })
     mlqaa_mean = float(np.mean([r["mlqaa_norm"] for r in rows]))
     vqaa_mean = float(np.mean([r["vqaa_norm"] for r in rows]))
@@ -488,11 +497,6 @@ def cmd_mlqaa_eval(args) -> int:
     print(f"holdout {len(rows)}: MLQAA {mlqaa_mean:.4f} vs VQAA {vqaa_mean:.4f} "
           f"(gap {vqaa_mean - mlqaa_mean:+.4f})")
     return 0
-
-
-def normalized_score_from_value(score_value: float, g) -> float:
-    best_card = max(s.bitstring.count("1") for s in brute_force_mwis(g))
-    return float(score_value / (best_card / g.n))
 
 
 def cmd_oracle(args) -> int:

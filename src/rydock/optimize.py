@@ -82,24 +82,45 @@ def is_independent_bits(bits: str, g: WeightedGraph) -> bool:
     return True
 
 
+def exact_optimum(g: WeightedGraph) -> tuple:
+    """(frozenset of MWIS bitstrings, largest cardinality among them).
+
+    Solved by brute force on the first call for a graph and kept on the
+    frozen graph itself, so the loops that score many histograms against
+    one graph solve it once.
+    """
+    cached = g.__dict__.get("_exact_optimum")
+    if cached is None:
+        sols = brute_force_mwis(g)
+        cached = (frozenset(s.bitstring for s in sols),
+                  max(s.bitstring.count("1") for s in sols))
+        object.__setattr__(g, "_exact_optimum", cached)
+    return cached
+
+
 def success_probability(hist: Histogram, g: WeightedGraph) -> float:
     """Fraction of shots that are exact maximum-weight independent sets."""
-    winners = {s.bitstring for s in brute_force_mwis(g)}
+    winners = exact_optimum(g)[0]
     hit = sum(c for bits, c in hist.counts.items() if bits in winners)
     return hit / hist.shots
 
 
 def normalized_score(hist: Histogram, g: WeightedGraph,
                      breakdown: ScoreBreakdown | None = None) -> float:
-    """Score scaled by the best reachable mean_f, i.e. |MIS| / N.
+    """Score scaled by the best reachable mean_f, i.e. |MIS| / N."""
+    sb = breakdown if breakdown is not None else score(hist, g)
+    return normalized_value(sb.score, g)
+
+
+def normalized_value(value: float, g: WeightedGraph) -> float:
+    """A score of `g` over the best reachable mean_f, i.e. |MIS| / N.
 
     For the cardinality we take the largest optimum of the weighted problem.
     """
-    sb = breakdown if breakdown is not None else score(hist, g)
-    best_card = max(s.bitstring.count("1") for s in brute_force_mwis(g))
+    best_card = exact_optimum(g)[1]
     if best_card == 0:
         raise InputError("graph optimum is the empty set")
-    return float(sb.score / (best_card / g.n))
+    return float(value / (best_card / g.n))
 
 
 @dataclass(frozen=True)

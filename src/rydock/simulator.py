@@ -11,13 +11,24 @@ delta *lowers* the energy of excited atoms.
 Everything diagonal lives in a single length-2^N vector. Each step applies
 the midpoint-rule propagator psi <- exp(-i H(t + dt/2) dt) psi through a
 truncated power series, with terms added until one falls below 1e-12 in
-norm. The diagonal is recentred first, and a step is split into sub-steps
-whenever ||H|| * dt would exceed THETA_MAX. The series runs on one step
-operator per `evolve` call, -i * tau * H, preassembled with fixed slots for
-the 2^N diagonal entries and the N * 2^N bit-flip entries; a step only
-rewrites the values in those slots. The operator is a dense matrix up to
-DENSE_MAX_ATOMS atoms, where numpy's matrix product costs less than sparse
-dispatch, and a complex CSR matrix above that.
+norm. The series is centred on the state's own energy: with D the step's
+diagonal and c = Re <psi|D|psi>, it runs on H - c and multiplies by the
+exact phase exp(-i c dt) afterwards. The state's energy spread is much
+smaller than half the spectrum, so the series converges in fewer terms
+than one centred on the spectrum's midpoint. A step is split into
+sub-steps whenever (max|D - c| + |Omega| N / 2) * dt would exceed
+THETA_MAX.
+
+The series runs on one operator per `evolve` call, with the factor
+-i * tau * Omega / 2 (tau the sub-step width) taken out of -i tau (H - c):
+M = 2 (D - c) / Omega + sum_k sigma_x_k. Its N * 2^N bit-flip entries are
+1 and are written once per call; a step rewrites only the 2^N diagonal
+entries, through a strided view of the matrix's storage. M is a dense
+matrix up to DENSE_MAX_ATOMS atoms, where numpy's matrix product costs
+less than sparse dispatch, and a complex CSR matrix above that. A step
+whose drive is too weak to move the state in double precision (Omega = 0
+among them) is the exact diagonal phase exp(-i D dt) instead.
+
 The state is never renormalised: norm drift is an error signal, and drift
 beyond 1e-4 raises.
 
@@ -31,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import InputError, NumericalError
 from .histogram import Histogram
@@ -46,6 +56,9 @@ THETA_MAX = 6.0
 # Largest register whose step operator is a dense matrix: below this size
 # numpy's `@` beats scipy's sparse dispatch; above it the CSR form wins.
 DENSE_MAX_ATOMS = 7
+# A step whose drive bound |Omega| N dt / 2 is below the unit roundoff
+# cannot move a unit state and is applied as its exact diagonal phase.
+DRIVE_FLOOR = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -67,16 +80,6 @@ def _check_cap(n: int):
 def bitstring_of(index: int, n: int) -> str:
     """Render a basis index: atom k = bit k, atom 0 leftmost."""
     return "".join("1" if (index >> k) & 1 else "0" for k in range(n))
-
-
-def _half_flip_operator(n: int) -> csr_matrix:
-    """Sparse 0.5 * sum_k sigma_x_k."""
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    rows = np.tile(idx, n)
-    cols = np.concatenate([idx ^ (1 << k) for k in range(n)])
-    data = np.full(n * dim, 0.5)
-    return csr_matrix((data, (rows, cols)), shape=(dim, dim))
 
 
 def _bit_table(n: int) -> np.ndarray:
@@ -107,73 +110,32 @@ def occupation_diagonal(reg: Register) -> np.ndarray:
     return reg.detuning_weights() @ bits
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
-    """Fixed-control Hamiltonian split into drive and diagonal parts."""
+def _step_operator(n: int) -> tuple:
+    """sum_k sigma_x_k for n atoms plus a writable view of its diagonal.
 
-    n_atoms: int
-    omega: float
-    diagonal: np.ndarray
-    half_flip: csr_matrix
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        out = self.diagonal * psi
-        if self.omega != 0.0:
-            out = out + self.omega * (self.half_flip @ psi)
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        if self.n_atoms > 12:
-            raise InputError("dense form capped at 12 atoms")
-        return self.omega * self.half_flip.toarray() + np.diag(self.diagonal)
-
-
-def build_hamiltonian(reg: Register, omega: float, delta: float,
-                      dev: DeviceParams) -> Hamiltonian:
-    """H at fixed controls: (omega/2) sum sigma_x - delta sum w n + sum U nn."""
-    _check_cap(reg.n)
-    diag = interaction_diagonal(reg, dev) - delta * occupation_diagonal(reg)
-    return Hamiltonian(
-        n_atoms=reg.n,
-        omega=float(omega),
-        diagonal=diag,
-        half_flip=_half_flip_operator(reg.n),
-    )
-
-
-@dataclass(frozen=True)
-class _StepOperator:
-    """-i tau (diag + omega/2 sum_k sigma_x_k) with writable value slots.
-
-    `values` is a flat view of the operator's entries: `diag_slots` index
-    the 2^N diagonal entries and `drive_slots` the N * 2^N bit-flip
-    entries, so a step rewrites the operator with two indexed assignments.
+    The bit-flip entries are written as 1 here, once per `evolve` call, and
+    never change; a step writes only the 2^N diagonal entries, through the
+    returned strided view of the matrix's own storage. The matrix is dense
+    up to DENSE_MAX_ATOMS and complex CSR above, where row i holds column i
+    first, then columns i ^ 2^k.
     """
-
-    matrix: object  # dense ndarray or csr_matrix; both apply with `@`
-    values: np.ndarray
-    diag_slots: np.ndarray
-    drive_slots: np.ndarray
-
-
-def _step_operator(n: int) -> _StepOperator:
-    """Zeroed step operator for n atoms, dense up to DENSE_MAX_ATOMS."""
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int32)
-    # row i holds column i, then columns i ^ 2^k for k = 0..n-1
-    cols = np.stack([idx] + [idx ^ (1 << k) for k in range(n)], axis=1)
     if n <= DENSE_MAX_ATOMS:
         matrix = np.zeros((dim, dim), dtype=np.complex128)
-        values = matrix.reshape(-1)
-        slots = idx[:, None] * dim + cols
-    else:
-        width = n + 1
-        indptr = np.arange(0, dim * width + 1, width, dtype=np.int32)
-        matrix = csr_matrix((np.zeros(dim * width, dtype=np.complex128),
-                             cols.ravel(), indptr), shape=(dim, dim))
-        values = matrix.data
-        slots = np.arange(dim * width, dtype=np.int32).reshape(dim, width)
-    return _StepOperator(matrix, values, slots[:, 0], slots[:, 1:].ravel())
+        for k in range(n):
+            matrix[idx, idx ^ (1 << k)] = 1.0
+        return matrix, matrix.reshape(-1)[:: dim + 1]
+    # imported here, so that registers up to DENSE_MAX_ATOMS never load it
+    from scipy.sparse import csr_matrix
+
+    width = n + 1
+    cols = np.stack([idx] + [idx ^ (1 << k) for k in range(n)], axis=1)
+    indptr = np.arange(0, dim * width + 1, width, dtype=np.int32)
+    data = np.ones(dim * width, dtype=np.complex128)
+    data[::width] = 0.0
+    matrix = csr_matrix((data, cols.ravel(), indptr), shape=(dim, dim))
+    return matrix, matrix.data[::width]
 
 
 def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
@@ -189,8 +151,7 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
         raise InputError(f"dt must be a positive finite number, got {dt}")
     inter = interaction_diagonal(reg, dev)
     occ = occupation_diagonal(reg)
-    step = _step_operator(reg.n)
-    op, values = step.matrix, step.values
+    op, op_diag = _step_operator(reg.n)
     tol_sq = SERIES_TOL * SERIES_TOL
     dim = 1 << reg.n
     psi = np.zeros(dim, dtype=np.complex128)
@@ -207,23 +168,29 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
         widths = np.diff(edges)
         for k in range(steps):
             om, de = float(omegas[k]), float(deltas[k])
-            diag = inter - de * occ
-            centre = 0.5 * (float(diag.max()) + float(diag.min()))
-            diag -= centre
             tau = float(widths[k]) * 1e-3  # ns -> us
-            bound = float(np.abs(diag).max()) + 0.5 * abs(om) * reg.n
+            diag = inter - de * occ
+            drive = 0.5 * abs(om) * reg.n
+            if drive * tau < DRIVE_FLOOR:
+                # the drive cannot move the state: the step is an exact phase
+                psi = psi * np.exp(-1j * tau * diag)
+                continue
+            centre = np.vdot(psi, diag * psi).real
+            diag -= centre
+            bound = float(np.abs(diag).max()) + drive
             nsub = max(1, int(np.ceil(bound * tau / THETA_MAX)))
             sub = tau / nsub
             phase = np.exp(-1j * centre * sub)
-            values[step.diag_slots] = (-1j * sub) * diag
-            values[step.drive_slots] = (-0.5j * sub) * om
+            # -i sub (H - centre) = scale * op, op = 2 diag / omega + sum_k sigma_x_k
+            scale = -0.5j * sub * om
+            np.multiply(diag, 2.0 / om, out=op_diag)
             for _ in range(nsub):
-                # psi <- exp(op) psi by power series, terms until below SERIES_TOL
+                # psi <- exp(scale * op) psi by power series, terms until below SERIES_TOL
                 acc = psi.copy()
                 term = psi
                 for j in range(1, 400):
                     term = op @ term
-                    term *= 1.0 / j
+                    term *= scale / j
                     acc += term
                     if np.vdot(term, term).real < tol_sq:
                         break

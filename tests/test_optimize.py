@@ -16,9 +16,11 @@ from rydock.optimize import (
     SearchSpace,
     Trial,
     evaluate_params,
+    exact_optimum,
     is_independent_bits,
     nelder_mead,
     normalized_score,
+    normalized_value,
     prefix_result,
     qaa_sweep,
     score,
@@ -140,6 +142,26 @@ def test_normalized_score():
     assert normalized_score(hist, PATH3) == pytest.approx(sb.score / (2 / 3))
     assert normalized_score(hist, PATH3, breakdown=sb) == \
         pytest.approx(0.25 * 1.5)
+
+
+def test_exact_optimum_solved_once_per_graph(monkeypatch):
+    calls = []
+    solve = rydock.optimize.brute_force_mwis
+    monkeypatch.setattr(rydock.optimize, "brute_force_mwis",
+                        lambda g: calls.append(g) or solve(g))
+    g = WeightedGraph.from_parts("abc", [("a", "b"), ("b", "c")])
+    hist = Histogram(shots=1000, counts={"101": 500, "010": 500})
+    for _ in range(3):
+        assert success_probability(hist, g) == pytest.approx(0.5)
+        assert normalized_score(hist, g) == score(hist, g).score / (2 / 3)
+    assert normalized_value(0.25, g) == 0.25 / (2 / 3)
+    assert calls == [g]
+    winners, best_card = exact_optimum(g)
+    assert winners == frozenset({"101"}) and best_card == 2
+    assert isinstance(exact_optimum(g), tuple)
+    # an equal graph built separately is solved again, not confused with g
+    exact_optimum(WeightedGraph.from_parts("abc", [("a", "b"), ("b", "c")]))
+    assert len(calls) == 2
 
 
 def test_search_space_contracts():

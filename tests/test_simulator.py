@@ -1,10 +1,12 @@
 """Emulator checks against closed-form dynamics and a dense expm oracle."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
 
 from rydock.errors import InputError
 from rydock.pulses import (
@@ -22,8 +24,8 @@ from rydock.simulator import (
     DENSE_MAX_ATOMS,
     THETA_MAX,
     StateVector,
+    _step_operator,
     bitstring_of,
-    build_hamiltonian,
     evolve,
     exact_distribution,
     interaction_diagonal,
@@ -67,6 +69,43 @@ def dense_hamiltonian(reg, dev, omega, delta):
         for k in range(n):
             h[idx ^ (1 << k), idx] += omega / 2.0
     return h
+
+
+def _half_flip_operator(n: int) -> csr_matrix:
+    """Sparse 0.5 * sum_k sigma_x_k."""
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    rows = np.tile(idx, n)
+    cols = np.concatenate([idx ^ (1 << k) for k in range(n)])
+    data = np.full(n * dim, 0.5)
+    return csr_matrix((data, (rows, cols)), shape=(dim, dim))
+
+
+@dataclass(frozen=True)
+class Hamiltonian:
+    """Fixed-control Hamiltonian split into drive and diagonal parts."""
+
+    n_atoms: int
+    omega: float
+    diagonal: np.ndarray
+    half_flip: csr_matrix
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        out = self.diagonal * psi
+        if self.omega != 0.0:
+            out = out + self.omega * (self.half_flip @ psi)
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        return self.omega * self.half_flip.toarray() + np.diag(self.diagonal)
+
+
+def build_hamiltonian(reg, omega, delta, dev) -> Hamiltonian:
+    """H at fixed controls: (omega/2) sum sigma_x - delta sum w n + sum U nn,
+    from the emulator's diagonals and an independently built drive."""
+    diag = interaction_diagonal(reg, dev) - delta * occupation_diagonal(reg)
+    return Hamiltonian(n_atoms=reg.n, omega=float(omega), diagonal=diag,
+                       half_flip=_half_flip_operator(reg.n))
 
 
 def expm_evolve(reg, seq, dev, dt):
@@ -227,6 +266,65 @@ def test_oracle_above_dense_threshold():
     got = evolve(reg, seq, DEV, dt=8.0).amplitudes
     want = expm_evolve(reg, seq, DEV, dt=8.0)
     assert np.linalg.norm(got - want) < 1e-8
+
+
+def test_oracle_energy_far_from_midpoint():
+    # atoms 4 um apart: the spectrum spans ~ 4000 rad/us, while the state
+    # stays near the ground edge, so the series centre sits far from the
+    # spectrum's midpoint; at dt 16 ||H|| * tau ~ 64 and every step must
+    # split (a single series step does not converge)
+    reg = line_register(0.0, 4.0, 8.0, 12.0)
+    diag = interaction_diagonal(reg, DEV)
+    assert 0.5 * np.ptp(diag) * 16e-3 > 5 * THETA_MAX
+    seq = complex_sequence(
+        ComplexParams(t_rise=200.0, t_fall=300.0, omega=6.0,
+                      delta0=3.0, deltaf=7.0),
+        DEV.omega_max, DEV.delta_abs_max)
+    got = evolve(reg, seq, DEV, dt=16.0).amplitudes
+    want = expm_evolve(reg, seq, DEV, dt=16.0)
+    assert np.linalg.norm(got - want) < 1e-8
+
+
+def test_undriven_segment_is_a_diagonal_phase():
+    # after a driven segment, omega = 0 (and omega too small for 2 / omega
+    # to be finite) leaves only the closed-form phase exp(-i D t)
+    reg = line_register(0.0, 7.0, weights=[1.0, 1.5])
+    drive = constant_segment(3.0, 1.0, 300.0)
+    driven = evolve(reg, PulseSequence(segments=(drive,)), DEV, dt=4.0).amplitudes
+    delta, t_ns = 2.5, 200.0
+    diag = interaction_diagonal(reg, DEV) - delta * occupation_diagonal(reg)
+    want = driven * np.exp(-1j * diag * t_ns * 1e-3)
+    assert np.count_nonzero(np.abs(driven) > 0.1) >= 2
+    for omega in (0.0, 1e-310):
+        seq = PulseSequence(segments=(drive, constant_segment(omega, delta, t_ns)))
+        got = evolve(reg, seq, DEV, dt=4.0).amplitudes
+        assert np.all(np.isfinite(got))
+        assert np.linalg.norm(got - want) < 1e-12
+
+
+def test_evolve_repeats_bit_for_bit():
+    seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=200.0),
+                          DEV.omega_max, DEV.delta_abs_max)
+    for n in (3, DENSE_MAX_ATOMS + 1):
+        reg = line_register(*(9.0 * k for k in range(n)))
+        a = evolve(reg, seq, DEV, dt=4.0).amplitudes
+        b = evolve(reg, seq, DEV, dt=4.0).amplitudes
+        assert a.tobytes() == b.tobytes()
+
+
+def test_step_operator_diagonal_view():
+    # writing the diagonal view must set exactly the matrix's diagonal, on
+    # both the dense and the CSR form, over the fixed bit-flip pattern
+    def dense(op):
+        return op if isinstance(op, np.ndarray) else op.toarray()
+
+    for n in (DENSE_MAX_ATOMS, DENSE_MAX_ATOMS + 1):
+        op, op_diag = _step_operator(n)
+        flips = 2.0 * _half_flip_operator(n).toarray()
+        assert np.array_equal(dense(op), flips)
+        values = np.arange(1 << n) - 0.5
+        op_diag[:] = values
+        assert np.array_equal(dense(op), flips + np.diag(values))
 
 
 def test_norm_preserved():
