@@ -57,11 +57,6 @@ class Molecule:
         if not self.points:
             raise InputError(f"molecule {self.name}: no points")
 
-    def distance(self, a: str, b: str) -> float:
-        pa = next(p for p in self.points if p.id == a)
-        pb = next(p for p in self.points if p.id == b)
-        return float(math.dist(pa.position, pb.position))
-
     def distance_matrix(self) -> np.ndarray:
         coords = np.array([p.position for p in self.points])
         diff = coords[:, None, :] - coords[None, :, :]
@@ -141,6 +136,9 @@ def build_binding_graph(ligand: Molecule, receptor: Molecule,
     contacts = enumerate_contacts(ligand, receptor, table, dist_lambda)
     ids = [c.vertex_id for c in contacts]
     weights = [c.weight for c in contacts]
+    lig_row = {p.id: k for k, p in enumerate(ligand.points)}
+    rec_row = {p.id: k for k, p in enumerate(receptor.points)}
+    lig_dist, rec_dist = ligand.distance_matrix(), receptor.distance_matrix()
     edges = []
     for a, b in itertools.combinations(range(len(contacts)), 2):
         ca, cb = contacts[a], contacts[b]
@@ -148,8 +146,8 @@ def build_binding_graph(ligand: Molecule, receptor: Molecule,
             continue
         if ca.receptor_point == cb.receptor_point:
             continue
-        d_lig = ligand.distance(ca.ligand_point, cb.ligand_point)
-        d_rec = receptor.distance(ca.receptor_point, cb.receptor_point)
+        d_lig = lig_dist[lig_row[ca.ligand_point], lig_row[cb.ligand_point]]
+        d_rec = rec_dist[rec_row[ca.receptor_point], rec_row[cb.receptor_point]]
         if abs(d_lig - d_rec) <= tau:
             edges.append((ids[a], ids[b]))
     return WeightedGraph.from_parts(ids, edges, weights=weights)

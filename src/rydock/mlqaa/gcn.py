@@ -9,6 +9,16 @@ emits a single scalar. One model is trained per pulse parameter against
 min-max normalised targets; backpropagation and the adaptive-moment
 updates are implemented here directly so they can be checked against
 finite differences.
+
+A training step is array code over the whole padded batch (b registers,
+n atom slots). One random draw gives all five layers' dropout masks. The
+forward keeps each layer's masked ReLU output, whose sign gates the
+backward pass. The backward pass forms each layer's weight gradient as
+one matrix product over the flattened (b * n) node rows. Adam updates
+every weight array in place, with its bias corrections folded into two
+scalars. After each epoch one dropout-free forward over all records gives
+the squared errors that split into the training and the validation loss,
+and the weights of the epoch with the lowest validation loss are kept.
 """
 
 from __future__ import annotations
@@ -176,10 +186,12 @@ def _forward_batch(weights, adj, x, mask, drop_masks=None):
     caches = []
     for layer in range(LAYERS):
         ah = adj @ h
-        z = ah @ weights[f"W{layer}"] + weights[f"b{layer}"]
-        r = np.maximum(z, 0.0) * mask
+        z = ah @ weights[f"W{layer}"]
+        z += weights[f"b{layer}"]
+        r = np.maximum(z, 0.0, out=z)
+        r *= mask
         d = None if drop_masks is None else drop_masks[layer]
-        caches.append((ah, z, d))
+        caches.append((ah, r, d))
         h = r if d is None else r * d
     pooled = h.sum(axis=1)
     y = pooled @ weights["hw"] + weights["hb"][0]
@@ -202,10 +214,10 @@ def loss_and_gradients(weights, adj, x, mask, targets, drop_masks=None):
         (b, adj.shape[1], HIDDEN),
     )
     for layer in reversed(range(LAYERS)):
-        ah, z, d = caches[layer]
+        ah, r, d = caches[layer]
         dr = dh if d is None else dh * d
-        dz = dr * (z > 0.0) * mask
-        grads[f"W{layer}"] = np.einsum("bni,bnj->ij", ah, dz)
+        dz = dr * (r > 0.0)
+        grads[f"W{layer}"] = ah.reshape(-1, ah.shape[-1]).T @ dz.reshape(-1, HIDDEN)
         grads[f"b{layer}"] = dz.sum(axis=(0, 1))
         if layer:
             dh = adj @ (dz @ weights[f"W{layer}"].T)
@@ -226,20 +238,39 @@ def _adam_init(weights):
 
 def _adam_step(weights, grads, m, v, step, lr,
                beta1=0.9, beta2=0.999, eps=1e-8):
-    for k in weights:
-        m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
-        v[k] = beta2 * v[k] + (1 - beta2) * grads[k] * grads[k]
-        mhat = m[k] / (1 - beta1 ** step)
-        vhat = v[k] / (1 - beta2 ** step)
-        weights[k] -= lr * mhat / (np.sqrt(vhat) + eps)
+    """One Adam update of every weight array, in place.
+
+    The bias corrections fold into two scalars: lr * mhat / (sqrt(vhat) +
+    eps) = a * m / (sqrt(v) * s + eps) with a = lr / (1 - beta1^t) and
+    s = 1 / sqrt(1 - beta2^t). Each array takes one scratch buffer.
+    """
+    a = lr / (1.0 - beta1 ** step)
+    s = 1.0 / math.sqrt(1.0 - beta2 ** step)
+    for k, w in weights.items():
+        g, mk, vk = grads[k], m[k], v[k]
+        buf = np.multiply(g, 1.0 - beta1)
+        mk *= beta1
+        mk += buf
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - beta2
+        vk *= beta2
+        vk += buf
+        np.sqrt(vk, out=buf)
+        buf *= s
+        buf += eps
+        np.divide(mk, buf, out=buf)
+        buf *= a
+        w -= buf
 
 
 def _drop_masks(rng, shape_b, shape_n):
-    masks = []
-    for _ in range(LAYERS):
-        keep = (rng.random((shape_b, shape_n, HIDDEN)) >= DROPOUT).astype(float)
-        masks.append(keep / (1.0 - DROPOUT))
-    return masks
+    """Inverted-dropout masks of all LAYERS layers, shape (LAYERS, b, n, HIDDEN).
+
+    One draw fills the layers in order from the stream, exactly as one
+    (b, n, HIDDEN) draw per layer would, so the masks equal those bit for bit.
+    """
+    draw = rng.random((LAYERS, shape_b, shape_n, HIDDEN))
+    return np.multiply(draw >= DROPOUT, 1.0 / (1.0 - DROPOUT), out=draw)
 
 
 def train(records, target: str, lr=(1e-2, 1e-4), epochs: int = 300,
@@ -294,12 +325,6 @@ def train(records, target: str, lr=(1e-2, 1e-4), epochs: int = 300,
         decay = (lo / hi) ** (1.0 / max(epochs - 1, 1))
         lr_of = lambda e: hi * decay ** e
 
-    def eval_loss(idx):
-        if len(idx) == 0:
-            return math.inf
-        y, _, _ = _forward_batch(weights, adj[idx], x[idx], mask[idx])
-        return float(np.mean((y - targets[idx]) ** 2))
-
     best_val = math.inf
     best_weights = {k: v.copy() for k, v in weights.items()}
     history = []
@@ -322,8 +347,13 @@ def train(records, target: str, lr=(1e-2, 1e-4), epochs: int = 300,
                 )
             step += 1
             _adam_step(weights, grads, m_state, v_state, step, epoch_lr)
-        train_loss = eval_loss(tr_idx)
-        val_loss = eval_loss(val_idx) if len(val_idx) else train_loss
+        # free the last step's gradients and masks before the epoch forward,
+        # which would otherwise set the training's peak memory
+        del grads, drop
+        y, _, _ = _forward_batch(weights, adj, x, mask)
+        sq = (y - targets) ** 2
+        train_loss = float(np.mean(sq[tr_idx]))
+        val_loss = float(np.mean(sq[val_idx])) if len(val_idx) else train_loss
         history.append((train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss

@@ -1,13 +1,16 @@
 """Pulse-parameter search: scoring, samplers, and the variational loop.
 
-The figure of merit for a measured histogram rewards shots that are large
+The figure of merit for a measured histogram rewards shots that are heavy
 independent sets while demanding that the distribution stays spread over
-several outcomes: per-shot quality f(C) = popcount(C)/N when C is
-independent (0 otherwise), concentration factor gini = 1 - sum_c p_c^2 over
-the distinct empirical outcomes, and score = mean(f) * gini, nullified to 0
-when gini < 1/3. The nullification guards against premature collapse onto
-one outcome, at the price of zeroing perfectly converged runs on graphs
-with a unique optimum; that trade-off is intentional and documented here.
+several outcomes: per-shot quality f(C) = w(C)/w(V), the weight of C over
+the weight of all vertices, when C is independent (0 otherwise),
+concentration factor gini = 1 - sum_c p_c^2 over the distinct empirical
+outcomes, and score = mean(f) * gini, nullified to 0 when gini < 1/3. On a
+unit-weight graph f(C) is popcount(C)/N. The nullification guards against
+premature collapse onto one outcome, at the price of zeroing perfectly
+converged runs on graphs with a unique optimum; that trade-off is
+intentional and documented here. A normalised score divides by the best
+reachable mean(f), w(MWIS)/w(V), so it never exceeds 1.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
 from .errors import InfeasibilityError, InputError
-from .graphs import WeightedGraph, brute_force_mwis, is_independent
+from .graphs import WeightedGraph, brute_force_mwis
 from .histogram import Histogram
 from .pulses import (
     MIN_WAVEFORM_NS,
@@ -55,6 +59,9 @@ def score(hist: Histogram, g: WeightedGraph,
     Pass gini_threshold=None to disable nullification.
     """
     n = g.n
+    total = g.total_weight()
+    index = {v: k for k, v in enumerate(g.vertex_ids)}
+    edges = [(index[u], index[v]) for (u, v) in g.edges]
     mean_f = 0.0
     herf = 0.0
     for bits, c in hist.counts.items():
@@ -62,8 +69,11 @@ def score(hist: Histogram, g: WeightedGraph,
             raise InputError(f"bitstring width {len(bits)} vs {n} vertices")
         p = c / hist.shots
         herf += p * p
-        if is_independent_bits(bits, g):
-            mean_f += p * bits.count("1") / n
+        for (i, j) in edges:
+            if bits[i] == "1" and bits[j] == "1":
+                break
+        else:
+            mean_f += p * sum(compress(g.weights, map("1".__eq__, bits))) / total
     gini = 1.0 - herf
     nullified = gini_threshold is not None and gini < gini_threshold
     return ScoreBreakdown(
@@ -74,16 +84,8 @@ def score(hist: Histogram, g: WeightedGraph,
     )
 
 
-def is_independent_bits(bits: str, g: WeightedGraph) -> bool:
-    index = {v: k for k, v in enumerate(g.vertex_ids)}
-    for (u, v) in g.edges:
-        if bits[index[u]] == "1" and bits[index[v]] == "1":
-            return False
-    return True
-
-
 def exact_optimum(g: WeightedGraph) -> tuple:
-    """(frozenset of MWIS bitstrings, largest cardinality among them).
+    """(frozenset of MWIS bitstrings, their weight).
 
     Solved by brute force on the first call for a graph and kept on the
     frozen graph itself, so the loops that score many histograms against
@@ -92,8 +94,7 @@ def exact_optimum(g: WeightedGraph) -> tuple:
     cached = g.__dict__.get("_exact_optimum")
     if cached is None:
         sols = brute_force_mwis(g)
-        cached = (frozenset(s.bitstring for s in sols),
-                  max(s.bitstring.count("1") for s in sols))
+        cached = (frozenset(s.bitstring for s in sols), sols[0].weight(g))
         object.__setattr__(g, "_exact_optimum", cached)
     return cached
 
@@ -107,20 +108,17 @@ def success_probability(hist: Histogram, g: WeightedGraph) -> float:
 
 def normalized_score(hist: Histogram, g: WeightedGraph,
                      breakdown: ScoreBreakdown | None = None) -> float:
-    """Score scaled by the best reachable mean_f, i.e. |MIS| / N."""
+    """Score scaled by the best reachable mean_f, w(MWIS) / w(V)."""
     sb = breakdown if breakdown is not None else score(hist, g)
     return normalized_value(sb.score, g)
 
 
 def normalized_value(value: float, g: WeightedGraph) -> float:
-    """A score of `g` over the best reachable mean_f, i.e. |MIS| / N.
-
-    For the cardinality we take the largest optimum of the weighted problem.
-    """
-    best_card = exact_optimum(g)[1]
-    if best_card == 0:
+    """A score of `g` over the best reachable mean_f, w(MWIS) / w(V)."""
+    best = exact_optimum(g)[1]
+    if best == 0:
         raise InputError("graph optimum is the empty set")
-    return float(value / (best_card / g.n))
+    return float(value / (best / g.total_weight()))
 
 
 @dataclass(frozen=True)

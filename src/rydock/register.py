@@ -307,29 +307,41 @@ def _relax(pos, springs, repel, spacing, iters=LAYOUT_ITERS):
     """Force-directed relaxation.
 
     `springs`: index pairs pulled toward `spacing`. `repel`: (i, j, target)
-    triples pushed out to `target` when closer.
+    triples pushed out to `target` when closer. A pair closer than 1e-9 is
+    treated as 1e-3 apart along x. Each iteration computes every force over
+    the whole pair list at once: a spring, and a repulsion inside its
+    target, put 0.5 * (r - t) / (r * spacing) * d on atom i and its negation
+    on atom j, t being `spacing` or the target. Each atom sums its
+    contributions in pair order, i before j, springs before repulsions, and
+    its force is capped at unit length before the step.
     """
     pos = pos.copy()
+    n = len(pos)
+    pairs = [(i, j, spacing) for (i, j) in springs] + list(repel)
+    ij = np.array([p[:2] for p in pairs], dtype=np.int64).reshape(-1, 2)
+    first, second = ij[:, 0], ij[:, 1]
+    target = np.array([p[2] for p in pairs], dtype=float)
+    pushed = np.arange(len(pairs)) >= len(springs)
+    # contribution (k, end, axis) goes to force slot 2 * atom + axis
+    slots = (2 * ij[:, :, None] + np.arange(2)).ravel()
+    contrib = np.empty((len(pairs), 2, 2))
     for it in range(iters):
         step = 0.12 * spacing * (1.0 - 0.9 * it / iters)
-        force = np.zeros_like(pos)
-        for (i, j) in springs:
-            d = pos[j] - pos[i]
-            r = math.hypot(*d)
-            if r < 1e-9:
-                d, r = np.array([1e-3, 0.0]), 1e-3
-            f = (r - spacing) / (r * spacing) * d
-            force[i] += 0.5 * f
-            force[j] -= 0.5 * f
-        for (i, j, target) in repel:
-            d = pos[j] - pos[i]
-            r = math.hypot(*d)
-            if r < 1e-9:
-                d, r = np.array([1e-3, 0.0]), 1e-3
-            if r < target:
-                f = (target - r) / (r * spacing) * d
-                force[i] -= 0.5 * f
-                force[j] += 0.5 * f
+        d = pos[second] - pos[first]
+        # math.hypot, not np.hypot: the two can round the last bit apart,
+        # and that is enough to move a placement
+        r = np.fromiter(map(math.hypot, *d.T.tolist()), float, len(d))
+        near = r < 1e-9
+        if near.any():
+            d[near] = (1e-3, 0.0)
+            r[near] = 1e-3
+        coef = r - target
+        np.minimum(coef, 0.0, out=coef, where=pushed)
+        coef /= r * spacing
+        np.multiply(coef[:, None], d, out=contrib[:, 0])
+        contrib[:, 0] *= 0.5
+        np.negative(contrib[:, 0], out=contrib[:, 1])
+        force = np.bincount(slots, weights=contrib.ravel(), minlength=2 * n).reshape(n, 2)
         norms = np.hypot(force[:, 0], force[:, 1])
         big = norms > 1.0
         force[big] /= norms[big, None]

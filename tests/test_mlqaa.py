@@ -30,8 +30,14 @@ from rydock.mlqaa import (
 )
 from rydock.mlqaa.dataset import _canonical_trial
 from rydock.mlqaa.gcn import (
+    DROPOUT,
+    HIDDEN,
+    LAYERS,
     MODEL_VERSION,
     TARGET_SCALES,
+    _adam_init,
+    _adam_step,
+    _drop_masks,
     _forward_batch,
     _from_scale,
     _pack,
@@ -187,6 +193,41 @@ def test_batch_padding_matches_single_forward():
     y, _, _ = _forward_batch(model.weights, adj, x, mask)
     assert y[0] == pytest.approx(forward(model, fa), abs=1e-10)
     assert y[1] == pytest.approx(forward(model, fb), abs=1e-10)
+
+
+def test_adam_step_matches_textbook_update():
+    rng = substream(4, "adam")
+    weights = {"W": rng.normal(size=(6, 5)), "b": rng.normal(size=5),
+               "c": rng.normal(size=1)}
+    ref_w = {k: v.copy() for k, v in weights.items()}
+    ref_m = {k: np.zeros_like(v) for k, v in weights.items()}
+    ref_v = {k: np.zeros_like(v) for k, v in weights.items()}
+    m, v = _adam_init(weights)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for step in range(1, 8):
+        lr = 1e-2 * 0.7 ** step
+        grads = {k: rng.normal(size=w.shape) * 10.0 ** rng.integers(-4, 2)
+                 for k, w in weights.items()}
+        _adam_step(weights, grads, m, v, step, lr)
+        for k, g in grads.items():
+            ref_m[k] = beta1 * ref_m[k] + (1 - beta1) * g
+            ref_v[k] = beta2 * ref_v[k] + (1 - beta2) * g * g
+            mhat = ref_m[k] / (1 - beta1 ** step)
+            vhat = ref_v[k] / (1 - beta2 ** step)
+            ref_w[k] = ref_w[k] - lr * mhat / (np.sqrt(vhat) + eps)
+        for k in weights:
+            assert np.max(np.abs(weights[k] - ref_w[k])) <= 1e-12
+            assert np.max(np.abs(m[k] - ref_m[k])) <= 1e-12
+            assert np.max(np.abs(v[k] - ref_v[k])) <= 1e-12
+
+
+def test_drop_masks_one_draw_equals_per_layer_draws():
+    masks = _drop_masks(substream(6, "drop"), 3, 7)
+    rng = substream(6, "drop")
+    assert masks.shape == (LAYERS, 3, 7, HIDDEN)
+    for layer in range(LAYERS):
+        keep = (rng.random((3, 7, HIDDEN)) >= DROPOUT).astype(float)
+        assert np.array_equal(masks[layer], keep / (1.0 - DROPOUT))
 
 
 def test_train_overfits_single_record():

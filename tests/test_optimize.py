@@ -17,7 +17,6 @@ from rydock.optimize import (
     Trial,
     evaluate_params,
     exact_optimum,
-    is_independent_bits,
     nelder_mead,
     normalized_score,
     normalized_value,
@@ -121,13 +120,6 @@ def test_score_relabeling_invariance():
         assert sb.score == pytest.approx(base.score)
 
 
-def test_is_independent_bits():
-    assert is_independent_bits("101", PATH3)
-    assert is_independent_bits("000", PATH3)
-    assert not is_independent_bits("110", PATH3)
-    assert not is_independent_bits("111", PATH3)
-
-
 def test_success_probability():
     hist = Histogram(shots=1000, counts={"101": 500, "010": 500})
     assert success_probability(hist, PATH3) == pytest.approx(0.5)
@@ -142,6 +134,24 @@ def test_normalized_score():
     assert normalized_score(hist, PATH3) == pytest.approx(sb.score / (2 / 3))
     assert normalized_score(hist, PATH3, breakdown=sb) == \
         pytest.approx(0.25 * 1.5)
+
+
+def test_weighted_score_is_bounded_by_the_optimum():
+    # centre 10, three leaves 1: the MWIS is the centre alone, so leaf sets
+    # are independent but light, and must not outscore the optimum
+    star = WeightedGraph.from_parts(
+        ["c", "l1", "l2", "l3"], [("c", "l1"), ("c", "l2"), ("c", "l3")],
+        weights=[10, 1, 1, 1])
+    leaves = Histogram(shots=1000, counts={"0111": 400, "0110": 300, "0101": 300})
+    sb = score(leaves, star)
+    assert sb.mean_f == pytest.approx((0.4 * 3 + 0.6 * 2) / 13)
+    assert normalized_score(leaves, star, sb) == pytest.approx(0.66 * 2.4 / 10)
+    assert normalized_score(leaves, star, sb) <= 1.0
+    assert success_probability(leaves, star) == 0.0
+    # all mass on the optimum and the best spread it can keep reach at most 1
+    best = Histogram(shots=1000, counts={"1000": 600, "0000": 400})
+    assert normalized_score(best, star, score(best, star, None)) <= 1.0
+    assert normalized_value(score(best, star, None).mean_f, star) == pytest.approx(0.6)
 
 
 def test_exact_optimum_solved_once_per_graph(monkeypatch):

@@ -16,6 +16,7 @@ from rydock.graphs import WeightedGraph, brute_force_mwis
 from rydock.histogram import Histogram
 from rydock.register import (
     ANCILLA_WEIGHT_FACTOR,
+    LAYOUT_ITERS,
     Atom,
     DeviceParams,
     Embedding,
@@ -30,6 +31,7 @@ from rydock.register import (
     save_register,
     strip_ancillas,
 )
+from rydock.register import _relax
 from rydock.rng import substream
 
 DEV = DeviceParams()
@@ -299,6 +301,60 @@ def test_hub_saturation_is_infeasible():
     g = WeightedGraph.from_parts(ids, [("hub", l) for l in ids[1:]])
     with pytest.raises(InfeasibilityError):
         layout(g, DEV, spacing=9.0, seed=0)
+
+
+def _relax_reference(pos, springs, repel, spacing, iters=LAYOUT_ITERS):
+    """The force-directed relaxation written pair by pair, as the reference
+    for the array form in `register._relax`."""
+    pos = pos.copy()
+    for it in range(iters):
+        step = 0.12 * spacing * (1.0 - 0.9 * it / iters)
+        force = np.zeros_like(pos)
+        for (i, j) in springs:
+            d = pos[j] - pos[i]
+            r = math.hypot(*d)
+            if r < 1e-9:
+                d, r = np.array([1e-3, 0.0]), 1e-3
+            f = (r - spacing) / (r * spacing) * d
+            force[i] += 0.5 * f
+            force[j] -= 0.5 * f
+        for (i, j, target) in repel:
+            d = pos[j] - pos[i]
+            r = math.hypot(*d)
+            if r < 1e-9:
+                d, r = np.array([1e-3, 0.0]), 1e-3
+            if r < target:
+                f = (target - r) / (r * spacing) * d
+                force[i] -= 0.5 * f
+                force[j] += 0.5 * f
+        norms = np.hypot(force[:, 0], force[:, 1])
+        big = norms > 1.0
+        force[big] /= norms[big, None]
+        pos += step * force
+    return pos
+
+
+def test_relax_matches_pairwise_reference():
+    spacing = 6.0
+    for trial in range(6):
+        rng = substream(23, "relax", trial)
+        n = int(rng.integers(3, 8))
+        pos = rng.uniform(0.0, spacing * (math.sqrt(n) + 1.0), size=(n, 2))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        is_spring = rng.random(len(pairs)) < 0.4
+        springs = [p for p, s in zip(pairs, is_spring) if s]
+        repel = [(i, j, float(rng.choice([1.7, 3.0])) * spacing)
+                 for (i, j), s in zip(pairs, is_spring) if not s]
+        if trial == 0:
+            pos[1] = pos[0]  # coincident atoms take the r < 1e-9 branch
+        if trial == 1:
+            repel = []
+        if trial == 2:
+            pos[2] = pos[1]
+            springs = []
+        got = _relax(pos, springs, repel, spacing, iters=300)
+        want = _relax_reference(pos, springs, repel, spacing, iters=300)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_layout_path_band_nonempty():
