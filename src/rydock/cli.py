@@ -217,7 +217,7 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _load_trials(path) -> list:
+def _load_trials(path, digest=None) -> list:
     trials = []
     with open(path) as fh:
         for line in fh:
@@ -225,6 +225,8 @@ def _load_trials(path) -> list:
             if not line:
                 continue
             d = json.loads(line)
+            if digest is not None and d.get("search_digest") != digest:
+                return []  # the log of another search
             trials.append(Trial(
                 round=int(d["round"]), params=dict(d["params"]),
                 score=float(d["score"]), gini=float(d["gini"]),
@@ -241,12 +243,16 @@ def cmd_vqaa(args) -> int:
     dev = _device(cfg)
     emb = load_register(args.register, dev)
     log_path = os.path.join(out, "trials.jsonl")
+    # a log is replayed for the same register and config but `rounds` only
+    with open(args.register, "rb") as fh:
+        register_sha = hashlib.sha256(fh.read()).hexdigest()
+    digest = config_digest({**cfg, "rounds": None, "register": register_sha}, "vqaa")
 
     res = None
     if args.resume and os.path.exists(log_path):
         if cfg["optimizer"] != "tpe":
             raise InputError("resume is only meaningful for the tpe optimizer")
-        done = _load_trials(log_path)
+        done = _load_trials(log_path, digest)
         if len(done) >= cfg["rounds"]:
             res = prefix_result(
                 emb, dev, done, cfg["rounds"], family=cfg["family"],
@@ -256,7 +262,7 @@ def cmd_vqaa(args) -> int:
         res = vqaa(
             emb, dev, family=cfg["family"], rounds=cfg["rounds"],
             shots=cfg["shots"], optimizer=cfg["optimizer"], seed=cfg["seed"],
-            dt=cfg["dt"], log_path=log_path,
+            dt=cfg["dt"], log_path=log_path, log_fields={"search_digest": digest},
         )
 
     g = emb.graph
@@ -564,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--optimizer", choices=["tpe", "nm"])
     v.add_argument("--rounds", type=int)
     v.add_argument("--resume", action="store_true",
-                   help="reuse trials.jsonl if it already has enough rounds")
+                   help="reuse trials.jsonl of the same search if it has enough rounds")
     v.set_defaults(func=cmd_vqaa)
 
     w = sub.add_parser("sweep", parents=[common],

@@ -411,7 +411,7 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
          rounds: int = 50, shots: int = 1000, optimizer: str = "tpe",
          seed: int = 0, dt: float = 4.0,
          gini_threshold: float | None = GINI_THRESHOLD,
-         log_path=None) -> VqaaResult:
+         log_path=None, log_fields: dict | None = None) -> VqaaResult:
     """Variational search for pulse parameters on one embedding.
 
     optimizer="tpe": `rounds` sequential suggestions; when every trial ends
@@ -422,7 +422,7 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
 
     Every evaluation draws its shots from a stream keyed by (seed, round),
     and the final state of the winning trial is kept and re-measured at 5x
-    shots for reporting.
+    shots for reporting. Trials go to `log_path` as JSON lines with `log_fields`.
     """
     if rounds < 1:
         raise InputError("rounds must be >= 1")
@@ -447,6 +447,7 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
             best, best_state = trial, state
         if log_fh:
             log_fh.write(json.dumps({
+                **(log_fields or {}),
                 "round": rnd, "params": trial.params, "score": trial.score,
                 "gini": trial.gini, "mean_f": trial.mean_f,
                 "top": [list(t) for t in trial.top],

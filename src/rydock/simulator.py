@@ -8,26 +8,26 @@ number operator n = (1 + sigma_z)/2, so this differs from a sigma_z-based
 writing only by a state-independent shift. Note the detuning sign: positive
 delta *lowers* the energy of excited atoms.
 
-Everything diagonal lives in a single length-2^N vector. Each step applies
-the midpoint-rule propagator psi <- exp(-i H(t + dt/2) dt) psi through a
-truncated power series, with terms added until one falls below 1e-12 in
-norm. The series is centred on the state's own energy: with D the step's
-diagonal and c = Re <psi|D|psi>, it runs on H - c and multiplies by the
-exact phase exp(-i c dt) afterwards. The state's energy spread is much
-smaller than half the spectrum, so the series converges in fewer terms
-than one centred on the spectrum's midpoint. A step is split into
-sub-steps whenever (max|D - c| + |Omega| N / 2) * dt would exceed
-THETA_MAX.
+Everything diagonal lives in one length-2^N vector, D = U - delta occ with
+U the interaction and occ = sum_i w_i n_i. A step of width tau samples the
+pulse at its midpoint and runs as nsub Strang sub-steps of width s (Strang,
+SIAM J. Numer. Anal. 5, 506, 1968): psi <- exp(-i D s/2) R^{(x)N} exp(-i D
+s/2) psi, R = cos(theta) - i sin(theta) sigma_x, theta = Omega s / 2. Both
+factors are exact: no power series, no sparse matrix, and Omega = 0 is an
+exact identity. Neighbouring half-step phases merge into one product.
 
-The series runs on one operator per `evolve` call, with the factor
--i * tau * Omega / 2 (tau the sub-step width) taken out of -i tau (H - c):
-M = 2 (D - c) / Omega + sum_k sigma_x_k. Its N * 2^N bit-flip entries are
-1 and are written once per call; a step rewrites only the 2^N diagonal
-entries, through a strided view of the matrix's storage. M is a dense
-matrix up to DENSE_MAX_ATOMS atoms, where numpy's matrix product costs
-less than sparse dispatch, and a complex CSR matrix above that. A step
-whose drive is too weak to move the state in double precision (Omega = 0
-among them) is the exact diagonal phase exp(-i D dt) instead.
+R^{(x)N} runs in Kronecker groups of at most GROUP_MAX_ATOMS = 6 atoms. On m
+atoms R^{(x)m} has entry cos(theta)^(m - h) (-i sin(theta))^h, h the Hamming
+distance of row and column, so a step's group matrix is one gather of that
+(m + 1)-entry table, applied by one matrix product to the state viewed as
+(2^hi, 2^m, 2^lo). The detuning phase factorises over the groups.
+
+nsub = ceil(tau g / PHI_MAX), g = max_k (sum_j U_kj + max|delta| w_k) bounding
+the energy change of one atom flip over the segment. Against a dt = 0.5
+Taylor midpoint reference, one uniform random complex pulse per corpus
+register (125), the worst total-variation distance is 1.3e-4 at dt 4 and
+2.7e-4 at dt 8 (the Taylor midpoint rule: 6.4e-5 and 2.6e-4); with no
+sub-steps, 2.3e-3 and 9.7e-3. The error grows as s^2, and with Omega and g.
 
 The state is never renormalised: norm drift is an error signal, and drift
 beyond 1e-4 raises.
@@ -38,6 +38,7 @@ bitstrings put atom 0 leftmost.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,16 +50,10 @@ from .pulses import PulseSequence
 from .register import DeviceParams, Register
 
 ATOM_CAP = 16
-SERIES_TOL = 1e-12
 DRIFT_LIMIT = 1e-4
-# Maximum allowed ||H|| * dt per series application; larger steps are split.
-THETA_MAX = 6.0
-# Largest register whose step operator is a dense matrix: below this size
-# numpy's `@` beats scipy's sparse dispatch; above it the CSR form wins.
-DENSE_MAX_ATOMS = 7
-# A step whose drive bound |Omega| N dt / 2 is below the unit roundoff
-# cannot move a unit state and is applied as its exact diagonal phase.
-DRIVE_FLOOR = 2.0**-53
+# Largest s * g of a Strang sub-step (see above), calibrated on the corpus.
+PHI_MAX = 0.15
+GROUP_MAX_ATOMS = 6
 
 
 @dataclass(frozen=True)
@@ -110,53 +105,74 @@ def occupation_diagonal(reg: Register) -> np.ndarray:
     return reg.detuning_weights() @ bits
 
 
-def _step_operator(n: int) -> tuple:
-    """sum_k sigma_x_k for n atoms plus a writable view of its diagonal.
+@functools.lru_cache(maxsize=None)
+def _groups(n: int) -> tuple:
+    """ceil(n / 6) Kronecker groups of near-equal size m, lowest atoms first:
+    (m, the (2^hi, 2^m, 2^lo) state view with the group's atoms in the middle,
+    the Hamming distances between row and column of a 2^m matrix)."""
+    count = -(-n // GROUP_MAX_ATOMS)
+    out, lo = [], 0
+    for g in range(count):
+        m = n // count + (g < n % count)
+        idx = np.arange(1 << m)
+        ham = _bit_table(m).sum(axis=0).astype(np.intp)[idx[:, None] ^ idx]
+        ham.flags.writeable = False
+        out.append((m, (1 << (n - lo - m), 1 << m, 1 << lo), ham))
+        lo += m
+    return tuple(out)
 
-    The bit-flip entries are written as 1 here, once per `evolve` call, and
-    never change; a step writes only the 2^N diagonal entries, through the
-    returned strided view of the matrix's own storage. The matrix is dense
-    up to DENSE_MAX_ATOMS and complex CSR above, where row i holds column i
-    first, then columns i ^ 2^k.
-    """
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int32)
-    if n <= DENSE_MAX_ATOMS:
-        matrix = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range(n):
-            matrix[idx, idx ^ (1 << k)] = 1.0
-        return matrix, matrix.reshape(-1)[:: dim + 1]
-    # imported here, so that registers up to DENSE_MAX_ATOMS never load it
-    from scipy.sparse import csr_matrix
 
-    width = n + 1
-    cols = np.stack([idx] + [idx ^ (1 << k) for k in range(n)], axis=1)
-    indptr = np.arange(0, dim * width + 1, width, dtype=np.int32)
-    data = np.ones(dim * width, dtype=np.complex128)
-    data[::width] = 0.0
-    matrix = csr_matrix((data, cols.ravel(), indptr), shape=(dim, dim))
-    return matrix, matrix.data[::width]
+def rotation_table(theta, m: int) -> np.ndarray:
+    """cos(theta)^(m - h) (-i sin(theta))^h for h = 0..m on the last axis,
+    per angle in `theta`: the entries of R(theta)^{(x)m} by Hamming distance."""
+    theta = np.asarray(theta, dtype=float)[..., None]
+    h = np.arange(m + 1)
+    return np.cos(theta) ** (m - h) * np.sin(theta) ** h * (-1j) ** h
+
+
+def drive_factor(psi: np.ndarray, n: int, factors) -> np.ndarray:
+    """psi <- R(theta)^{(x)n} psi, given each group's symmetric matrix
+    R(theta)^{(x)m}: a `rotation_table` row taken over its Hamming distances."""
+    for (_, shape, _), factor in zip(_groups(n), factors):
+        if shape[2] == 1:
+            psi = psi.reshape(-1, shape[1]) @ factor
+        else:
+            psi = np.matmul(factor, psi.reshape(shape))
+    return psi.reshape(-1)
 
 
 def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
            dt: float = 4.0) -> StateVector:
-    """Integrate the schedule from |00...0> with midpoint steps of `dt` ns.
+    """Integrate the schedule from |00...0> with midpoint steps of `dt` ns,
+    each run as Strang sub-steps; steps never straddle segment boundaries.
 
-    Steps never straddle segment boundaries. Raises NumericalError when the
-    norm drifts by more than 1e-4 (the step size is too coarse); drift is
+    Raises NumericalError when the norm drifts by more than 1e-4; drift is
     never hidden by renormalising.
     """
-    _check_cap(reg.n)
     if not (math.isfinite(dt) and dt > 0):
         raise InputError(f"dt must be a positive finite number, got {dt}")
     inter = interaction_diagonal(reg, dev)
+    n, dim, groups = reg.n, 1 << reg.n, _groups(reg.n)
+    weights = reg.detuning_weights()
     occ = occupation_diagonal(reg)
-    op, op_diag = _step_operator(reg.n)
-    tol_sq = SERIES_TOL * SERIES_TOL
-    dim = 1 << reg.n
+    # i w.n over each group's atoms (occ where only they are excited), top first
+    iocc = [1j * occ[np.arange(shape[1]) * shape[2]] for _, shape, _ in groups[::-1]]
+    # one flip of atom k changes U by at most sum_j U_kj (U >= 0)
+    flip_gap = inter[-1] - inter[(dim - 1) ^ (1 << np.arange(n))]
+    cache = [None, None]
+
+    def diagonal_phase(t, d):
+        """exp(-i (t U - d occ)); the occ part is an outer product over groups."""
+        if t != cache[0]:
+            cache[:] = t, np.exp(-1j * t * inter)
+        out = np.exp(d * iocc[0])
+        for col in iocc[1:]:
+            out = np.multiply.outer(out, np.exp(d * col)).reshape(-1)
+        return cache[1] * out
+
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
-
+    t_pend = d_pend = 0.0  # the last sub-step's trailing half, not yet applied
     for seg in seq.segments:
         if abs(seg.phase) > 1e-12:
             raise InputError("only phase-0 schedules are supported")
@@ -165,45 +181,27 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
         mids = 0.5 * (edges[:-1] + edges[1:])
         omegas = np.asarray(seg.omega.sample(mids), dtype=float).reshape(-1)
         deltas = np.asarray(seg.delta.sample(mids), dtype=float).reshape(-1)
-        widths = np.diff(edges)
+        tau = seg.duration / steps * 1e-3  # ns -> us
+        gap = float(np.max(flip_gap + np.abs(deltas).max() * np.abs(weights)))
+        nsub = max(1, math.ceil(tau * gap / PHI_MAX))
+        half = 0.5 * tau / nsub
+        tables = [rotation_table(omegas * half, m) for m, _, _ in groups]
         for k in range(steps):
-            om, de = float(omegas[k]), float(deltas[k])
-            tau = float(widths[k]) * 1e-3  # ns -> us
-            diag = inter - de * occ
-            drive = 0.5 * abs(om) * reg.n
-            if drive * tau < DRIVE_FLOOR:
-                # the drive cannot move the state: the step is an exact phase
-                psi = psi * np.exp(-1j * tau * diag)
-                continue
-            centre = np.vdot(psi, diag * psi).real
-            diag -= centre
-            bound = float(np.abs(diag).max()) + drive
-            nsub = max(1, int(np.ceil(bound * tau / THETA_MAX)))
-            sub = tau / nsub
-            phase = np.exp(-1j * centre * sub)
-            # -i sub (H - centre) = scale * op, op = 2 diag / omega + sum_k sigma_x_k
-            scale = -0.5j * sub * om
-            np.multiply(diag, 2.0 / om, out=op_diag)
-            for _ in range(nsub):
-                # psi <- exp(scale * op) psi by power series, terms until below SERIES_TOL
-                acc = psi.copy()
-                term = psi
-                for j in range(1, 400):
-                    term = op @ term
-                    term *= scale / j
-                    acc += term
-                    if np.vdot(term, term).real < tol_sq:
-                        break
-                else:
-                    raise NumericalError("propagator series failed to converge")
-                acc *= phase
-                psi = acc
+            de = float(deltas[k])
+            factors = [t[k].take(ham) for t, (_, _, ham) in zip(tables, groups)]
+            for j in range(nsub):
+                t_pend += half
+                d_pend += de * half
+                if j < 2:  # from the second sub-step on, the phase repeats
+                    phase = diagonal_phase(t_pend, d_pend)
+                psi *= phase
+                psi = drive_factor(psi, n, factors)
+                t_pend, d_pend = half, de * half
+    psi *= diagonal_phase(t_pend, d_pend)
 
     drift = abs(np.linalg.norm(psi) - 1.0)
     if drift > DRIFT_LIMIT:
-        raise NumericalError(
-            f"norm drift {drift:.2e} exceeds {DRIFT_LIMIT}; reduce dt"
-        )
+        raise NumericalError(f"norm drift {drift:.2e} exceeds {DRIFT_LIMIT}; reduce dt")
     return StateVector(amplitudes=psi, n_atoms=reg.n)
 
 
@@ -212,19 +210,13 @@ def measure(state: StateVector, shots: int, seed) -> Histogram:
     if shots <= 0:
         raise InputError("shots must be positive")
     probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    out = {}
-    for idx in np.flatnonzero(counts):
-        out[bitstring_of(int(idx), state.n_atoms)] = int(counts[idx])
-    return Histogram(shots=shots, counts=out)
+    counts = rng.multinomial(shots, probs / probs.sum())
+    return Histogram(shots=shots, counts={bitstring_of(int(i), state.n_atoms): int(counts[i])
+                                          for i in np.flatnonzero(counts)})
 
 
 def exact_distribution(state: StateVector) -> dict:
     """Exact outcome probabilities keyed by bitstring (nonzero entries)."""
     probs = np.abs(state.amplitudes) ** 2
-    out = {}
-    for idx in np.flatnonzero(probs):
-        out[bitstring_of(int(idx), state.n_atoms)] = float(probs[idx])
-    return out
+    return {bitstring_of(int(i), state.n_atoms): float(probs[i]) for i in np.flatnonzero(probs)}

@@ -171,6 +171,27 @@ def test_vqaa_resume_reuses_trials(tmp_path):
     assert rc == 2
 
 
+def test_vqaa_resume_reruns_a_log_of_another_search(tmp_path):
+    # a log written under another seed, dt and shot count must not be
+    # replayed: the resumed run must equal a fresh run of its own config
+    register = _p2_register(tmp_path)
+    run_a = tmp_path / "a"
+    rc = main(["vqaa", "--register", register, "--rounds", "4", "--shots", "100",
+               "--dt", "4", "--seed", "1", "--out", str(run_a)])
+    assert rc == 0
+    flags = ["--register", register, "--rounds", "3", "--shots", "50",
+             "--dt", "8", "--seed", "99"]
+    assert main(["vqaa", *flags, "--out", str(run_a), "--resume"]) == 0
+    resumed = json.loads((run_a / "result.json").read_text())
+    assert len(_load_trials(run_a / "trials.jsonl")) == 3
+
+    run_b = tmp_path / "b"
+    assert main(["vqaa", *flags, "--out", str(run_b)]) == 0
+    fresh = json.loads((run_b / "result.json").read_text())
+    assert resumed == fresh
+    assert (run_a / "trials.jsonl").read_bytes() == (run_b / "trials.jsonl").read_bytes()
+
+
 def test_sweep_writes_grid(tmp_path, capsys):
     register = _p2_register(tmp_path)
     rc = main(["sweep", "--register", register, "--omegas", "2.0",
@@ -306,11 +327,19 @@ def test_train_mape_in_device_units(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.sparse is imported only when a register above DENSE_MAX_ATOMS
-    # is evolved, so importing the CLI loads no scipy module at all
+    # scipy is a test-only dependency: importing the CLI and evolving a
+    # 12-atom register (two Kronecker groups) loads no scipy module at all
     code = (
         "import sys\n"
         "import rydock.cli\n"
+        "from rydock.pulses import SimpleParams, simple_sequence\n"
+        "from rydock.register import Atom, DeviceParams, Register\n"
+        "from rydock.simulator import evolve\n"
+        "reg = Register(atoms=tuple(Atom(f'q{k}', 9.0 * k, 0.0) for k in range(12)))\n"
+        "dev = DeviceParams()\n"
+        "seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=100.0),\n"
+        "                      dev.omega_max, dev.delta_abs_max)\n"
+        "evolve(reg, seq, dev, dt=8.0)\n"
         "print(' '.join(sorted(m for m in sys.modules\n"
         "                      if m.partition('.')[0] == 'scipy')))\n"
     )

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rydock.optimize
 from rydock.errors import InputError
@@ -134,6 +136,26 @@ def test_normalized_score():
     assert normalized_score(hist, PATH3) == pytest.approx(sb.score / (2 / 3))
     assert normalized_score(hist, PATH3, breakdown=sb) == \
         pytest.approx(0.25 * 1.5)
+
+
+@st.composite
+def weighted_graph_and_histogram(draw):
+    n = draw(st.integers(1, 7))
+    ids = [f"v{k}" for k in range(n)]
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    weights = draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))
+    g = WeightedGraph.from_parts(ids, edges, weights=weights)
+    bits = st.text(alphabet="01", min_size=n, max_size=n)
+    counts = draw(st.dictionaries(bits, st.integers(1, 50), min_size=1, max_size=12))
+    return g, Histogram(shots=sum(counts.values()), counts=counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=weighted_graph_and_histogram())
+def test_normalized_score_lies_in_unit_interval(case):
+    g, hist = case
+    assert 0.0 <= normalized_score(hist, g) <= 1.0
 
 
 def test_weighted_score_is_bounded_by_the_optimum():

@@ -7,12 +7,17 @@ depends on and the easiest to get silently wrong.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rydock.cli import DEFAULTS
+from rydock.docking import build_binding_graph, default_table, load_molecule
 from rydock.errors import InfeasibilityError, InputError
-from rydock.graphs import WeightedGraph, brute_force_mwis
+from rydock.graphs import WeightedGraph, brute_force_mwis, complement
 from rydock.histogram import Histogram
 from rydock.register import (
     ANCILLA_WEIGHT_FACTOR,
@@ -35,6 +40,7 @@ from rydock.register import _relax
 from rydock.rng import substream
 
 DEV = DeviceParams()
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_device_param_validation():
@@ -406,6 +412,40 @@ def test_layout_prefers_chain_free_seeds():
         except InfeasibilityError:
             continue
         assert emb.ancilla_ids() == ()
+
+
+def test_layout_keeps_drawing_seeds_for_a_chain_free_placement():
+    # seed 11 of the fixture complement graph finds its first chain-free
+    # placement only after five draws; settling then cost 6 ancillas
+    g = build_binding_graph(load_molecule(FIXTURES / "acetic_acid.json"),
+                            load_molecule(FIXTURES / "ethylene_glycol.json"),
+                            default_table(), tau=DEFAULTS["tau"])
+    emb = layout(complement(g), DEV, spacing=DEFAULTS["spacing"], seed=11)
+    assert emb.ancilla_ids() == ()
+    assert emb.register.n == 6
+
+
+@st.composite
+def embedding_and_histogram(draw):
+    flags = draw(st.lists(st.booleans(), min_size=1, max_size=8))
+    flags[draw(st.integers(0, len(flags) - 1))] = False  # one real vertex
+    atoms = tuple(Atom(f"a{k}", 9.0 * k, 0.0, is_ancilla=f)
+                  for k, f in enumerate(flags))
+    emb = Embedding(register=Register(atoms=atoms), blockade_radius=12.0,
+                    induced_edges=(), spacing=9.0)
+    bits = st.text(alphabet="01", min_size=len(flags), max_size=len(flags))
+    counts = draw(st.dictionaries(bits, st.integers(1, 50), min_size=1, max_size=16))
+    return emb, Histogram(shots=sum(counts.values()), counts=counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=embedding_and_histogram())
+def test_strip_ancillas_keeps_the_shot_count(case):
+    emb, hist = case
+    out = strip_ancillas(hist, emb)
+    assert out.shots == hist.shots
+    assert sum(out.counts.values()) == hist.shots
+    assert out.width == len(emb.register.atoms) - len(emb.ancilla_ids())
 
 
 def test_strip_ancillas_hand_case():

@@ -1,14 +1,22 @@
-"""Emulator checks against closed-form dynamics and a dense expm oracle."""
+"""Emulator checks against closed-form dynamics and dense expm oracles."""
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 
+from rydock.cli import DEFAULTS
+from rydock.docking import build_binding_graph, default_table, load_molecule
 from rydock.errors import InputError
+from rydock.graphs import complement
+from rydock.mlqaa.dataset import generate_corpus
+from rydock.optimize import search_space, sequence_for
 from rydock.pulses import (
     ComplexParams,
     PulseSequence,
@@ -18,20 +26,24 @@ from rydock.pulses import (
     complex_sequence,
     simple_sequence,
 )
-from rydock.register import Atom, DeviceParams, Register
+from rydock.register import Atom, DeviceParams, Register, layout
 from rydock.rng import substream
 from rydock.simulator import (
-    DENSE_MAX_ATOMS,
-    THETA_MAX,
+    PHI_MAX,
     StateVector,
-    _step_operator,
+    _groups,
     bitstring_of,
+    drive_factor,
     evolve,
     exact_distribution,
     interaction_diagonal,
     measure,
     occupation_diagonal,
+    rotation_table,
 )
+from taylor_reference import DENSE_MAX_ATOMS, THETA_MAX, _step_operator, taylor_evolve
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 DEV = DeviceParams()
 
@@ -108,21 +120,76 @@ def build_hamiltonian(reg, omega, delta, dev) -> Hamiltonian:
                        half_flip=_half_flip_operator(reg.n))
 
 
+def _midpoint_controls(seg, dt):
+    """Step widths in us and midpoint (omega, delta) of a segment's steps."""
+    steps = max(1, int(np.ceil(seg.duration / dt - 1e-9)))
+    edges = np.linspace(0.0, seg.duration, steps + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    controls = [(float(np.asarray(seg.omega.sample(t))),
+                 float(np.asarray(seg.delta.sample(t)))) for t in mids]
+    return np.diff(edges) * 1e-3, controls
+
+
+def dense_parts(reg, dev):
+    """(X, U, W) with H(omega, delta) = omega X + U - delta W, each taken
+    from `dense_hamiltonian`: X the drive per unit omega, U the diagonal
+    interaction and W the diagonal occupation."""
+    inter = dense_hamiltonian(reg, dev, 0.0, 0.0)
+    return (dense_hamiltonian(reg, dev, 1.0, 0.0) - inter, inter,
+            inter - dense_hamiltonian(reg, dev, 0.0, 1.0))
+
+
 def expm_evolve(reg, seq, dev, dt):
     """Midpoint stepping with scipy expm as the propagator."""
+    drive, inter, occ = dense_parts(reg, dev)
     psi = np.zeros(2**reg.n, dtype=complex)
     psi[0] = 1.0
     for seg in seq.segments:
-        steps = max(1, int(np.ceil(seg.duration / dt - 1e-9)))
-        edges = np.linspace(0.0, seg.duration, steps + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        for k in range(steps):
-            om = float(np.asarray(seg.omega.sample(mids[k])))
-            de = float(np.asarray(seg.delta.sample(mids[k])))
-            h = dense_hamiltonian(reg, dev, om, de)
-            tau = (edges[k + 1] - edges[k]) * 1e-3
-            psi = expm(-1j * tau * h) @ psi
+        widths, controls = _midpoint_controls(seg, dt)
+        for tau, (om, de) in zip(widths, controls):
+            psi = expm(-1j * tau * (om * drive + inter - de * occ)) @ psi
     return psi
+
+
+def split_substeps(reg, dev, seg, dt):
+    """Strang sub-steps per midpoint step of a segment, by evolve's rule:
+    ceil(tau g / PHI_MAX), g the largest energy change of one atom flip over
+    the segment's sampled detunings, here found by brute force."""
+    widths, controls = _midpoint_controls(seg, dt)
+    inter = np.diag(dense_hamiltonian(reg, dev, 0.0, 0.0)).real
+    idx = np.arange(2**reg.n)
+    de_max = max(abs(de) for _, de in controls)
+    gap = max(np.abs(inter - inter[idx ^ (1 << k)]).max()
+              + de_max * abs(reg.atoms[k].detuning_weight) for k in range(reg.n))
+    return max(1, math.ceil(widths.max() * gap / PHI_MAX))
+
+
+def strang_expm_evolve(reg, seq, dev, dt):
+    """Midpoint steps of Strang sub-steps, each factor a scipy expm:
+    exp(-i D s / 2) exp(-i omega X s) exp(-i D s / 2), with D the diagonal
+    and omega X the drive of the dense Hamiltonian."""
+    drive, inter, occ = dense_parts(reg, dev)
+    psi = np.zeros(2**reg.n, dtype=complex)
+    psi[0] = 1.0
+    for seg in seq.segments:
+        nsub = split_substeps(reg, dev, seg, dt)
+        widths, controls = _midpoint_controls(seg, dt)
+        for tau, (om, de) in zip(widths, controls):
+            s = tau / nsub
+            half = expm(-0.5j * s * (inter - de * occ))
+            step = half @ expm(-1j * s * om * drive) @ half
+            for _ in range(nsub):
+                psi = step @ psi
+    return psi
+
+
+def check_oracles(reg, seq, dt):
+    """The split step against its expm oracle, and the Taylor reference
+    against the expm midpoint rule, both to 1e-8."""
+    got = evolve(reg, seq, DEV, dt=dt).amplitudes
+    assert np.linalg.norm(got - strang_expm_evolve(reg, seq, DEV, dt)) < 1e-8
+    ref = taylor_evolve(reg, seq, DEV, dt=dt).amplitudes
+    assert np.linalg.norm(ref - expm_evolve(reg, seq, DEV, dt)) < 1e-8
 
 
 def test_bitstring_convention():
@@ -229,49 +296,45 @@ def test_against_dense_expm_oracle():
         ComplexParams(t_rise=100.0, t_fall=300.0, omega=5.0,
                       delta0=2.0, deltaf=6.0),
         DEV.omega_max, DEV.delta_abs_max)
-    got = evolve(reg, seq, DEV, dt=4.0).amplitudes
-    want = expm_evolve(reg, seq, DEV, dt=4.0)
-    assert np.linalg.norm(got - want) < 1e-8
+    check_oracles(reg, seq, dt=4.0)
 
 
 def test_oracle_simple_family_two_atoms():
     reg = line_register(0.0, 9.0)
     seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=400.0),
                           DEV.omega_max, DEV.delta_abs_max)
-    got = evolve(reg, seq, DEV, dt=4.0).amplitudes
-    want = expm_evolve(reg, seq, DEV, dt=4.0)
-    assert np.linalg.norm(got - want) < 1e-8
+    check_oracles(reg, seq, dt=4.0)
 
 
 def test_oracle_split_substeps():
-    # atoms 4 um apart: U ~ 1300 rad/us, so ||H|| * tau ~ 10 at dt 8 and
-    # every step runs as several THETA_MAX-sized sub-steps
+    # atoms 4 um apart: U ~ 1300 rad/us, so ||H|| * tau ~ 10 at dt 8; every
+    # step runs as several THETA_MAX-sized series in the Taylor reference and
+    # as many PHI_MAX-sized Strang sub-steps in evolve
     reg = line_register(0.0, 4.0, 8.0)
     diag = interaction_diagonal(reg, DEV)
     assert 0.5 * np.ptp(diag) * 8e-3 > THETA_MAX
     seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=400.0),
                           DEV.omega_max, DEV.delta_abs_max)
-    got = evolve(reg, seq, DEV, dt=8.0).amplitudes
-    want = expm_evolve(reg, seq, DEV, dt=8.0)
-    assert np.linalg.norm(got - want) < 1e-8
+    assert all(split_substeps(reg, DEV, seg, 8.0) > 10 for seg in seq.segments)
+    check_oracles(reg, seq, dt=8.0)
 
 
 def test_oracle_above_dense_threshold():
-    # one atom past DENSE_MAX_ATOMS, so the step operator is sparse
+    # one atom past DENSE_MAX_ATOMS: the Taylor reference's step operator is
+    # sparse, and evolve's drive factor runs as two Kronecker groups
     n = DENSE_MAX_ATOMS + 1
+    assert len(_groups(n)) == 2
     reg = line_register(*(9.0 * k for k in range(n)),
                         weights=[1.0 + 0.25 * k for k in range(n)])
     seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=200.0),
                           DEV.omega_max, DEV.delta_abs_max)
-    got = evolve(reg, seq, DEV, dt=8.0).amplitudes
-    want = expm_evolve(reg, seq, DEV, dt=8.0)
-    assert np.linalg.norm(got - want) < 1e-8
+    check_oracles(reg, seq, dt=8.0)
 
 
 def test_oracle_energy_far_from_midpoint():
     # atoms 4 um apart: the spectrum spans ~ 4000 rad/us, while the state
-    # stays near the ground edge, so the series centre sits far from the
-    # spectrum's midpoint; at dt 16 ||H|| * tau ~ 64 and every step must
+    # stays near the ground edge, so the Taylor series centre sits far from
+    # the spectrum's midpoint; at dt 16 ||H|| * tau ~ 64 and every step must
     # split (a single series step does not converge)
     reg = line_register(0.0, 4.0, 8.0, 12.0)
     diag = interaction_diagonal(reg, DEV)
@@ -280,9 +343,32 @@ def test_oracle_energy_far_from_midpoint():
         ComplexParams(t_rise=200.0, t_fall=300.0, omega=6.0,
                       delta0=3.0, deltaf=7.0),
         DEV.omega_max, DEV.delta_abs_max)
-    got = evolve(reg, seq, DEV, dt=16.0).amplitudes
-    want = expm_evolve(reg, seq, DEV, dt=16.0)
-    assert np.linalg.norm(got - want) < 1e-8
+    check_oracles(reg, seq, dt=16.0)
+
+
+def test_oracle_detuning_sets_substeps():
+    # atoms 30 um apart barely interact, so the detuning term |delta| w of
+    # the sub-step rule alone splits each step
+    reg = line_register(0.0, 30.0, weights=[3.0, 1.0])
+    seq = complex_sequence(
+        ComplexParams(t_rise=100.0, t_fall=200.0, omega=4.0,
+                      delta0=5.0, deltaf=8.0),
+        DEV.omega_max, DEV.delta_abs_max)
+    assert all(split_substeps(reg, DEV, seg, 16.0) > 1 for seg in seq.segments)
+    check_oracles(reg, seq, dt=16.0)
+
+
+def test_split_error_is_second_order():
+    # one Strang sub-step per midpoint step on both grids, so halving dt
+    # should cut the error against a fine midpoint expm run about 4x
+    reg = line_register(0.0, 10.0, 20.0, weights=[1.0, 1.5, 0.5])
+    seq = simple_sequence(SimpleParams(omega=4.0, delta=3.0, time=600.0),
+                          DEV.omega_max, DEV.delta_abs_max)
+    assert all(split_substeps(reg, DEV, seg, 8.0) == 1 for seg in seq.segments)
+    ref = expm_evolve(reg, seq, DEV, 0.5)
+    err8 = np.linalg.norm(evolve(reg, seq, DEV, dt=8.0).amplitudes - ref)
+    err4 = np.linalg.norm(evolve(reg, seq, DEV, dt=4.0).amplitudes - ref)
+    assert 3.0 < err8 / err4 < 5.0
 
 
 def test_undriven_segment_is_a_diagonal_phase():
@@ -303,9 +389,10 @@ def test_undriven_segment_is_a_diagonal_phase():
 
 
 def test_evolve_repeats_bit_for_bit():
+    # one, two and three Kronecker groups
     seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=200.0),
                           DEV.omega_max, DEV.delta_abs_max)
-    for n in (3, DENSE_MAX_ATOMS + 1):
+    for n in (3, 8, 13):
         reg = line_register(*(9.0 * k for k in range(n)))
         a = evolve(reg, seq, DEV, dt=4.0).amplitudes
         b = evolve(reg, seq, DEV, dt=4.0).amplitudes
@@ -313,8 +400,9 @@ def test_evolve_repeats_bit_for_bit():
 
 
 def test_step_operator_diagonal_view():
-    # writing the diagonal view must set exactly the matrix's diagonal, on
-    # both the dense and the CSR form, over the fixed bit-flip pattern
+    # the Taylor reference's operator: writing the diagonal view must set
+    # exactly the matrix's diagonal, on both the dense and the CSR form,
+    # over the fixed bit-flip pattern
     def dense(op):
         return op if isinstance(op, np.ndarray) else op.toarray()
 
@@ -325,6 +413,77 @@ def test_step_operator_diagonal_view():
         values = np.arange(1 << n) - 0.5
         op_diag[:] = values
         assert np.array_equal(dense(op), flips + np.diag(values))
+
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), -1j * math.sin(theta)],
+                     [-1j * math.sin(theta), math.cos(theta)]])
+
+
+def _state(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return psi / np.linalg.norm(psi)
+
+
+def _factors(theta, n):
+    return [rotation_table(theta, m).take(ham) for m, _, ham in _groups(n)]
+
+
+_angles = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), theta=_angles, seed=st.integers(0, 2**32 - 1))
+def test_grouped_drive_factor_equals_kron(n, theta, seed):
+    dense = np.ones((1, 1))
+    for _ in range(n):
+        dense = np.kron(_rotation(theta), dense)
+    psi = _state(n, seed)
+    assert np.abs(drive_factor(psi, n, _factors(theta, n)) - dense @ psi).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), theta=_angles, seed=st.integers(0, 2**32 - 1),
+       s=st.floats(1e-4, 0.1))
+def test_split_substep_preserves_norm(n, theta, seed, s):
+    psi = _state(n, seed)
+    diag = np.random.default_rng(seed).uniform(-3000.0, 3000.0, size=1 << n)
+    half = np.exp(-0.5j * s * diag)
+    out = half * drive_factor(half * psi, n, _factors(theta, n))
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+def _tv(a, b):
+    return 0.5 * float(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2).sum())
+
+
+def _random_complex_pulse(emb, rng):
+    space = search_space(emb, DEV, "complex")
+    params = {k: rng.uniform(lo, hi) for k, (lo, hi) in space.intervals.items()}
+    return sequence_for(space.clamp(params), "complex", DEV)
+
+
+def test_split_step_tv_against_taylor_reference():
+    # the stiffest corpus registers (close pairs, strong drive) and the
+    # fixture docking register; corpus pulses are drawn in corpus order
+    rng = np.random.default_rng(11)
+    names = {"line-3-s7.25", "rectangle-2-s6", "triangle-3-s8.5"}
+    cases = []
+    for entry in generate_corpus(DEV):
+        seq = _random_complex_pulse(entry.embedding, rng)
+        if entry.name in names:
+            cases.append((entry.embedding.register, seq))
+    assert len(cases) == len(names)
+    g = build_binding_graph(load_molecule(FIXTURES / "acetic_acid.json"),
+                            load_molecule(FIXTURES / "ethylene_glycol.json"),
+                            default_table(), tau=DEFAULTS["tau"])
+    emb = layout(complement(g), DEV, spacing=DEFAULTS["spacing"], seed=2)
+    cases.append((emb.register, _random_complex_pulse(emb, np.random.default_rng(11))))
+    for reg, seq in cases:
+        ref = taylor_evolve(reg, seq, DEV, dt=0.5).amplitudes
+        for dt in (4.0, 8.0):
+            assert _tv(evolve(reg, seq, DEV, dt=dt).amplitudes, ref) <= 1e-3
 
 
 def test_norm_preserved():
