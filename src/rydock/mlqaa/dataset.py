@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import InputError
 from ..register import DeviceParams, Embedding, embedding_from_positions, omega_bounds
 from ..rng import substream
-from ..optimize import evaluate_params, search_space, vqaa
+from ..optimize import GINI_THRESHOLD, _measure_scored, evaluate_params, search_space, vqaa
 
 SPACINGS = (6.0, 7.25, 8.5, 9.75, 11.0)
 FAMILIES = ("line", "rectangle", "triangle", "tri_lattice", "hexagon")
@@ -203,24 +203,39 @@ def label_dataset(entries, dev: DeviceParams, rounds: int = 40,
     Runs the tpe search per register (seeded per-entry, so entries can be
     relabelled independently), picks the canonical trial of the near-best
     plateau, and stores its parameters with a 5x-shot re-scored quality.
-    Entries that stay nullified even after the search's second pass are
-    dropped.
+    The search keeps the final state of every trial still within LABEL_TOL
+    of its running best, so the canonical trial is re-measured, not evolved
+    again. Entries that stay nullified even after the search's second pass
+    are dropped.
     """
     records = []
     for k, entry in enumerate(entries):
         entry_seed = int(substream(seed, "label", entry.name).integers(1 << 62))
+        plateau = {}  # round -> (score, final state) of the trials near the best
+
+        def keep(trial, state):
+            plateau[trial.round] = (trial.score, state)
+            floor = (1.0 - LABEL_TOL) * max(s for s, _ in plateau.values())
+            for rnd in [r for r, (s, _) in plateau.items() if s < floor]:
+                del plateau[rnd]
+
         res = vqaa(entry.embedding, dev, family="complex", rounds=rounds,
-                   shots=shots, optimizer="tpe", seed=entry_seed, dt=dt)
+                   shots=shots, optimizer="tpe", seed=entry_seed, dt=dt,
+                   on_trial=keep)
         if progress:
             progress(k, len(entries), entry.name, res)
         if res.refined.score <= 0.0:
             continue
         space = search_space(entry.embedding, dev, "complex")
         canon = _canonical_trial(res.trials, space)
-        sb, _ = evaluate_params(
-            entry.embedding, dev, canon.params, family="complex",
-            shots=5 * shots, seed=substream(entry_seed, "canon"), dt=dt,
-        )
+        canon_seed = substream(entry_seed, "canon")
+        state = plateau[canon.round][1]
+        if state is None:
+            sb, _ = evaluate_params(entry.embedding, dev, canon.params, family="complex",
+                                    shots=5 * shots, seed=canon_seed, dt=dt)
+        else:
+            sb, _ = _measure_scored(state, entry.embedding, 5 * shots, canon_seed,
+                                    GINI_THRESHOLD)
         if sb.score <= 0.0:
             continue
         reg = entry.embedding.register

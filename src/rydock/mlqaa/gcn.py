@@ -14,11 +14,14 @@ A training step is array code over the whole padded batch (b registers,
 n atom slots). One random draw gives all five layers' dropout masks. The
 forward keeps each layer's masked ReLU output, whose sign gates the
 backward pass. The backward pass forms each layer's weight gradient as
-one matrix product over the flattened (b * n) node rows. Adam updates
-every weight array in place, with its bias corrections folded into two
-scalars. After each epoch one dropout-free forward over all records gives
-the squared errors that split into the training and the validation loss,
-and the weights of the epoch with the lowest validation loss are kept.
+one matrix product over the flattened (b * n) node rows. Weights,
+gradients, both Adam moments and the best epoch's weights each live in one
+flat buffer, the weight and gradient dicts being views into theirs, so an
+Adam update (bias corrections folded into two scalars) is one pass of
+numpy calls over the whole model. After each epoch one dropout-free
+forward over all records gives the squared errors that split into the
+training and the validation loss, and the weights of the epoch with the
+lowest validation loss are kept.
 """
 
 from __future__ import annotations
@@ -198,17 +201,18 @@ def _forward_batch(weights, adj, x, mask, drop_masks=None):
     return y, pooled, caches
 
 
-def loss_and_gradients(weights, adj, x, mask, targets, drop_masks=None):
-    """Mean-squared-error loss and its gradient for every weight array."""
+def loss_and_gradients(weights, adj, x, mask, targets, drop_masks=None, grads=None):
+    """Mean-squared-error loss and its gradient for every weight array,
+    written into the arrays of `grads` when given."""
     y, pooled, caches = _forward_batch(weights, adj, x, mask, drop_masks)
     b = len(targets)
     diff = y - targets
     loss = float(np.mean(diff * diff))
     dy = 2.0 * diff / b
-    grads = {
-        "hb": np.array([float(dy.sum())]),
-        "hw": pooled.T @ dy,
-    }
+    if grads is None:
+        grads = {k: np.empty_like(w) for k, w in weights.items()}
+    grads["hb"][0] = float(dy.sum())
+    np.matmul(pooled.T, dy, out=grads["hw"])
     dh = np.broadcast_to(
         (dy[:, None] * weights["hw"][None, :])[:, None, :],
         (b, adj.shape[1], HIDDEN),
@@ -217,8 +221,9 @@ def loss_and_gradients(weights, adj, x, mask, targets, drop_masks=None):
         ah, r, d = caches[layer]
         dr = dh if d is None else dh * d
         dz = dr * (r > 0.0)
-        grads[f"W{layer}"] = ah.reshape(-1, ah.shape[-1]).T @ dz.reshape(-1, HIDDEN)
-        grads[f"b{layer}"] = dz.sum(axis=(0, 1))
+        np.matmul(ah.reshape(-1, ah.shape[-1]).T, dz.reshape(-1, HIDDEN),
+                  out=grads[f"W{layer}"])
+        dz.sum(axis=(0, 1), out=grads[f"b{layer}"])
         if layer:
             dh = adj @ (dz @ weights[f"W{layer}"].T)
     return loss, grads, y
@@ -231,36 +236,46 @@ def forward(model: GcnModel, feats: GraphFeatures) -> float:
     return float(y[0])
 
 
-def _adam_init(weights):
-    zeros = {k: np.zeros_like(v) for k, v in weights.items()}
-    return zeros, {k: np.zeros_like(v) for k, v in weights.items()}
+def _flat_views(arrays: dict) -> tuple:
+    """A copy of `arrays` in one flat buffer, and the views into it by name."""
+    flat = np.concatenate([arrays[k].reshape(-1) for k in _weight_names()])
+    return flat, _views(flat, arrays)
 
 
-def _adam_step(weights, grads, m, v, step, lr,
-               beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update of every weight array, in place.
+def _views(flat: np.ndarray, like: dict) -> dict:
+    """Views into `flat` shaped as the arrays of `like`, back to back in
+    _weight_names() order."""
+    views, start = {}, 0
+    for k in _weight_names():
+        views[k] = flat[start : start + like[k].size].reshape(like[k].shape)
+        start += like[k].size
+    return views
+
+
+def _adam_step(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update of the weights `w`, in place, with gradient `g` and
+    moments `m` and `v`: one call of each numpy operation over the flat
+    buffers.
 
     The bias corrections fold into two scalars: lr * mhat / (sqrt(vhat) +
     eps) = a * m / (sqrt(v) * s + eps) with a = lr / (1 - beta1^t) and
-    s = 1 / sqrt(1 - beta2^t). Each array takes one scratch buffer.
+    s = 1 / sqrt(1 - beta2^t). The update takes one scratch buffer.
     """
     a = lr / (1.0 - beta1 ** step)
     s = 1.0 / math.sqrt(1.0 - beta2 ** step)
-    for k, w in weights.items():
-        g, mk, vk = grads[k], m[k], v[k]
-        buf = np.multiply(g, 1.0 - beta1)
-        mk *= beta1
-        mk += buf
-        np.multiply(g, g, out=buf)
-        buf *= 1.0 - beta2
-        vk *= beta2
-        vk += buf
-        np.sqrt(vk, out=buf)
-        buf *= s
-        buf += eps
-        np.divide(mk, buf, out=buf)
-        buf *= a
-        w -= buf
+    buf = np.multiply(g, 1.0 - beta1)
+    m *= beta1
+    m += buf
+    np.multiply(g, g, out=buf)
+    buf *= 1.0 - beta2
+    v *= beta2
+    v += buf
+    np.sqrt(v, out=buf)
+    buf *= s
+    buf += eps
+    np.divide(m, buf, out=buf)
+    buf *= a
+    w -= buf
 
 
 def _drop_masks(rng, shape_b, shape_n):
@@ -316,8 +331,10 @@ def train(records, target: str, lr=(1e-2, 1e-4), epochs: int = 300,
         tr_idx, val_idx = order, np.array([], dtype=int)
 
     adj, x, mask = _pack(feats)
-    weights = init_weights(seed)
-    m_state, v_state = _adam_init(weights)
+    flat_w, weights = _flat_views(init_weights(seed))
+    flat_g = np.empty_like(flat_w)
+    grads = _views(flat_g, weights)
+    m_state, v_state = np.zeros_like(flat_w), np.zeros_like(flat_w)
     if np.isscalar(lr):
         lr_of = lambda e: float(lr)
     else:
@@ -326,7 +343,7 @@ def train(records, target: str, lr=(1e-2, 1e-4), epochs: int = 300,
         lr_of = lambda e: hi * decay ** e
 
     best_val = math.inf
-    best_weights = {k: v.copy() for k, v in weights.items()}
+    best_flat = flat_w.copy()
     history = []
     step = 0
     for epoch in range(epochs):
@@ -338,18 +355,18 @@ def train(records, target: str, lr=(1e-2, 1e-4), epochs: int = 300,
             if dropout:
                 rng = substream(seed, "drop", epoch, bstart)
                 drop = _drop_masks(rng, len(batch), adj.shape[1])
-            loss, grads, _ = loss_and_gradients(
-                weights, adj[batch], x[batch], mask[batch], targets[batch], drop,
+            loss, _, _ = loss_and_gradients(
+                weights, adj[batch], x[batch], mask[batch], targets[batch], drop, grads,
             )
             if not math.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch} (target {target}, lr {epoch_lr:.2e})"
                 )
             step += 1
-            _adam_step(weights, grads, m_state, v_state, step, epoch_lr)
-        # free the last step's gradients and masks before the epoch forward,
-        # which would otherwise set the training's peak memory
-        del grads, drop
+            _adam_step(flat_w, flat_g, m_state, v_state, step, epoch_lr)
+        # free the last step's masks before the epoch forward, which would
+        # otherwise set the training's peak memory
+        del drop
         y, _, _ = _forward_batch(weights, adj, x, mask)
         sq = (y - targets) ** 2
         train_loss = float(np.mean(sq[tr_idx]))
@@ -357,10 +374,10 @@ def train(records, target: str, lr=(1e-2, 1e-4), epochs: int = 300,
         history.append((train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best_weights = {k: v.copy() for k, v in weights.items()}
+            np.copyto(best_flat, flat_w)
 
     return GcnModel(
-        weights=best_weights, target=target, t_lo=t_lo, t_hi=t_hi,
+        weights=_views(best_flat, weights), target=target, t_lo=t_lo, t_hi=t_hi,
         seed=seed, scale=scale, history=tuple(history),
     )
 

@@ -411,7 +411,8 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
          rounds: int = 50, shots: int = 1000, optimizer: str = "tpe",
          seed: int = 0, dt: float = 4.0,
          gini_threshold: float | None = GINI_THRESHOLD,
-         log_path=None, log_fields: dict | None = None) -> VqaaResult:
+         log_path=None, log_fields: dict | None = None,
+         on_trial=None) -> VqaaResult:
     """Variational search for pulse parameters on one embedding.
 
     optimizer="tpe": `rounds` sequential suggestions; when every trial ends
@@ -423,6 +424,8 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
     Every evaluation draws its shots from a stream keyed by (seed, round),
     and the final state of the winning trial is kept and re-measured at 5x
     shots for reporting. Trials go to `log_path` as JSON lines with `log_fields`.
+    `on_trial(trial, state)` sees each trial with its final state (None on the
+    exact omega=0 shortcut).
     """
     if rounds < 1:
         raise InputError("rounds must be >= 1")
@@ -443,6 +446,8 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
             mean_f=sb.mean_f, top=tuple(stripped.top(10)),
         )
         trials.append(trial)
+        if on_trial:
+            on_trial(trial, state)
         if best is None or _rank(trial) > _rank(best):
             best, best_state = trial, state
         if log_fh:

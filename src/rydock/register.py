@@ -43,6 +43,8 @@ MAX_CHAIN_ATOMS = 6
 LAYOUT_ITERS = 1000
 # Seeds drawn before settling for ancillas; 5 settled on 4 of 200 fixture seeds.
 LAYOUT_SEED_RETRIES = 20
+# Draws after which a graph that has given no placement at all is infeasible.
+LAYOUT_BARREN_DRAWS = 5
 # Explicitly placed registers: pairs within this multiple of the minimum
 # pairwise distance count as intended edges.
 GEOMETRIC_EDGE_FACTOR = 1.3
@@ -383,7 +385,8 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
     seeded force-directed layout; edges the relaxation cannot shorten are
     routed through ancilla chains. Draws up to LAYOUT_SEED_RETRIES seeds and
     returns the first chain-free placement, or failing that the one with
-    fewest ancilla atoms (every ancilla doubles the simulation space).
+    fewest ancilla atoms (every ancilla doubles the simulation space). A
+    graph whose first LAYOUT_BARREN_DRAWS draws gave no placement fails.
     """
     if g.n == 0:
         raise InputError("cannot lay out an empty graph")
@@ -413,6 +416,8 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
     failures = []
     fallback = None
     for attempt in range(LAYOUT_SEED_RETRIES):
+        if attempt == LAYOUT_BARREN_DRAWS and fallback is None:
+            break
         rng = substream(seed, "layout", attempt)
         side = spacing * (math.sqrt(g.n) + 1.0)
         pos = rng.uniform(0.0, side, size=(g.n, 2))

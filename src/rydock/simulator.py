@@ -22,12 +22,35 @@ distance of row and column, so a step's group matrix is one gather of that
 (m + 1)-entry table, applied by one matrix product to the state viewed as
 (2^hi, 2^m, 2^lo). The detuning phase factorises over the groups.
 
-nsub = ceil(tau g / PHI_MAX), g = max_k (sum_j U_kj + max|delta| w_k) bounding
-the energy change of one atom flip over the segment. Against a dt = 0.5
-Taylor midpoint reference, one uniform random complex pulse per corpus
-register (125), the worst total-variation distance is 1.3e-4 at dt 4 and
-2.7e-4 at dt 8 (the Taylor midpoint rule: 6.4e-5 and 2.6e-4); with no
-sub-steps, 2.3e-3 and 9.7e-3. The error grows as s^2, and with Omega and g.
+Sub-steps. g = max_k (sum_j U_kj + max|delta| w_k) bounds the energy change
+of one atom flip over the segment. The leading splitting error terms, the
+nested commutators [D, [D, X]] and [X, [X, D]] with X the drive, carry a
+factor Omega, so each step sizes its sub-steps by its own drive:
+nsub = ceil(tau g (|Omega| / omega_max)^OMEGA_EXPONENT / PHI_OMEGA), at least
+1 and at most ceil(tau g / PHI_MAX). A step at full drive takes that cap, an
+undriven step one sub-step, and no step more than the cap.
+
+Calibration (tests/calibrate_substeps.py): all 125 corpus registers, each
+with one uniform random complex pulse (default_rng(11), corpus order) and the
+same pulse at the top of its Rabi band, at dt 4 and 8, against the Taylor
+midpoint rule at dt 0.5 and at the same dt (the latter samples the same
+midpoints, so its TV is the splitting error alone). Over exponents 0.5-1 and
+budgets 0.04-0.12, OMEGA_EXPONENT = 0.75 with PHI_OMEGA = 0.06 cuts the
+sub-steps of the uniform pulses on the registers the `corpus_mlqaa`
+benchmark labels by 26% at dt 8 (22% at dt 4) for the least growth of the
+worst total-variation distance. Against dt 0.5 that is 1.36e-4 at dt 4
+(triangle-3-s8.5; the cap alone, 1.34e-4) and 2.66e-4 at dt 8
+(triangle-2-s8.5; 2.66e-4), where the Taylor midpoint rule alone reads
+6.4e-5 and 2.6e-4 and no sub-steps 2.3e-3 and 9.7e-3. The splitting error
+alone is 1.35e-4 and 2.39e-4 (the cap alone, 1.31e-4 and 2.33e-4).
+Exponent 0.5 with 0.10 read 1.49e-4 at dt 4.
+
+Caveat, measured on the band-top pulses: the rule bounds the Omega g^2 term
+but not Omega^2 g, and a step with tau g < PHI_MAX runs unsplit at any
+drive. hexagon-4-s8.5 (tau g = 0.14 at dt 4) reads a splitting error of
+5.4e-4 at dt 4 under either rule, and the same at dt 8, where its two
+sub-steps are as wide. At dt 8 the midpoint rule alone reads up to 5.5e-4
+(triangle-2-s8.5), so there more sub-steps cannot help.
 
 The state is never renormalised: norm drift is an error signal, and drift
 beyond 1e-4 raises.
@@ -53,6 +76,9 @@ ATOM_CAP = 16
 DRIFT_LIMIT = 1e-4
 # Largest s * g of a Strang sub-step (see above), calibrated on the corpus.
 PHI_MAX = 0.15
+# s * g * (|Omega| / omega_max)^OMEGA_EXPONENT of a sub-step, below the cap.
+PHI_OMEGA = 0.06
+OMEGA_EXPONENT = 0.75
 GROUP_MAX_ATOMS = 6
 
 
@@ -141,6 +167,19 @@ def drive_factor(psi: np.ndarray, n: int, factors) -> np.ndarray:
     return psi.reshape(-1)
 
 
+def substep_counts(tau: float, gap: float, omegas: np.ndarray,
+                   omega_max: float) -> np.ndarray:
+    """Strang sub-steps of each midpoint step of width `tau` us, given the
+    segment's flip-gap bound `gap` and each step's Rabi frequency:
+    ceil(tau gap (|Omega| / omega_max)^OMEGA_EXPONENT / PHI_OMEGA), at least
+    1 and at most ceil(tau gap / PHI_MAX)."""
+    cap = max(1, math.ceil(tau * gap / PHI_MAX))
+    if cap == 1:
+        return np.ones(omegas.shape, dtype=np.int64)
+    want = np.ceil(tau * gap * (np.abs(omegas) / omega_max) ** OMEGA_EXPONENT / PHI_OMEGA)
+    return np.clip(want, 1, cap).astype(np.int64)
+
+
 def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
            dt: float = 4.0) -> StateVector:
     """Integrate the schedule from |00...0> with midpoint steps of `dt` ns,
@@ -159,6 +198,7 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     iocc = [1j * occ[np.arange(shape[1]) * shape[2]] for _, shape, _ in groups[::-1]]
     # one flip of atom k changes U by at most sum_j U_kj (U >= 0)
     flip_gap = inter[-1] - inter[(dim - 1) ^ (1 << np.arange(n))]
+    # exp(-i t U) of the last t, which changes only between stretches
     cache = [None, None]
 
     def diagonal_phase(t, d):
@@ -183,20 +223,24 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
         deltas = np.asarray(seg.delta.sample(mids), dtype=float).reshape(-1)
         tau = seg.duration / steps * 1e-3  # ns -> us
         gap = float(np.max(flip_gap + np.abs(deltas).max() * np.abs(weights)))
-        nsub = max(1, math.ceil(tau * gap / PHI_MAX))
-        half = 0.5 * tau / nsub
-        tables = [rotation_table(omegas * half, m) for m, _, _ in groups]
-        for k in range(steps):
-            de = float(deltas[k])
-            factors = [t[k].take(ham) for t, (_, _, ham) in zip(tables, groups)]
-            for j in range(nsub):
-                t_pend += half
-                d_pend += de * half
-                if j < 2:  # from the second sub-step on, the phase repeats
-                    phase = diagonal_phase(t_pend, d_pend)
-                psi *= phase
-                psi = drive_factor(psi, n, factors)
-                t_pend, d_pend = half, de * half
+        nsubs = substep_counts(tau, gap, omegas, dev.omega_max)
+        tables = [rotation_table(omegas * (0.5 * tau / nsubs), m) for m, _, _ in groups]
+        # the steps run in stretches of equal nsub, a handful per segment
+        ends = (np.flatnonzero(np.diff(nsubs)) + 1).tolist() + [steps]
+        for start, end in zip([0] + ends[:-1], ends):
+            nsub = int(nsubs[start])
+            half = 0.5 * tau / nsub
+            for k in range(start, end):
+                de = float(deltas[k])
+                factors = [t[k].take(ham) for t, (_, _, ham) in zip(tables, groups)]
+                for j in range(nsub):
+                    t_pend += half
+                    d_pend += de * half
+                    if j < 2:  # from the second sub-step on, the phase repeats
+                        phase = diagonal_phase(t_pend, d_pend)
+                    psi *= phase
+                    psi = drive_factor(psi, n, factors)
+                    t_pend, d_pend = half, de * half
     psi *= diagonal_phase(t_pend, d_pend)
 
     drift = abs(np.linalg.norm(psi) - 1.0)

@@ -35,16 +35,18 @@ from rydock.mlqaa.gcn import (
     LAYERS,
     MODEL_VERSION,
     TARGET_SCALES,
-    _adam_init,
     _adam_step,
     _drop_masks,
     _forward_batch,
     _from_scale,
     _pack,
     _to_scale,
+    _views,
     init_weights,
+    loss_and_gradients,
 )
-from rydock.optimize import Trial, search_space
+from rydock import optimize
+from rydock.optimize import Trial, evaluate_params, search_space, vqaa
 from rydock.register import DeviceParams, embedding_from_positions, omega_bounds
 from rydock.rng import substream
 
@@ -202,13 +204,15 @@ def test_adam_step_matches_textbook_update():
     ref_w = {k: v.copy() for k, v in weights.items()}
     ref_m = {k: np.zeros_like(v) for k, v in weights.items()}
     ref_v = {k: np.zeros_like(v) for k, v in weights.items()}
-    m, v = _adam_init(weights)
+    m = {k: np.zeros_like(w) for k, w in weights.items()}
+    v = {k: np.zeros_like(w) for k, w in weights.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for step in range(1, 8):
         lr = 1e-2 * 0.7 ** step
         grads = {k: rng.normal(size=w.shape) * 10.0 ** rng.integers(-4, 2)
                  for k, w in weights.items()}
-        _adam_step(weights, grads, m, v, step, lr)
+        for k in weights:
+            _adam_step(weights[k], grads[k], m[k], v[k], step, lr)
         for k, g in grads.items():
             ref_m[k] = beta1 * ref_m[k] + (1 - beta1) * g
             ref_v[k] = beta2 * ref_v[k] + (1 - beta2) * g * g
@@ -219,6 +223,46 @@ def test_adam_step_matches_textbook_update():
             assert np.max(np.abs(weights[k] - ref_w[k])) <= 1e-12
             assert np.max(np.abs(m[k] - ref_m[k])) <= 1e-12
             assert np.max(np.abs(v[k] - ref_v[k])) <= 1e-12
+
+
+def _per_array_adam(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference Adam: the same arithmetic, one weight array at a time,
+    over the flat buffers' per-array views."""
+    a = lr / (1.0 - beta1 ** step)
+    s = 1.0 / math.sqrt(1.0 - beta2 ** step)
+    like = init_weights(0)
+    for wk, gk, mk, vk in zip(*(_views(x, like).values() for x in (w, g, m, v))):
+        buf = np.multiply(gk, 1.0 - beta1)
+        mk *= beta1
+        mk += buf
+        np.multiply(gk, gk, out=buf)
+        buf *= 1.0 - beta2
+        vk *= beta2
+        vk += buf
+        np.sqrt(vk, out=buf)
+        buf *= s
+        buf += eps
+        np.divide(mk, buf, out=buf)
+        buf *= a
+        wk -= buf
+
+
+def test_flat_buffer_training_equals_per_array_adam(monkeypatch):
+    records = [_record(s, n=n) for s, n in ((7.0, 2), (8.0, 3), (9.0, 3), (10.0, 4), (6.5, 2))]
+    got = {t: train(records, t, epochs=6, seed=2, batch_size=2) for t in TARGETS}
+    monkeypatch.setattr("rydock.mlqaa.gcn._adam_step", _per_array_adam)
+    for t in TARGETS:
+        want = train(records, t, epochs=6, seed=2, batch_size=2)
+        assert got[t].history == want.history
+        assert all(got[t].weights[k].tobytes() == want.weights[k].tobytes()
+                   for k in want.weights)
+    # gradients written into a flat buffer's views equal freshly allocated ones
+    adj, x, mask = _pack([featurize(np.asarray(r.positions)) for r in records])
+    weights, targets = init_weights(5), np.linspace(0.0, 1.0, len(records))
+    fresh = loss_and_gradients(weights, adj, x, mask, targets)[1]
+    flat = np.full(sum(w.size for w in weights.values()), np.nan)
+    loss_and_gradients(weights, adj, x, mask, targets, grads=_views(flat, weights))
+    assert all(_views(flat, weights)[k].tobytes() == fresh[k].tobytes() for k in fresh)
 
 
 def test_drop_masks_one_draw_equals_per_layer_draws():
@@ -399,6 +443,42 @@ def test_dataset_jsonl_roundtrip(tmp_path):
     path.write_text(json.dumps({"family": "line"}) + "\n")
     with pytest.raises(InputError):
         load_dataset(path)
+
+
+def test_label_dataset_measures_the_kept_canonical_state(monkeypatch):
+    # the search keeps its near-best states, so each entry takes exactly one
+    # evolve per trial, and the records equal those made by evolving the
+    # canonical pulse again
+    entries = [corpus_entry(f, 0, s, DEV)
+               for f, s in (("line", 9.75), ("triangle", 7.25), ("rectangle", 8.5))]
+    reference = []
+    for entry in entries:
+        entry_seed = int(substream(0, "label", entry.name).integers(1 << 62))
+        res = vqaa(entry.embedding, DEV, family="complex", rounds=4, shots=100,
+                   optimizer="tpe", seed=entry_seed, dt=8.0)
+        canon = _canonical_trial(res.trials, search_space(entry.embedding, DEV, "complex"))
+        sb, _ = evaluate_params(entry.embedding, DEV, canon.params, family="complex",
+                                shots=500, seed=substream(entry_seed, "canon"), dt=8.0)
+        if res.refined.score > 0.0 and sb.score > 0.0:
+            reference.append((entry.name, canon.params, sb.score))
+    assert reference
+
+    calls, trials = [0], [0]
+    evolve = optimize.evolve
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return evolve(*args, **kwargs)
+
+    def progress(k, total, name, res):
+        trials[0] += len(res.trials)
+
+    monkeypatch.setattr(optimize, "evolve", counting)
+    recs = label_dataset(entries, DEV, rounds=4, shots=100, seed=0, dt=8.0,
+                         progress=progress)
+    assert trials[0] == 4 * len(entries)
+    assert calls[0] == trials[0]
+    assert [(r.name, r.params, r.score) for r in recs] == reference
 
 
 def test_label_dataset_small_register():

@@ -309,6 +309,15 @@ def test_hub_saturation_is_infeasible():
         layout(g, DEV, spacing=9.0, seed=0)
 
 
+def test_layout_stops_early_on_a_graph_with_no_placement():
+    # K_{1,6} gives no placement, chain-free or with ancillas, on any draw
+    ids = ["hub"] + [f"l{k}" for k in range(6)]
+    g = WeightedGraph.from_parts(ids, [("hub", l) for l in ids[1:]])
+    with pytest.raises(InfeasibilityError) as info:
+        layout(g, DEV, spacing=9.0, seed=0)
+    assert str(info.value).count("seed ") == 5
+
+
 def _relax_reference(pos, springs, repel, spacing, iters=LAYOUT_ITERS):
     """The force-directed relaxation written pair by pair, as the reference
     for the array form in `register._relax`."""
