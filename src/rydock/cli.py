@@ -248,21 +248,22 @@ def cmd_vqaa(args) -> int:
         register_sha = hashlib.sha256(fh.read()).hexdigest()
     digest = config_digest({**cfg, "rounds": None, "register": register_sha}, "vqaa")
 
-    res = None
+    done = []
     if args.resume and os.path.exists(log_path):
         if cfg["optimizer"] != "tpe":
             raise InputError("resume is only meaningful for the tpe optimizer")
         done = _load_trials(log_path, digest)
-        if len(done) >= cfg["rounds"]:
-            res = prefix_result(
-                emb, dev, done, cfg["rounds"], family=cfg["family"],
-                shots=cfg["shots"], seed=cfg["seed"], dt=cfg["dt"],
-            )
-    if res is None:
+    if done and len(done) >= cfg["rounds"]:
+        res = prefix_result(
+            emb, dev, done, cfg["rounds"], family=cfg["family"],
+            shots=cfg["shots"], seed=cfg["seed"], dt=cfg["dt"],
+        )
+    else:  # a shorter log of the same search is replayed and extended
         res = vqaa(
             emb, dev, family=cfg["family"], rounds=cfg["rounds"],
             shots=cfg["shots"], optimizer=cfg["optimizer"], seed=cfg["seed"],
             dt=cfg["dt"], log_path=log_path, log_fields={"search_digest": digest},
+            replay=done,
         )
 
     g = emb.graph

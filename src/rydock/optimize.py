@@ -412,7 +412,7 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
          seed: int = 0, dt: float = 4.0,
          gini_threshold: float | None = GINI_THRESHOLD,
          log_path=None, log_fields: dict | None = None,
-         on_trial=None) -> VqaaResult:
+         on_trial=None, replay=()) -> VqaaResult:
     """Variational search for pulse parameters on one embedding.
 
     optimizer="tpe": `rounds` sequential suggestions; when every trial ends
@@ -425,26 +425,26 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
     and the final state of the winning trial is kept and re-measured at 5x
     shots for reporting. Trials go to `log_path` as JSON lines with `log_fields`.
     `on_trial(trial, state)` sees each trial with its final state (None on the
-    exact omega=0 shortcut).
+    exact omega=0 shortcut and on a replayed trial).
+
+    `replay` holds the logged trials of rounds 0..k-1 of an identically
+    seeded tpe search; they stand in for those rounds, exactly, since round r
+    consumes only trials[:r] and streams keyed by r. A replayed winner has no
+    state, so it is evolved again for the re-measurement.
     """
     if rounds < 1:
         raise InputError("rounds must be >= 1")
+    if replay and optimizer != "tpe":
+        raise InputError("only a tpe search can replay logged trials")
+    if [t.round for t in replay] != list(range(len(replay))):
+        raise InputError("replayed trials must be rounds 0..k-1 in order")
     g = emb.graph
     trials = []
     best = best_state = None
     log_fh = open(log_path, "w") if log_path else None
 
-    def run_one(params, rnd):
+    def record(trial, state):
         nonlocal best, best_state
-        sb, stripped, state = _evaluate(
-            params, emb, dev, family, shots,
-            substream(seed, "shots", rnd), dt,
-            coherence_ns=budget, gini_threshold=gini_threshold,
-        )
-        trial = Trial(
-            round=rnd, params=dict(params), score=sb.score, gini=sb.gini,
-            mean_f=sb.mean_f, top=tuple(stripped.top(10)),
-        )
         trials.append(trial)
         if on_trial:
             on_trial(trial, state)
@@ -453,11 +453,22 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
         if log_fh:
             log_fh.write(json.dumps({
                 **(log_fields or {}),
-                "round": rnd, "params": trial.params, "score": trial.score,
+                "round": trial.round, "params": trial.params, "score": trial.score,
                 "gini": trial.gini, "mean_f": trial.mean_f,
                 "top": [list(t) for t in trial.top],
             }, sort_keys=True) + "\n")
         return trial
+
+    def run_one(params, rnd):
+        sb, stripped, state = _evaluate(
+            params, emb, dev, family, shots,
+            substream(seed, "shots", rnd), dt,
+            coherence_ns=budget, gini_threshold=gini_threshold,
+        )
+        return record(Trial(
+            round=rnd, params=dict(params), score=sb.score, gini=sb.gini,
+            mean_f=sb.mean_f, top=tuple(stripped.top(10)),
+        ), state)
 
     second_pass = False
     try:
@@ -467,10 +478,10 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
             target = rounds
             rnd = 0
             while rnd < target:
-                params = tpe_suggest(
-                    trials, space, substream(seed, "suggest", rnd),
-                )
-                run_one(params, rnd)
+                if rnd < len(replay):
+                    record(replay[rnd], None)
+                else:
+                    run_one(tpe_suggest(trials, space, substream(seed, "suggest", rnd)), rnd)
                 rnd += 1
                 if rnd == target and not second_pass and all(t.score == 0.0 for t in trials):
                     target += rounds

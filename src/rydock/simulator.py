@@ -16,11 +16,31 @@ s/2) psi, R = cos(theta) - i sin(theta) sigma_x, theta = Omega s / 2. Both
 factors are exact: no power series, no sparse matrix, and Omega = 0 is an
 exact identity. Neighbouring half-step phases merge into one product.
 
-R^{(x)N} runs in Kronecker groups of at most GROUP_MAX_ATOMS = 6 atoms. On m
-atoms R^{(x)m} has entry cos(theta)^(m - h) (-i sin(theta))^h, h the Hamming
-distance of row and column, so a step's group matrix is one gather of that
-(m + 1)-entry table, applied by one matrix product to the state viewed as
-(2^hi, 2^m, 2^lo). The detuning phase factorises over the groups.
+R^{(x)N} runs in Kronecker groups of near-equal size, lowest atoms first: at
+most GROUP_MAX_ATOMS = 6 atoms each up to 10 atoms, and at most
+SMALL_GROUP_MAX_ATOMS = 4 from SMALL_GROUPS_FROM = 11 atoms on. On m atoms
+R^{(x)m} has entry cos(theta)^(m - h) (-i sin(theta))^h, h the Hamming
+distance of row and column, so a step's group matrix F is one gather of that
+(m + 1)-entry table. F is symmetric, so each group is one plain matrix
+product F @ psi.reshape(-1, 2^m).T: it acts on the group in the lowest bits
+and writes it out as the highest, and after the last group the canonical
+order is back (a single group is the row-vector product psi @ F). The
+detuning phase factorises over the groups.
+
+Partition, timed by tests/measure_groups.py on 2 vCPUs with one BLAS thread:
+the sum over the registers of each size of the median evolve time, as a
+speed-up over groups of at most 6 atoms at dt 4 / dt 8 (13-16 atoms: one
+4 x 4 grid register each; 13 atoms with 15 repeats):
+
+    atoms  at most 4 atoms  speed-up     other
+      7    4+3 (as 6)       1.00 / 1.00  one group of 7: 0.82 / 0.92
+      9    3+3+3            0.83 / 0.87
+     10    4+3+3            0.93 / 0.95
+     11    4+4+3            1.17 / 1.19  3+3+3+2: 1.06 / 1.13
+     12    4+4+4            1.39 / 1.36  3+3+3+3: 1.47 / 1.46
+     13    4+3+3+3          1.07 / 1.06
+     14    4+4+3+3          1.24 / 1.16
+     16    4+4+4+4          1.13 / 1.22  3+3+3+3+2+2: 1.19 / 1.23
 
 Sub-steps. g = max_k (sum_j U_kj + max|delta| w_k) bounds the energy change
 of one atom flip over the segment. The leading splitting error terms, the
@@ -80,6 +100,9 @@ PHI_MAX = 0.15
 PHI_OMEGA = 0.06
 OMEGA_EXPONENT = 0.75
 GROUP_MAX_ATOMS = 6
+# From this many atoms, groups of at most SMALL_GROUP_MAX_ATOMS are faster.
+SMALL_GROUPS_FROM = 11
+SMALL_GROUP_MAX_ATOMS = 4
 
 
 @dataclass(frozen=True)
@@ -98,9 +121,17 @@ def _check_cap(n: int):
         raise InputError("need at least one atom")
 
 
-def bitstring_of(index: int, n: int) -> str:
-    """Render a basis index: atom k = bit k, atom 0 leftmost."""
-    return "".join("1" if (index >> k) & 1 else "0" for k in range(n))
+def bitstrings(indices, n: int) -> list:
+    """Render basis indices: atom k = bit k, atom 0 leftmost. The characters
+    are built a column at a time and cut from one ASCII string, which keeps
+    the temporaries to about a byte per character."""
+    indices = np.asarray(indices, dtype=np.int64)
+    chars = np.empty((len(indices), n), dtype=np.uint8)
+    for k in range(n):
+        chars[:, k] = (indices >> k) & 1
+    chars += ord("0")
+    text = chars.tobytes().decode("ascii")
+    return [text[i:i + n] for i in range(0, len(text), n)]
 
 
 def _bit_table(n: int) -> np.ndarray:
@@ -110,42 +141,57 @@ def _bit_table(n: int) -> np.ndarray:
 
 
 def interaction_diagonal(reg: Register, dev: DeviceParams) -> np.ndarray:
-    """sum_{i<j} U_ij n_i n_j over the register geometry, as a 2^N vector."""
+    """sum_{i<j} U_ij n_i n_j over the register geometry, as a read-only 2^N
+    vector, built once per register and c6 and kept on the frozen register."""
     _check_cap(reg.n)
-    bits = _bit_table(reg.n)
-    pos = reg.positions()
-    diag = np.zeros(1 << reg.n)
-    for i in range(reg.n):
-        for j in range(i + 1, reg.n):
-            r = float(np.hypot(*(pos[i] - pos[j])))
-            if r <= 0:
-                raise InputError(f"coincident atoms {reg.atoms[i].id}, {reg.atoms[j].id}")
-            diag += (dev.c6 / r**6) * bits[i] * bits[j]
-    return diag
+    cache = reg.__dict__.setdefault("_interaction_diagonals", {})
+    if dev.c6 not in cache:
+        bits = _bit_table(reg.n)
+        pos = reg.positions()
+        diag = np.zeros(1 << reg.n)
+        for i in range(reg.n):
+            for j in range(i + 1, reg.n):
+                r = float(np.hypot(*(pos[i] - pos[j])))
+                if r <= 0:
+                    raise InputError(f"coincident atoms {reg.atoms[i].id}, {reg.atoms[j].id}")
+                diag += (dev.c6 / r**6) * bits[i] * bits[j]
+        diag.flags.writeable = False
+        cache[dev.c6] = diag
+    return cache[dev.c6]
 
 
 def occupation_diagonal(reg: Register) -> np.ndarray:
-    """sum_i w_i n_i as a 2^N vector (w = per-atom detuning weights)."""
+    """sum_i w_i n_i as a read-only 2^N vector (w = per-atom detuning
+    weights), built once per register and kept on it."""
     _check_cap(reg.n)
-    bits = _bit_table(reg.n)
-    return reg.detuning_weights() @ bits
+    occ = reg.__dict__.get("_occupation_diagonal")
+    if occ is None:
+        occ = reg.__dict__["_occupation_diagonal"] = reg.detuning_weights() @ _bit_table(reg.n)
+        occ.flags.writeable = False
+    return occ
+
+
+def group_sizes(n: int) -> tuple:
+    """Atoms per Kronecker group, lowest atoms first: ceil(n / cap) groups of
+    near-equal size, cap = GROUP_MAX_ATOMS below SMALL_GROUPS_FROM atoms and
+    SMALL_GROUP_MAX_ATOMS from there on."""
+    cap = GROUP_MAX_ATOMS if n < SMALL_GROUPS_FROM else SMALL_GROUP_MAX_ATOMS
+    count = -(-n // cap)
+    return tuple(n // count + (g < n % count) for g in range(count))
 
 
 @functools.lru_cache(maxsize=None)
+def _hamming(m: int) -> np.ndarray:
+    """Hamming distances between row and column of a 2^m matrix."""
+    idx = np.arange(1 << m)
+    ham = _bit_table(m).sum(axis=0).astype(np.intp)[idx[:, None] ^ idx]
+    ham.flags.writeable = False
+    return ham
+
+
 def _groups(n: int) -> tuple:
-    """ceil(n / 6) Kronecker groups of near-equal size m, lowest atoms first:
-    (m, the (2^hi, 2^m, 2^lo) state view with the group's atoms in the middle,
-    the Hamming distances between row and column of a 2^m matrix)."""
-    count = -(-n // GROUP_MAX_ATOMS)
-    out, lo = [], 0
-    for g in range(count):
-        m = n // count + (g < n % count)
-        idx = np.arange(1 << m)
-        ham = _bit_table(m).sum(axis=0).astype(np.intp)[idx[:, None] ^ idx]
-        ham.flags.writeable = False
-        out.append((m, (1 << (n - lo - m), 1 << m, 1 << lo), ham))
-        lo += m
-    return tuple(out)
+    """(m, `_hamming(m)`) of each group of `group_sizes(n)`, lowest atoms first."""
+    return tuple((m, _hamming(m)) for m in group_sizes(n))
 
 
 def rotation_table(theta, m: int) -> np.ndarray:
@@ -156,15 +202,17 @@ def rotation_table(theta, m: int) -> np.ndarray:
     return np.cos(theta) ** (m - h) * np.sin(theta) ** h * (-1j) ** h
 
 
-def drive_factor(psi: np.ndarray, n: int, factors) -> np.ndarray:
+def drive_factor(psi: np.ndarray, factors) -> np.ndarray:
     """psi <- R(theta)^{(x)n} psi, given each group's symmetric matrix
-    R(theta)^{(x)m}: a `rotation_table` row taken over its Hamming distances."""
-    for (_, shape, _), factor in zip(_groups(n), factors):
-        if shape[2] == 1:
-            psi = psi.reshape(-1, shape[1]) @ factor
-        else:
-            psi = np.matmul(factor, psi.reshape(shape))
-    return psi.reshape(-1)
+    R(theta)^{(x)m}, lowest group first: a `rotation_table` row taken over its
+    Hamming distances. Each product takes the group in the lowest bits and
+    writes it out as the highest, so the order is canonical again after the
+    last group."""
+    if len(factors) == 1:
+        return (psi.reshape(1, -1) @ factors[0]).reshape(-1)
+    for factor in factors:
+        psi = (factor @ psi.reshape(-1, len(factor)).T).reshape(-1)
+    return psi
 
 
 def substep_counts(tau: float, gap: float, omegas: np.ndarray,
@@ -191,24 +239,28 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     if not (math.isfinite(dt) and dt > 0):
         raise InputError(f"dt must be a positive finite number, got {dt}")
     inter = interaction_diagonal(reg, dev)
+    occ = occupation_diagonal(reg)
     n, dim, groups = reg.n, 1 << reg.n, _groups(reg.n)
     weights = reg.detuning_weights()
-    occ = occupation_diagonal(reg)
     # i w.n over each group's atoms (occ where only they are excited), top first
-    iocc = [1j * occ[np.arange(shape[1]) * shape[2]] for _, shape, _ in groups[::-1]]
+    lows = np.cumsum([0] + [m for m, _ in groups])
+    iocc = [1j * occ[np.arange(1 << m) << lo] for (m, _), lo in zip(groups, lows)][::-1]
     # one flip of atom k changes U by at most sum_j U_kj (U >= 0)
     flip_gap = inter[-1] - inter[(dim - 1) ^ (1 << np.arange(n))]
-    # exp(-i t U) of the last t, which changes only between stretches
-    cache = [None, None]
+    # exp(-i t U) of the last t, which changes only between stretches, and
+    # the phase of the last (t, d), which repeats while delta is constant
+    u_cache, cache = [None, None], [None, None]
 
     def diagonal_phase(t, d):
         """exp(-i (t U - d occ)); the occ part is an outer product over groups."""
-        if t != cache[0]:
-            cache[:] = t, np.exp(-1j * t * inter)
-        out = np.exp(d * iocc[0])
-        for col in iocc[1:]:
-            out = np.multiply.outer(out, np.exp(d * col)).reshape(-1)
-        return cache[1] * out
+        if (t, d) != cache[0]:
+            if t != u_cache[0]:
+                u_cache[:] = t, np.exp(-1j * t * inter)
+            out = np.exp(d * iocc[0])
+            for col in iocc[1:]:
+                out = np.multiply.outer(out, np.exp(d * col)).reshape(-1)
+            cache[:] = (t, d), u_cache[1] * out
+        return cache[1]
 
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
@@ -224,7 +276,7 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
         tau = seg.duration / steps * 1e-3  # ns -> us
         gap = float(np.max(flip_gap + np.abs(deltas).max() * np.abs(weights)))
         nsubs = substep_counts(tau, gap, omegas, dev.omega_max)
-        tables = [rotation_table(omegas * (0.5 * tau / nsubs), m) for m, _, _ in groups]
+        tables = [rotation_table(omegas * (0.5 * tau / nsubs), m) for m, _ in groups]
         # the steps run in stretches of equal nsub, a handful per segment
         ends = (np.flatnonzero(np.diff(nsubs)) + 1).tolist() + [steps]
         for start, end in zip([0] + ends[:-1], ends):
@@ -232,14 +284,14 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
             half = 0.5 * tau / nsub
             for k in range(start, end):
                 de = float(deltas[k])
-                factors = [t[k].take(ham) for t, (_, _, ham) in zip(tables, groups)]
+                factors = [t[k].take(ham) for t, (_, ham) in zip(tables, groups)]
                 for j in range(nsub):
                     t_pend += half
                     d_pend += de * half
                     if j < 2:  # from the second sub-step on, the phase repeats
                         phase = diagonal_phase(t_pend, d_pend)
                     psi *= phase
-                    psi = drive_factor(psi, n, factors)
+                    psi = drive_factor(psi, factors)
                     t_pend, d_pend = half, de * half
     psi *= diagonal_phase(t_pend, d_pend)
 
@@ -256,11 +308,13 @@ def measure(state: StateVector, shots: int, seed) -> Histogram:
     probs = np.abs(state.amplitudes) ** 2
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs / probs.sum())
-    return Histogram(shots=shots, counts={bitstring_of(int(i), state.n_atoms): int(counts[i])
-                                          for i in np.flatnonzero(counts)})
+    hit = np.flatnonzero(counts)
+    return Histogram(shots=shots, counts=dict(zip(bitstrings(hit, state.n_atoms),
+                                                  counts[hit].tolist())))
 
 
 def exact_distribution(state: StateVector) -> dict:
     """Exact outcome probabilities keyed by bitstring (nonzero entries)."""
     probs = np.abs(state.amplitudes) ** 2
-    return {bitstring_of(int(i), state.n_atoms): float(probs[i]) for i in np.flatnonzero(probs)}
+    hit = np.flatnonzero(probs)
+    return dict(zip(bitstrings(hit, state.n_atoms), probs[hit].tolist()))

@@ -192,6 +192,28 @@ def test_vqaa_resume_reruns_a_log_of_another_search(tmp_path):
     assert (run_a / "trials.jsonl").read_bytes() == (run_b / "trials.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("seed, evolves", [(2, 10), (3, 9)])
+def test_vqaa_resume_extends_a_shorter_log(tmp_path, monkeypatch, seed, evolves):
+    # resuming 5 -> 14 rounds replays the 5 logged trials and evaluates only
+    # the 9 new ones, plus the winner again when it is a replayed one (its
+    # state was not kept): round 1 wins at seed 2, round 11 at seed 3
+    register = _p2_register(tmp_path)
+    flags = ["--register", register, "--shots", "100", "--dt", "8", "--seed", str(seed)]
+    run_a, run_b = tmp_path / "a", tmp_path / "b"
+    assert main(["vqaa", *flags, "--rounds", "14", "--out", str(run_b)]) == 0
+    assert main(["vqaa", *flags, "--rounds", "5", "--out", str(run_a)]) == 0
+
+    import rydock.optimize
+    calls = []
+    evolve = rydock.optimize.evolve
+    monkeypatch.setattr(rydock.optimize, "evolve",
+                        lambda *a, **k: calls.append(1) or evolve(*a, **k))
+    assert main(["vqaa", *flags, "--rounds", "14", "--out", str(run_a), "--resume"]) == 0
+    assert len(calls) == evolves
+    for name in ("trials.jsonl", "histogram.json", "result.json"):
+        assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
+
+
 def test_sweep_writes_grid(tmp_path, capsys):
     register = _p2_register(tmp_path)
     rc = main(["sweep", "--register", register, "--omegas", "2.0",

@@ -427,6 +427,26 @@ def test_prefix_result_matches_standalone_run():
         prefix_result(emb, DEV, long.trials, 99)
 
 
+def test_vqaa_replay_extends_a_shorter_search():
+    # the trials of a 3-round run stand in for rounds 0-2 of a 6-round run,
+    # and of the first pass of a search that every trial nullifies
+    emb = k2_embedding()
+    kw = dict(family="simple", shots=150, optimizer="tpe", seed=0, dt=8.0)
+    short = vqaa(emb, DEV, rounds=3, **kw)
+    for extra in ({}, {"gini_threshold": 2.0}):
+        want = vqaa(emb, DEV, rounds=6, **kw, **extra)
+        got = vqaa(emb, DEV, rounds=6, **kw, **extra,
+                   replay=vqaa(emb, DEV, rounds=3, **kw, **extra).trials)
+        assert got.trials == want.trials and got.best == want.best
+        assert got.second_pass == want.second_pass
+        assert got.refined == want.refined
+        assert got.refined_histogram.counts == want.refined_histogram.counts
+    with pytest.raises(InputError):
+        vqaa(emb, DEV, rounds=6, **dict(kw, optimizer="nm"), replay=short.trials)
+    with pytest.raises(InputError):
+        vqaa(emb, DEV, rounds=6, **kw, replay=short.trials[1:])
+
+
 def test_qaa_sweep_matches_direct_evaluation():
     emb = k2_embedding()
     rows = qaa_sweep(emb, DEV, [3.0], [3.0], [1000.0], shots=500, seed=0,

@@ -15,7 +15,7 @@ from rydock.cli import DEFAULTS
 from rydock.docking import build_binding_graph, default_table, load_molecule
 from rydock.errors import InputError
 from rydock.graphs import complement
-from rydock.mlqaa.dataset import generate_corpus
+from rydock.mlqaa.dataset import corpus_entry, generate_corpus
 from rydock.optimize import search_space, sequence_for
 from rydock.pulses import (
     ComplexParams,
@@ -26,18 +26,23 @@ from rydock.pulses import (
     complex_sequence,
     simple_sequence,
 )
-from rydock.register import Atom, DeviceParams, Register, layout
+from rydock.register import Atom, DeviceParams, Register, layout, omega_bounds
 from rydock.rng import substream
 from rydock.simulator import (
+    ATOM_CAP,
+    GROUP_MAX_ATOMS,
     OMEGA_EXPONENT,
     PHI_MAX,
     PHI_OMEGA,
+    SMALL_GROUP_MAX_ATOMS,
+    SMALL_GROUPS_FROM,
     StateVector,
     _groups,
-    bitstring_of,
+    bitstrings,
     drive_factor,
     evolve,
     exact_distribution,
+    group_sizes,
     interaction_diagonal,
     measure,
     occupation_diagonal,
@@ -201,11 +206,22 @@ def check_oracles(reg, seq, dt):
     assert np.linalg.norm(ref - expm_evolve(reg, seq, DEV, dt)) < 1e-8
 
 
+def bitstring_of(index: int, n: int) -> str:
+    """Scalar rendering of one basis index: atom k = bit k, atom 0 leftmost."""
+    return "".join("1" if (index >> k) & 1 else "0" for k in range(n))
+
+
 def test_bitstring_convention():
-    assert bitstring_of(0, 3) == "000"
-    assert bitstring_of(1, 3) == "100"  # atom 0 is the leftmost character
-    assert bitstring_of(4, 3) == "001"
-    assert bitstring_of(6, 3) == "011"
+    # atom 0 is the leftmost character
+    assert bitstrings([0, 1, 4, 6], 3) == ["000", "100", "001", "011"]
+
+
+def test_bitstrings_match_the_scalar_rendering():
+    for n in range(1, 11):
+        assert bitstrings(np.arange(1 << n), n) == [bitstring_of(i, n) for i in range(1 << n)]
+    idx = np.random.default_rng(5).integers(0, 1 << 16, size=500)
+    assert bitstrings(idx, 16) == [bitstring_of(int(i), 16) for i in idx]
+    assert bitstrings(np.array([], dtype=np.int64), 4) == []
 
 
 def test_interaction_diagonal_two_atoms():
@@ -225,6 +241,31 @@ def test_interaction_diagonal_triangle():
     assert diag[5] == pytest.approx(u)
     assert diag[6] == pytest.approx(ud)
     assert diag[7] == pytest.approx(2 * u + ud)
+
+
+def test_diagonals_are_built_once_per_register_and_c6(monkeypatch):
+    # a search or a sweep evolves one register many times: its diagonals are
+    # kept on the frozen register, the interaction one per c6
+    reg = line_register(0.0, 9.0, 18.0, 27.0, weights=[1.0, 1.5, 0.5, 2.0])
+    positions = Register.positions
+    calls = []
+    monkeypatch.setattr(Register, "positions",
+                        lambda self: calls.append(1) or positions(self))
+    seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=200.0),
+                          DEV.omega_max, DEV.delta_abs_max)
+    a = evolve(reg, seq, DEV, dt=4.0).amplitudes
+    b = evolve(reg, seq, DEV, dt=4.0).amplitudes
+    assert len(calls) == 1
+    assert a.tobytes() == b.tobytes()
+    assert interaction_diagonal(reg, DEV) is interaction_diagonal(reg, DEV)
+    assert occupation_diagonal(reg) is occupation_diagonal(reg)
+    stronger = DeviceParams(c6=2.0 * DEV.c6)
+    assert np.array_equal(interaction_diagonal(reg, stronger),
+                          2.0 * interaction_diagonal(reg, DEV))
+    assert len(calls) == 2
+    # a fresh register of the same atoms builds the same values
+    fresh = Register(atoms=reg.atoms)
+    assert interaction_diagonal(fresh, DEV).tobytes() == interaction_diagonal(reg, DEV).tobytes()
 
 
 def test_occupation_diagonal_weights():
@@ -399,7 +440,7 @@ def test_undriven_segment_is_a_diagonal_phase():
 
 
 def test_evolve_repeats_bit_for_bit():
-    # one, two and three Kronecker groups
+    # one, two and four Kronecker groups
     seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=200.0),
                           DEV.omega_max, DEV.delta_abs_max)
     for n in (3, 8, 13):
@@ -437,7 +478,7 @@ def _state(n, seed):
 
 
 def _factors(theta, n):
-    return [rotation_table(theta, m).take(ham) for m, _, ham in _groups(n)]
+    return [rotation_table(theta, m).take(ham) for m, ham in _groups(n)]
 
 
 _angles = st.floats(-10.0, 10.0, allow_nan=False)
@@ -450,7 +491,53 @@ def test_grouped_drive_factor_equals_kron(n, theta, seed):
     for _ in range(n):
         dense = np.kron(_rotation(theta), dense)
     psi = _state(n, seed)
-    assert np.abs(drive_factor(psi, n, _factors(theta, n)) - dense @ psi).max() < 1e-12
+    assert np.abs(drive_factor(psi, _factors(theta, n)) - dense @ psi).max() < 1e-12
+
+
+def per_atom_drive(psi, n, theta):
+    """R(theta)^{(x)n} psi as n 2x2 rotations, one per atom axis."""
+    rot = _rotation(theta)
+    for k in range(n):
+        psi = np.einsum("ab,hbl->hal", rot, psi.reshape(-1, 2, 1 << k)).reshape(-1)
+    return psi
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, ATOM_CAP), theta=_angles, seed=st.integers(0, 2**32 - 1))
+def test_grouped_drive_factor_equals_per_atom_rotations(n, theta, seed):
+    # every partition up to the cap, with the order rotating through the groups
+    psi = _state(n, seed)
+    want = per_atom_drive(psi, n, theta)
+    assert np.abs(drive_factor(psi, _factors(theta, n)) - want).max() < 1e-12
+
+
+def test_partition_covers_the_atoms_in_order():
+    for n in range(1, ATOM_CAP + 1):
+        sizes = group_sizes(n)
+        cap = GROUP_MAX_ATOMS if n < SMALL_GROUPS_FROM else SMALL_GROUP_MAX_ATOMS
+        assert sum(sizes) == n and min(sizes) >= 1 and max(sizes) <= cap
+        assert len(sizes) == -(-n // cap)  # as few groups as the cap allows
+        assert max(sizes) - min(sizes) <= 1
+        assert [m for m, _ in _groups(n)] == list(sizes)
+        for m, ham in _groups(n):
+            assert ham.shape == (1 << m, 1 << m)
+    assert group_sizes(10) == (5, 5) and group_sizes(11) == (4, 4, 3)
+    assert group_sizes(12) == (4, 4, 4) and group_sizes(16) == (4, 4, 4, 4)
+
+
+def test_small_groups_match_the_old_partition(monkeypatch):
+    # the 12-atom two-hexagon register evolves to the same distribution under
+    # its 4 + 4 + 4 partition and under 6 + 6, the rule used up to 10 atoms
+    emb = corpus_entry("hexagon", 4, 9.75, DEV).embedding
+    hi = omega_bounds(emb, DEV)[1]
+    seq = simple_sequence(SimpleParams(omega=0.8 * hi, delta=3.5, time=600.0),
+                          DEV.omega_max, DEV.delta_abs_max)
+    assert group_sizes(emb.register.n) == (4, 4, 4)
+    new = exact_distribution(evolve(emb.register, seq, DEV, dt=4.0))
+    monkeypatch.setattr("rydock.simulator.group_sizes", lambda n: (6, 6))
+    old = exact_distribution(evolve(emb.register, seq, DEV, dt=4.0))
+    assert new.keys() == old.keys()
+    assert max(abs(new[b] - old[b]) for b in new) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -460,7 +547,7 @@ def test_split_substep_preserves_norm(n, theta, seed, s):
     psi = _state(n, seed)
     diag = np.random.default_rng(seed).uniform(-3000.0, 3000.0, size=1 << n)
     half = np.exp(-0.5j * s * diag)
-    out = half * drive_factor(half * psi, n, _factors(theta, n))
+    out = half * drive_factor(half * psi, _factors(theta, n))
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
