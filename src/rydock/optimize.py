@@ -276,12 +276,16 @@ def nelder_mead(objective, x0, bounds, max_iter: int = 200, seed: int = 0):
     return simplex[order[0]], values[order[0]], evals
 
 
-def _trunc_norm_pdf(x, mu, sigma, lo, hi):
-    z = (x - mu) / sigma
+def _kernel_density(x: np.ndarray, centres: list, sigma: float, lo: float,
+                    hi: float) -> np.ndarray:
+    """Mean over `centres` of the Gaussian kernels of width sigma, each
+    truncated to [lo, hi], at every point of x: a (candidates x kernels)
+    array averaged over its last axis. Each kernel's mass is found once."""
+    mass = [0.5 * (math.erf((hi - mu) / (sigma * math.sqrt(2)))
+                   - math.erf((lo - mu) / (sigma * math.sqrt(2)))) for mu in centres]
+    z = (x[:, None] - np.array(centres)) / sigma
     phi = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2 * math.pi))
-    cdf = 0.5 * (math.erf((hi - mu) / (sigma * math.sqrt(2)))
-                 - math.erf((lo - mu) / (sigma * math.sqrt(2))))
-    return phi / max(cdf, 1e-300)
+    return np.mean(phi / np.maximum(mass, 1e-300), axis=-1)
 
 
 def _sample_trunc(rng, mu, sigma, lo, hi):
@@ -337,19 +341,15 @@ def tpe_suggest(history, space: SearchSpace, seed,
             cand = space.clamp(cand)
         candidates.append(cand)
 
-    def log_ratio(cand):
-        total = 0.0
-        for k, (lo, hi) in space.intervals.items():
-            l_val = np.mean([
-                _trunc_norm_pdf(cand[k], t.params[k], sig_good[k], lo, hi) for t in good
-            ])
-            g_val = np.mean([
-                _trunc_norm_pdf(cand[k], t.params[k], sig_bad[k], lo, hi) for t in bad
-            ])
-            total += math.log(max(l_val, 1e-300)) - math.log(max(g_val, 1e-300))
-        return total
-
-    scores = [log_ratio(c) for c in candidates]
+    # log l(x) - log g(x) summed over the dimensions; math.log, not np.log,
+    # whose last bit can differ and flip a near-tie
+    scores = np.zeros(len(candidates))
+    for k, (lo, hi) in space.intervals.items():
+        x = np.array([c[k] for c in candidates])
+        l_val = _kernel_density(x, [t.params[k] for t in good], sig_good[k], lo, hi)
+        g_val = _kernel_density(x, [t.params[k] for t in bad], sig_bad[k], lo, hi)
+        scores += [math.log(max(a, 1e-300)) - math.log(max(b, 1e-300))
+                   for a, b in zip(l_val.tolist(), g_val.tolist())]
     return candidates[int(np.argmax(scores))]
 
 

@@ -16,31 +16,43 @@ s/2) psi, R = cos(theta) - i sin(theta) sigma_x, theta = Omega s / 2. Both
 factors are exact: no power series, no sparse matrix, and Omega = 0 is an
 exact identity. Neighbouring half-step phases merge into one product.
 
-R^{(x)N} runs in Kronecker groups of near-equal size, lowest atoms first: at
-most GROUP_MAX_ATOMS = 6 atoms each up to 10 atoms, and at most
-SMALL_GROUP_MAX_ATOMS = 4 from SMALL_GROUPS_FROM = 11 atoms on. On m atoms
-R^{(x)m} has entry cos(theta)^(m - h) (-i sin(theta))^h, h the Hamming
-distance of row and column, so a step's group matrix F is one gather of that
-(m + 1)-entry table. F is symmetric, so each group is one plain matrix
-product F @ psi.reshape(-1, 2^m).T: it acts on the group in the lowest bits
-and writes it out as the highest, and after the last group the canonical
-order is back (a single group is the row-vector product psi @ F). The
-detuning phase factorises over the groups.
+The drive is applied as a real matrix: with S = diag(1, -i) and the real
+G = [[c, s], [s, -c]] (c, s = cos, sin theta), R = S G S, so R^{(x)N} =
+S_N G^{(x)N} S_N with S_N = diag((-i)^popcount). Between two drives
+S_N P S_N = sigma P for a diagonal phase P, sigma = (-1)^popcount, which
+evolve folds into its cached exp(-i t U). S_N is 1 on the start state
+|0...0>, and the last S_N times the last phase's sigma is i^popcount, applied
+once at the end. G^{(x)m} has entry c^(m - h) s^h (-1)^popcount(r & c),
+h = popcount(r ^ c), so a step's group matrix is one gather of a real table
+(the m + 1 values, their negatives, a 0) over a fixed signed index.
+
+The state is interleaved float64 (re, im per amplitude); the phase multiplies
+its complex view. G^{(x)N} runs in Kronecker groups, lowest atoms first: one
+up to GROUP_MAX_ATOMS = 6 atoms, else near-equal groups of at most
+SMALL_GROUP_MAX_ATOMS = 4, smaller ones lowest. One group is
+G.dot(f.reshape(2^N, 2)). Otherwise each group is F.dot(f.reshape(-1,
+len(F)).T), which acts on the group in the lowest bits and writes it out as
+the highest; the lowest group's F is G^{(x)m} (x) I_2, so the re/im axis rides
+the rotation as one more bit, and after the last group the layout is
+canonical again. The detuning phase factorises over the groups.
 
 Partition, timed by tests/measure_groups.py on 2 vCPUs with one BLAS thread:
-the sum over the registers of each size of the median evolve time, as a
-speed-up over groups of at most 6 atoms at dt 4 / dt 8 (13-16 atoms: one
-4 x 4 grid register each; 13 atoms with 15 repeats):
+the sum over the registers of each size (at most 10 per size for 5-6 atoms;
+13-16 atoms: one 4 x 4 grid register each) of the median evolve time, as a
+speed-up over near-equal groups of at most 6 atoms, larger ones lowest, at
+dt 4 / dt 8:
 
-    atoms  at most 4 atoms  speed-up     other
-      7    4+3 (as 6)       1.00 / 1.00  one group of 7: 0.82 / 0.92
-      9    3+3+3            0.83 / 0.87
-     10    4+3+3            0.93 / 0.95
-     11    4+4+3            1.17 / 1.19  3+3+3+2: 1.06 / 1.13
-     12    4+4+4            1.39 / 1.36  3+3+3+3: 1.47 / 1.46
-     13    4+3+3+3          1.07 / 1.06
-     14    4+4+3+3          1.24 / 1.16
-     16    4+4+4+4          1.13 / 1.22  3+3+3+3+2+2: 1.19 / 1.23
+    atoms  partition  speed-up     other
+      5    5          1.00 / 1.00  2+3: 0.68 / 0.66
+      6    6          1.00 / 1.00  3+3: 0.91 / 0.85
+      7    3+4        1.04 / 1.01  4+3: 1.00 / 1.00; 7: 0.66 / 0.76
+      9    3+3+3      1.04 / 1.02  4+5: 1.12 / 1.11
+     10    3+3+4      1.14 / 1.15  4+3+3: 1.12 / 1.12
+     11    3+4+4      1.68 / 1.70  4+4+3: 1.61 / 1.59
+     12    4+4+4      1.71 / 1.69  3+3+3+3: 1.64 / 1.62
+     13    3+3+3+4    1.06 / 1.03  4+4+5: 1.07 / 1.06
+     14    3+3+4+4    1.16 / 1.16  4+4+3+3: 1.13 / 1.12
+     16    4+4+4+4    1.20 / 1.19  5+5+6: 1.08 / 1.09
 
 Sub-steps. g = max_k (sum_j U_kj + max|delta| w_k) bounds the energy change
 of one atom flip over the segment. The leading splitting error terms, the
@@ -50,27 +62,16 @@ nsub = ceil(tau g (|Omega| / omega_max)^OMEGA_EXPONENT / PHI_OMEGA), at least
 1 and at most ceil(tau g / PHI_MAX). A step at full drive takes that cap, an
 undriven step one sub-step, and no step more than the cap.
 
-Calibration (tests/calibrate_substeps.py): all 125 corpus registers, each
-with one uniform random complex pulse (default_rng(11), corpus order) and the
-same pulse at the top of its Rabi band, at dt 4 and 8, against the Taylor
-midpoint rule at dt 0.5 and at the same dt (the latter samples the same
-midpoints, so its TV is the splitting error alone). Over exponents 0.5-1 and
-budgets 0.04-0.12, OMEGA_EXPONENT = 0.75 with PHI_OMEGA = 0.06 cuts the
-sub-steps of the uniform pulses on the registers the `corpus_mlqaa`
-benchmark labels by 26% at dt 8 (22% at dt 4) for the least growth of the
-worst total-variation distance. Against dt 0.5 that is 1.36e-4 at dt 4
-(triangle-3-s8.5; the cap alone, 1.34e-4) and 2.66e-4 at dt 8
-(triangle-2-s8.5; 2.66e-4), where the Taylor midpoint rule alone reads
-6.4e-5 and 2.6e-4 and no sub-steps 2.3e-3 and 9.7e-3. The splitting error
-alone is 1.35e-4 and 2.39e-4 (the cap alone, 1.31e-4 and 2.33e-4).
-Exponent 0.5 with 0.10 read 1.49e-4 at dt 4.
+Calibration (tests/calibrate_substeps.py, whose docstring has the tables):
+over all 125 corpus registers, OMEGA_EXPONENT = 0.75 with PHI_OMEGA = 0.06
+cuts the sub-steps on the `corpus_mlqaa` registers by 22% at dt 4 and 26% at
+dt 8 for the least growth of the worst TV against the Taylor midpoint rule at
+dt 0.5: 1.36e-4 at dt 4 and 2.66e-4 at dt 8 (the cap alone, 1.34e-4 and
+2.66e-4; no sub-steps, 2.3e-3 and 9.7e-3).
 
-Caveat, measured on the band-top pulses: the rule bounds the Omega g^2 term
-but not Omega^2 g, and a step with tau g < PHI_MAX runs unsplit at any
-drive. hexagon-4-s8.5 (tau g = 0.14 at dt 4) reads a splitting error of
-5.4e-4 at dt 4 under either rule, and the same at dt 8, where its two
-sub-steps are as wide. At dt 8 the midpoint rule alone reads up to 5.5e-4
-(triangle-2-s8.5), so there more sub-steps cannot help.
+Caveat: the rule does not bound the Omega^2 g term, and a step with
+tau g < PHI_MAX runs unsplit at any drive, so band-top pulses on weakly
+interacting registers carry the largest splitting error (5.4e-4 at dt 4).
 
 The state is never renormalised: norm drift is an error signal, and drift
 beyond 1e-4 raises.
@@ -99,10 +100,10 @@ PHI_MAX = 0.15
 # s * g * (|Omega| / omega_max)^OMEGA_EXPONENT of a sub-step, below the cap.
 PHI_OMEGA = 0.06
 OMEGA_EXPONENT = 0.75
+# One Kronecker group up to GROUP_MAX_ATOMS, else at most SMALL_GROUP_MAX_ATOMS.
 GROUP_MAX_ATOMS = 6
-# From this many atoms, groups of at most SMALL_GROUP_MAX_ATOMS are faster.
-SMALL_GROUPS_FROM = 11
 SMALL_GROUP_MAX_ATOMS = 4
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,16 @@ def bitstrings(indices, n: int) -> list:
 
 
 def _bit_table(n: int) -> np.ndarray:
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
+    idx = np.arange(1 << n, dtype=np.int64)
     return np.stack([(idx >> k) & 1 for k in range(n)]).astype(float)
+
+
+@functools.lru_cache(maxsize=None)
+def _popcount(n: int) -> np.ndarray:
+    """Excited atoms of each of the 2^n basis states, read-only."""
+    pop = _bit_table(n).sum(axis=0).astype(np.intp)
+    pop.flags.writeable = False
+    return pop
 
 
 def interaction_diagonal(reg: Register, dev: DeviceParams) -> np.ndarray:
@@ -172,47 +180,53 @@ def occupation_diagonal(reg: Register) -> np.ndarray:
 
 
 def group_sizes(n: int) -> tuple:
-    """Atoms per Kronecker group, lowest atoms first: ceil(n / cap) groups of
-    near-equal size, cap = GROUP_MAX_ATOMS below SMALL_GROUPS_FROM atoms and
-    SMALL_GROUP_MAX_ATOMS from there on."""
-    cap = GROUP_MAX_ATOMS if n < SMALL_GROUPS_FROM else SMALL_GROUP_MAX_ATOMS
+    """Atoms per Kronecker group, lowest atoms first: one group of up to
+    GROUP_MAX_ATOMS atoms, else ceil(n / SMALL_GROUP_MAX_ATOMS) groups of
+    near-equal size, the smaller ones lowest, since the lowest group's matrix
+    also carries the re/im axis."""
+    cap = n if n <= GROUP_MAX_ATOMS else SMALL_GROUP_MAX_ATOMS
     count = -(-n // cap)
-    return tuple(n // count + (g < n % count) for g in range(count))
+    return tuple(n // count + (g >= count - n % count) for g in range(count))
 
 
 @functools.lru_cache(maxsize=None)
-def _hamming(m: int) -> np.ndarray:
-    """Hamming distances between row and column of a 2^m matrix."""
-    idx = np.arange(1 << m)
-    ham = _bit_table(m).sum(axis=0).astype(np.intp)[idx[:, None] ^ idx]
-    ham.flags.writeable = False
-    return ham
+def _signed_index(m: int, reim: bool) -> np.ndarray:
+    """Each entry of G^{(x)m} (x) I_2 if `reim`, else of G^{(x)m}, as its
+    place in a `drive_table` row: h = popcount(r ^ c), plus m + 1 where the
+    sign (-1)^popcount(r & c) is negative."""
+    pop, idx = _popcount(m), np.arange(1 << m)
+    index = pop[idx[:, None] ^ idx] + (m + 1) * (pop[idx[:, None] & idx] & 1)
+    if reim:  # the zeros of I_2 become -1, the row's last entry
+        index = np.kron(index + 1, np.eye(2, dtype=np.intp)) - 1
+    index.flags.writeable = False
+    return index
 
 
 def _groups(n: int) -> tuple:
-    """(m, `_hamming(m)`) of each group of `group_sizes(n)`, lowest atoms first."""
-    return tuple((m, _hamming(m)) for m in group_sizes(n))
+    """(m, `_signed_index`) of each group, lowest (carrying re/im) first."""
+    sizes = group_sizes(n)
+    return tuple((m, _signed_index(m, g == 0 and len(sizes) > 1))
+                 for g, m in enumerate(sizes))
 
 
-def rotation_table(theta, m: int) -> np.ndarray:
-    """cos(theta)^(m - h) (-i sin(theta))^h for h = 0..m on the last axis,
-    per angle in `theta`: the entries of R(theta)^{(x)m} by Hamming distance."""
+def drive_table(theta, m: int) -> np.ndarray:
+    """cos(theta)^(m - h) sin(theta)^h for h = 0..m, their negatives and a
+    0 on the last axis, per angle in `theta`."""
     theta = np.asarray(theta, dtype=float)[..., None]
     h = np.arange(m + 1)
-    return np.cos(theta) ** (m - h) * np.sin(theta) ** h * (-1j) ** h
+    table = np.cos(theta) ** (m - h) * np.sin(theta) ** h
+    return np.concatenate([table, -table, np.zeros_like(theta)], axis=-1)
 
 
-def drive_factor(psi: np.ndarray, factors) -> np.ndarray:
-    """psi <- R(theta)^{(x)n} psi, given each group's symmetric matrix
-    R(theta)^{(x)m}, lowest group first: a `rotation_table` row taken over its
-    Hamming distances. Each product takes the group in the lowest bits and
-    writes it out as the highest, so the order is canonical again after the
-    last group."""
+def drive_factor(f: np.ndarray, factors) -> np.ndarray:
+    """f <- G(theta)^{(x)n} f on a state's interleaved re/im floats, given
+    each group's matrix (a `drive_table` row taken over its `_signed_index`),
+    lowest group first; see the module docstring for the layout."""
     if len(factors) == 1:
-        return (psi.reshape(1, -1) @ factors[0]).reshape(-1)
+        return factors[0].dot(f.reshape(-1, 2)).reshape(-1)
     for factor in factors:
-        psi = (factor @ psi.reshape(-1, len(factor)).T).reshape(-1)
-    return psi
+        f = factor.dot(f.reshape(-1, len(factor)).T).reshape(-1)
+    return f
 
 
 def substep_counts(tau: float, gap: float, omegas: np.ndarray,
@@ -242,28 +256,30 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     occ = occupation_diagonal(reg)
     n, dim, groups = reg.n, 1 << reg.n, _groups(reg.n)
     weights = reg.detuning_weights()
+    pop = _popcount(n)
+    sign = 1.0 - 2.0 * (pop & 1)  # sigma = S_N^2 = (-1)^popcount
     # i w.n over each group's atoms (occ where only they are excited), top first
     lows = np.cumsum([0] + [m for m, _ in groups])
     iocc = [1j * occ[np.arange(1 << m) << lo] for (m, _), lo in zip(groups, lows)][::-1]
     # one flip of atom k changes U by at most sum_j U_kj (U >= 0)
     flip_gap = inter[-1] - inter[(dim - 1) ^ (1 << np.arange(n))]
-    # exp(-i t U) of the last t, which changes only between stretches, and
-    # the phase of the last (t, d), which repeats while delta is constant
+    # sigma exp(-i t U) of the last t, which changes only between stretches,
+    # and the phase of the last (t, d), which repeats while delta is constant
     u_cache, cache = [None, None], [None, None]
 
     def diagonal_phase(t, d):
-        """exp(-i (t U - d occ)); the occ part is an outer product over groups."""
+        """sigma exp(-i (t U - d occ)); the occ part is an outer product."""
         if (t, d) != cache[0]:
             if t != u_cache[0]:
-                u_cache[:] = t, np.exp(-1j * t * inter)
+                u_cache[:] = t, sign * np.exp(-1j * t * inter)
             out = np.exp(d * iocc[0])
             for col in iocc[1:]:
                 out = np.multiply.outer(out, np.exp(d * col)).reshape(-1)
             cache[:] = (t, d), u_cache[1] * out
         return cache[1]
 
-    psi = np.zeros(dim, dtype=np.complex128)
-    psi[0] = 1.0
+    f = np.zeros(2 * dim)  # the state's interleaved re/im floats
+    f[0] = 1.0
     t_pend = d_pend = 0.0  # the last sub-step's trailing half, not yet applied
     for seg in seq.segments:
         if abs(seg.phase) > 1e-12:
@@ -276,7 +292,7 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
         tau = seg.duration / steps * 1e-3  # ns -> us
         gap = float(np.max(flip_gap + np.abs(deltas).max() * np.abs(weights)))
         nsubs = substep_counts(tau, gap, omegas, dev.omega_max)
-        tables = [rotation_table(omegas * (0.5 * tau / nsubs), m) for m, _ in groups]
+        tables = [drive_table(omegas * (0.5 * tau / nsubs), m) for m, _ in groups]
         # the steps run in stretches of equal nsub, a handful per segment
         ends = (np.flatnonzero(np.diff(nsubs)) + 1).tolist() + [steps]
         for start, end in zip([0] + ends[:-1], ends):
@@ -284,16 +300,18 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
             half = 0.5 * tau / nsub
             for k in range(start, end):
                 de = float(deltas[k])
-                factors = [t[k].take(ham) for t, (_, ham) in zip(tables, groups)]
+                factors = [t[k].take(index) for t, (_, index) in zip(tables, groups)]
                 for j in range(nsub):
                     t_pend += half
                     d_pend += de * half
                     if j < 2:  # from the second sub-step on, the phase repeats
                         phase = diagonal_phase(t_pend, d_pend)
+                    psi = f.view(np.complex128)
                     psi *= phase
-                    psi = drive_factor(psi, factors)
+                    f = drive_factor(f, factors)
                     t_pend, d_pend = half, de * half
-    psi *= diagonal_phase(t_pend, d_pend)
+    # sigma S_N = i^popcount turns the sigma-phased G products into R products
+    psi = f.view(np.complex128) * diagonal_phase(t_pend, d_pend) * _I_POWERS[pop & 3]
 
     drift = abs(np.linalg.norm(psi) - 1.0)
     if drift > DRIFT_LIMIT:

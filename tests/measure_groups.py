@@ -12,31 +12,33 @@ order and clamped, as in `calibrate_substeps.py`. The corpus stops at 12
 atoms, so 13-16 atoms are the first n sites of a 4 x 4 square grid at 9.75
 um with the next draws of the same generator.
 
-Partitions: near-equal groups of at most c atoms for c = 3..7 (`sizes`), one
-row per distinct partition. Every variant evolves every pulse at dt 4 and 8
-ns, the variants alternating within each repeat; printed is the sum over the
-registers of each variant's median time, and the speed-up over groups of at
-most 6 (the partition up to 10 atoms). `*` marks the partition `evolve`
+Partitions: near-equal groups of at most c atoms for c = 3..7 (`sizes`),
+smaller ones lowest as `group_sizes` puts them and also larger ones lowest,
+one row per distinct partition. Every variant evolves every pulse at dt 4
+and 8 ns, the variants alternating within each repeat; printed is the sum
+over the registers of each variant's median time, and the speed-up over
+groups of at most 6, larger ones lowest. `*` marks the partition `evolve`
 uses. Output on 2 vCPUs with one BLAS thread, --repeats 5 (excerpt):
 
     atoms  regs  dt  partition  ms/evolve  vs 6-cap
-        7     5   4  3+2+2         383.62    0.74
-        7     5   4  4+3           285.49    1.00 *
-        7     5   4  7             347.13    0.82
-       10    20   4  3+3+2+2      1932.79    0.78
-       10    20   4  4+3+3        1628.38    0.93
-       10    20   4  5+5          1510.26    1.00 *
-       11     5   4  3+3+3+2       870.68    1.06
-       11     5   4  4+4+3         789.39    1.17 *
-       11     5   4  6+5           923.37    1.00
-       12    10   4  3+3+3+3      1129.26    1.47
-       12    10   4  4+4+4        1198.95    1.39 *
-       12    10   4  6+6          1662.39    1.00
+        7     5   4  3+2+2         105.91    0.80
+        7     5   4  4+3            84.22    1.00
+        7     5   4  3+4            80.80    1.04 *
+        7     5   4  7             127.01    0.66
+       10    20   4  3+3+2+2       559.72    0.99
+       10    20   4  4+3+3         494.94    1.12
+       10    20   4  3+3+4         488.75    1.14 *
+       10    20   4  5+5           556.25    1.00
+       11     5   4  4+4+3         275.43    1.61
+       11     5   4  3+4+4         264.02    1.68 *
+       11     5   4  6+5           443.34    1.00
+       12    10   4  3+3+3+3       459.41    1.64
+       12    10   4  4+4+4         438.46    1.71 *
+       12    10   4  6+6           751.95    1.00
 
 The simulator's module docstring tabulates the speed-ups at dt 4 and 8; a
-full scan takes about 12 minutes. On the stiff 7-atom `hexagon-1-s6` alone
-(`--only hexagon-1-s6 --repeats 7`), one group of 7 reads 0.92 at dt 4 and
-0.98 at dt 8, so it does not beat 4+3 there either.
+full scan of 7-16 atoms takes several minutes. With `--atoms 5-6
+--per-size 10`, one group reads 1.00 against 0.65-0.91 for two groups.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ GRID_SPACING = 9.75
 
 
 def sizes(n: int, cap: int) -> tuple:
-    """ceil(n / cap) near-equal groups, larger ones first, as `group_sizes`."""
+    """ceil(n / cap) near-equal groups, smaller ones first, as `group_sizes`."""
     count = -(-n // cap)
-    return tuple(n // count + (g < n % count) for g in range(count))
+    return tuple(n // count + (g >= count - n % count) for g in range(count))
 
 
 def _pulse(emb, rng):
@@ -98,19 +100,19 @@ def time_evolve(reg, seq, dt: float, partition: tuple) -> float:
         simulator.group_sizes = saved
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--atoms", default="7-16", help="range of atom counts, e.g. 7-16")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--per-size", type=int, default=0,
                     help="registers per atom count (0: all)")
     ap.add_argument("--only", default=None, help="time this corpus register alone")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     lo, _, hi = args.atoms.partition("-")
     atoms = range(int(lo), int(hi or lo) + 1)
     print("atoms  regs  dt  partition  ms/evolve  vs 6-cap")
     for n, regs in cases(atoms, args.per_size, args.only).items():
-        variants = list(dict.fromkeys(sizes(n, c) for c in CAPS))
+        variants = list(dict.fromkeys(v for c in CAPS for v in (sizes(n, c)[::-1], sizes(n, c))))
         for dt in DTS:
             for _, reg, seq in regs:
                 for v in variants:
@@ -124,7 +126,7 @@ def main() -> None:
                         runs[v, name].append(time_evolve(reg, seq, dt, v))
             total = {v: sum(statistics.median(runs[v, name]) for name, _, _ in regs)
                      for v in variants}
-            base = total[sizes(n, simulator.GROUP_MAX_ATOMS)]
+            base = total[sizes(n, simulator.GROUP_MAX_ATOMS)[::-1]]
             for v in variants:
                 mark = " *" if v == simulator.group_sizes(n) else ""
                 print(f"{n:5d} {len(regs):5d} {dt:3.0f}  {'+'.join(map(str, v)):9s}"

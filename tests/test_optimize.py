@@ -17,6 +17,7 @@ from rydock.optimize import (
     REFINE_SHOT_FACTOR,
     SearchSpace,
     Trial,
+    _kernel_density,
     evaluate_params,
     exact_optimum,
     nelder_mead,
@@ -293,6 +294,32 @@ def run_tpe(seed, rounds=50):
         hist.append(Trial(round=r, params=p, score=s, gini=0.0,
                           mean_f=0.0, top=()))
     return max(t.score for t in hist)
+
+
+def trunc_norm_pdf(x, mu, sigma, lo, hi):
+    """Scalar truncated-Gaussian density: one kernel at one point."""
+    z = (x - mu) / sigma
+    phi = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2 * math.pi))
+    cdf = 0.5 * (math.erf((hi - mu) / (sigma * math.sqrt(2)))
+                 - math.erf((lo - mu) / (sigma * math.sqrt(2))))
+    return phi / max(cdf, 1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kernels=st.integers(1, 40),
+       points=st.integers(1, 30), width=st.floats(1e-3, 1e3))
+def test_kernel_density_equals_the_scalar_mean(seed, kernels, points, width):
+    # the same arithmetic in the same order as one scalar density per
+    # (point, kernel) averaged by np.mean, so tpe_suggest's argmax cannot move
+    rng = np.random.default_rng(seed)
+    lo, hi = -width, 2 * width
+    centres = rng.uniform(lo, hi, size=kernels).tolist()
+    x = rng.uniform(lo, hi, size=points)
+    sigma = 3 * width / math.sqrt(kernels)
+    got = _kernel_density(x, centres, sigma, lo, hi)
+    want = [np.mean([trunc_norm_pdf(v, mu, sigma, lo, hi) for mu in centres])
+            for v in x.tolist()]
+    assert got.tolist() == want
 
 
 def test_tpe_startup_uniform_deterministic():

@@ -35,20 +35,22 @@ from rydock.simulator import (
     PHI_MAX,
     PHI_OMEGA,
     SMALL_GROUP_MAX_ATOMS,
-    SMALL_GROUPS_FROM,
     StateVector,
     _groups,
+    _signed_index,
     bitstrings,
     drive_factor,
+    drive_table,
     evolve,
     exact_distribution,
     group_sizes,
     interaction_diagonal,
     measure,
     occupation_diagonal,
-    rotation_table,
     substep_counts,
 )
+import measure_groups
+from complex_drive_reference import complex_evolve
 from taylor_reference import DENSE_MAX_ATOMS, THETA_MAX, _step_operator, taylor_evolve
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -471,6 +473,12 @@ def _rotation(theta):
                      [-1j * math.sin(theta), math.cos(theta)]])
 
 
+def _reflection(theta):
+    """G(theta), with R(theta) = S G(theta) S and S = diag(1, -i)."""
+    return np.array([[math.cos(theta), math.sin(theta)],
+                     [math.sin(theta), -math.cos(theta)]])
+
+
 def _state(n, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -478,7 +486,12 @@ def _state(n, seed):
 
 
 def _factors(theta, n):
-    return [rotation_table(theta, m).take(ham) for m, ham in _groups(n)]
+    return [drive_table(theta, m).take(index) for m, index in _groups(n)]
+
+
+def real_drive(psi, theta, n):
+    """G(theta)^{(x)n} psi through `drive_factor` on the interleaved floats."""
+    return drive_factor(psi.view(float), _factors(theta, n)).view(complex)
 
 
 _angles = st.floats(-10.0, 10.0, allow_nan=False)
@@ -489,14 +502,26 @@ _angles = st.floats(-10.0, 10.0, allow_nan=False)
 def test_grouped_drive_factor_equals_kron(n, theta, seed):
     dense = np.ones((1, 1))
     for _ in range(n):
-        dense = np.kron(_rotation(theta), dense)
+        dense = np.kron(_reflection(theta), dense)
     psi = _state(n, seed)
-    assert np.abs(drive_factor(psi, _factors(theta, n)) - dense @ psi).max() < 1e-12
+    assert np.abs(real_drive(psi, theta, n) - dense @ psi).max() < 1e-12
 
 
-def per_atom_drive(psi, n, theta):
-    """R(theta)^{(x)n} psi as n 2x2 rotations, one per atom axis."""
-    rot = _rotation(theta)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), theta=_angles)
+def test_phased_real_factor_equals_the_rotation(n, theta):
+    # S_n G^{(x)n} S_n = R^{(x)n} with S_n = diag((-i)^popcount), for the table
+    # gathered over the signed index
+    dense = np.ones((1, 1))
+    for _ in range(n):
+        dense = np.kron(_rotation(theta), dense)
+    d = (-1j) ** np.array([bin(i).count("1") for i in range(1 << n)])
+    g = drive_table(theta, n).take(_signed_index(n, False))
+    assert np.abs(d[:, None] * g * d - dense).max() < 1e-12
+
+
+def per_atom_drive(psi, n, rot):
+    """rot^{(x)n} psi as n 2x2 products, one per atom axis."""
     for k in range(n):
         psi = np.einsum("ab,hbl->hal", rot, psi.reshape(-1, 2, 1 << k)).reshape(-1)
     return psi
@@ -507,21 +532,24 @@ def per_atom_drive(psi, n, theta):
 def test_grouped_drive_factor_equals_per_atom_rotations(n, theta, seed):
     # every partition up to the cap, with the order rotating through the groups
     psi = _state(n, seed)
-    want = per_atom_drive(psi, n, theta)
-    assert np.abs(drive_factor(psi, _factors(theta, n)) - want).max() < 1e-12
+    want = per_atom_drive(psi, n, _reflection(theta))
+    assert np.abs(real_drive(psi, theta, n) - want).max() < 1e-12
 
 
 def test_partition_covers_the_atoms_in_order():
     for n in range(1, ATOM_CAP + 1):
         sizes = group_sizes(n)
-        cap = GROUP_MAX_ATOMS if n < SMALL_GROUPS_FROM else SMALL_GROUP_MAX_ATOMS
+        cap = n if n <= GROUP_MAX_ATOMS else SMALL_GROUP_MAX_ATOMS
         assert sum(sizes) == n and min(sizes) >= 1 and max(sizes) <= cap
         assert len(sizes) == -(-n // cap)  # as few groups as the cap allows
-        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) - min(sizes) <= 1 and list(sizes) == sorted(sizes)
         assert [m for m, _ in _groups(n)] == list(sizes)
-        for m, ham in _groups(n):
-            assert ham.shape == (1 << m, 1 << m)
-    assert group_sizes(10) == (5, 5) and group_sizes(11) == (4, 4, 3)
+        for g, (m, index) in enumerate(_groups(n)):
+            # with several groups the lowest one carries the re/im axis
+            size = 2 << m if g == 0 and len(sizes) > 1 else 1 << m
+            assert index.shape == (size, size)
+    assert group_sizes(6) == (6,) and group_sizes(7) == (3, 4)
+    assert group_sizes(10) == (3, 3, 4) and group_sizes(11) == (3, 4, 4)
     assert group_sizes(12) == (4, 4, 4) and group_sizes(16) == (4, 4, 4, 4)
 
 
@@ -547,7 +575,7 @@ def test_split_substep_preserves_norm(n, theta, seed, s):
     psi = _state(n, seed)
     diag = np.random.default_rng(seed).uniform(-3000.0, 3000.0, size=1 << n)
     half = np.exp(-0.5j * s * diag)
-    out = half * drive_factor(half * psi, _factors(theta, n))
+    out = half * real_drive(half * psi, theta, n)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -627,6 +655,33 @@ def test_split_error_across_the_rabi_band():
                 ref = taylor_evolve(emb.register, seq, DEV, dt=dt).amplitudes
                 got = evolve(emb.register, seq, DEV, dt=dt).amplitudes
                 assert _tv(got, ref) <= {4.0: 2e-4, 8.0: 3e-4}[dt]
+
+
+def test_evolve_matches_the_complex_group_drive():
+    # the real factor with sigma folded into the phase and i^popcount at the
+    # end, against complex R(theta) group products between plain half-phases,
+    # on one to three groups; corpus pulses are drawn in corpus order
+    names = {"triangle-0-s6", "hexagon-0-s7.25", "hexagon-1-s6", "hexagon-4-s9.75"}
+    rng = np.random.default_rng(11)
+    cases = [(line_register(0.0), simple_sequence(
+        SimpleParams(omega=4.0, delta=3.0, time=1000.0), DEV.omega_max, DEV.delta_abs_max))]
+    for entry in generate_corpus(DEV):
+        seq = _random_complex_pulse(entry.embedding, rng)
+        if entry.name in names:
+            cases.append((entry.embedding.register, seq))
+    assert sorted(reg.n for reg, _ in cases) == [1, 3, 6, 7, 12]
+    for reg, seq in cases:
+        for dt in (4.0, 8.0):
+            got = evolve(reg, seq, DEV, dt=dt).amplitudes
+            assert np.abs(got - complex_evolve(reg, seq, DEV, dt)).max() <= 1e-12
+
+
+def test_measure_groups_script_runs(capsys):
+    # the timing scan behind the partition drives evolve's internals
+    measure_groups.main(["--atoms", "7", "--per-size", "1", "--repeats", "1"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert {row.split()[2] for row in rows} == {"4", "8"}
+    assert sum(row.endswith("*") for row in rows) == 2
 
 
 def test_norm_preserved():
