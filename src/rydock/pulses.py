@@ -10,7 +10,6 @@ in the package; it is asserted by the evolution tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -140,23 +139,6 @@ class PulseSequence:
     def total_duration(self) -> float:
         return float(sum(s.duration for s in self.segments))
 
-    def segment_at(self, t: float):
-        """Segment containing global time t, with t mapped to segment-local."""
-        left = 0.0
-        for seg in self.segments:
-            if t <= left + seg.duration or seg is self.segments[-1]:
-                return seg, t - left
-            left += seg.duration
-        raise InputError(f"time {t} outside sequence")
-
-    def omega_at(self, t: float) -> float:
-        seg, tl = self.segment_at(t)
-        return float(seg.omega.sample(tl))
-
-    def delta_at(self, t: float) -> float:
-        seg, tl = self.segment_at(t)
-        return float(seg.delta.sample(tl))
-
     def validate(self, omega_max: float, delta_abs_max: float,
                  coherence_ns: float = DEFAULT_COHERENCE_NS):
         """Check hardware envelopes: non-negative Rabi within omega_max,
@@ -249,17 +231,3 @@ def complex_sequence(params: ComplexParams, omega_max: float, delta_abs_max: flo
     )
     return PulseSequence(segments=(rise, fall))
 
-
-def dump_sequence(seq: PulseSequence, path, resolution_ns: float = 4.0,
-                  meta: dict | None = None):
-    """Write sampled (t, omega, delta) triples at fixed resolution."""
-    total = seq.total_duration
-    ts = np.arange(0.0, total + resolution_ns / 2, resolution_ns)
-    ts[-1] = min(ts[-1], total)
-    samples = [[float(t), float(seq.omega_at(t)), float(seq.delta_at(t))] for t in ts]
-    doc = {"duration_ns": total, "resolution_ns": resolution_ns, "samples": samples}
-    if meta is not None:
-        doc["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -176,7 +176,9 @@ def _induced_pairs(reg: Register, radius: float) -> tuple:
     return tuple(pair for pair, d in reg.pair_distances().items() if d < radius)
 
 
-def _band_from_partition(reg: Register, intended: set, dev: DeviceParams) -> tuple:
+def _rabi_band(reg: Register, intended: set, dev: DeviceParams) -> tuple:
+    """Rabi band (omega_min, omega_max] that keeps every intended pair inside
+    the blockade disk and every other pair outside it; raises when empty."""
     dists = reg.pair_distances()
     edge_d = [d for pair, d in dists.items() if frozenset(pair) in intended]
     nonedge_d = [d for pair, d in dists.items() if frozenset(pair) not in intended]
@@ -184,6 +186,10 @@ def _band_from_partition(reg: Register, intended: set, dev: DeviceParams) -> tup
     if edge_d:
         hi = min(hi, interaction(max(edge_d), dev))
     lo = interaction(min(nonedge_d), dev) if nonedge_d else 0.0
+    if lo * BAND_MARGIN >= hi:
+        raise InfeasibilityError(
+            f"empty Rabi band: omega_min {lo:.4g} vs omega_max {hi:.4g}"
+        )
     return lo, hi
 
 
@@ -193,12 +199,7 @@ def omega_bounds(emb: Embedding, dev: DeviceParams) -> tuple:
     omega_max keeps every intended edge inside the blockade disk; omega_min
     keeps every intended non-edge outside it. Raises when the band is empty.
     """
-    intended = {frozenset(e) for e in emb.induced_edges}
-    lo, hi = _band_from_partition(emb.register, intended, dev)
-    if lo * BAND_MARGIN >= hi:
-        raise InfeasibilityError(
-            f"empty Rabi band: omega_min {lo:.4g} vs omega_max {hi:.4g}"
-        )
+    lo, hi = _rabi_band(emb.register, {frozenset(e) for e in emb.induced_edges}, dev)
     return float(lo), float(hi)
 
 
@@ -214,11 +215,7 @@ def _embedding_for(reg: Register, dev: DeviceParams, spacing: float,
         raise InfeasibilityError(
             f"atoms closer than the {dev.min_spacing} um hardware minimum"
         )
-    lo, hi = _band_from_partition(reg, intended, dev)
-    if lo * BAND_MARGIN >= hi:
-        raise InfeasibilityError(
-            f"empty Rabi band: omega_min {lo:.4g} vs omega_max {hi:.4g}"
-        )
+    lo, hi = _rabi_band(reg, intended, dev)
     radius = blockade_radius(_band_omega(lo, hi), dev)
     induced = _induced_pairs(reg, radius)
     if {frozenset(e) for e in induced} != intended:
@@ -267,34 +264,16 @@ def embedding_from_positions(positions, dev: DeviceParams, ids=None, weights=Non
     if spacing <= 0:
         spacing = reg.min_distance() if n > 1 else dev.min_spacing
 
-    if graph is not None:
-        # Edges longer than the chain threshold are routed through ancilla
-        # chains instead of being demanded of the bare disk rule.
-        index = {v: k for k, v in enumerate(ids)}
-        direct, linked = set(), set()
-        for (u, v) in graph.edges:
-            i, j = sorted((index[u], index[v]))
-            d = math.hypot(positions[i][0] - positions[j][0],
-                           positions[i][1] - positions[j][1])
-            (linked if d > LINK_CUT * spacing else direct).add((i, j))
-        if n == 1:
-            reg = Register(atoms=atoms, origin_graph=graph)
-            return Embedding(
-                register=reg,
-                blockade_radius=blockade_radius(dev.omega_max, dev),
-                induced_edges=(),
-                spacing=spacing,
-            )
-        return _assemble(graph, dev, positions, direct, linked, spacing)
-
-    cut = GEOMETRIC_EDGE_FACTOR * (reg.min_distance() if n > 1 else spacing)
-    intended = {frozenset(p) for p, d in reg.pair_distances().items() if d <= cut}
-    order = {v: k for k, v in enumerate(ids)}
-    edges = [tuple(sorted(e, key=order.get)) for e in intended]
-    graph = WeightedGraph.from_parts(
-        ids, edges, weights=weights,
-        positions=[(a.x, a.y) for a in atoms],
-    )
+    intended = None
+    if graph is None:
+        cut = GEOMETRIC_EDGE_FACTOR * (reg.min_distance() if n > 1 else spacing)
+        intended = {frozenset(p) for p, d in reg.pair_distances().items() if d <= cut}
+        order = {v: k for k, v in enumerate(ids)}
+        edges = [tuple(sorted(e, key=order.get)) for e in intended]
+        graph = WeightedGraph.from_parts(
+            ids, edges, weights=weights,
+            positions=[(a.x, a.y) for a in atoms],
+        )
     reg = Register(atoms=atoms, origin_graph=graph)
     if n == 1:
         return Embedding(
@@ -303,7 +282,18 @@ def embedding_from_positions(positions, dev: DeviceParams, ids=None, weights=Non
             induced_edges=(),
             spacing=spacing,
         )
-    return _embedding_for(reg, dev, spacing, intended)
+    if intended is not None:
+        return _embedding_for(reg, dev, spacing, intended)
+    # Edges longer than the chain threshold are routed through ancilla
+    # chains instead of being demanded of the bare disk rule.
+    index = {v: k for k, v in enumerate(ids)}
+    direct, linked = set(), set()
+    for (u, v) in graph.edges:
+        i, j = sorted((index[u], index[v]))
+        d = math.hypot(positions[i][0] - positions[j][0],
+                       positions[i][1] - positions[j][1])
+        (linked if d > LINK_CUT * spacing else direct).add((i, j))
+    return _assemble(graph, dev, positions, direct, linked, spacing)
 
 
 def _relax(pos, springs, repel, spacing, iters=LAYOUT_ITERS):
@@ -392,21 +382,10 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
         raise InputError("cannot lay out an empty graph")
     if spacing < dev.min_spacing:
         raise InputError(f"spacing {spacing} below hardware minimum {dev.min_spacing}")
-    if g.positions is not None:
+    if g.positions is not None or g.n == 1:
         return embedding_from_positions(
-            g.positions, dev, ids=g.vertex_ids, weights=g.weights,
-            spacing=spacing, graph=g,
-        )
-    if g.n == 1:
-        reg = Register(
-            atoms=(Atom(id=g.vertex_ids[0], x=0.0, y=0.0, detuning_weight=g.weights[0]),),
-            origin_graph=g,
-        )
-        return Embedding(
-            register=reg,
-            blockade_radius=blockade_radius(dev.omega_max, dev),
-            induced_edges=(),
-            spacing=spacing,
+            g.positions if g.positions is not None else [(0.0, 0.0)], dev,
+            ids=g.vertex_ids, weights=g.weights, spacing=spacing, graph=g,
         )
 
     index = {v: k for k, v in enumerate(g.vertex_ids)}

@@ -28,7 +28,7 @@ h = popcount(r ^ c), so a step's group matrix is one gather of a real table
 
 The state is interleaved float64 (re, im per amplitude); the phase multiplies
 its complex view. G^{(x)N} runs in Kronecker groups, lowest atoms first: one
-up to GROUP_MAX_ATOMS = 6 atoms, else near-equal groups of at most
+up to GROUP_MAX_ATOMS = 5 atoms, else near-equal groups of at most
 SMALL_GROUP_MAX_ATOMS = 4, smaller ones lowest. One group is
 G.dot(f.reshape(2^N, 2)). Otherwise each group is F.dot(f.reshape(-1,
 len(F)).T), which acts on the group in the lowest bits and writes it out as
@@ -36,23 +36,40 @@ the highest; the lowest group's F is G^{(x)m} (x) I_2, so the re/im axis rides
 the rotation as one more bit, and after the last group the layout is
 canonical again. The detuning phase factorises over the groups.
 
+Preparation is batched. evolve walks each stretch of steps with equal nsub in
+chunks and prepares a chunk at once: each group's matrices are one gather,
+table[c0:c1].take(index, axis=1), and the phases are one vectorised build of
+the chunk's first-sub-step rows (each merging the previous sub-step's
+trailing half) and, when nsub > 1, one of its repeated rows; a constant
+detuning builds one row. The step loop then only multiplies. A chunk holds at
+most CHUNK_FLOATS = 2^16 floats (512 KiB) of matrices and rows, or one step's
+where that is more (from 14 atoms), so memory does not grow with the schedule.
+
 Partition, timed by tests/measure_groups.py on 2 vCPUs with one BLAS thread:
-the sum over the registers of each size (at most 10 per size for 5-6 atoms;
-13-16 atoms: one 4 x 4 grid register each) of the median evolve time, as a
-speed-up over near-equal groups of at most 6 atoms, larger ones lowest, at
-dt 4 / dt 8:
+the sum over the registers of each size (at most 10 per size; 13-16 atoms: one
+4 x 4 grid register each) of the median evolve time, as a speed-up over
+near-equal groups of at most 6 atoms, larger ones lowest, at dt 4 / dt 8
+(3 repeats; 7 for 13-16 atoms):
 
     atoms  partition  speed-up     other
-      5    5          1.00 / 1.00  2+3: 0.68 / 0.66
-      6    6          1.00 / 1.00  3+3: 0.91 / 0.85
-      7    3+4        1.04 / 1.01  4+3: 1.00 / 1.00; 7: 0.66 / 0.76
-      9    3+3+3      1.04 / 1.02  4+5: 1.12 / 1.11
-     10    3+3+4      1.14 / 1.15  4+3+3: 1.12 / 1.12
-     11    3+4+4      1.68 / 1.70  4+4+3: 1.61 / 1.59
-     12    4+4+4      1.71 / 1.69  3+3+3+3: 1.64 / 1.62
-     13    3+3+3+4    1.06 / 1.03  4+4+5: 1.07 / 1.06
-     14    3+3+4+4    1.16 / 1.16  4+4+3+3: 1.13 / 1.12
-     16    4+4+4+4    1.20 / 1.19  5+5+6: 1.08 / 1.09
+      3    3          1.00 / 1.00  2+1: 0.60 / 0.67
+      4    4          1.00 / 1.00  2+2: 0.72 / 0.66
+      5    5          1.00 / 1.00  2+3: 0.87 / 0.83
+      6    3+3        1.15 / 1.07  fixture docking register: 1.50 / 1.56
+      7    3+4        0.99 / 0.99  4+3: 1.00 / 1.00; 7: 0.61 / 0.77
+      8    4+4        1.00 / 1.00  2+3+3: 0.88 / 0.87
+      9    3+3+3      1.16 / 1.08  4+5: 1.19 / 1.16
+     10    3+3+4      1.16 / 1.13  4+3+3: 1.10 / 1.07
+     11    3+4+4      1.94 / 1.76  4+4+3: 1.82 / 1.73
+     12    4+4+4      1.93 / 1.80  3+3+3+3: 1.74 / 1.71
+     13    3+3+3+4    1.07 / 1.00  4+4+5: 1.08 / 1.05
+     14    3+3+4+4    1.11 / 0.89  4+4+3+3: 0.99 / 1.14; 4+5+5: 1.12 / 0.93
+     15    3+4+4+4    1.06 / 1.05  4+4+4+3: 1.10 / 1.05
+     16    4+4+4+4    1.19 / 1.09  5+5+6: 0.99 / 0.95
+
+The 13-16 atom rows are one register each and differ within its noise. At 9
+atoms 4+5 is faster, but it moves corpus amplitudes by up to 1.7e-13 against
+3+3+3, so the rule keeps 3+3+3 there.
 
 Sub-steps. g = max_k (sum_j U_kj + max|delta| w_k) bounds the energy change
 of one atom flip over the segment. The leading splitting error terms, the
@@ -101,8 +118,10 @@ PHI_MAX = 0.15
 PHI_OMEGA = 0.06
 OMEGA_EXPONENT = 0.75
 # One Kronecker group up to GROUP_MAX_ATOMS, else at most SMALL_GROUP_MAX_ATOMS.
-GROUP_MAX_ATOMS = 6
+GROUP_MAX_ATOMS = 5
 SMALL_GROUP_MAX_ATOMS = 4
+# Floats of the group matrices and phase rows that evolve prepares at a time.
+CHUNK_FLOATS = 1 << 16
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -225,7 +244,35 @@ def drive_factor(f: np.ndarray, factors) -> np.ndarray:
     if len(factors) == 1:
         return factors[0].dot(f.reshape(-1, 2)).reshape(-1)
     for factor in factors:
-        f = factor.dot(f.reshape(-1, len(factor)).T).reshape(-1)
+        f = factor.dot(f.reshape(-1, len(factor)).T)
+    return f.reshape(-1)
+
+
+def _phase_rows(u, iocc, d):
+    """The rows u exp(i d occ), one per entry of `d`; a constant `d` builds
+    one row and repeats it. exp(i d occ) is an outer product over the groups,
+    whose i w.n parts `iocc` come top group first."""
+    steps = len(d)
+    if (d == d[:1]).all():
+        d = d[:1]
+    out = np.exp(d[:, None] * iocc[0])
+    for col in iocc[1:]:
+        out = (out[:, :, None] * np.exp(d[:, None] * col)[:, None, :]).reshape(
+            len(d), out.shape[1] * len(col))
+    np.multiply(u, out, out=out)  # in place, in u * out's operand order and rounding
+    return out if len(d) == steps else [out[0]] * steps
+
+
+def _substeps(f, nsub, firsts, repeats, mats):
+    """Run a chunk's steps on the interleaved state `f`: per step, nsub times
+    a phase row (its first row, then its repeated one) and the drive through
+    its group matrices."""
+    for phase, repeat, factors in zip(firsts, repeats, zip(*mats)):
+        for _ in range(nsub):
+            psi = f.view(np.complex128)
+            psi *= phase
+            f = drive_factor(f, factors)
+            phase = repeat
     return f
 
 
@@ -263,20 +310,7 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     iocc = [1j * occ[np.arange(1 << m) << lo] for (m, _), lo in zip(groups, lows)][::-1]
     # one flip of atom k changes U by at most sum_j U_kj (U >= 0)
     flip_gap = inter[-1] - inter[(dim - 1) ^ (1 << np.arange(n))]
-    # sigma exp(-i t U) of the last t, which changes only between stretches,
-    # and the phase of the last (t, d), which repeats while delta is constant
-    u_cache, cache = [None, None], [None, None]
-
-    def diagonal_phase(t, d):
-        """sigma exp(-i (t U - d occ)); the occ part is an outer product."""
-        if (t, d) != cache[0]:
-            if t != u_cache[0]:
-                u_cache[:] = t, sign * np.exp(-1j * t * inter)
-            out = np.exp(d * iocc[0])
-            for col in iocc[1:]:
-                out = np.multiply.outer(out, np.exp(d * col)).reshape(-1)
-            cache[:] = (t, d), u_cache[1] * out
-        return cache[1]
+    mat_floats = sum(index.size for _, index in groups)
 
     f = np.zeros(2 * dim)  # the state's interleaved re/im floats
     f[0] = 1.0
@@ -292,26 +326,39 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
         tau = seg.duration / steps * 1e-3  # ns -> us
         gap = float(np.max(flip_gap + np.abs(deltas).max() * np.abs(weights)))
         nsubs = substep_counts(tau, gap, omegas, dev.omega_max)
-        tables = [drive_table(omegas * (0.5 * tau / nsubs), m) for m, _ in groups]
+        halves = 0.5 * tau / nsubs
+        dhalves = deltas * halves
+        # a first sub-step also applies the previous sub-step's trailing half
+        d_firsts = np.append(d_pend, dhalves[:-1]) + dhalves
+        tables = [drive_table(omegas * halves, m) for m, _ in groups]
         # the steps run in stretches of equal nsub, a handful per segment
         ends = (np.flatnonzero(np.diff(nsubs)) + 1).tolist() + [steps]
         for start, end in zip([0] + ends[:-1], ends):
             nsub = int(nsubs[start])
             half = 0.5 * tau / nsub
-            for k in range(start, end):
-                de = float(deltas[k])
-                factors = [t[k].take(index) for t, (_, index) in zip(tables, groups)]
-                for j in range(nsub):
-                    t_pend += half
-                    d_pend += de * half
-                    if j < 2:  # from the second sub-step on, the phase repeats
-                        phase = diagonal_phase(t_pend, d_pend)
-                    psi = f.view(np.complex128)
-                    psi *= phase
-                    f = drive_factor(f, factors)
-                    t_pend, d_pend = half, de * half
+            # sigma exp(-i t U) of every phase but the stretch's first, t = 2 half
+            u = sign * np.exp(-1j * (half + half) * inter)
+            # steps whose group matrices and one or two phase rows fit the budget
+            chunk = max(1, CHUNK_FLOATS // (mat_floats + 2 * dim * min(nsub, 2)))
+            for c0 in range(start, end, chunk):
+                c1 = min(c0 + chunk, end)
+                mats = [t[c0:c1].take(index, axis=1) for t, (_, index) in zip(tables, groups)]
+                if t_pend == half:
+                    firsts = _phase_rows(u, iocc, d_firsts[c0:c1])
+                else:  # a stretch's first step: the trailing half has another width
+                    carry = sign * np.exp(-1j * (t_pend + half) * inter)
+                    firsts = [*_phase_rows(carry, iocc, d_firsts[c0:c0 + 1]),
+                              *_phase_rows(u, iocc, d_firsts[c0 + 1:c1])]
+                lead = dhalves[c0:c1]
+                repeats = _phase_rows(u, iocc, lead + lead) if nsub > 1 else firsts
+                f = _substeps(f, nsub, firsts, repeats, mats)
+                t_pend, d_pend = half, float(lead[-1])
+                del mats, firsts, repeats  # freed before the next chunk's are built
     # sigma S_N = i^popcount turns the sigma-phased G products into R products
-    psi = f.view(np.complex128) * diagonal_phase(t_pend, d_pend) * _I_POWERS[pop & 3]
+    last = _phase_rows(sign * np.exp(-1j * t_pend * inter), iocc, np.array([d_pend]))[0]
+    psi = f.view(np.complex128)
+    psi *= last
+    psi *= _I_POWERS[pop & 3]
 
     drift = abs(np.linalg.norm(psi) - 1.0)
     if drift > DRIFT_LIMIT:

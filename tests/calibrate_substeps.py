@@ -2,7 +2,7 @@
 
 Run from the repository root (several minutes on two cores):
 
-    PYTHONPATH=src:tests python tests/calibrate_substeps.py [--jobs 2] [--grid]
+    PYTHONPATH=src:tests python tests/calibrate_substeps.py [--jobs 2] [--grid] [--only NAME]
 
 Registers: all 125 corpus registers (`generate_corpus`). Pulses, two per
 register: one uniform complex pulse, its parameters drawn in
@@ -127,9 +127,12 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--jobs", type=int, default=1, help="worker processes")
     ap.add_argument("--grid", action="store_true", help="also scan the exponent/budget grid")
+    ap.add_argument("--only", default=None, help="scan this corpus register alone")
     args = ap.parse_args(argv)
     rule_list = rules(args.grid)
-    cases = pulses()
+    cases = [case for case in pulses() if args.only in (None, case[0])]
+    if not cases:
+        ap.error(f"no corpus register named {args.only}")
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=args.jobs, mp_context=ctx) as pool:
         results = list(pool.map(scan_one, cases, [rule_list] * len(cases)))

@@ -3,42 +3,46 @@
 Run from the repository root with one BLAS thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/measure_groups.py \
-        [--atoms 7-16] [--repeats 5] [--per-size 0]
+        [--atoms 3-16] [--repeats 5] [--per-size 0] [--only NAME]
 
-Registers: the corpus registers of 7-12 atoms (`generate_corpus`, at most
+Registers: the corpus registers of 3-12 atoms (`generate_corpus`, at most
 `--per-size` of each size, 0 for all), each with one uniform complex pulse
 drawn in `search_space(..., "complex")` with `default_rng(11)` in corpus
 order and clamped, as in `calibrate_substeps.py`. The corpus stops at 12
 atoms, so 13-16 atoms are the first n sites of a 4 x 4 square grid at 9.75
-um with the next draws of the same generator.
+um with the next draws of the same generator. The 6-atom register that
+`dock` -> `embed --seed 1` builds from the fixture molecules is a set of its
+own, with a pulse from a fresh `default_rng(11)`; `--only fixture` times it
+alone.
 
-Partitions: near-equal groups of at most c atoms for c = 3..7 (`sizes`),
-smaller ones lowest as `group_sizes` puts them and also larger ones lowest,
-one row per distinct partition. Every variant evolves every pulse at dt 4
-and 8 ns, the variants alternating within each repeat; printed is the sum
-over the registers of each variant's median time, and the speed-up over
-groups of at most 6, larger ones lowest. `*` marks the partition `evolve`
-uses. Output on 2 vCPUs with one BLAS thread, --repeats 5 (excerpt):
+Partitions: near-equal groups of at most c atoms for c = 2..7, at most four
+groups (`sizes`), smaller ones lowest as `group_sizes` puts them and also
+larger ones lowest, one row per distinct partition. Every variant evolves
+every pulse at dt 4 and 8 ns, the variants alternating within each repeat;
+printed is the sum over the set's registers of each variant's median time,
+and the speed-up over groups of at most 6, larger ones lowest. `*` marks the
+partition `evolve` uses. Output on 2 vCPUs with one BLAS thread, --per-size
+10 --repeats 3 (excerpt):
 
-    atoms  regs  dt  partition  ms/evolve  vs 6-cap
-        7     5   4  3+2+2         105.91    0.80
-        7     5   4  4+3            84.22    1.00
-        7     5   4  3+4            80.80    1.04 *
-        7     5   4  7             127.01    0.66
-       10    20   4  3+3+2+2       559.72    0.99
-       10    20   4  4+3+3         494.94    1.12
-       10    20   4  3+3+4         488.75    1.14 *
-       10    20   4  5+5           556.25    1.00
-       11     5   4  4+4+3         275.43    1.61
-       11     5   4  3+4+4         264.02    1.68 *
-       11     5   4  6+5           443.34    1.00
-       12    10   4  3+3+3+3       459.41    1.64
-       12    10   4  4+4+4         438.46    1.71 *
-       12    10   4  6+6           751.95    1.00
+    atoms  set      regs  dt  partition  ms/evolve  vs 6-cap
+        5  corpus     5   4  2+3            68.99    0.87
+        5  corpus     5   4  5              60.26    1.00 *
+        6  corpus    10   4  2+2+2         115.42    0.96
+        6  corpus    10   4  3+3            96.16    1.15 *
+        6  corpus    10   4  6             110.80    1.00
+        6  corpus    10   8  3+3            70.52    1.07 *
+        6  corpus    10   8  6              75.62    1.00
+        6  fixture    1   4  3+3             5.30    1.50 *
+        6  fixture    1   4  6               7.93    1.00
+        9  corpus    10   8  3+3+3         274.69    1.08 *
+        9  corpus    10   8  5+4           297.02    1.00
+        9  corpus    10   8  4+5           255.90    1.16
+       12  corpus    10   4  3+3+3+3      1064.41    1.74
+       12  corpus    10   4  4+4+4         959.43    1.93 *
+       12  corpus    10   4  6+6          1854.72    1.00
 
 The simulator's module docstring tabulates the speed-ups at dt 4 and 8; a
-full scan of 7-16 atoms takes several minutes. With `--atoms 5-6
---per-size 10`, one group reads 1.00 against 0.65-0.91 for two groups.
+full scan of 3-16 atoms takes several minutes.
 """
 
 from __future__ import annotations
@@ -46,18 +50,24 @@ from __future__ import annotations
 import argparse
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 
 from rydock import simulator
+from rydock.cli import DEFAULTS
+from rydock.docking import build_binding_graph, default_table, load_molecule
+from rydock.graphs import complement
 from rydock.mlqaa.dataset import generate_corpus
 from rydock.optimize import search_space, sequence_for
-from rydock.register import DeviceParams, embedding_from_positions
+from rydock.register import DeviceParams, embedding_from_positions, layout
 
 DEV = DeviceParams()
 DTS = (4.0, 8.0)
-CAPS = (3, 4, 5, 6, 7)
+CAPS = (2, 3, 4, 5, 6, 7)
+MAX_GROUPS = 4
 GRID_SPACING = 9.75
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def sizes(n: int, cap: int) -> tuple:
@@ -72,21 +82,37 @@ def _pulse(emb, rng):
     return sequence_for(space.clamp(params), "complex", DEV)
 
 
-def cases(atoms: range, per_size: int, only: str | None) -> dict:
-    """{atom count: [(name, register, sequence)]}."""
+def fixture_embedding():
+    """The register of `dock` -> `embed --seed 1` on the fixture molecules."""
+    g = build_binding_graph(load_molecule(FIXTURES / "acetic_acid.json"),
+                            load_molecule(FIXTURES / "ethylene_glycol.json"),
+                            default_table(), tau=DEFAULTS["tau"])
+    return layout(complement(g), DEV, spacing=DEFAULTS["spacing"], seed=1)
+
+
+def cases(atoms: range, per_size: int, only: str | None) -> list:
+    """[(atom count, set, [(name, register, sequence)])]: the corpus registers
+    of each size (above 12 atoms the grid register), and the fixture docking
+    register as a set of its own."""
     rng = np.random.default_rng(11)
-    out = {n: [] for n in atoms}
+    corpus = {n: [] for n in atoms}
     for entry in generate_corpus(DEV):
         seq = _pulse(entry.embedding, rng)
         n = entry.embedding.register.n
-        if n in out and (only is None or entry.name == only):
-            out[n].append((entry.name, entry.embedding.register, seq))
+        if n in corpus and (only is None or entry.name == only):
+            corpus[n].append((entry.name, entry.embedding.register, seq))
     grid = [(GRID_SPACING * (k % 4), GRID_SPACING * (k // 4)) for k in range(16)]
     for n in atoms:
         if n > 12 and only is None:
             emb = embedding_from_positions(grid[:n], DEV, spacing=GRID_SPACING)
-            out[n].append((f"grid-{n}", emb.register, _pulse(emb, rng)))
-    return {n: (c[:per_size] if per_size else c) for n, c in out.items() if c}
+            corpus[n].append((f"grid-{n}", emb.register, _pulse(emb, rng)))
+    out = [(n, "corpus", regs[:per_size] if per_size else regs)
+           for n, regs in corpus.items() if regs]
+    emb = fixture_embedding()
+    if emb.register.n in corpus and only in (None, "fixture"):
+        seq = _pulse(emb, np.random.default_rng(11))
+        out.append((emb.register.n, "fixture", [("fixture", emb.register, seq)]))
+    return sorted(out, key=lambda case: case[0])
 
 
 def time_evolve(reg, seq, dt: float, partition: tuple) -> float:
@@ -102,17 +128,19 @@ def time_evolve(reg, seq, dt: float, partition: tuple) -> float:
 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--atoms", default="7-16", help="range of atom counts, e.g. 7-16")
+    ap.add_argument("--atoms", default="3-16", help="range of atom counts, e.g. 3-16")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--per-size", type=int, default=0,
                     help="registers per atom count (0: all)")
-    ap.add_argument("--only", default=None, help="time this corpus register alone")
+    ap.add_argument("--only", default=None,
+                    help="time this corpus register alone ('fixture': the docking register)")
     args = ap.parse_args(argv)
     lo, _, hi = args.atoms.partition("-")
     atoms = range(int(lo), int(hi or lo) + 1)
-    print("atoms  regs  dt  partition  ms/evolve  vs 6-cap")
-    for n, regs in cases(atoms, args.per_size, args.only).items():
-        variants = list(dict.fromkeys(v for c in CAPS for v in (sizes(n, c)[::-1], sizes(n, c))))
+    print("atoms  set      regs  dt  partition  ms/evolve  vs 6-cap")
+    for n, label, regs in cases(atoms, args.per_size, args.only):
+        variants = list(dict.fromkeys(v for c in CAPS if c * MAX_GROUPS >= n
+                                      for v in (sizes(n, c)[::-1], sizes(n, c))))
         for dt in DTS:
             for _, reg, seq in regs:
                 for v in variants:
@@ -126,11 +154,11 @@ def main(argv=None) -> None:
                         runs[v, name].append(time_evolve(reg, seq, dt, v))
             total = {v: sum(statistics.median(runs[v, name]) for name, _, _ in regs)
                      for v in variants}
-            base = total[sizes(n, simulator.GROUP_MAX_ATOMS)[::-1]]
+            base = sizes(n, 6)[::-1]
             for v in variants:
                 mark = " *" if v == simulator.group_sizes(n) else ""
-                print(f"{n:5d} {len(regs):5d} {dt:3.0f}  {'+'.join(map(str, v)):9s}"
-                      f"  {1e3 * total[v]:9.2f}  {base / total[v]:6.2f}{mark}", flush=True)
+                print(f"{n:5d}  {label:7s} {len(regs):4d} {dt:3.0f}  {'+'.join(map(str, v)):9s}"
+                      f"  {1e3 * total[v]:9.2f}  {total[base] / total[v]:6.2f}{mark}", flush=True)
 
 
 if __name__ == "__main__":

