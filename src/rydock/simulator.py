@@ -29,47 +29,32 @@ h = popcount(r ^ c), so a step's group matrix is one gather of a real table
 The state is interleaved float64 (re, im per amplitude); the phase multiplies
 its complex view. G^{(x)N} runs in Kronecker groups, lowest atoms first: one
 up to GROUP_MAX_ATOMS = 5 atoms, else near-equal groups of at most
-SMALL_GROUP_MAX_ATOMS = 4, smaller ones lowest. One group is
-G.dot(f.reshape(2^N, 2)). Otherwise each group is F.dot(f.reshape(-1,
-len(F)).T), which acts on the group in the lowest bits and writes it out as
-the highest; the lowest group's F is G^{(x)m} (x) I_2, so the re/im axis rides
-the rotation as one more bit, and after the last group the layout is
-canonical again. The detuning phase factorises over the groups.
+SMALL_GROUP_MAX_ATOMS = 4, smaller ones lowest. evolve keeps two state
+buffers, a and b, and builds their views once (`_plan`). One group is
+G.dot(x.reshape(2^N, 2)) into y.reshape(2^N, 2). Otherwise each group is
+F.dot(x.reshape(-1, len(F)).T) into y.reshape(len(F), -1), which acts on the
+group in the lowest bits and writes it out as the highest; the lowest group's
+F is G^{(x)m} (x) I_2, so the re/im axis rides the rotation as one more bit,
+and after the last group the layout is canonical again. Each product writes
+the other buffer, and the phase multiply writes a -> b for an odd group count
+and in place for an even one, so every sub-step starts and ends in a and is
+one np.multiply and one np.dot per group, each with out=, creating no array.
+The detuning phase factorises over the groups.
 
 Preparation is batched. evolve walks each stretch of steps with equal nsub in
 chunks and prepares a chunk at once: each group's matrices are one gather,
-table[c0:c1].take(index, axis=1), and the phases are one vectorised build of
-the chunk's first-sub-step rows (each merging the previous sub-step's
-trailing half) and, when nsub > 1, one of its repeated rows; a constant
-detuning builds one row. The step loop then only multiplies. A chunk holds at
-most CHUNK_FLOATS = 2^16 floats (512 KiB) of matrices and rows, or one step's
-where that is more (from 14 atoms), so memory does not grow with the schedule.
+table[c0:c1].take(index, axis=1), from one table per group size, and the
+phases are one vectorised build of the chunk's first-sub-step rows (each
+merging the previous sub-step's trailing half) and, when nsub > 1, one of its
+repeated rows; a constant detuning builds one row. The loop then runs the
+chunk's sub-steps as one flat sequence. A chunk holds at most CHUNK_FLOATS =
+2^16 floats (512 KiB) of matrices and rows, or one step's where that is more
+(from 14 atoms), so memory does not grow with the schedule.
 
-Partition, timed by tests/measure_groups.py on 2 vCPUs with one BLAS thread:
-the sum over the registers of each size (at most 10 per size; 13-16 atoms: one
-4 x 4 grid register each) of the median evolve time, as a speed-up over
-near-equal groups of at most 6 atoms, larger ones lowest, at dt 4 / dt 8
-(3 repeats; 7 for 13-16 atoms):
-
-    atoms  partition  speed-up     other
-      3    3          1.00 / 1.00  2+1: 0.60 / 0.67
-      4    4          1.00 / 1.00  2+2: 0.72 / 0.66
-      5    5          1.00 / 1.00  2+3: 0.87 / 0.83
-      6    3+3        1.15 / 1.07  fixture docking register: 1.50 / 1.56
-      7    3+4        0.99 / 0.99  4+3: 1.00 / 1.00; 7: 0.61 / 0.77
-      8    4+4        1.00 / 1.00  2+3+3: 0.88 / 0.87
-      9    3+3+3      1.16 / 1.08  4+5: 1.19 / 1.16
-     10    3+3+4      1.16 / 1.13  4+3+3: 1.10 / 1.07
-     11    3+4+4      1.94 / 1.76  4+4+3: 1.82 / 1.73
-     12    4+4+4      1.93 / 1.80  3+3+3+3: 1.74 / 1.71
-     13    3+3+3+4    1.07 / 1.00  4+4+5: 1.08 / 1.05
-     14    3+3+4+4    1.11 / 0.89  4+4+3+3: 0.99 / 1.14; 4+5+5: 1.12 / 0.93
-     15    3+4+4+4    1.06 / 1.05  4+4+4+3: 1.10 / 1.05
-     16    4+4+4+4    1.19 / 1.09  5+5+6: 0.99 / 0.95
-
-The 13-16 atom rows are one register each and differ within its noise. At 9
-atoms 4+5 is faster, but it moves corpus amplitudes by up to 1.7e-13 against
-3+3+3, so the rule keeps 3+3+3 there.
+Partition: tests/measure_groups.py times near-equal partitions into groups of
+2-7 atoms on the corpus registers and 13-16-atom placements, and prints the
+table; the rule is within 8% of the fastest at every size from 3 to 16 atoms
+at dt 4 and 8 (6 atoms: 3+3 runs 1.18 / 0.98 times a single group's speed).
 
 Sub-steps. g = max_k (sum_j U_kj + max|delta| w_k) bounds the energy change
 of one atom flip over the segment. The leading splitting error terms, the
@@ -102,6 +87,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -237,17 +223,6 @@ def drive_table(theta, m: int) -> np.ndarray:
     return np.concatenate([table, -table, np.zeros_like(theta)], axis=-1)
 
 
-def drive_factor(f: np.ndarray, factors) -> np.ndarray:
-    """f <- G(theta)^{(x)n} f on a state's interleaved re/im floats, given
-    each group's matrix (a `drive_table` row taken over its `_signed_index`),
-    lowest group first; see the module docstring for the layout."""
-    if len(factors) == 1:
-        return factors[0].dot(f.reshape(-1, 2)).reshape(-1)
-    for factor in factors:
-        f = factor.dot(f.reshape(-1, len(factor)).T)
-    return f.reshape(-1)
-
-
 def _phase_rows(u, iocc, d):
     """The rows u exp(i d occ), one per entry of `d`; a constant `d` builds
     one row and repeats it. exp(i d occ) is an outer product over the groups,
@@ -263,17 +238,30 @@ def _phase_rows(u, iocc, d):
     return out if len(d) == steps else [out[0]] * steps
 
 
-def _substeps(f, nsub, firsts, repeats, mats):
-    """Run a chunk's steps on the interleaved state `f`: per step, nsub times
-    a phase row (its first row, then its repeated one) and the drive through
-    its group matrices."""
-    for phase, repeat, factors in zip(firsts, repeats, zip(*mats)):
-        for _ in range(nsub):
-            psi = f.view(np.complex128)
-            psi *= phase
-            f = drive_factor(f, factors)
-            phase = repeat
-    return f
+def _plan(groups, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The fixed views of a sub-step that starts and ends in buffer `a`: the
+    phase multiply's complex input and output, and each group's (input,
+    output) float views. Each product writes the other buffer, and the phase
+    writes a -> b for an odd group count and in place for an even one."""
+    src = a if len(groups) % 2 == 0 else b
+    psi, out, views = a.view(np.complex128), src.view(np.complex128), []
+    for _, index in groups:
+        dst, k = (b if src is a else a), len(index)
+        views.append((src.reshape(-1, 2), dst.reshape(-1, 2)) if len(groups) == 1
+                     else (src.reshape(-1, k).T, dst.reshape(k, -1)))
+        src = dst
+    return psi, out, views
+
+
+def _substeps(plan, phases, factors):
+    """Run one sub-step per phase row and tuple of group matrices on a
+    `_plan`'s buffers: the phase multiply, then one GEMM per group."""
+    psi, out, views = plan
+    multiply, dot = np.multiply, np.dot
+    for phase, mats in zip(phases, factors):
+        multiply(psi, phase, out=out)
+        for mat, (x, y) in zip(mats, views):
+            dot(mat, x, out=y)
 
 
 def substep_counts(tau: float, gap: float, omegas: np.ndarray,
@@ -312,8 +300,9 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     flip_gap = inter[-1] - inter[(dim - 1) ^ (1 << np.arange(n))]
     mat_floats = sum(index.size for _, index in groups)
 
-    f = np.zeros(2 * dim)  # the state's interleaved re/im floats
-    f[0] = 1.0
+    a = np.zeros(2 * dim)  # the state's interleaved re/im floats, between sub-steps
+    a[0] = 1.0
+    plan = _plan(groups, a, np.empty_like(a))
     t_pend = d_pend = 0.0  # the last sub-step's trailing half, not yet applied
     for seg in seq.segments:
         if abs(seg.phase) > 1e-12:
@@ -330,7 +319,7 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
         dhalves = deltas * halves
         # a first sub-step also applies the previous sub-step's trailing half
         d_firsts = np.append(d_pend, dhalves[:-1]) + dhalves
-        tables = [drive_table(omegas * halves, m) for m, _ in groups]
+        tables = {m: drive_table(omegas * halves, m) for m in {size for size, _ in groups}}
         # the steps run in stretches of equal nsub, a handful per segment
         ends = (np.flatnonzero(np.diff(nsubs)) + 1).tolist() + [steps]
         for start, end in zip([0] + ends[:-1], ends):
@@ -342,7 +331,7 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
             chunk = max(1, CHUNK_FLOATS // (mat_floats + 2 * dim * min(nsub, 2)))
             for c0 in range(start, end, chunk):
                 c1 = min(c0 + chunk, end)
-                mats = [t[c0:c1].take(index, axis=1) for t, (_, index) in zip(tables, groups)]
+                mats = list(zip(*(tables[m][c0:c1].take(index, axis=1) for m, index in groups)))
                 if t_pend == half:
                     firsts = _phase_rows(u, iocc, d_firsts[c0:c1])
                 else:  # a stretch's first step: the trailing half has another width
@@ -351,12 +340,14 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
                               *_phase_rows(u, iocc, d_firsts[c0 + 1:c1])]
                 lead = dhalves[c0:c1]
                 repeats = _phase_rows(u, iocc, lead + lead) if nsub > 1 else firsts
-                f = _substeps(f, nsub, firsts, repeats, mats)
+                # each step's first phase row, then its repeated one nsub - 1 times
+                _substeps(plan, chain.from_iterable(zip(firsts, *[repeats] * (nsub - 1))),
+                          chain.from_iterable(zip(*[mats] * nsub)))
                 t_pend, d_pend = half, float(lead[-1])
                 del mats, firsts, repeats  # freed before the next chunk's are built
     # sigma S_N = i^popcount turns the sigma-phased G products into R products
     last = _phase_rows(sign * np.exp(-1j * t_pend * inter), iocc, np.array([d_pend]))[0]
-    psi = f.view(np.complex128)
+    psi = plan[0]
     psi *= last
     psi *= _I_POWERS[pop & 3]
 

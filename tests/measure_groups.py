@@ -9,11 +9,11 @@ Registers: the corpus registers of 3-12 atoms (`generate_corpus`, at most
 `--per-size` of each size, 0 for all), each with one uniform complex pulse
 drawn in `search_space(..., "complex")` with `default_rng(11)` in corpus
 order and clamped, as in `calibrate_substeps.py`. The corpus stops at 12
-atoms, so 13-16 atoms are the first n sites of a 4 x 4 square grid at 9.75
-um with the next draws of the same generator. The 6-atom register that
-`dock` -> `embed --seed 1` builds from the fixture molecules is a set of its
-own, with a pulse from a fresh `default_rng(11)`; `--only fixture` times it
-alone.
+atoms, so 13-16 atoms are the `placed` set: at each corpus spacing from 7.25
+um, a square grid and a scattered placement (`large_registers`), with the
+next draws of the same generator. The 6-atom register that `dock` -> `embed
+--seed 1` builds from the fixture molecules is a set of its own, with a pulse
+from a fresh `default_rng(11)`; `--only fixture` times it alone.
 
 Partitions: near-equal groups of at most c atoms for c = 2..7, at most four
 groups (`sizes`), smaller ones lowest as `group_sizes` puts them and also
@@ -21,28 +21,44 @@ larger ones lowest, one row per distinct partition. Every variant evolves
 every pulse at dt 4 and 8 ns, the variants alternating within each repeat;
 printed is the sum over the set's registers of each variant's median time,
 and the speed-up over groups of at most 6, larger ones lowest. `*` marks the
-partition `evolve` uses. Output on 2 vCPUs with one BLAS thread, --per-size
-10 --repeats 3 (excerpt):
+partition `evolve` uses. Output on 2 vCPUs with one BLAS thread, --atoms 3-16
+--per-size 10 --repeats 3, about 13 minutes (excerpt):
 
     atoms  set      regs  dt  partition  ms/evolve  vs 6-cap
-        5  corpus     5   4  2+3            68.99    0.87
-        5  corpus     5   4  5              60.26    1.00 *
-        6  corpus    10   4  2+2+2         115.42    0.96
-        6  corpus    10   4  3+3            96.16    1.15 *
-        6  corpus    10   4  6             110.80    1.00
-        6  corpus    10   8  3+3            70.52    1.07 *
-        6  corpus    10   8  6              75.62    1.00
-        6  fixture    1   4  3+3             5.30    1.50 *
-        6  fixture    1   4  6               7.93    1.00
-        9  corpus    10   8  3+3+3         274.69    1.08 *
-        9  corpus    10   8  5+4           297.02    1.00
-        9  corpus    10   8  4+5           255.90    1.16
-       12  corpus    10   4  3+3+3+3      1064.41    1.74
-       12  corpus    10   4  4+4+4         959.43    1.93 *
-       12  corpus    10   4  6+6          1854.72    1.00
+        5  corpus     5   4  2+3            54.49    0.82
+        5  corpus     5   4  5              44.64    1.00 *
+        6  corpus    10   4  2+2+2          90.48    1.07
+        6  corpus    10   4  3+3            81.57    1.18 *
+        6  corpus    10   4  6              96.54    1.00
+        6  corpus    10   8  3+3            71.47    0.98 *
+        6  corpus    10   8  6              70.11    1.00
+        6  fixture    1   4  3+3             4.15    1.64 *
+        6  fixture    1   4  6               6.79    1.00
+        6  fixture    1   8  3+3             2.54    1.31 *
+        7  corpus     5   4  4+3           150.94    1.00
+        7  corpus     5   4  3+4           158.21    0.95 *
+        7  corpus     5   8  4+3           124.76    1.00
+        7  corpus     5   8  3+4           130.05    0.96 *
+        9  corpus    10   4  3+3+3         237.51    1.34 *
+        9  corpus    10   4  4+5           264.72    1.21
+        9  corpus    10   8  3+3+3         217.16    1.20 *
+        9  corpus    10   8  4+5           220.24    1.18
+       12  corpus    10   4  3+3+3+3       783.15    1.90
+       12  corpus    10   4  4+4+4         804.78    1.85 *
+       12  corpus    10   8  4+4+4         679.86    1.94 *
+       12  corpus    10   8  6+6          1319.68    1.00
+       14  placed     8   4  3+3+4+4      2921.68    1.14 *
+       14  placed     8   4  4+5+5        2887.63    1.15
+       14  placed     8   8  4+4+3+3      1875.50    1.11
+       14  placed     8   8  3+3+4+4      2020.24    1.03 *
+       14  placed     8   8  4+5+5        1945.69    1.07
+       16  placed     8   4  4+4+4+4     14318.90    1.20 *
+       16  placed     8   8  4+4+4+4      9666.78    1.27 *
+       16  placed     8   8  5+5+6       11232.91    1.10
 
-The simulator's module docstring tabulates the speed-ups at dt 4 and 8; a
-full scan of 3-16 atoms takes several minutes.
+At 7 atoms 4+3 beats the rule's 3+4 by 1.5% at dt 4 and 4% at dt 8 in a
+9-repeat re-time. The rule keeps 3+4, since putting the smaller groups lowest
+wins at 10, 11, 13 and 15 atoms.
 """
 
 from __future__ import annotations
@@ -57,8 +73,9 @@ import numpy as np
 from rydock import simulator
 from rydock.cli import DEFAULTS
 from rydock.docking import build_binding_graph, default_table, load_molecule
+from rydock.errors import InfeasibilityError
 from rydock.graphs import complement
-from rydock.mlqaa.dataset import generate_corpus
+from rydock.mlqaa.dataset import SPACINGS, generate_corpus
 from rydock.optimize import search_space, sequence_for
 from rydock.register import DeviceParams, embedding_from_positions, layout
 
@@ -66,7 +83,6 @@ DEV = DeviceParams()
 DTS = (4.0, 8.0)
 CAPS = (2, 3, 4, 5, 6, 7)
 MAX_GROUPS = 4
-GRID_SPACING = 9.75
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
@@ -90,10 +106,46 @@ def fixture_embedding():
     return layout(complement(g), DEV, spacing=DEFAULTS["spacing"], seed=1)
 
 
+def scattered(n: int, spacing: float, seed: int) -> np.ndarray:
+    """n points drawn one at a time, uniform in a square of side 1.3 spacing
+    sqrt(n), each kept when no earlier point is nearer than `spacing`."""
+    rng = np.random.default_rng([n, seed])
+    side, pos = 1.3 * spacing * np.sqrt(n), []
+    while len(pos) < n:
+        p = rng.uniform(0.0, side, size=2)
+        if all(np.hypot(*(p - q)) >= spacing for q in pos):
+            pos.append(p)
+    return np.array(pos)
+
+
+def large_registers(n: int) -> list:
+    """[(name, embedding)] above the corpus's 12 atoms: at each corpus
+    spacing but the densest, the first n sites of a square grid of 4 columns
+    (5 at every other spacing), then a scattered placement, the first of
+    seeds 0, 1, ... whose Rabi band is not empty. At 6 um one 16-atom grid
+    evolve takes about 17 s on 2 vCPUs with one BLAS thread, nearly three
+    times the slowest other register of its size."""
+    out = []
+    for k, spacing in enumerate(SPACINGS[1:]):
+        cols = 4 + k % 2
+        grid = [(spacing * (j % cols), spacing * (j // cols)) for j in range(n)]
+        out.append((f"grid{cols}-{n}-s{spacing:g}",
+                    embedding_from_positions(grid, DEV, spacing=spacing)))
+        for seed in range(100):
+            try:
+                emb = embedding_from_positions(scattered(n, spacing, seed), DEV, spacing=spacing)
+                search_space(emb, DEV, "complex")
+            except InfeasibilityError:
+                continue
+            out.append((f"scatter{seed}-{n}-s{spacing:g}", emb))
+            break
+    return out
+
+
 def cases(atoms: range, per_size: int, only: str | None) -> list:
     """[(atom count, set, [(name, register, sequence)])]: the corpus registers
-    of each size (above 12 atoms the grid register), and the fixture docking
-    register as a set of its own."""
+    of each size (above 12 atoms the `placed` set of `large_registers`), and
+    the fixture docking register as a set of its own."""
     rng = np.random.default_rng(11)
     corpus = {n: [] for n in atoms}
     for entry in generate_corpus(DEV):
@@ -101,12 +153,11 @@ def cases(atoms: range, per_size: int, only: str | None) -> list:
         n = entry.embedding.register.n
         if n in corpus and (only is None or entry.name == only):
             corpus[n].append((entry.name, entry.embedding.register, seq))
-    grid = [(GRID_SPACING * (k % 4), GRID_SPACING * (k // 4)) for k in range(16)]
     for n in atoms:
         if n > 12 and only is None:
-            emb = embedding_from_positions(grid[:n], DEV, spacing=GRID_SPACING)
-            corpus[n].append((f"grid-{n}", emb.register, _pulse(emb, rng)))
-    out = [(n, "corpus", regs[:per_size] if per_size else regs)
+            corpus[n] += [(name, emb.register, _pulse(emb, rng))
+                          for name, emb in large_registers(n)]
+    out = [(n, "corpus" if n <= 12 else "placed", regs[:per_size] if per_size else regs)
            for n, regs in corpus.items() if regs]
     emb = fixture_embedding()
     if emb.register.n in corpus and only in (None, "fixture"):

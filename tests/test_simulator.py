@@ -20,6 +20,7 @@ from rydock.mlqaa.dataset import corpus_entry, generate_corpus
 from rydock.optimize import search_space, sequence_for
 from rydock.pulses import (
     ComplexParams,
+    Interpolated,
     PulseSequence,
     Ramp,
     Segment,
@@ -39,9 +40,10 @@ from rydock.simulator import (
     SMALL_GROUP_MAX_ATOMS,
     StateVector,
     _groups,
+    _plan,
     _signed_index,
+    _substeps,
     bitstrings,
-    drive_factor,
     drive_table,
     evolve,
     exact_distribution,
@@ -53,6 +55,7 @@ from rydock.simulator import (
 )
 import calibrate_substeps
 import measure_groups
+from allocating_loop_reference import allocating_substeps
 from complex_drive_reference import complex_evolve
 from taylor_reference import DENSE_MAX_ATOMS, THETA_MAX, _step_operator, taylor_evolve
 
@@ -492,8 +495,12 @@ def _factors(theta, n):
 
 
 def real_drive(psi, theta, n):
-    """G(theta)^{(x)n} psi through `drive_factor` on the interleaved floats."""
-    return drive_factor(psi.view(float), _factors(theta, n)).view(complex)
+    """G(theta)^{(x)n} psi as one sub-step of evolve's loop with a unit phase,
+    on the interleaved floats of two buffers planned as evolve plans them."""
+    a = psi.view(float).copy()
+    _substeps(_plan(_groups(n), a, np.empty_like(a)), [np.ones(1 << n, complex)],
+              [_factors(theta, n)])
+    return a.view(complex)
 
 
 _angles = st.floats(-10.0, 10.0, allow_nan=False)
@@ -704,11 +711,52 @@ def test_chunk_boundaries_are_invisible(monkeypatch):
                 assert np.abs(got - complex_evolve(reg, seq, DEV, dt)).max() <= 1e-12
 
 
+def _grid_register(n, spacing, seed):
+    """n sites of a 4-column square grid, each moved by up to 0.1 spacing."""
+    jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(n, 2))
+    return Register(atoms=tuple(
+        Atom(f"q{k}", spacing * (k % 4 + dx), spacing * (k // 4 + dy))
+        for k, (dx, dy) in enumerate(jitter)))
+
+
+@pytest.mark.parametrize("n", [3, 6, 12, 13])
+@settings(max_examples=8, deadline=None)
+@given(spacing=st.floats(5.5, 6.5), seed=st.integers(0, 2**32 - 1),
+       frac=st.floats(0.5, 1.0), dt=st.sampled_from([4.0, 8.0]))
+def test_two_buffer_loop_equals_the_allocating_loop(n, spacing, seed, frac, dt):
+    # 1, 2, 3 and 4 groups, so the phase multiply runs out of place and in
+    # place; the drive is 0 over the first segment's first third and reaches
+    # frac of omega_max, so that segment holds steps of one sub-step and of
+    # several; with one-step chunks every step is a chunk boundary
+    reg = _grid_register(n, spacing, seed)
+    assert len(group_sizes(n)) == {3: 1, 6: 2, 12: 3, 13: 4}[n]
+    omega = frac * DEV.omega_max
+    seq = PulseSequence(segments=(
+        Segment(omega=Interpolated((0.0, 0.0, omega, omega), 240.0),
+                delta=Ramp(-2.0, 3.0, 240.0)),
+        constant_segment(0.5 * omega, 3.0, 40.0)))
+    counts = []
+
+    def counting(*args):
+        counts.append(substep_counts(*args))
+        return counts[-1]
+
+    for chunk_floats in (simulator.CHUNK_FLOATS, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "substep_counts", counting)
+            patch.setattr(simulator, "CHUNK_FLOATS", chunk_floats)
+            got = evolve(reg, seq, DEV, dt=dt).amplitudes
+            patch.setattr(simulator, "_substeps", allocating_substeps)
+            want = evolve(reg, seq, DEV, dt=dt).amplitudes
+        assert got.tobytes() == want.tobytes()
+    assert counts[0].min() == 1 and counts[0].max() > 1
+
+
 def test_evolve_memory_is_bounded():
     # a 12-atom evolve holds at most one chunk's group matrices and phase
-    # rows (CHUNK_FLOATS floats) and about eight state-sized vectors: the
-    # state and two drive products, the detuning-free phase of the stretch
-    # and of its first step, sigma, and the final phase's temporaries.
+    # rows (CHUNK_FLOATS floats) and about nine state-sized vectors: the
+    # two state buffers, the detuning-free phase of the stretch and of its
+    # first step, sigma, and the final phase's temporaries.
     # Holding two chunks at once, or a segment's rows, reads 16 or more.
     emb = corpus_entry("hexagon", 4, 9.75, DEV).embedding
     seq = simple_sequence(SimpleParams(omega=0.8 * omega_bounds(emb, DEV)[1], delta=3.5,
