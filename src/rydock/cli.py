@@ -6,7 +6,9 @@ the sha256 digest of the effective configuration so that runs can be told
 apart (and reproduced) byte for byte. No timestamps are written anywhere.
 
 Exit codes: 0 success, 2 bad input, 3 infeasible embedding or band,
-4 numerical failure.
+4 numerical failure. Any unreadable or malformed input file exits 2 with one
+`error:` line, which names the file when it is missing or unreadable, is not
+JSON, or lacks a key or holds a value of the wrong type.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 
 import numpy as np
 
+from . import files
 from .docking import (
     DEFAULT_TAU,
     build_binding_graph,
@@ -54,7 +57,7 @@ from .mlqaa.gcn import (
     train,
 )
 from .optimize import (
-    Trial,
+    load_trials,
     normalized_score,
     normalized_value,
     prefix_result,
@@ -68,7 +71,6 @@ from .register import DeviceParams, layout, load_register, omega_bounds, save_re
 from .rng import substream
 from .simulator import evolve, measure
 
-DEVICE_KEYS = {"c6", "omega_max", "delta_abs_max", "coherence_time", "min_spacing"}
 CONFIG_KEYS = {
     "device", "seed", "shots", "dt", "rounds", "optimizer", "family",
     "tau", "spacing", "epochs", "holdout_frac", "out",
@@ -84,25 +86,13 @@ DEFAULTS = {
 }
 
 
-def _load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such config: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON in {path}: {exc}") from None
+def _config_doc(doc) -> dict:
     if not isinstance(doc, dict):
         raise InputError("config must be a JSON object")
     unknown = set(doc) - CONFIG_KEYS
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
-    device = doc.get("device", {})
-    if not isinstance(device, dict):
-        raise InputError("config key 'device' must be an object")
-    bad = set(device) - DEVICE_KEYS
-    if bad:
-        raise InputError(f"unknown device keys: {sorted(bad)}")
+    DeviceParams(**doc.get("device", {}))  # refuses unknown keys and non-numbers
     return doc
 
 
@@ -113,7 +103,7 @@ def effective_config(args) -> dict:
         cfg["dt"] = args.dt_default
     cfg["device"] = {}
     if getattr(args, "config", None):
-        loaded = _load_config(args.config)
+        loaded = files.read(args.config, _config_doc)
         cfg["device"].update(loaded.get("device", {}))
         for k, v in loaded.items():
             if k != "device":
@@ -148,29 +138,9 @@ def config_digest(cfg: dict, command: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _device(cfg) -> DeviceParams:
-    return DeviceParams(**cfg["device"])
-
-
-def _meta(cfg, command) -> dict:
-    return {"config_digest": config_digest(cfg, command), "seed": cfg["seed"]}
-
-
-def _outdir(cfg) -> str:
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_json(path, doc):
+def _write_csv(path, meta, columns, rows):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path, header_comment, columns, rows):
-    with open(path, "w") as fh:
-        fh.write(f"# {header_comment}\n")
+        fh.write(f"# config_digest={meta['config_digest']} seed={meta['seed']}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(str(row[c]) for c in columns) + "\n")
@@ -183,10 +153,7 @@ def _float_list(text) -> list:
         raise InputError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def cmd_dock(args) -> int:
-    cfg = effective_config(args)
-    meta = _meta(cfg, "dock")
-    out = _outdir(cfg)
+def cmd_dock(args, cfg, meta, out, dev) -> int:
     ligand = load_molecule(args.ligand)
     receptor = load_molecule(args.receptor)
     table = load_table(args.table) if args.table else default_table()
@@ -201,11 +168,7 @@ def cmd_dock(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
-    cfg = effective_config(args)
-    meta = _meta(cfg, "embed")
-    out = _outdir(cfg)
-    dev = _device(cfg)
+def cmd_embed(args, cfg, meta, out, dev) -> int:
     g = load_graph(args.graph)
     emb = layout(g, dev, spacing=cfg["spacing"], seed=cfg["seed"])
     lo, hi = omega_bounds(emb, dev)
@@ -217,30 +180,7 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _load_trials(path, digest=None) -> list:
-    trials = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            if digest is not None and d.get("search_digest") != digest:
-                return []  # the log of another search
-            trials.append(Trial(
-                round=int(d["round"]), params=dict(d["params"]),
-                score=float(d["score"]), gini=float(d["gini"]),
-                mean_f=float(d["mean_f"]),
-                top=tuple((str(b), int(c)) for b, c in d["top"]),
-            ))
-    return trials
-
-
-def cmd_vqaa(args) -> int:
-    cfg = effective_config(args)
-    meta = _meta(cfg, "vqaa")
-    out = _outdir(cfg)
-    dev = _device(cfg)
+def cmd_vqaa(args, cfg, meta, out, dev) -> int:
     emb = load_register(args.register, dev)
     log_path = os.path.join(out, "trials.jsonl")
     # a log is replayed for the same register and config but `rounds` only
@@ -252,7 +192,7 @@ def cmd_vqaa(args) -> int:
     if args.resume and os.path.exists(log_path):
         if cfg["optimizer"] != "tpe":
             raise InputError("resume is only meaningful for the tpe optimizer")
-        done = _load_trials(log_path, digest)
+        done = load_trials(log_path, digest)
     if done and len(done) >= cfg["rounds"]:
         res = prefix_result(
             emb, dev, done, cfg["rounds"], family=cfg["family"],
@@ -269,7 +209,7 @@ def cmd_vqaa(args) -> int:
     g = emb.graph
     norm = normalized_score(res.refined_histogram, g, res.refined)
     succ = success_probability(res.refined_histogram, g)
-    _write_json(os.path.join(out, "result.json"), {
+    files.write(os.path.join(out, "result.json"), {
         **meta,
         "family": res.family,
         "optimizer": cfg["optimizer"],
@@ -294,22 +234,15 @@ def cmd_vqaa(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = effective_config(args)
-    meta = _meta(cfg, "sweep")
-    out = _outdir(cfg)
-    dev = _device(cfg)
+def cmd_sweep(args, cfg, meta, out, dev) -> int:
     emb = load_register(args.register, dev)
     rows = qaa_sweep(
         emb, dev, _float_list(args.omegas), _float_list(args.deltas),
         _float_list(args.times), shots=cfg["shots"], seed=cfg["seed"],
         dt=cfg["dt"],
     )
-    _write_csv(
-        os.path.join(out, "sweep.csv"),
-        f"config_digest={meta['config_digest']} seed={meta['seed']}",
-        ["omega", "delta", "time", "success_prob"], rows,
-    )
+    _write_csv(os.path.join(out, "sweep.csv"), meta,
+               ["omega", "delta", "time", "success_prob"], rows)
     feasible = [r for r in rows if not math.isnan(r["success_prob"])]
     if feasible:
         best = max(feasible, key=lambda r: r["success_prob"])
@@ -330,11 +263,7 @@ def _benchmark_entries(subset: str):
     raise InputError(f"unknown subset {subset!r}")
 
 
-def cmd_benchmark(args) -> int:
-    cfg = effective_config(args)
-    meta = _meta(cfg, "benchmark")
-    out = _outdir(cfg)
-    dev = _device(cfg)
+def cmd_benchmark(args, cfg, meta, out, dev) -> int:
     rounds_list = sorted(int(r) for r in _float_list(args.rounds_list))
     if not rounds_list or rounds_list[0] < 1:
         raise InputError("rounds list must contain positive integers")
@@ -360,12 +289,9 @@ def cmd_benchmark(args) -> int:
                 "normalized_score": norm,
                 "low_confidence": res.low_confidence,
             })
-    _write_csv(
-        os.path.join(out, "benchmark.csv"),
-        f"config_digest={meta['config_digest']} seed={meta['seed']}",
-        ["family", "size_index", "spacing", "n_atoms", "rounds", "score",
-         "normalized_score", "low_confidence"], rows,
-    )
+    _write_csv(os.path.join(out, "benchmark.csv"), meta,
+               ["family", "size_index", "spacing", "n_atoms", "rounds", "score",
+                "normalized_score", "low_confidence"], rows)
     for k in rounds_list:
         vals = [r["normalized_score"] for r in rows if r["rounds"] == k]
         print(f"rounds {k}: mean normalized score {np.mean(vals):.4f} "
@@ -373,11 +299,7 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def cmd_dataset(args) -> int:
-    cfg = effective_config(args)
-    meta = _meta(cfg, "dataset")
-    out = _outdir(cfg)
-    dev = _device(cfg)
+def cmd_dataset(args, cfg, meta, out, dev) -> int:
     entries = generate_corpus(dev)
 
     def progress(k, total, name, res):
@@ -398,17 +320,13 @@ def cmd_dataset(args) -> int:
         "rounds": cfg["rounds"],
         "mean_score": float(np.mean([r.score for r in records])) if records else 0.0,
     }
-    _write_json(os.path.join(out, "dataset_report.json"), report)
+    files.write(os.path.join(out, "dataset_report.json"), report)
     print(f"labelled {report['labelled']}/{report['registers']} registers "
           f"(mean score {report['mean_score']:.4f})")
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = effective_config(args)
-    meta = _meta(cfg, "train")
-    out = _outdir(cfg)
-    dev = _device(cfg)
+def cmd_train(args, cfg, meta, out, dev) -> int:
     records = load_dataset(args.dataset)
     if not records:
         raise InputError("dataset is empty")
@@ -423,8 +341,7 @@ def cmd_train(args) -> int:
     for target in TARGETS:
         model = train(train_recs, target, epochs=cfg["epochs"], seed=cfg["seed"],
                       dev=dev)
-        save_models({target: model}, os.path.join(out, f"mlqaa_{target}.npz"),
-                    meta=_meta(cfg, "train"))
+        save_models({target: model}, os.path.join(out, f"mlqaa_{target}.npz"), meta=meta)
         preds = [_from_scale(model.predict(featurize(np.asarray(r.positions))),
                              model.scale, band)
                  for r, band in zip(hold_recs, bands)]
@@ -433,39 +350,28 @@ def cmd_train(args) -> int:
         report["mape"][target] = value
         print(f"{target}: holdout MAPE {value:.1f}%  "
               f"(best val loss {min(v for _, v in model.history):.5f})")
-    _write_json(os.path.join(out, "mape_report.json"), report)
+    files.write(os.path.join(out, "mape_report.json"), report)
     return 0
 
 
 def _load_model_dir(path) -> dict:
     models = {}
     for target in TARGETS:
-        f = os.path.join(path, f"mlqaa_{target}.npz")
-        if not os.path.exists(f):
-            raise InputError(f"missing model file {f}")
-        models.update(load_models(f))
+        models.update(load_models(os.path.join(path, f"mlqaa_{target}.npz")))
     return models
 
 
-def cmd_predict(args) -> int:
-    cfg = effective_config(args)
-    meta = _meta(cfg, "predict")
-    out = _outdir(cfg)
-    dev = _device(cfg)
+def cmd_predict(args, cfg, meta, out, dev) -> int:
     emb = load_register(args.register, dev)
     models = _load_model_dir(args.models)
     params = predict_params(models, emb, dev)
-    _write_json(os.path.join(out, "params.json"), {**meta, "family": "complex",
-                                                   "params": params})
+    files.write(os.path.join(out, "params.json"),
+                {**meta, "family": "complex", "params": params})
     print("  ".join(f"{k}={v:.4g}" for k, v in sorted(params.items())))
     return 0
 
 
-def cmd_mlqaa_eval(args) -> int:
-    cfg = effective_config(args)
-    meta = _meta(cfg, "mlqaa-eval")
-    out = _outdir(cfg)
-    dev = _device(cfg)
+def cmd_mlqaa_eval(args, cfg, meta, out, dev) -> int:
     records = load_dataset(args.dataset)
     _, hold_recs = train_holdout_split(records, seed=cfg["seed"],
                                        holdout_frac=cfg["holdout_frac"])
@@ -490,12 +396,9 @@ def cmd_mlqaa_eval(args) -> int:
         })
     mlqaa_mean = float(np.mean([r["mlqaa_norm"] for r in rows]))
     vqaa_mean = float(np.mean([r["vqaa_norm"] for r in rows]))
-    _write_csv(
-        os.path.join(out, "mlqaa_eval.csv"),
-        f"config_digest={meta['config_digest']} seed={meta['seed']}",
-        ["name", "n_atoms", "spacing", "mlqaa_norm", "vqaa_norm"], rows,
-    )
-    _write_json(os.path.join(out, "mlqaa_eval_summary.json"), {
+    _write_csv(os.path.join(out, "mlqaa_eval.csv"), meta,
+               ["name", "n_atoms", "spacing", "mlqaa_norm", "vqaa_norm"], rows)
+    files.write(os.path.join(out, "mlqaa_eval_summary.json"), {
         **meta, "holdout_size": len(rows),
         "mlqaa_mean_normalized": mlqaa_mean,
         "vqaa_mean_normalized": vqaa_mean,
@@ -506,9 +409,7 @@ def cmd_mlqaa_eval(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    cfg = effective_config(args)
-    meta = _meta(cfg, "oracle")
+def cmd_oracle(args, cfg, meta, out, dev) -> int:
     g = load_graph(args.graph)
     mwis = brute_force_mwis(g)
     gc = complement(g)
@@ -525,7 +426,7 @@ def cmd_oracle(args) -> int:
             print(f"  clique {s.bitstring}  weight {s.weight(g):g}  "
                   f"members {sorted(s.members)}")
     if args.out_file:
-        _write_json(args.out_file, {
+        files.write(args.out_file, {
             **meta,
             "mwis": [{"bitstring": s.bitstring, "weight": s.weight(g),
                       "members": sorted(s.members)} for s in mwis],
@@ -625,10 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = effective_config(args)
+        dev = DeviceParams(**cfg["device"])
+        meta = {"config_digest": config_digest(cfg, args.command), "seed": cfg["seed"]}
+        os.makedirs(cfg["out"], exist_ok=True)
+        return args.func(args, cfg, meta, cfg["out"], dev)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -638,9 +542,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

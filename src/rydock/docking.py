@@ -12,13 +12,13 @@ maximum-weight independent set of the complement) is the best pose.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import files
 from .errors import InputError
 from .graphs import WeightedGraph
 
@@ -181,47 +181,18 @@ def pose_from_clique(clique, contacts) -> list:
 
 def load_molecule(path) -> Molecule:
     """Read a pharmacophore JSON file: {"name", "points": [{"id", "kind", "xyz"}]}."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from None
-    if "points" not in doc:
-        raise InputError(f"{path}: missing 'points'")
-    points = []
-    for p in doc["points"]:
-        for key in ("id", "kind", "xyz"):
-            if key not in p:
-                raise InputError(f"{path}: point missing '{key}'")
-        try:
-            kind = Kind(p["kind"])
-        except ValueError:
-            allowed = ", ".join(k.value for k in Kind)
-            raise InputError(
-                f"{path}: unknown kind {p['kind']!r} (expected one of {allowed})"
-            ) from None
-        points.append(PharmacophorePoint(
-            id=str(p["id"]), kind=kind, position=tuple(float(x) for x in p["xyz"]),
-        ))
-    return Molecule(name=str(doc.get("name", "molecule")), points=tuple(points))
+    return files.read(path, lambda doc: Molecule(
+        name=str(doc.get("name", "molecule")),
+        points=tuple(PharmacophorePoint(
+            id=str(p["id"]), kind=Kind(p["kind"]),
+            position=tuple(float(x) for x in p["xyz"]),
+        ) for p in doc["points"]),
+    ))
 
 
 def load_table(path) -> InteractionTable:
     """Read an interaction table JSON file: {"pairs": [{"a", "b", "s"}]}."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from None
-    pairs = {}
-    for entry in doc.get("pairs", []):
-        try:
-            a, b = Kind(entry["a"]), Kind(entry["b"])
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"{path}: bad table entry {entry}: {exc}") from None
-        pairs[frozenset((a, b))] = float(entry["s"])
-    return InteractionTable(pairs=pairs)
+    return files.read(path, lambda doc: InteractionTable(pairs={
+        frozenset((Kind(e["a"]), Kind(e["b"]))): float(e["s"])
+        for e in doc.get("pairs", [])
+    }))

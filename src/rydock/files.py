@@ -1,0 +1,46 @@
+"""The one JSON reader and the one JSON writer for rydock's files.
+
+`read` turns every way an input file can be unreadable or malformed into an
+InputError that names the file, so the CLI exits 2 on it. Its `parse`
+callbacks only decode; checks that compute on the decoded value run after
+it returns.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .errors import InputError
+
+
+def read(path, parse, lines=False):
+    """`parse` of the JSON document in `path`, or with `lines` of the list of
+    documents on its non-blank lines.
+
+    A missing or unreadable file, invalid JSON, and any KeyError,
+    AttributeError, IndexError, TypeError or ValueError that `parse` raises
+    (a document of the wrong shape) become an InputError naming `path`; an
+    InputError from `parse` passes through unchanged.
+    """
+    try:
+        with open(path) as fh:
+            if lines:
+                return parse([json.loads(line) for line in fh if line.strip()])
+            return parse(json.load(fh))
+    except InputError:
+        raise
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}") from None
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def write(path, doc):
+    """Write `doc` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

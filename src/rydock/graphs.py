@@ -11,12 +11,12 @@ character of a bitstring is vertex 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
+from . import files
 from .errors import InputError
 
 SIZE_CAP = 24
@@ -74,7 +74,7 @@ class WeightedGraph:
         norm = []
         wnorm = []
         for k, e in enumerate(edges):
-            u, v = str(e[0]), str(e[1])
+            u, v = map(str, e)
             if u not in index or v not in index:
                 raise InputError(f"edge ({u}, {v}) references unknown vertex")
             if index[u] > index[v]:
@@ -99,12 +99,6 @@ class WeightedGraph:
             return self.vertex_ids.index(vid)
         except ValueError:
             raise InputError(f"unknown vertex {vid!r}") from None
-
-    def has_edge(self, u, v) -> bool:
-        i, j = self.index(u), self.index(v)
-        if i > j:
-            u, v = v, u
-        return (u, v) in set(self.edges)
 
     def adjacency_masks(self) -> list:
         """Per-vertex neighbour bitmasks (bit k = vertex k)."""
@@ -296,39 +290,19 @@ def load_graph(path) -> WeightedGraph:
     Format: {"nodes": [{"id", "weight", "pos"?}], "edges": [[a, b], ...],
     "edge_weights": [...]?}. Extra top-level keys (e.g. "meta") are ignored.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(doc, dict) or "nodes" not in doc:
-        raise InputError(f"{path}: expected an object with a 'nodes' list")
-    ids, weights, positions = [], [], []
-    has_pos = False
-    for node in doc["nodes"]:
-        if "id" not in node:
-            raise InputError(f"{path}: node missing 'id'")
-        ids.append(str(node["id"]))
-        weights.append(node.get("weight", 1.0))
-        if "pos" in node:
-            has_pos = True
-            positions.append(tuple(node["pos"]))
-        else:
-            positions.append(None)
-    if has_pos and any(p is None for p in positions):
-        raise InputError(f"{path}: either all nodes carry 'pos' or none")
-    edges = doc.get("edges", [])
-    for e in edges:
-        if len(e) != 2:
-            raise InputError(f"{path}: edge {e} must have two endpoints")
+    return files.read(path, _graph_from_doc)
+
+
+def _graph_from_doc(doc) -> WeightedGraph:
+    nodes = doc["nodes"]
+    # "pos" on any node makes it required on every node
+    has_pos = any("pos" in node for node in nodes)
     return WeightedGraph.from_parts(
-        ids,
-        edges,
-        weights=weights,
+        [node["id"] for node in nodes],
+        doc.get("edges", []),
+        weights=[node.get("weight", 1.0) for node in nodes],
         edge_weights=doc.get("edge_weights"),
-        positions=positions if has_pos else None,
+        positions=[node["pos"] for node in nodes] if has_pos else None,
     )
 
 
@@ -344,6 +318,4 @@ def save_graph(g: WeightedGraph, path, meta: dict | None = None):
         doc["edge_weights"] = list(g.edge_weights)
     if meta is not None:
         doc["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write(path, doc)

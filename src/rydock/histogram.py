@@ -6,9 +6,9 @@ atom (or vertex) in construction order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
+from . import files
 from .errors import InputError
 
 
@@ -49,22 +49,12 @@ class Histogram:
 
 
 def load_histogram(path) -> Histogram:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from None
-    if "shots" not in doc or "counts" not in doc:
-        raise InputError(f"{path}: expected 'shots' and 'counts'")
-    return Histogram(shots=int(doc["shots"]), counts={str(k): int(v) for k, v in doc["counts"].items()})
+    return files.read(path, lambda doc: Histogram(
+        shots=int(doc["shots"]), counts={str(k): int(v) for k, v in doc["counts"].items()}))
 
 
 def save_histogram(h: Histogram, path, meta: dict | None = None):
     doc = {"shots": h.shots, "counts": dict(sorted(h.counts.items()))}
     if meta is not None:
         doc["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write(path, doc)

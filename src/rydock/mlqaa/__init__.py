@@ -19,7 +19,6 @@ from .gcn import (
     GraphFeatures,
     featurize,
     forward,
-    gradient_check,
     load_models,
     mape,
     propagation_matrix,
@@ -33,6 +32,6 @@ __all__ = [
     "generate_corpus", "label_dataset", "load_dataset", "save_dataset",
     "shape_positions", "train_holdout_split",
     "TARGETS", "GcnModel", "GraphFeatures", "featurize", "forward",
-    "gradient_check", "load_models", "mape", "propagation_matrix",
-    "predict_params", "save_models", "train",
+    "load_models", "mape", "propagation_matrix", "predict_params",
+    "save_models", "train",
 ]

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .. import files
 from ..errors import InputError
 from ..register import DeviceParams, Embedding, embedding_from_positions, omega_bounds
 from ..rng import substream
@@ -254,36 +255,19 @@ def label_dataset(entries, dev: DeviceParams, rounds: int = 40,
 def save_dataset(records, path):
     with open(path, "w") as fh:
         for r in records:
-            fh.write(json.dumps({
-                "family": r.family, "size_index": r.size_index,
-                "spacing": r.spacing, "ids": list(r.ids),
-                "positions": [list(p) for p in r.positions],
-                "params": r.params, "score": r.score,
-                "rounds": r.rounds, "seed": r.seed,
-            }, sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
 def load_dataset(path) -> list:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            try:
-                records.append(DatasetRecord(
-                    family=str(d["family"]), size_index=int(d["size_index"]),
-                    spacing=float(d["spacing"]),
-                    ids=tuple(str(i) for i in d["ids"]),
-                    positions=tuple((float(x), float(y)) for x, y in d["positions"]),
-                    params={str(k): float(v) for k, v in d["params"].items()},
-                    score=float(d["score"]),
-                    rounds=int(d["rounds"]), seed=int(d["seed"]),
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"bad dataset line: {exc}") from exc
-    return records
+    return files.read(path, lambda docs: [DatasetRecord(
+        family=str(d["family"]), size_index=int(d["size_index"]),
+        spacing=float(d["spacing"]),
+        ids=tuple(str(i) for i in d["ids"]),
+        positions=tuple((float(x), float(y)) for x, y in d["positions"]),
+        params={str(k): float(v) for k, v in d["params"].items()},
+        score=float(d["score"]),
+        rounds=int(d["rounds"]), seed=int(d["seed"]),
+    ) for d in docs], lines=True)
 
 
 def train_holdout_split(records, seed: int = 0, holdout_frac: float = 0.2):

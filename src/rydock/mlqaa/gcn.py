@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -412,39 +413,6 @@ def predict_params(models: dict, emb: Embedding, dev: DeviceParams) -> dict:
     return space.clamp(raw)
 
 
-def gradient_check(model: GcnModel, feats: GraphFeatures, target_value: float,
-                   n_sample: int = 100, step: float = 1e-5,
-                   seed: int = 0) -> float:
-    """Max relative error of analytic vs central-difference gradients."""
-    adj, x, mask = _pack([feats])
-    targets = np.array([target_value], dtype=float)
-    weights = {k: v.copy() for k, v in model.weights.items()}
-    _, grads, _ = loss_and_gradients(weights, adj, x, mask, targets)
-    rng = substream(seed, "gradcheck")
-    names = _weight_names()
-    sizes = np.array([weights[k].size for k in names])
-    total = int(sizes.sum())
-    picks = rng.choice(total, size=min(n_sample, total), replace=False)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    worst = 0.0
-    for flat in picks:
-        arr_k = int(np.searchsorted(offsets, flat, side="right") - 1)
-        name = names[arr_k]
-        local = int(flat - offsets[arr_k])
-        idx = np.unravel_index(local, weights[name].shape)
-        keep = weights[name][idx]
-        weights[name][idx] = keep + step
-        lp, _, _ = loss_and_gradients(weights, adj, x, mask, targets)
-        weights[name][idx] = keep - step
-        lm, _, _ = loss_and_gradients(weights, adj, x, mask, targets)
-        weights[name][idx] = keep
-        numeric = (lp - lm) / (2 * step)
-        analytic = grads[name][idx]
-        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, err)
-    return float(worst)
-
-
 def save_models(models: dict, path, meta: dict | None = None):
     arrays = {}
     info = {"version": MODEL_VERSION, "targets": {}}
@@ -464,20 +432,21 @@ def save_models(models: dict, path, meta: dict | None = None):
 
 
 def load_models(path) -> dict:
-    with np.load(path) as data:
-        info = json.loads(bytes(data["__meta__"].tobytes()).decode())
-        if info.get("version") != MODEL_VERSION:
-            raise InputError(f"unsupported model file version {info.get('version')!r}")
-        models = {}
-        for name, tmeta in info["targets"].items():
-            weights = {
-                wname: np.array(data[f"{name}:{wname}"])
-                for wname in _weight_names()
-            }
-            models[name] = GcnModel(
-                weights=weights, target=name,
-                t_lo=float(tmeta["t_lo"]), t_hi=float(tmeta["t_hi"]),
+    """The models stored in `path`; any unreadable or malformed model file,
+    including a missing array, is an InputError naming it."""
+    try:
+        # opened here, not by np.load, which leaves its file open on a bad zip
+        with open(path, "rb") as fh, np.load(fh) as data:
+            info = json.loads(bytes(data["__meta__"].tobytes()).decode())
+            if info.get("version") != MODEL_VERSION:
+                raise InputError(f"unsupported version {info.get('version')!r}")
+            return {name: GcnModel(
+                weights={wname: np.array(data[f"{name}:{wname}"])
+                         for wname in _weight_names()},
+                target=name, t_lo=float(tmeta["t_lo"]), t_hi=float(tmeta["t_hi"]),
                 seed=int(tmeta["seed"]), scale=str(tmeta.get("scale", "identity")),
                 version=str(tmeta["version"]),
-            )
-    return models
+            ) for name, tmeta in info["targets"].items()}
+    except (OSError, EOFError, zipfile.BadZipFile, AttributeError, KeyError,
+            TypeError, ValueError) as exc:
+        raise InputError(f"bad model file {path}: {exc}") from None

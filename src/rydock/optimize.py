@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import compress
 
 import numpy as np
 
+from . import files
 from .errors import InfeasibilityError, InputError
 from .graphs import WeightedGraph, brute_force_mwis
 from .histogram import Histogram
@@ -451,12 +452,9 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
         if best is None or _rank(trial) > _rank(best):
             best, best_state = trial, state
         if log_fh:
-            log_fh.write(json.dumps({
-                **(log_fields or {}),
-                "round": trial.round, "params": trial.params, "score": trial.score,
-                "gini": trial.gini, "mean_f": trial.mean_f,
-                "top": [list(t) for t in trial.top],
-            }, sort_keys=True) + "\n")
+            # vars, not asdict, which deep-copies every leaf: 100 against 20 us a line
+            log_fh.write(json.dumps({**(log_fields or {}), **vars(trial)},
+                                    sort_keys=True) + "\n")
         return trial
 
     def run_one(params, rnd):
@@ -526,6 +524,18 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
         best=best, trials=tuple(trials), refined=rb, refined_histogram=rh,
         low_confidence=best.score == 0.0, second_pass=second_pass, family=family,
     )
+
+
+def load_trials(path, digest=None) -> list:
+    """The trials `vqaa` logged to `path`; none when `digest` is given and
+    the log's `search_digest` differs, as the log of another search."""
+    def parse(docs):
+        if digest is not None and any(d.get("search_digest") != digest for d in docs):
+            return []
+        trials = [Trial(**{f.name: d[f.name] for f in fields(Trial)}) for d in docs]
+        # JSON reads the (bitstring, count) pairs of `top` back as lists
+        return [replace(t, top=tuple(map(tuple, t.top))) for t in trials]
+    return files.read(path, parse, lines=True)
 
 
 def _rank(trial: Trial) -> tuple:

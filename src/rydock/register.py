@@ -10,12 +10,13 @@ projected maximum-weight independent set, which is why link parity matters.
 from __future__ import annotations
 
 import itertools
-import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import files
 from .errors import InfeasibilityError, InputError
 from .graphs import WeightedGraph
 from .histogram import Histogram
@@ -65,7 +66,10 @@ class DeviceParams:
 
     def __post_init__(self):
         for name in ("c6", "omega_max", "delta_abs_max", "coherence_time", "min_spacing"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"device parameter {name} must be a number, got {value!r}")
+            if not value > 0:
                 raise InputError(f"device parameter {name} must be positive")
 
 
@@ -176,16 +180,22 @@ def _induced_pairs(reg: Register, radius: float) -> tuple:
     return tuple(pair for pair, d in reg.pair_distances().items() if d < radius)
 
 
+def _band(edge_d, nonedge_d, dev: DeviceParams) -> tuple:
+    """Rabi band (lo, hi] from the intended-edge and the other pair distances:
+    hi keeps the longest edge inside the blockade disk (capped at the
+    hardware omega_max), lo the shortest other pair outside it. The band is
+    usable when lo * BAND_MARGIN < hi."""
+    hi = min(dev.omega_max, interaction(max(edge_d), dev)) if edge_d else dev.omega_max
+    lo = interaction(min(nonedge_d), dev) if nonedge_d else 0.0
+    return lo, hi
+
+
 def _rabi_band(reg: Register, intended: set, dev: DeviceParams) -> tuple:
     """Rabi band (omega_min, omega_max] that keeps every intended pair inside
     the blockade disk and every other pair outside it; raises when empty."""
     dists = reg.pair_distances()
-    edge_d = [d for pair, d in dists.items() if frozenset(pair) in intended]
-    nonedge_d = [d for pair, d in dists.items() if frozenset(pair) not in intended]
-    hi = dev.omega_max
-    if edge_d:
-        hi = min(hi, interaction(max(edge_d), dev))
-    lo = interaction(min(nonedge_d), dev) if nonedge_d else 0.0
+    lo, hi = _band([d for pair, d in dists.items() if frozenset(pair) in intended],
+                   [d for pair, d in dists.items() if frozenset(pair) not in intended], dev)
     if lo * BAND_MARGIN >= hi:
         raise InfeasibilityError(
             f"empty Rabi band: omega_min {lo:.4g} vs omega_max {hi:.4g}"
@@ -352,16 +362,13 @@ def _layout_ok(pos, direct, linked, spacing, dev):
     iu = np.triu_indices(n, 1)
     if dmat[iu].size and dmat[iu].min() < dev.min_spacing:
         return False
-    emax = max((dmat[i, j] for (i, j) in direct), default=0.0)
-    others = [dmat[i, j] for i in range(n) for j in range(i + 1, n)
-              if (i, j) not in direct]
-    nmin = min(others, default=math.inf)
     for (i, j) in linked:
         if dmat[i, j] < 2.5 * spacing:
             return False
-    if emax > 0.0:
-        hi = min(dev.omega_max, dev.c6 / emax**6)
-        lo = 0.0 if math.isinf(nmin) else dev.c6 / nmin**6
+    if direct:
+        lo, hi = _band([dmat[i, j] for (i, j) in direct],
+                       [dmat[i, j] for i in range(n) for j in range(i + 1, n)
+                        if (i, j) not in direct], dev)
         if lo * BAND_MARGIN >= hi:
             return False
     return True
@@ -421,10 +428,9 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
                 # the blockade floor (the omega_max cap makes that floor an
                 # absolute distance). Free the tightest such pair by
                 # rerouting its longest incident edge through a chain.
-                emax = max((dmat[i, j] for (i, j) in direct), default=0.0)
-                if emax <= 0.0:
+                if not direct:
                     break
-                hi = min(dev.omega_max, dev.c6 / emax**6)
+                _, hi = _band([dmat[i, j] for (i, j) in direct], [], dev)
                 needed = (dev.c6 * BAND_MARGIN / hi) ** (1.0 / 6.0)
                 crowded = [(dmat[i, j], (i, j))
                            for (i, j) in sorted(all_pairs - direct - linked)
@@ -639,22 +645,11 @@ def save_register(emb: Embedding, path, meta: dict | None = None):
     if meta:
         extra.update(meta)
     doc["meta"] = extra
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write(path, doc)
 
 
-def load_register(path, dev: DeviceParams | None = None) -> Embedding:
-    dev = dev or DeviceParams()
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from None
-    if "atoms" not in doc:
-        raise InputError(f"{path}: expected an 'atoms' list")
+def _register_from_doc(doc) -> tuple:
+    """(register, link map, spacing, blockade radius) as stored, 0 when absent."""
     atoms = tuple(
         Atom(id=str(a["id"]), x=float(a["x"]), y=float(a["y"]),
              detuning_weight=float(a.get("w", 1.0)),
@@ -670,15 +665,19 @@ def load_register(path, dev: DeviceParams | None = None) -> Embedding:
             gdoc["edges"],
             weights=[n.get("weight", 1.0) for n in gdoc["nodes"]],
         )
-    reg = Register(atoms=atoms, origin_graph=graph)
     links = {}
     for key, chain in meta.get("links", {}).items():
         u, v = key.split("~")
         links[(u, v)] = tuple(chain)
-    spacing = float(meta.get("spacing", 0.0))
+    return (Register(atoms=atoms, origin_graph=graph), links,
+            float(meta.get("spacing", 0.0)), float(doc.get("blockade_radius", 0.0)))
+
+
+def load_register(path, dev: DeviceParams | None = None) -> Embedding:
+    dev = dev or DeviceParams()
+    reg, links, spacing, radius = files.read(path, _register_from_doc)
     if spacing <= 0 and reg.n > 1:
         spacing = reg.min_distance()
-    radius = float(doc.get("blockade_radius", 0.0))
     if radius <= 0:
         cut = GEOMETRIC_EDGE_FACTOR * reg.min_distance()
         intended = {frozenset(p) for p, d in reg.pair_distances().items() if d <= cut}
@@ -691,6 +690,7 @@ def load_register(path, dev: DeviceParams | None = None) -> Embedding:
             link_map=links,
             spacing=spacing,
         )
+    graph = reg.origin_graph
     if graph is not None and emb.projected_edges() != {frozenset(e) for e in graph.edges}:
         raise InfeasibilityError(
             f"{path}: the register's disk graph does not realise its stored graph"

@@ -11,22 +11,26 @@ from pathlib import Path
 import pytest
 
 import rydock
-from rydock.cli import DEFAULTS, _load_trials, config_digest, effective_config, main
+from rydock.cli import DEFAULTS, config_digest, effective_config, main
 from rydock.errors import InputError
 from rydock.graphs import load_graph
 from rydock.mlqaa import DatasetRecord, save_dataset
-from rydock.optimize import search_space
+from rydock.optimize import Trial, load_trials, search_space, vqaa
 from rydock.register import DeviceParams, load_register, omega_bounds
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 DEV = DeviceParams()
 
 
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def _write_graph(path, weights, edges):
     doc = {"nodes": [{"id": f"v{i}", "weight": w} for i, w in enumerate(weights)],
            "edges": edges}
-    path.write_text(json.dumps(doc))
-    return str(path)
+    return _write(path, doc)
 
 
 def _p2_register(tmp_path):
@@ -135,7 +139,7 @@ def test_dock_embed_vqaa_pipeline(tmp_path, capsys):
     assert rc == 0
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["family"] == "complex"
-    assert result["rounds_run"] == len(_load_trials(tmp_path / "trials.jsonl"))
+    assert result["rounds_run"] == len(load_trials(tmp_path / "trials.jsonl"))
     assert 0.0 <= result["refined"]["gini"] <= 1.0
     assert isinstance(result["normalized_score"], float)
     assert all(len(b) == 6 for b, _ in result["top"])
@@ -149,13 +153,13 @@ def test_vqaa_resume_reuses_trials(tmp_path):
     rc = main(["vqaa", "--register", register, "--rounds", "3", "--shots", "100",
                "--dt", "8", "--seed", "0", "--out", str(run_a)])
     assert rc == 0
-    assert len(_load_trials(run_a / "trials.jsonl")) == 3
+    assert len(load_trials(run_a / "trials.jsonl")) == 3
 
     # resume trims to the first two rounds without touching the log
     rc = main(["vqaa", "--register", register, "--rounds", "2", "--shots", "100",
                "--dt", "8", "--seed", "0", "--out", str(run_a), "--resume"])
     assert rc == 0
-    assert len(_load_trials(run_a / "trials.jsonl")) == 3
+    assert len(load_trials(run_a / "trials.jsonl")) == 3
     resumed = json.loads((run_a / "result.json").read_text())
 
     run_b = tmp_path / "b"
@@ -183,7 +187,7 @@ def test_vqaa_resume_reruns_a_log_of_another_search(tmp_path):
              "--dt", "8", "--seed", "99"]
     assert main(["vqaa", *flags, "--out", str(run_a), "--resume"]) == 0
     resumed = json.loads((run_a / "result.json").read_text())
-    assert len(_load_trials(run_a / "trials.jsonl")) == 3
+    assert len(load_trials(run_a / "trials.jsonl")) == 3
 
     run_b = tmp_path / "b"
     assert main(["vqaa", *flags, "--out", str(run_b)]) == 0
@@ -285,6 +289,97 @@ def test_exit_codes(tmp_path, capsys):
                      "--dt", dt, "--out", str(tmp_path / "nonfinite")]) == 2
         assert "positive finite" in capsys.readouterr().err
     assert not (tmp_path / "nonfinite").exists()
+
+
+def _ligand(points):
+    return {"name": "l", "points": points}
+
+
+LIGAND = str(FIXTURES / "acetic_acid.json")
+RECEPTOR = str(FIXTURES / "ethylene_glycol.json")
+
+
+def _malformed(case, tmp_path):
+    """(argv, path of the malformed input) for one regression case."""
+    out = ["--out", str(tmp_path / "out")]
+    if case == "dataset_missing":
+        path = str(tmp_path / "absent.jsonl")
+        return ["train", "--dataset", path, *out], path
+    if case == "graph_is_directory":
+        path = str(tmp_path)
+        return ["embed", "--graph", path, *out], path
+    if case == "graph_nodes_not_objects":
+        path = _write(tmp_path / "g.json", {"nodes": [1, 2]})
+        return ["embed", "--graph", path, *out], path
+    if case == "node_weight_not_a_number":
+        path = _write(tmp_path / "g.json", {"nodes": [{"id": "a", "weight": "x"}]})
+        return ["embed", "--graph", path, *out], path
+    if case == "atom_without_x":
+        path = _write(tmp_path / "r.json", {"atoms": [{"id": "a", "y": 0.0}]})
+        return ["vqaa", "--register", path, *out], path
+    if case == "xyz_not_numbers":
+        path = _write(tmp_path / "l.json",
+                      _ligand([{"id": "a", "kind": "HDonor", "xyz": "abc"}]))
+        return ["dock", "--ligand", path, "--receptor", RECEPTOR, *out], path
+    if case == "points_not_a_list":
+        path = _write(tmp_path / "l.json", _ligand(5))
+        return ["dock", "--ligand", path, "--receptor", RECEPTOR, *out], path
+    if case == "table_pair_without_s":
+        path = _write(tmp_path / "t.json", {"pairs": [{"a": "HDonor", "b": "HAcceptor"}]})
+        return ["dock", "--ligand", LIGAND, "--receptor", RECEPTOR,
+                "--table", path, *out], path
+    if case == "device_value_not_a_number":
+        path = _write(tmp_path / "cfg.json", {"device": {"c6": "x"}})
+        return ["embed", "--graph", str(FIXTURES / "five_node.json"),
+                "--config", path, *out], path
+    if case == "junk_model_set":
+        models = tmp_path / "models"
+        models.mkdir()
+        for target in ("t_rise", "t_fall", "omega", "delta0", "deltaf"):
+            (models / f"mlqaa_{target}.npz").write_bytes(b"not a model")
+        register = _p2_register(tmp_path)
+        return (["predict", "--register", register, "--models", str(models), *out],
+                str(models / "mlqaa_t_rise.npz"))
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "dataset_missing", "graph_is_directory", "graph_nodes_not_objects",
+    "node_weight_not_a_number", "atom_without_x", "xyz_not_numbers",
+    "points_not_a_list", "table_pair_without_s", "device_value_not_a_number",
+    "junk_model_set",
+])
+def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
+    argv, path = _malformed(case, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and path in err[0], err
+
+
+def test_log_formats_are_pinned(tmp_path):
+    # one trials.jsonl line and one dataset.jsonl line, byte for byte
+    trial = Trial(round=0, params={"omega": 2.5, "delta": 3.0, "time": 400.0},
+                  score=0.5, gini=0.25, mean_f=0.75, top=(("10", 60), ("01", 40)))
+    emb = load_register(_p2_register(tmp_path), DEV)
+    log = tmp_path / "trials.jsonl"
+    vqaa(emb, DEV, family="simple", rounds=1, shots=100, dt=8.0, log_path=log,
+         log_fields={"search_digest": "abc"}, replay=[trial])
+    assert log.read_text() == (
+        '{"gini": 0.25, "mean_f": 0.75, "params": {"delta": 3.0, "omega": 2.5, '
+        '"time": 400.0}, "round": 0, "score": 0.5, "search_digest": "abc", '
+        '"top": [["10", 60], ["01", 40]]}\n')
+    assert load_trials(log) == [trial]
+    assert load_trials(log, "abc") == [trial]
+    assert load_trials(log, "another search") == []
+
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset([_record(6.0)], dataset)
+    assert dataset.read_text() == (
+        '{"family": "line", "ids": ["a0", "a1"], "params": {"delta0": 1.5, '
+        '"deltaf": 4.5, "omega": 2.0, "t_fall": 640.0, "t_rise": 280.0}, '
+        '"positions": [[0.0, 0.0], [6.0, 0.0]], "rounds": 4, "score": 0.5, '
+        '"seed": 0, "size_index": 0, "spacing": 6.0}\n')
 
 
 def test_train_predict_eval_round(tmp_path, capsys):

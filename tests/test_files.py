@@ -1,0 +1,107 @@
+"""The one JSON reader: its error mapping, and that no other module reads JSON."""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+import rydock
+from rydock import files
+from rydock.errors import InputError
+
+SRC = Path(rydock.__file__).resolve().parent
+
+
+def test_read_names_the_file_for_every_malformed_input(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"a": [1, 2]}))
+    assert files.read(path, lambda doc: doc["a"]) == [1, 2]
+    for parse in (lambda doc: doc["b"], lambda doc: doc.get("a").keys(),
+                  lambda doc: doc["a"][5], lambda doc: int(doc),
+                  lambda doc: float("x")):
+        with pytest.raises(InputError, match="doc.json"):
+            files.read(path, parse)
+    for bad in ("{nope", ""):
+        path.write_text(bad)
+        with pytest.raises(InputError, match="invalid JSON in .*doc.json"):
+            files.read(path, dict)
+    with pytest.raises(InputError, match="cannot read .*absent.json"):
+        files.read(tmp_path / "absent.json", dict)
+    with pytest.raises(InputError, match="cannot read"):
+        files.read(tmp_path, dict)
+
+
+def test_read_passes_input_errors_through():
+    raised = InputError("a check of the parser's own")
+
+    def parse(doc):
+        raise raised
+
+    with pytest.raises(InputError) as info:
+        files.read(Path(__file__).parents[1] / "fixtures" / "five_node.json", parse)
+    assert info.value is raised
+
+
+def test_read_lines_skips_blank_lines(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"k": 1}\n\n  \n{"k": 2}\n')
+    assert files.read(path, lambda docs: [d["k"] for d in docs], lines=True) == [1, 2]
+    path.write_text('{"k": 1}\n{"k": \n')
+    with pytest.raises(InputError, match="log.jsonl"):
+        files.read(path, list, lines=True)
+
+
+def test_write_round_trips(tmp_path):
+    path = tmp_path / "out.json"
+    files.write(path, {"b": 1, "a": [0.5]})
+    assert path.read_text() == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
+    assert files.read(path, dict) == {"a": [0.5], "b": 1}
+
+
+def _json_reads_and_handlers(tree):
+    """(line, what) of every json.load(s) call and every handler of
+    JSONDecodeError or FileNotFoundError in a module's syntax tree."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("load", "loads")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            found.append((node.lineno, f"json.{node.func.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [(node.lineno, f"from json import {a.name}") for a in node.names
+                      if a.name in ("load", "loads", "JSONDecodeError")]
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for name in ast.walk(node.type):
+                ident = getattr(name, "attr", getattr(name, "id", None))
+                if ident in ("JSONDecodeError", "FileNotFoundError"):
+                    found.append((node.lineno, f"except {ident}"))
+    return found
+
+
+def test_no_module_but_files_reads_json():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "files.py":
+            continue
+        for line, what in _json_reads_and_handlers(ast.parse(path.read_text())):
+            # the model file stores its metadata as JSON bytes inside the npz
+            if rel == "mlqaa/gcn.py" and what == "json.loads":
+                continue
+            offenders.append(f"{rel}:{line}: {what}")
+    assert offenders == []
+
+
+def test_the_scan_sees_what_it_forbids():
+    code = (
+        "import json\n"
+        "def f(p):\n"
+        "    try:\n"
+        "        return json.load(open(p))\n"
+        "    except (FileNotFoundError, json.JSONDecodeError):\n"
+        "        return json.loads('{}')\n"
+    )
+    assert sorted(_json_reads_and_handlers(ast.parse(code))) == [
+        (4, "json.load"), (5, "except FileNotFoundError"),
+        (5, "except JSONDecodeError"), (6, "json.loads")]

@@ -15,7 +15,6 @@ from rydock.mlqaa import (
     featurize,
     forward,
     generate_corpus,
-    gradient_check,
     label_dataset,
     load_dataset,
     load_models,
@@ -42,6 +41,7 @@ from rydock.mlqaa.gcn import (
     _pack,
     _to_scale,
     _views,
+    _weight_names,
     init_weights,
     loss_and_gradients,
 )
@@ -166,6 +166,39 @@ def test_label_scale_transforms():
         for v in (0.31, 4.7):
             z = _to_scale(v, scale, band)
             assert _from_scale(z, scale, band) == pytest.approx(v)
+
+
+def gradient_check(model: GcnModel, feats, target_value: float,
+                   n_sample: int = 100, step: float = 1e-5,
+                   seed: int = 0) -> float:
+    """Max relative error of analytic vs central-difference gradients."""
+    adj, x, mask = _pack([feats])
+    targets = np.array([target_value], dtype=float)
+    weights = {k: v.copy() for k, v in model.weights.items()}
+    _, grads, _ = loss_and_gradients(weights, adj, x, mask, targets)
+    rng = substream(seed, "gradcheck")
+    names = _weight_names()
+    sizes = np.array([weights[k].size for k in names])
+    total = int(sizes.sum())
+    picks = rng.choice(total, size=min(n_sample, total), replace=False)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    worst = 0.0
+    for flat in picks:
+        arr_k = int(np.searchsorted(offsets, flat, side="right") - 1)
+        name = names[arr_k]
+        local = int(flat - offsets[arr_k])
+        idx = np.unravel_index(local, weights[name].shape)
+        keep = weights[name][idx]
+        weights[name][idx] = keep + step
+        lp, _, _ = loss_and_gradients(weights, adj, x, mask, targets)
+        weights[name][idx] = keep - step
+        lm, _, _ = loss_and_gradients(weights, adj, x, mask, targets)
+        weights[name][idx] = keep
+        numeric = (lp - lm) / (2 * step)
+        analytic = grads[name][idx]
+        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+        worst = max(worst, err)
+    return float(worst)
 
 
 def test_gradients_match_finite_differences():
@@ -430,6 +463,25 @@ def test_generate_corpus():
         assert e.name == f"{e.family}-{e.size_index}-s{e.spacing:g}"
         pos = shape_positions(e.family, e.size_index, e.spacing)
         assert e.embedding.register.n == len(pos)
+
+
+def test_load_models_refuses_broken_files(tmp_path):
+    # a truncated npz raises BadZipFile, which is not a ValueError; junk bytes
+    # read as a pickle, which np.load refuses
+    path = tmp_path / "m.npz"
+    save_models({"t_rise": train([_record(6.0), _record(9.0)], "t_rise", epochs=1)}, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    for broken in (path.read_bytes()[:200], b"", b"not a model"):
+        path.write_bytes(broken)
+        with pytest.raises(InputError, match="m.npz"):
+            load_models(path)
+    for missing in ("__meta__", "t_rise:hb"):
+        np.savez(path, **{k: v for k, v in arrays.items() if k != missing})
+        with pytest.raises(InputError, match="m.npz"):
+            load_models(path)
+    with pytest.raises(InputError, match="absent.npz"):
+        load_models(tmp_path / "absent.npz")
 
 
 def test_dataset_jsonl_roundtrip(tmp_path):
