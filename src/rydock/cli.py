@@ -5,10 +5,11 @@ all randomness from a single root seed, and stamps each output file with
 the sha256 digest of the effective configuration so that runs can be told
 apart (and reproduced) byte for byte. No timestamps are written anywhere.
 
-Exit codes: 0 success, 2 bad input, 3 infeasible embedding or band,
-4 numerical failure. Any unreadable or malformed input file exits 2 with one
-`error:` line, which names the file when it is missing or unreadable, is not
-JSON, or lacks a key or holds a value of the wrong type.
+Exit codes: 0 success, 2 bad input or unwritable output, 3 infeasible
+embedding or band, 4 numerical failure. An input file that is missing,
+unreadable, not JSON, or holds a document that does not decode, and an output
+directory or file that cannot be written, exit 2 with one `error:` line
+naming the path.
 """
 
 from __future__ import annotations
@@ -57,19 +58,16 @@ from .mlqaa.gcn import (
     train,
 )
 from .optimize import (
+    evaluate_params,
     load_trials,
     normalized_score,
     normalized_value,
-    prefix_result,
     qaa_sweep,
-    score,
-    sequence_for,
     success_probability,
     vqaa,
 )
-from .register import DeviceParams, layout, load_register, omega_bounds, save_register, strip_ancillas
+from .register import DeviceParams, layout, load_register, omega_bounds, save_register
 from .rng import substream
-from .simulator import evolve, measure
 
 CONFIG_KEYS = {
     "device", "seed", "shots", "dt", "rounds", "optimizer", "family",
@@ -193,18 +191,13 @@ def cmd_vqaa(args, cfg, meta, out, dev) -> int:
         if cfg["optimizer"] != "tpe":
             raise InputError("resume is only meaningful for the tpe optimizer")
         done = load_trials(log_path, digest)
-    if done and len(done) >= cfg["rounds"]:
-        res = prefix_result(
-            emb, dev, done, cfg["rounds"], family=cfg["family"],
-            shots=cfg["shots"], seed=cfg["seed"], dt=cfg["dt"],
-        )
-    else:  # a shorter log of the same search is replayed and extended
-        res = vqaa(
-            emb, dev, family=cfg["family"], rounds=cfg["rounds"],
-            shots=cfg["shots"], optimizer=cfg["optimizer"], seed=cfg["seed"],
-            dt=cfg["dt"], log_path=log_path, log_fields={"search_digest": digest},
-            replay=done,
-        )
+    # a log of the same search is replayed, and extended if it is shorter
+    res = vqaa(
+        emb, dev, family=cfg["family"], rounds=cfg["rounds"],
+        shots=cfg["shots"], optimizer=cfg["optimizer"], seed=cfg["seed"],
+        dt=cfg["dt"], log_path=None if len(done) >= cfg["rounds"] else log_path,
+        log_fields={"search_digest": digest}, replay=done,
+    )
 
     g = emb.graph
     norm = normalized_score(res.refined_histogram, g, res.refined)
@@ -267,19 +260,16 @@ def cmd_benchmark(args, cfg, meta, out, dev) -> int:
     rounds_list = sorted(int(r) for r in _float_list(args.rounds_list))
     if not rounds_list or rounds_list[0] < 1:
         raise InputError("rounds list must contain positive integers")
-    entries = _benchmark_entries(args.subset)
     rows = []
-    for entry in entries:
+    for entry in _benchmark_entries(args.subset):
         entry_seed = int(substream(cfg["seed"], "bench", entry.name).integers(1 << 62))
-        full = vqaa(
-            entry.embedding, dev, family=cfg["family"], rounds=rounds_list[-1],
-            shots=cfg["shots"], optimizer="tpe", seed=entry_seed, dt=cfg["dt"],
-        )
+        kw = dict(family=cfg["family"], shots=cfg["shots"], optimizer="tpe",
+                  seed=entry_seed, dt=cfg["dt"])
+        full = vqaa(entry.embedding, dev, rounds=rounds_list[-1], **kw)
         for k in rounds_list:
-            res = (full if k == rounds_list[-1] and not full.second_pass
-                   else prefix_result(
-                       entry.embedding, dev, full.trials, k, family=cfg["family"],
-                       shots=cfg["shots"], seed=entry_seed, dt=cfg["dt"]))
+            # the longest run's trials replay as a standalone run of k rounds
+            res = full if k == rounds_list[-1] else vqaa(
+                entry.embedding, dev, rounds=k, replay=full.trials, **kw)
             norm = normalized_score(res.refined_histogram, entry.embedding.graph,
                                     res.refined)
             rows.append({
@@ -380,14 +370,10 @@ def cmd_mlqaa_eval(args, cfg, meta, out, dev) -> int:
     for rec in hold_recs:
         emb = rec.embedding(dev)
         g = emb.graph
-        params = predict_params(models, emb, dev)
-        seq = sequence_for(params, "complex", dev)
-        state = evolve(emb.register, seq, dev, dt=cfg["dt"])
-        hist = strip_ancillas(
-            measure(state, cfg["shots"], substream(cfg["seed"], "eval", rec.name)),
-            emb,
+        sb, hist = evaluate_params(
+            emb, dev, predict_params(models, emb, dev), "complex", cfg["shots"],
+            substream(cfg["seed"], "eval", rec.name), cfg["dt"],
         )
-        sb = score(hist, g)
         rows.append({
             "name": rec.name, "n_atoms": emb.register.n,
             "spacing": rec.spacing,
@@ -472,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--optimizer", choices=["tpe", "nm"])
     v.add_argument("--rounds", type=int)
     v.add_argument("--resume", action="store_true",
-                   help="reuse trials.jsonl of the same search if it has enough rounds")
+                   help="replay trials.jsonl of the same search, extending a shorter one")
     v.set_defaults(func=cmd_vqaa)
 
     w = sub.add_parser("sweep", parents=[common],
@@ -542,6 +528,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # files.read turns an input's OSError into InputError: this is output
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

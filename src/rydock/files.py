@@ -2,8 +2,8 @@
 
 `read` turns every way an input file can be unreadable or malformed into an
 InputError that names the file, so the CLI exits 2 on it. Its `parse`
-callbacks only decode; checks that compute on the decoded value run after
-it returns.
+callbacks decode, and may check what they decode; checks that compute on the
+decoded value run after it returns.
 """
 
 from __future__ import annotations
@@ -13,22 +13,31 @@ import json
 from .errors import InputError
 
 
+def _lines(text):
+    """The documents on the non-blank lines of `text`; a decoding error is
+    placed in the whole text, not in its line."""
+    docs, start = [], 0
+    for line in text.split("\n"):
+        if line.strip():
+            try:
+                docs.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise json.JSONDecodeError(exc.msg, text, start + exc.pos) from None
+        start += len(line) + 1
+    return docs
+
+
 def read(path, parse, lines=False):
     """`parse` of the JSON document in `path`, or with `lines` of the list of
     documents on its non-blank lines.
 
     A missing or unreadable file, invalid JSON, and any KeyError,
-    AttributeError, IndexError, TypeError or ValueError that `parse` raises
-    (a document of the wrong shape) become an InputError naming `path`; an
-    InputError from `parse` passes through unchanged.
+    AttributeError, IndexError, TypeError or ValueError (InputError included)
+    that `parse` raises become an InputError naming `path`.
     """
     try:
         with open(path) as fh:
-            if lines:
-                return parse([json.loads(line) for line in fh if line.strip()])
-            return parse(json.load(fh))
-    except InputError:
-        raise
+            return parse(_lines(fh.read()) if lines else json.load(fh))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:

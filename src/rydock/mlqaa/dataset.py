@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .. import files
+from .. import files, optimize
 from ..errors import InputError
 from ..register import DeviceParams, Embedding, embedding_from_positions, omega_bounds
 from ..rng import substream
-from ..optimize import GINI_THRESHOLD, _measure_scored, evaluate_params, search_space, vqaa
+from ..optimize import search_space, vqaa
 
 SPACINGS = (6.0, 7.25, 8.5, 9.75, 11.0)
 FAMILIES = ("line", "rectangle", "triangle", "tri_lattice", "hexagon")
@@ -205,9 +205,9 @@ def label_dataset(entries, dev: DeviceParams, rounds: int = 40,
     relabelled independently), picks the canonical trial of the near-best
     plateau, and stores its parameters with a 5x-shot re-scored quality.
     The search keeps the final state of every trial still within LABEL_TOL
-    of its running best, so the canonical trial is re-measured, not evolved
-    again. Entries that stay nullified even after the search's second pass
-    are dropped.
+    of its running best, so `optimize._outcome` re-measures the canonical
+    trial, not evolving it again. Entries that stay nullified even after the
+    search's second pass are dropped.
     """
     records = []
     for k, entry in enumerate(entries):
@@ -229,14 +229,11 @@ def label_dataset(entries, dev: DeviceParams, rounds: int = 40,
             continue
         space = search_space(entry.embedding, dev, "complex")
         canon = _canonical_trial(res.trials, space)
-        canon_seed = substream(entry_seed, "canon")
-        state = plateau[canon.round][1]
-        if state is None:
-            sb, _ = evaluate_params(entry.embedding, dev, canon.params, family="complex",
-                                    shots=5 * shots, seed=canon_seed, dt=dt)
-        else:
-            sb, _ = _measure_scored(state, entry.embedding, 5 * shots, canon_seed,
-                                    GINI_THRESHOLD)
+        # looked up on the module, as vqaa's calls are, so wrappers see them
+        hist, _ = optimize._outcome(canon.params, entry.embedding, dev, "complex",
+                                    5 * shots, substream(entry_seed, "canon"), dt,
+                                    state=plateau[canon.round][1])
+        sb = optimize.score(hist, entry.embedding.graph)
         if sb.score <= 0.0:
             continue
         reg = entry.embedding.register

@@ -11,13 +11,17 @@ premature collapse onto one outcome, at the price of zeroing perfectly
 converged runs on graphs with a unique optimum; that trade-off is
 intentional and documented here. A normalised score divides by the best
 reachable mean(f), w(MWIS)/w(V), so it never exceeds 1.
+
+Every scored pulse is evolved (or a kept final state re-measured) and
+stripped by `_outcome`, the one home of the exact omega=0 shortcut.
+`qaa_sweep` keeps its own loop: there an omega=0 cell is infeasible.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import compress
 
 import numpy as np
@@ -53,12 +57,9 @@ class ScoreBreakdown:
     nullified: bool
 
 
-def score(hist: Histogram, g: WeightedGraph,
-          gini_threshold: float | None = GINI_THRESHOLD) -> ScoreBreakdown:
-    """Frequency-weighted independence score of a histogram against a graph.
-
-    Pass gini_threshold=None to disable nullification.
-    """
+def score(hist: Histogram, g: WeightedGraph) -> ScoreBreakdown:
+    """Frequency-weighted independence score of a histogram against a graph,
+    nullified below the GINI_THRESHOLD read at call time."""
     n = g.n
     total = g.total_weight()
     index = {v: k for k, v in enumerate(g.vertex_ids)}
@@ -76,7 +77,7 @@ def score(hist: Histogram, g: WeightedGraph,
         else:
             mean_f += p * sum(compress(g.weights, map("1".__eq__, bits))) / total
     gini = 1.0 - herf
-    nullified = gini_threshold is not None and gini < gini_threshold
+    nullified = gini < GINI_THRESHOLD
     return ScoreBreakdown(
         mean_f=float(mean_f),
         gini=float(gini),
@@ -375,45 +376,33 @@ class VqaaResult:
     family: str
 
 
-def _evaluate(params, emb, dev, family, shots, shot_seed, dt,
-              coherence_ns=None, gini_threshold=GINI_THRESHOLD):
-    """Returns (ScoreBreakdown, stripped Histogram, final StateVector), the
-    state being None on the exact omega=0 shortcut."""
-    if params["omega"] == 0.0:
-        # hardware validation rejects a dead drive, but box searches can
-        # land exactly on the omega=0 bound; the outcome there is exact
-        zeros = "0" * emb.graph.n
-        hist = Histogram(shots=shots, counts={zeros: shots})
-        return score(hist, emb.graph, gini_threshold), hist, None
-    seq = sequence_for(params, family, dev, coherence_ns)
-    state = evolve(emb.register, seq, dev, dt=dt)
-    return (*_measure_scored(state, emb, shots, shot_seed, gini_threshold), state)
-
-
-def _measure_scored(state, emb, shots, shot_seed, gini_threshold):
-    hist = measure(state, shots, shot_seed)
-    stripped = strip_ancillas(hist, emb)
-    return score(stripped, emb.graph, gini_threshold), stripped
+def _outcome(params, emb, dev, family, shots, shot_seed, dt,
+             coherence_ns=None, state=None):
+    """(stripped Histogram, final StateVector) of `params` evolved, or of a kept
+    final `state`, measured `shots` times; no state on the omega=0 shortcut."""
+    if state is None:
+        if params["omega"] == 0.0:
+            # hardware validation rejects a dead drive, but searches and
+            # predictions can land on the omega=0 bound, where this is exact
+            return Histogram(shots=shots, counts={"0" * emb.graph.n: shots}), None
+        seq = sequence_for(params, family, dev, coherence_ns)
+        state = evolve(emb.register, seq, dev, dt=dt)
+    return strip_ancillas(measure(state, shots, shot_seed), emb), state
 
 
 def evaluate_params(emb: Embedding, dev: DeviceParams, params: dict,
                     family: str = "complex", shots: int = 1000, seed=0,
-                    dt: float = 4.0,
-                    gini_threshold: float | None = GINI_THRESHOLD):
-    """Score one parameter set end to end: evolve, measure, strip, score.
-
-    Returns (ScoreBreakdown, stripped Histogram).
-    """
-    return _evaluate(params, emb, dev, family, shots, seed, dt,
-                     gini_threshold=gini_threshold)[:2]
+                    dt: float = 4.0):
+    """(ScoreBreakdown, stripped Histogram) of one parameter set: evolve,
+    measure, strip, score."""
+    hist, _ = _outcome(params, emb, dev, family, shots, seed, dt)
+    return score(hist, emb.graph), hist
 
 
 def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
          rounds: int = 50, shots: int = 1000, optimizer: str = "tpe",
-         seed: int = 0, dt: float = 4.0,
-         gini_threshold: float | None = GINI_THRESHOLD,
-         log_path=None, log_fields: dict | None = None,
-         on_trial=None, replay=()) -> VqaaResult:
+         seed: int = 0, dt: float = 4.0, log_path=None,
+         log_fields: dict | None = None, on_trial=None, replay=()) -> VqaaResult:
     """Variational search for pulse parameters on one embedding.
 
     optimizer="tpe": `rounds` sequential suggestions; when every trial ends
@@ -430,8 +419,9 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
 
     `replay` holds the logged trials of rounds 0..k-1 of an identically
     seeded tpe search; they stand in for those rounds, exactly, since round r
-    consumes only trials[:r] and streams keyed by r. A replayed winner has no
-    state, so it is evolved again for the re-measurement.
+    consumes only trials[:r] and streams keyed by r. k may exceed `rounds`:
+    a longer search replays as a standalone one, second pass included. A
+    replayed winner has no state, so it is evolved again for the re-measure.
     """
     if rounds < 1:
         raise InputError("rounds must be >= 1")
@@ -458,11 +448,9 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
         return trial
 
     def run_one(params, rnd):
-        sb, stripped, state = _evaluate(
-            params, emb, dev, family, shots,
-            substream(seed, "shots", rnd), dt,
-            coherence_ns=budget, gini_threshold=gini_threshold,
-        )
+        stripped, state = _outcome(params, emb, dev, family, shots,
+                                   substream(seed, "shots", rnd), dt, budget)
+        sb = score(stripped, g)
         return record(Trial(
             round=rnd, params=dict(params), score=sb.score, gini=sb.gini,
             mean_f=sb.mean_f, top=tuple(stripped.top(10)),
@@ -511,17 +499,10 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
         if log_fh:
             log_fh.close()
 
-    refine_seed = substream(seed, "refine")
-    if best_state is None:
-        rb, rh, _ = _evaluate(
-            best.params, emb, dev, family, shots * REFINE_SHOT_FACTOR,
-            refine_seed, dt, coherence_ns=budget, gini_threshold=gini_threshold,
-        )
-    else:
-        rb, rh = _measure_scored(best_state, emb, shots * REFINE_SHOT_FACTOR,
-                                 refine_seed, gini_threshold)
+    rh, _ = _outcome(best.params, emb, dev, family, shots * REFINE_SHOT_FACTOR,
+                     substream(seed, "refine"), dt, budget, state=best_state)
     return VqaaResult(
-        best=best, trials=tuple(trials), refined=rb, refined_histogram=rh,
+        best=best, trials=tuple(trials), refined=score(rh, g), refined_histogram=rh,
         low_confidence=best.score == 0.0, second_pass=second_pass, family=family,
     )
 
@@ -541,35 +522,6 @@ def load_trials(path, digest=None) -> list:
 def _rank(trial: Trial) -> tuple:
     """Ordering of trials: the best one has the largest key."""
     return (trial.score, trial.gini, trial.mean_f, -trial.round)
-
-
-def prefix_result(emb: Embedding, dev: DeviceParams, trials, k: int,
-                  family: str = "complex", shots: int = 1000, seed: int = 0,
-                  dt: float = 4.0,
-                  gini_threshold: float | None = GINI_THRESHOLD) -> VqaaResult:
-    """Result an identically seeded tpe run of only `k` rounds would return.
-
-    Valid because round r consumes nothing beyond trials[:r] and streams
-    keyed by r, so trials[:k] of a longer run are exactly the trials of a
-    k-round run. Re-measures the prefix winner the same way vqaa does.
-    One caveat: a standalone k-round run whose trials all ended nullified
-    would grow a second pass; here the prefix is reported as-is with
-    low_confidence set instead.
-    """
-    trials = list(trials)
-    if not 1 <= k <= len(trials):
-        raise InputError(f"prefix {k} outside 1..{len(trials)}")
-    head = trials[:k]
-    best = max(head, key=_rank)
-    rb, rh, _ = _evaluate(
-        best.params, emb, dev, family, shots * REFINE_SHOT_FACTOR,
-        substream(seed, "refine"), dt,
-        coherence_ns=dev.coherence_time, gini_threshold=gini_threshold,
-    )
-    return VqaaResult(
-        best=best, trials=tuple(head), refined=rb, refined_histogram=rh,
-        low_confidence=best.score == 0.0, second_pass=False, family=family,
-    )
 
 
 def qaa_sweep(emb: Embedding, dev: DeviceParams, omegas, deltas, times,

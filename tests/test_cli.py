@@ -15,8 +15,10 @@ from rydock.cli import DEFAULTS, config_digest, effective_config, main
 from rydock.errors import InputError
 from rydock.graphs import load_graph
 from rydock.mlqaa import DatasetRecord, save_dataset
-from rydock.optimize import Trial, load_trials, search_space, vqaa
+from rydock.mlqaa.dataset import corpus_entry
+from rydock.optimize import Trial, load_trials, normalized_score, search_space, vqaa
 from rydock.register import DeviceParams, load_register, omega_bounds
+from rydock.rng import substream
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 DEV = DeviceParams()
@@ -156,10 +158,11 @@ def test_vqaa_resume_reuses_trials(tmp_path):
     assert len(load_trials(run_a / "trials.jsonl")) == 3
 
     # resume trims to the first two rounds without touching the log
+    log = (run_a / "trials.jsonl").read_bytes()
     rc = main(["vqaa", "--register", register, "--rounds", "2", "--shots", "100",
                "--dt", "8", "--seed", "0", "--out", str(run_a), "--resume"])
     assert rc == 0
-    assert len(load_trials(run_a / "trials.jsonl")) == 3
+    assert (run_a / "trials.jsonl").read_bytes() == log
     resumed = json.loads((run_a / "result.json").read_text())
 
     run_b = tmp_path / "b"
@@ -216,6 +219,25 @@ def test_vqaa_resume_extends_a_shorter_log(tmp_path, monkeypatch, seed, evolves)
     assert len(calls) == evolves
     for name in ("trials.jsonl", "histogram.json", "result.json"):
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
+
+
+def test_benchmark_rows_equal_standalone_runs(tmp_path, monkeypatch):
+    # every trial of line-3-s11's first two rounds is nullified, so a
+    # standalone 2-round search runs a second pass, and so must its row
+    entry = corpus_entry("line", 3, 11.0, DEV)
+    monkeypatch.setattr("rydock.cli.generate_corpus", lambda *a, **k: [entry])
+    assert main(["benchmark", "--subset", "lines", "--rounds", "2,4", "--shots", "200",
+                 "--dt", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "benchmark.csv").read_text().splitlines()[2:]
+    seed = int(substream(3, "bench", entry.name).integers(1 << 62))
+    assert len(rows) == 2
+    for row, k in zip(rows, (2, 4)):
+        res = vqaa(entry.embedding, DEV, family="complex", rounds=k, shots=200,
+                   optimizer="tpe", seed=seed, dt=8.0)
+        assert res.second_pass == (k == 2)
+        norm = normalized_score(res.refined_histogram, entry.embedding.graph, res.refined)
+        assert row.split(",")[4:] == [str(k), str(res.refined.score), str(norm),
+                                      str(res.low_confidence)]
 
 
 def test_sweep_writes_grid(tmp_path, capsys):
@@ -300,7 +322,8 @@ RECEPTOR = str(FIXTURES / "ethylene_glycol.json")
 
 
 def _malformed(case, tmp_path):
-    """(argv, path of the malformed input) for one regression case."""
+    """(argv, path the error line must name) for one regression case: a
+    malformed input, or an output that cannot be written."""
     out = ["--out", str(tmp_path / "out")]
     if case == "dataset_missing":
         path = str(tmp_path / "absent.jsonl")
@@ -314,6 +337,16 @@ def _malformed(case, tmp_path):
     if case == "node_weight_not_a_number":
         path = _write(tmp_path / "g.json", {"nodes": [{"id": "a", "weight": "x"}]})
         return ["embed", "--graph", path, *out], path
+    if case == "node_weight_negative":
+        path = _write(tmp_path / "g.json", {"nodes": [{"id": "a", "weight": -1}]})
+        return ["embed", "--graph", path, *out], path
+    if case == "out_is_a_file":
+        path = _write(tmp_path / "taken", {})
+        return ["embed", "--graph", str(FIXTURES / "five_node.json"), "--out", path], path
+    if case == "out_file_in_missing_dir":
+        path = str(tmp_path / "absent" / "oracle.json")
+        return ["oracle", "--graph", str(FIXTURES / "five_node.json"),
+                "--out-file", path, *out], path
     if case == "atom_without_x":
         path = _write(tmp_path / "r.json", {"atoms": [{"id": "a", "y": 0.0}]})
         return ["vqaa", "--register", path, *out], path
@@ -347,7 +380,8 @@ def _malformed(case, tmp_path):
     "dataset_missing", "graph_is_directory", "graph_nodes_not_objects",
     "node_weight_not_a_number", "atom_without_x", "xyz_not_numbers",
     "points_not_a_list", "table_pair_without_s", "device_value_not_a_number",
-    "junk_model_set",
+    "junk_model_set", "node_weight_negative", "out_is_a_file",
+    "out_file_in_missing_dir",
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     argv, path = _malformed(case, tmp_path)
@@ -422,6 +456,25 @@ def test_train_predict_eval_round(tmp_path, capsys):
     rc = main(["predict", "--register", register,
                "--models", str(tmp_path / "missing"), "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_mlqaa_eval_scores_a_zero_drive_prediction(tmp_path, monkeypatch):
+    # a 2-atom line's Rabi band starts at 0, so a predicted pulse can clamp to
+    # omega 0: the register stays in its ground state, which is scored, not refused
+    records = [_record(s) for s in (6.0, 7.5, 9.0, 11.0)]
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset(records, dataset)
+    models_dir = tmp_path / "models"
+    assert main(["train", "--dataset", str(dataset), "--epochs", "2",
+                 "--seed", "0", "--out", str(models_dir)]) == 0
+    assert omega_bounds(records[0].embedding(DEV), DEV)[0] == 0.0
+    monkeypatch.setattr("rydock.cli.predict_params",
+                        lambda models, emb, dev: {**records[0].params, "omega": 0.0})
+    assert main(["mlqaa-eval", "--dataset", str(dataset), "--models", str(models_dir),
+                 "--shots", "100", "--dt", "8", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "mlqaa_eval.csv").read_text().strip().splitlines()
+    assert len(rows) == 3
+    assert rows[2].split(",")[3] == "0.0"  # mlqaa_norm of the all-zeros outcome
 
 
 def test_train_mape_in_device_units(tmp_path):

@@ -32,15 +32,15 @@ def test_read_names_the_file_for_every_malformed_input(tmp_path):
         files.read(tmp_path, dict)
 
 
-def test_read_passes_input_errors_through():
-    raised = InputError("a check of the parser's own")
+def test_read_names_the_file_on_checks_made_while_decoding():
+    path = Path(__file__).parents[1] / "fixtures" / "five_node.json"
 
     def parse(doc):
-        raise raised
+        raise InputError("a check of the parser's own")
 
     with pytest.raises(InputError) as info:
-        files.read(Path(__file__).parents[1] / "fixtures" / "five_node.json", parse)
-    assert info.value is raised
+        files.read(path, parse)
+    assert str(info.value) == f"{path}: a check of the parser's own"
 
 
 def test_read_lines_skips_blank_lines(tmp_path):
@@ -50,6 +50,17 @@ def test_read_lines_skips_blank_lines(tmp_path):
     path.write_text('{"k": 1}\n{"k": \n')
     with pytest.raises(InputError, match="log.jsonl"):
         files.read(path, list, lines=True)
+
+
+def test_read_lines_reports_the_line_of_the_file(tmp_path):
+    path = tmp_path / "log.jsonl"
+    for text, line in (('{"k": 1}\n{"k": 2}\n{"k" 3}\n', 3),
+                       ('{"k": 1}\n\n  \n{"k" 3}', 4)):
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            files.read(path, list, lines=True)
+        assert str(info.value) == (f"invalid JSON in {path}: Expecting ':' delimiter: "
+                                   f"line {line} column 6 (char {text.rindex('3')})")
 
 
 def test_write_round_trips(tmp_path):

@@ -1,7 +1,9 @@
 """Scoring, search spaces, the two optimizers, and the vqaa loop."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from rydock.optimize import (
     nelder_mead,
     normalized_score,
     normalized_value,
-    prefix_result,
     qaa_sweep,
     score,
     search_space,
@@ -66,17 +67,18 @@ def test_score_worked_examples():
     assert not sb.nullified
 
 
-def test_nullification_threshold_is_strict():
+def test_nullification_threshold_is_strict(monkeypatch):
     hist = Histogram(shots=100, counts={"101": 90, "010": 10})
     gini = 1.0 - (0.81 + 0.01)
     assert gini < GINI_THRESHOLD
     sb = score(hist, PATH3)
     assert sb.nullified and sb.score == 0.0
-    raw = score(hist, PATH3, gini_threshold=None)
-    assert not raw.nullified
-    assert raw.score == pytest.approx(raw.mean_f * gini)
-    at = score(hist, PATH3, gini_threshold=gini)
+    assert sb.gini == pytest.approx(gini)
+    # score reads the threshold when it is called
+    monkeypatch.setattr(rydock.optimize, "GINI_THRESHOLD", gini)
+    at = score(hist, PATH3)
     assert not at.nullified  # nullification needs gini strictly below
+    assert at.score == pytest.approx(sb.mean_f * gini)
 
 
 def test_score_width_mismatch():
@@ -84,7 +86,8 @@ def test_score_width_mismatch():
         score(Histogram(shots=1, counts={"10": 1}), PATH3)
 
 
-def test_score_bounds_on_random_inputs():
+def test_score_bounds_on_random_inputs(monkeypatch):
+    monkeypatch.setattr(rydock.optimize, "GINI_THRESHOLD", 0.0)
     rng = np.random.default_rng(12)
     for _ in range(60):
         n = int(rng.integers(2, 7))
@@ -97,17 +100,19 @@ def test_score_bounds_on_random_inputs():
             bits = "".join(rng.choice(["0", "1"], size=n))
             raw[bits] = raw.get(bits, 0) + int(rng.integers(1, 50))
         hist = Histogram(shots=sum(raw.values()), counts=raw)
-        sb = score(hist, g, gini_threshold=None)
+        sb = score(hist, g)
+        assert not sb.nullified
         assert 0.0 <= sb.score <= sb.mean_f <= 1.0
         assert 0.0 <= sb.gini < 1.0
 
 
-def test_score_relabeling_invariance():
+def test_score_relabeling_invariance(monkeypatch):
+    monkeypatch.setattr(rydock.optimize, "GINI_THRESHOLD", 0.0)
     rng = np.random.default_rng(21)
     g = WeightedGraph.from_parts(
         "abcd", [("a", "b"), ("b", "c"), ("c", "d")], weights=[1, 2, 3, 4])
     raw = {"0101": 30, "1010": 50, "1111": 20}
-    base = score(Histogram(shots=100, counts=raw), g, gini_threshold=None)
+    base = score(Histogram(shots=100, counts=raw), g)
     for _ in range(10):
         perm = rng.permutation(4)
         ids = [g.vertex_ids[p] for p in perm]
@@ -116,8 +121,7 @@ def test_score_relabeling_invariance():
         g2 = WeightedGraph.from_parts(
             ids, edges, weights=[g.weights[p] for p in perm])
         remapped = {"".join(bits[p] for p in perm): c for bits, c in raw.items()}
-        sb = score(Histogram(shots=100, counts=remapped), g2,
-                   gini_threshold=None)
+        sb = score(Histogram(shots=100, counts=remapped), g2)
         assert sb.mean_f == pytest.approx(base.mean_f)
         assert sb.gini == pytest.approx(base.gini)
         assert sb.score == pytest.approx(base.score)
@@ -159,7 +163,7 @@ def test_normalized_score_lies_in_unit_interval(case):
     assert 0.0 <= normalized_score(hist, g) <= 1.0
 
 
-def test_weighted_score_is_bounded_by_the_optimum():
+def test_weighted_score_is_bounded_by_the_optimum(monkeypatch):
     # centre 10, three leaves 1: the MWIS is the centre alone, so leaf sets
     # are independent but light, and must not outscore the optimum
     star = WeightedGraph.from_parts(
@@ -173,8 +177,9 @@ def test_weighted_score_is_bounded_by_the_optimum():
     assert success_probability(leaves, star) == 0.0
     # all mass on the optimum and the best spread it can keep reach at most 1
     best = Histogram(shots=1000, counts={"1000": 600, "0000": 400})
-    assert normalized_score(best, star, score(best, star, None)) <= 1.0
-    assert normalized_value(score(best, star, None).mean_f, star) == pytest.approx(0.6)
+    monkeypatch.setattr(rydock.optimize, "GINI_THRESHOLD", 0.0)
+    assert normalized_score(best, star, score(best, star)) <= 1.0
+    assert normalized_value(score(best, star).mean_f, star) == pytest.approx(0.6)
 
 
 def test_exact_optimum_solved_once_per_graph(monkeypatch):
@@ -406,11 +411,12 @@ def test_vqaa_trial_log(tmp_path):
         assert row["params"] == pytest.approx(trial.params)
 
 
-def test_vqaa_second_pass_on_all_nullified():
+def test_vqaa_second_pass_on_all_nullified(monkeypatch):
     emb = k2_embedding()
     # an unreachable gini bar nullifies every trial, forcing the retry pass
+    monkeypatch.setattr(rydock.optimize, "GINI_THRESHOLD", 2.0)
     res = vqaa(emb, DEV, family="simple", rounds=3, shots=100,
-               optimizer="tpe", seed=0, dt=8.0, gini_threshold=2.0)
+               optimizer="tpe", seed=0, dt=8.0)
     assert res.second_pass
     assert len(res.trials) == 6
     assert res.low_confidence
@@ -433,37 +439,35 @@ def test_vqaa_nm_handles_zero_drive_bound():
     assert zero[0].score == 0.0
 
 
-def test_prefix_result_matches_standalone_run():
+def test_replay_of_a_longer_search_matches_standalone_run(monkeypatch):
+    # the trials of a 6-round run replay as a 3-round run, and where every
+    # trial of those 3 rounds is nullified, as its second pass too
     emb = k2_embedding()
-    long = vqaa(emb, DEV, family="simple", rounds=6, shots=150,
-                optimizer="tpe", seed=0, dt=8.0)
-    short = vqaa(emb, DEV, family="simple", rounds=3, shots=150,
-                 optimizer="tpe", seed=0, dt=8.0)
-    assert not short.second_pass
-    for a, b in zip(long.trials[:3], short.trials):
-        assert a.params == pytest.approx(b.params)
-        assert a.score == b.score
-    pre = prefix_result(emb, DEV, long.trials, 3, family="simple",
-                        shots=150, seed=0, dt=8.0)
-    assert pre.best == short.best
-    assert pre.refined_histogram.counts == short.refined_histogram.counts
-    assert len(pre.trials) == 3
-    with pytest.raises(InputError):
-        prefix_result(emb, DEV, long.trials, 0)
-    with pytest.raises(InputError):
-        prefix_result(emb, DEV, long.trials, 99)
+    kw = dict(family="simple", shots=150, optimizer="tpe", seed=0, dt=8.0)
+    for threshold, passes in ((GINI_THRESHOLD, 1), (2.0, 2)):
+        monkeypatch.setattr(rydock.optimize, "GINI_THRESHOLD", threshold)
+        long = vqaa(emb, DEV, rounds=6, **kw)
+        short = vqaa(emb, DEV, rounds=3, **kw)
+        assert len(short.trials) == 3 * passes
+        got = vqaa(emb, DEV, rounds=3, **kw, replay=long.trials)
+        assert got.trials == short.trials and got.best == short.best
+        assert got.second_pass == short.second_pass == (passes == 2)
+        assert got.low_confidence == short.low_confidence
+        assert got.refined == short.refined
+        assert got.refined_histogram.counts == short.refined_histogram.counts
 
 
-def test_vqaa_replay_extends_a_shorter_search():
+def test_vqaa_replay_extends_a_shorter_search(monkeypatch):
     # the trials of a 3-round run stand in for rounds 0-2 of a 6-round run,
     # and of the first pass of a search that every trial nullifies
     emb = k2_embedding()
     kw = dict(family="simple", shots=150, optimizer="tpe", seed=0, dt=8.0)
     short = vqaa(emb, DEV, rounds=3, **kw)
-    for extra in ({}, {"gini_threshold": 2.0}):
-        want = vqaa(emb, DEV, rounds=6, **kw, **extra)
-        got = vqaa(emb, DEV, rounds=6, **kw, **extra,
-                   replay=vqaa(emb, DEV, rounds=3, **kw, **extra).trials)
+    for threshold in (GINI_THRESHOLD, 2.0):
+        monkeypatch.setattr(rydock.optimize, "GINI_THRESHOLD", threshold)
+        want = vqaa(emb, DEV, rounds=6, **kw)
+        got = vqaa(emb, DEV, rounds=6, **kw,
+                   replay=vqaa(emb, DEV, rounds=3, **kw).trials)
         assert got.trials == want.trials and got.best == want.best
         assert got.second_pass == want.second_pass
         assert got.refined == want.refined
@@ -490,11 +494,14 @@ def test_qaa_sweep_matches_direct_evaluation():
 
 def test_qaa_sweep_nan_and_shape():
     emb = k2_embedding()
-    rows = qaa_sweep(emb, DEV, [3.0, 20.0], [3.0], [500.0, 1000.0],
+    # a dead drive is no pulse at all: unlike a search trial, a sweep cell at
+    # omega=0 is infeasible
+    rows = qaa_sweep(emb, DEV, [0.0, 3.0, 20.0], [3.0], [500.0, 1000.0],
                      shots=50, seed=1, dt=8.0)
-    assert len(rows) == 4
+    assert len(rows) == 6
     good = [r for r in rows if r["omega"] == 3.0]
-    bad = [r for r in rows if r["omega"] == 20.0]
+    bad = [r for r in rows if r["omega"] in (0.0, 20.0)]
+    assert len(bad) == 4
     assert all(math.isfinite(r["success_prob"]) for r in good)
     assert all(math.isnan(r["success_prob"]) for r in bad)
 
@@ -514,3 +521,38 @@ def test_evaluate_params_end_to_end():
                                  family="simple", shots=50, seed=0)
     assert hist0.counts == {"00": 50}
     assert sb0.nullified and sb0.score == 0.0
+
+
+SRC = Path(rydock.optimize.__file__).resolve().parent
+EVALUATION_STEPS = ("evolve", "measure", "strip_ancillas")
+
+
+def _evaluation_calls(tree):
+    """(line, name) of every call of evolve, measure or strip_ancillas, by
+    bare name or as an attribute, in a module's syntax tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in EVALUATION_STEPS:
+                found.append((node.lineno, name))
+    return found
+
+
+def test_only_optimize_evaluates_pulses():
+    # a pulse is evolved, measured and stripped in optimize alone, so there
+    # is one evaluation path; simulator defines the first two
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel in ("optimize.py", "simulator.py"):
+            continue
+        offenders += [f"{rel}:{line}: {name}"
+                      for line, name in _evaluation_calls(ast.parse(path.read_text()))]
+    assert offenders == []
+    code = ("from .simulator import evolve\n"
+            "def f(emb, seq, dev, simulator, register):\n"
+            "    s = evolve(emb.register, seq, dev)\n"
+            "    return register.strip_ancillas(simulator.measure(s, 9, 0), emb)\n")
+    assert sorted(_evaluation_calls(ast.parse(code))) == [
+        (3, "evolve"), (4, "measure"), (4, "strip_ancillas")]
