@@ -34,10 +34,8 @@ from .graphs import (
     WeightedGraph,
     brute_force_mwis,
     complement,
-    is_independent,
     load_graph,
     max_weight_clique,
-    mwis_cost,
     save_graph,
 )
 from .histogram import Histogram, load_histogram, save_histogram
@@ -74,8 +72,7 @@ __all__ = [
     "load_molecule", "pose_from_clique",
     "InfeasibilityError", "InputError", "NumericalError",
     "VertexSubset", "WeightedGraph", "brute_force_mwis", "complement",
-    "is_independent", "load_graph", "max_weight_clique", "mwis_cost",
-    "save_graph",
+    "load_graph", "max_weight_clique", "save_graph",
     "Histogram", "load_histogram", "save_histogram",
     "ScoreBreakdown", "VqaaResult", "normalized_score", "qaa_sweep",
     "score", "success_probability", "vqaa",

@@ -12,7 +12,6 @@ maximum-weight independent set of the complement) is the best pose.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -96,44 +95,29 @@ class Contact:
 
 
 def enumerate_contacts(ligand: Molecule, receptor: Molecule,
-                       table: InteractionTable | None = None,
-                       dist_lambda: float = math.inf) -> list:
-    """All (ligand point, receptor point) pairs with positive strength.
+                       table: InteractionTable | None = None) -> list:
+    """All (ligand point, receptor point) pairs with positive strength, which
+    is the contact's weight.
 
-    Ordered ligand-major, following each molecule's point order. The
-    optional kernel exp(-d / lambda) damps the weight by d = the difference
-    of each point's distance to its own molecule's centroid, a pose-free
-    proxy for how far the pair sits from a size-matched fit; it is disabled
-    (lambda = inf) by default.
+    Ordered ligand-major, following each molecule's point order.
     """
     table = table or default_table()
-    lig_centroid = np.mean([p.position for p in ligand.points], axis=0)
-    rec_centroid = np.mean([p.position for p in receptor.points], axis=0)
     out = []
     for lp in ligand.points:
         for rp in receptor.points:
             s = table.strength(lp.kind, rp.kind)
-            if s <= 0:
-                continue
-            w = s
-            if math.isfinite(dist_lambda):
-                d = abs(
-                    float(np.linalg.norm(np.array(lp.position) - lig_centroid))
-                    - float(np.linalg.norm(np.array(rp.position) - rec_centroid))
-                )
-                w = s * math.exp(-d / dist_lambda)
-            out.append(Contact(ligand_point=lp.id, receptor_point=rp.id, weight=w))
+            if s > 0:
+                out.append(Contact(ligand_point=lp.id, receptor_point=rp.id, weight=s))
     return out
 
 
 def build_binding_graph(ligand: Molecule, receptor: Molecule,
                         table: InteractionTable | None = None,
-                        tau: float = DEFAULT_TAU,
-                        dist_lambda: float = math.inf) -> WeightedGraph:
+                        tau: float = DEFAULT_TAU) -> WeightedGraph:
     """Binding graph over contacts; see the module docstring for the rule."""
     if tau < 0:
         raise InputError("tau must be non-negative")
-    contacts = enumerate_contacts(ligand, receptor, table, dist_lambda)
+    contacts = enumerate_contacts(ligand, receptor, table)
     ids = [c.vertex_id for c in contacts]
     weights = [c.weight for c in contacts]
     lig_row = {p.id: k for k, p in enumerate(ligand.points)}

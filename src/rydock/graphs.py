@@ -12,7 +12,6 @@ character of a bitstring is vertex 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -26,16 +25,14 @@ SIZE_CAP = 24
 class WeightedGraph:
     """Undirected graph with positive vertex weights.
 
-    `edges` are stored with endpoints ordered by vertex index. `edge_weights`
-    (optional, aligned with `edges`) are conflict penalties used by
-    `mwis_cost`; `positions` (optional, micrometres) mark geometric graphs
-    whose coordinates should be reused by register layout.
+    `edges` are stored with endpoints ordered by vertex index; `positions`
+    (optional, micrometres) mark geometric graphs whose coordinates should be
+    reused by register layout.
     """
 
     vertex_ids: tuple
     weights: tuple
     edges: tuple
-    edge_weights: tuple | None = None
     positions: tuple | None = None
 
     def __post_init__(self):
@@ -59,46 +56,34 @@ class WeightedGraph:
             if (u, v) in seen:
                 raise InputError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-        if self.edge_weights is not None and len(self.edge_weights) != len(self.edges):
-            raise InputError("edge_weights length does not match edge count")
         if self.positions is not None and len(self.positions) != len(ids):
             raise InputError("positions length does not match vertex count")
 
     @classmethod
-    def from_parts(cls, ids, edges, weights=None, edge_weights=None, positions=None):
+    def from_parts(cls, ids, edges, weights=None, positions=None):
         """Build a graph, normalising edge endpoint order."""
         ids = tuple(str(v) for v in ids)
         index = {v: k for k, v in enumerate(ids)}
         if weights is None:
             weights = (1.0,) * len(ids)
         norm = []
-        wnorm = []
-        for k, e in enumerate(edges):
+        for e in edges:
             u, v = map(str, e)
             if u not in index or v not in index:
                 raise InputError(f"edge ({u}, {v}) references unknown vertex")
             if index[u] > index[v]:
                 u, v = v, u
             norm.append((u, v))
-            if edge_weights is not None:
-                wnorm.append(float(edge_weights[k]))
         return cls(
             vertex_ids=ids,
             weights=tuple(float(w) for w in weights),
             edges=tuple(norm),
-            edge_weights=tuple(wnorm) if edge_weights is not None else None,
             positions=tuple((float(x), float(y)) for x, y in positions) if positions is not None else None,
         )
 
     @property
     def n(self) -> int:
         return len(self.vertex_ids)
-
-    def index(self, vid) -> int:
-        try:
-            return self.vertex_ids.index(vid)
-        except ValueError:
-            raise InputError(f"unknown vertex {vid!r}") from None
 
     def adjacency_masks(self) -> list:
         """Per-vertex neighbour bitmasks (bit k = vertex k)."""
@@ -126,16 +111,6 @@ class VertexSubset:
     bitstring: str
 
     @classmethod
-    def from_members(cls, g: WeightedGraph, members: Iterable) -> "VertexSubset":
-        members = frozenset(str(m) for m in members)
-        known = set(g.vertex_ids)
-        for m in members:
-            if m not in known:
-                raise InputError(f"unknown vertex {m!r}")
-        bits = "".join("1" if v in members else "0" for v in g.vertex_ids)
-        return cls(members=members, bitstring=bits)
-
-    @classmethod
     def from_bitstring(cls, g: WeightedGraph, bits: str) -> "VertexSubset":
         if len(bits) != g.n or set(bits) - {"0", "1"}:
             raise InputError(f"bad bitstring {bits!r} for {g.n} vertices")
@@ -146,17 +121,10 @@ class VertexSubset:
         return float(sum(w for v, w in zip(g.vertex_ids, g.weights) if v in self.members))
 
 
-def _members_of(s) -> frozenset:
-    if isinstance(s, VertexSubset):
-        return s.members
-    return frozenset(str(m) for m in s)
-
-
 def complement(g: WeightedGraph) -> WeightedGraph:
     """Complement graph: same vertices and weights, inverted edge set.
 
-    Edge weights and positions do not carry over; they describe the original
-    edge set and geometry.
+    Positions do not carry over; they describe the original geometry.
     """
     present = set(g.edges)
     edges = []
@@ -170,49 +138,6 @@ def complement(g: WeightedGraph) -> WeightedGraph:
         weights=g.weights,
         edges=tuple(edges),
     )
-
-
-def is_independent(subset, g: WeightedGraph) -> bool:
-    """True iff no edge of g has both endpoints in the subset."""
-    members = _members_of(subset)
-    known = set(g.vertex_ids)
-    for m in members:
-        if m not in known:
-            raise InputError(f"unknown vertex {m!r}")
-    for (u, v) in g.edges:
-        if u in members and v in members:
-            return False
-    return True
-
-
-def default_penalty(g: WeightedGraph) -> float:
-    """Conflict penalty large enough that no violated edge can ever pay off."""
-    return 1.0 + g.total_weight()
-
-
-def mwis_cost(subset, g: WeightedGraph, penalty: float | None = None) -> float:
-    """Soft-constrained objective -sum(w_i z_i) + sum(u_ij z_i z_j).
-
-    Minimised exactly by the maximum-weight independent sets when every
-    penalty u_ij exceeds the largest vertex weight; the default penalty
-    1 + total weight guarantees that. Explicit `edge_weights` on the graph
-    override the uniform penalty edge by edge.
-
-    `subset` may be a VertexSubset, a bitstring, or an iterable of ids.
-    """
-    if isinstance(subset, str):
-        subset = VertexSubset.from_bitstring(g, subset)
-    members = _members_of(subset)
-    value = 0.0
-    for v, w in zip(g.vertex_ids, g.weights):
-        if v in members:
-            value -= w
-    if penalty is None and g.edge_weights is None:
-        penalty = default_penalty(g)
-    for k, (u, v) in enumerate(g.edges):
-        if u in members and v in members:
-            value += g.edge_weights[k] if penalty is None else penalty
-    return float(value)
 
 
 def _check_cap(g: WeightedGraph, size_cap: int):
@@ -287,8 +212,8 @@ def max_weight_clique(g: WeightedGraph, size_cap: int = SIZE_CAP) -> list:
 def load_graph(path) -> WeightedGraph:
     """Read a graph from its JSON file format.
 
-    Format: {"nodes": [{"id", "weight", "pos"?}], "edges": [[a, b], ...],
-    "edge_weights": [...]?}. Extra top-level keys (e.g. "meta") are ignored.
+    Format: {"nodes": [{"id", "weight", "pos"?}], "edges": [[a, b], ...]}.
+    Other top-level keys (e.g. "meta") are ignored.
     """
     return files.read(path, _graph_from_doc)
 
@@ -301,7 +226,6 @@ def _graph_from_doc(doc) -> WeightedGraph:
         [node["id"] for node in nodes],
         doc.get("edges", []),
         weights=[node.get("weight", 1.0) for node in nodes],
-        edge_weights=doc.get("edge_weights"),
         positions=[node["pos"] for node in nodes] if has_pos else None,
     )
 
@@ -314,8 +238,6 @@ def save_graph(g: WeightedGraph, path, meta: dict | None = None):
             node["pos"] = list(g.positions[k])
         nodes.append(node)
     doc = {"nodes": nodes, "edges": [list(e) for e in g.edges]}
-    if g.edge_weights is not None:
-        doc["edge_weights"] = list(g.edge_weights)
     if meta is not None:
         doc["meta"] = meta
     files.write(path, doc)

@@ -39,9 +39,6 @@ class Histogram:
     def width(self) -> int:
         return len(next(iter(self.counts)))
 
-    def probabilities(self) -> dict:
-        return {b: c / self.shots for b, c in self.counts.items()}
-
     def top(self, k: int = 10) -> list:
         """Most frequent outcomes, count-descending with bitstring tiebreak."""
         ordered = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))

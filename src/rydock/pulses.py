@@ -1,7 +1,7 @@
 """Pulse schedules for the analog drive.
 
 Times are nanoseconds, angular frequencies rad/us. A schedule is a list of
-segments, each pairing a Rabi waveform with a detuning waveform and a fixed
+segments, each pairing a Rabi waveform with a detuning waveform, with no
 carrier phase. Detuning sign convention: the Hamiltonian contains
 -delta(t) * w_i * n_i, so sweeps run from negative (ground state favoured)
 to positive (excitation favoured). This is the single most error-prone sign
@@ -36,10 +36,6 @@ class Ramp:
     def sample(self, t):
         frac = np.clip(np.asarray(t, dtype=float) / self.duration, 0.0, 1.0)
         return self.start + (self.end - self.start) * frac
-
-    def bounds(self):
-        lo, hi = sorted((self.start, self.end))
-        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -96,9 +92,6 @@ class Interpolated:
         s2 = s * s
         return c3[k] + c2[k] * s + c1[k] * s2 + c0[k] * (s2 * s)
 
-    def bounds(self):
-        return float(min(self.points)), float(max(self.points))
-
 
 def _pchip_end_slope(h0, h1, m0, m1):
     """One-sided three-point end slope with the two shape-preserving clamps."""
@@ -112,11 +105,10 @@ def _pchip_end_slope(h0, h1, m0, m1):
 
 @dataclass(frozen=True)
 class Segment:
-    """One schedule segment: Rabi and detuning waveforms plus carrier phase."""
+    """One schedule segment: Rabi and detuning waveforms of one duration."""
 
     omega: object
     delta: object
-    phase: float = 0.0
 
     def __post_init__(self):
         if abs(self.omega.duration - self.delta.duration) > 1e-9:
@@ -138,24 +130,6 @@ class PulseSequence:
     @property
     def total_duration(self) -> float:
         return float(sum(s.duration for s in self.segments))
-
-    def validate(self, omega_max: float, delta_abs_max: float,
-                 coherence_ns: float = DEFAULT_COHERENCE_NS):
-        """Check hardware envelopes: non-negative Rabi within omega_max,
-        |detuning| within delta_abs_max (scaled per-atom weights excluded),
-        and total duration within the coherence budget."""
-        if self.total_duration > coherence_ns + 1e-9:
-            raise InputError(
-                f"sequence lasts {self.total_duration:.0f} ns, "
-                f"coherence budget is {coherence_ns:.0f} ns"
-            )
-        for seg in self.segments:
-            olo, ohi = seg.omega.bounds()
-            if olo < -1e-12 or ohi > omega_max + 1e-9:
-                raise InputError(f"Rabi waveform outside [0, {omega_max}]")
-            dlo, dhi = seg.delta.bounds()
-            if max(abs(dlo), abs(dhi)) > delta_abs_max + 1e-9:
-                raise InputError(f"detuning outside [-{delta_abs_max}, {delta_abs_max}]")
 
 
 @dataclass(frozen=True)
@@ -211,7 +185,6 @@ def simple_sequence(params: SimpleParams, omega_max: float, delta_abs_max: float
     seg = Segment(
         omega=Interpolated((0.0, params.omega, 0.0), params.time),
         delta=Interpolated((-params.delta, 0.0, params.delta), params.time),
-        phase=0.0,
     )
     return PulseSequence(segments=(seg,))
 
@@ -222,12 +195,10 @@ def complex_sequence(params: ComplexParams, omega_max: float, delta_abs_max: flo
     rise = Segment(
         omega=Ramp(0.0, params.omega, params.t_rise),
         delta=Ramp(-params.delta0, -params.delta0, params.t_rise),
-        phase=0.0,
     )
     fall = Segment(
         omega=Ramp(params.omega, 0.0, params.t_fall),
         delta=Ramp(-params.delta0, params.deltaf, params.t_fall),
-        phase=0.0,
     )
     return PulseSequence(segments=(rise, fall))
 

@@ -5,6 +5,13 @@ blockade-radius disk graph over the atom positions equal the intended edge
 set. Edges that cannot be drawn inside the disk band are routed through
 chains of ancilla atoms ("quantum links"); an even chain preserves the
 projected maximum-weight independent set, which is why link parity matters.
+
+Atom-pair distances come from one place: `Register.distances()`, a cached
+read-only (n, n) np.hypot matrix, or its helper on `layout`'s positions; an
+intended-edge set is one symmetric boolean matrix. c6 / r^6 stays a scalar
+pow, which an array pow can round apart from, and `_relax` and the LINK_CUT
+split keep math.hypot, whose last bit can differ from np.hypot's: either
+could flip a borderline comparison.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,23 +112,39 @@ class Register:
         return tuple(a.id for a in self.atoms)
 
     def positions(self) -> np.ndarray:
-        return np.array([[a.x, a.y] for a in self.atoms], dtype=float)
+        return np.array([[a.x, a.y] for a in self.atoms], dtype=float).reshape(-1, 2)
 
     def detuning_weights(self) -> np.ndarray:
         return np.array([a.detuning_weight for a in self.atoms], dtype=float)
 
-    def pair_distances(self) -> dict:
-        pos = self.positions()
-        out = {}
-        for i, j in itertools.combinations(range(self.n), 2):
-            out[(self.atoms[i].id, self.atoms[j].id)] = float(
-                np.hypot(*(pos[i] - pos[j]))
-            )
-        return out
+    def distances(self) -> np.ndarray:
+        """Every atom-pair distance as one read-only (n, n) matrix, computed
+        once per register and kept on it."""
+        dist = self.__dict__.get("_distances")
+        if dist is None:
+            dist = self.__dict__["_distances"] = _distance_matrix(self.positions())
+        return dist
 
     def min_distance(self) -> float:
-        d = self.pair_distances()
-        return min(d.values()) if d else math.inf
+        dist = self.distances()[np.triu_indices(self.n, 1)]
+        return float(dist.min()) if dist.size else math.inf
+
+
+def _distance_matrix(pos) -> np.ndarray:
+    """Read-only np.hypot matrix of the differences of every two rows of `pos`."""
+    dist = np.hypot(pos[:, None, 0] - pos[None, :, 0], pos[:, None, 1] - pos[None, :, 1])
+    dist.flags.writeable = False
+    return dist
+
+
+def _edge_matrix(ids, pairs) -> np.ndarray:
+    """Symmetric boolean matrix over `ids`, True at each pair in `pairs`;
+    pass range(n) as `ids` for index pairs."""
+    index = {v: k for k, v in enumerate(ids)}
+    edges = np.zeros((len(index), len(index)), dtype=bool)
+    for u, v in pairs:
+        edges[index[u], index[v]] = edges[index[v], index[u]] = True
+    return edges
 
 
 def blockade_radius(omega: float, dev: DeviceParams) -> float:
@@ -177,25 +200,31 @@ class Embedding:
 
 
 def _induced_pairs(reg: Register, radius: float) -> tuple:
-    return tuple(pair for pair, d in reg.pair_distances().items() if d < radius)
+    """Id pairs closer than `radius`, in register order."""
+    i, j = np.triu_indices(reg.n, 1)
+    near = reg.distances()[i, j] < radius
+    ids = reg.ids
+    return tuple((ids[a], ids[b]) for a, b in zip(i[near].tolist(), j[near].tolist()))
 
 
-def _band(edge_d, nonedge_d, dev: DeviceParams) -> tuple:
-    """Rabi band (lo, hi] from the intended-edge and the other pair distances:
-    hi keeps the longest edge inside the blockade disk (capped at the
-    hardware omega_max), lo the shortest other pair outside it. The band is
-    usable when lo * BAND_MARGIN < hi."""
-    hi = min(dev.omega_max, interaction(max(edge_d), dev)) if edge_d else dev.omega_max
-    lo = interaction(min(nonedge_d), dev) if nonedge_d else 0.0
+def _band(dist, edges, dev: DeviceParams, others=None) -> tuple:
+    """Rabi band (lo, hi] from a distance matrix and a symmetric boolean
+    matrix of intended edges: hi keeps the longest edge inside the blockade
+    disk (capped at the hardware omega_max), lo the shortest of the `others`
+    pairs (by default every pair that is not an edge) outside it. The band
+    is usable when lo * BAND_MARGIN < hi."""
+    iu = np.triu_indices(len(dist), 1)
+    d, e = dist[iu], edges[iu]
+    o = ~e if others is None else others[iu]
+    hi = min(dev.omega_max, interaction(float(d[e].max()), dev)) if e.any() else dev.omega_max
+    lo = interaction(float(d[o].min()), dev) if o.any() else 0.0
     return lo, hi
 
 
-def _rabi_band(reg: Register, intended: set, dev: DeviceParams) -> tuple:
+def _rabi_band(reg: Register, intended, dev: DeviceParams) -> tuple:
     """Rabi band (omega_min, omega_max] that keeps every intended pair inside
     the blockade disk and every other pair outside it; raises when empty."""
-    dists = reg.pair_distances()
-    lo, hi = _band([d for pair, d in dists.items() if frozenset(pair) in intended],
-                   [d for pair, d in dists.items() if frozenset(pair) not in intended], dev)
+    lo, hi = _band(reg.distances(), intended, dev)
     if lo * BAND_MARGIN >= hi:
         raise InfeasibilityError(
             f"empty Rabi band: omega_min {lo:.4g} vs omega_max {hi:.4g}"
@@ -209,7 +238,8 @@ def omega_bounds(emb: Embedding, dev: DeviceParams) -> tuple:
     omega_max keeps every intended edge inside the blockade disk; omega_min
     keeps every intended non-edge outside it. Raises when the band is empty.
     """
-    lo, hi = _rabi_band(emb.register, {frozenset(e) for e in emb.induced_edges}, dev)
+    reg = emb.register
+    lo, hi = _rabi_band(reg, _edge_matrix(reg.ids, emb.induced_edges), dev)
     return float(lo), float(hi)
 
 
@@ -219,8 +249,9 @@ def _band_omega(lo: float, hi: float) -> float:
 
 
 def _embedding_for(reg: Register, dev: DeviceParams, spacing: float,
-                   intended: set, link_map: dict | None = None) -> Embedding:
-    """Embedding whose disk graph realises exactly the intended pairs."""
+                   intended, link_map: dict | None = None) -> Embedding:
+    """Embedding whose disk graph realises exactly the intended pairs, given
+    as a symmetric boolean matrix."""
     if reg.min_distance() < dev.min_spacing:
         raise InfeasibilityError(
             f"atoms closer than the {dev.min_spacing} um hardware minimum"
@@ -228,7 +259,7 @@ def _embedding_for(reg: Register, dev: DeviceParams, spacing: float,
     lo, hi = _rabi_band(reg, intended, dev)
     radius = blockade_radius(_band_omega(lo, hi), dev)
     induced = _induced_pairs(reg, radius)
-    if {frozenset(e) for e in induced} != intended:
+    if not np.array_equal(_edge_matrix(reg.ids, induced), intended):
         raise InfeasibilityError("disk graph does not match the intended edges")
     return Embedding(
         register=reg,
@@ -277,9 +308,9 @@ def embedding_from_positions(positions, dev: DeviceParams, ids=None, weights=Non
     intended = None
     if graph is None:
         cut = GEOMETRIC_EDGE_FACTOR * (reg.min_distance() if n > 1 else spacing)
-        intended = {frozenset(p) for p, d in reg.pair_distances().items() if d <= cut}
-        order = {v: k for k, v in enumerate(ids)}
-        edges = [tuple(sorted(e, key=order.get)) for e in intended]
+        intended = reg.distances() <= cut
+        np.fill_diagonal(intended, False)
+        edges = [(ids[i], ids[j]) for i, j in zip(*np.nonzero(np.triu(intended)))]
         graph = WeightedGraph.from_parts(
             ids, edges, weights=weights,
             positions=[(a.x, a.y) for a in atoms],
@@ -352,23 +383,17 @@ def _relax(pos, springs, repel, spacing, iters=LAYOUT_ITERS):
     return pos
 
 
-def _layout_ok(pos, direct, linked, spacing, dev):
-    """Direct edges vs everything else must leave a usable disk band, linked
-    pairs must be far enough to route a chain through, and no two atoms may
-    violate the hardware minimum."""
-    n = len(pos)
-    dmat = np.hypot(pos[:, None, 0] - pos[None, :, 0],
-                    pos[:, None, 1] - pos[None, :, 1])
-    iu = np.triu_indices(n, 1)
-    if dmat[iu].size and dmat[iu].min() < dev.min_spacing:
+def _layout_ok(dist, direct, linked, spacing, dev):
+    """Direct edges (a boolean matrix) vs everything else must leave a usable
+    disk band, linked pairs must be far enough to route a chain through, and
+    no two atoms may violate the hardware minimum."""
+    if len(dist) > 1 and dist[np.triu_indices(len(dist), 1)].min() < dev.min_spacing:
         return False
     for (i, j) in linked:
-        if dmat[i, j] < 2.5 * spacing:
+        if dist[i, j] < 2.5 * spacing:
             return False
-    if direct:
-        lo, hi = _band([dmat[i, j] for (i, j) in direct],
-                       [dmat[i, j] for i in range(n) for j in range(i + 1, n)
-                        if (i, j) not in direct], dev)
+    if direct.any():
+        lo, hi = _band(dist, direct, dev)
         if lo * BAND_MARGIN >= hi:
             return False
     return True
@@ -414,11 +439,11 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
             repel = [(i, j, NONEDGE_TARGET * spacing) for (i, j) in sorted(all_pairs - base_edges)]
             repel += [(i, j, LINK_TARGET * spacing) for (i, j) in sorted(linked)]
             pos = _relax(pos, sorted(direct), repel, spacing)
-            if _layout_ok(pos, direct, linked, spacing, dev):
+            dmat = _distance_matrix(pos)
+            direct_edges = _edge_matrix(range(g.n), direct)
+            if _layout_ok(dmat, direct_edges, linked, spacing, dev):
                 ok = True
                 break
-            dmat = np.hypot(pos[:, None, 0] - pos[None, :, 0],
-                            pos[:, None, 1] - pos[None, :, 1])
             long_edges = [(dmat[i, j], (i, j)) for (i, j) in direct
                           if dmat[i, j] > LINK_CUT * spacing]
             if long_edges:
@@ -430,7 +455,7 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
                 # rerouting its longest incident edge through a chain.
                 if not direct:
                     break
-                _, hi = _band([dmat[i, j] for (i, j) in direct], [], dev)
+                _, hi = _band(dmat, direct_edges, dev, others=np.zeros_like(direct_edges))
                 needed = (dev.c6 * BAND_MARGIN / hi) ** (1.0 / 6.0)
                 crowded = [(dmat[i, j], (i, j))
                            for (i, j) in sorted(all_pairs - direct - linked)
@@ -471,8 +496,7 @@ def _assemble(g, dev, pos, direct, linked, spacing):
         for k in range(g.n)
     )
     reg = Register(atoms=atoms, origin_graph=g)
-    intended = {frozenset((g.vertex_ids[i], g.vertex_ids[j])) for (i, j) in direct}
-    emb = _embedding_for(reg, dev, spacing, intended)
+    emb = _embedding_for(reg, dev, spacing, _edge_matrix(range(g.n), direct))
     for (i, j) in sorted(linked):
         emb = insert_quantum_link(emb, g.vertex_ids[i], g.vertex_ids[j], dev)
     want = {frozenset(e) for e in g.edges}
@@ -499,34 +523,21 @@ def _even_on_curve(curve, count):
     return np.array(out)
 
 
-def _arc_curve(p0, p1, bend):
-    """Quadratic arc from p0 to p1 with apex offset `bend` (um,
-    perpendicular at the midpoint), sampled densely."""
+def _curve(p0, p1, shape, amount):
+    """Dense samples of a path from p0 to p1 bowed out sideways by `amount`
+    um: a quadratic arc with that apex offset, or a flat-topped "detour",
+    which clears obstructions on the direct line (an arc only at its apex)."""
     p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
     d = p1 - p0
-    length = math.hypot(*d)
-    perp = np.array([-d[1], d[0]]) / length
-    mid = 0.5 * (p0 + p1) + bend * perp
-    ts = np.linspace(0.0, 1.0, 256)
-    return ((1 - ts)[:, None] ** 2) * p0 \
-        + 2 * (ts * (1 - ts))[:, None] * mid + (ts[:, None] ** 2) * p1
-
-
-def _detour_curve(p0, p1, offset):
-    """Flat-topped detour from p0 to p1: out perpendicular by `offset`,
-    across, back. Clears obstructions sitting on the direct line, which an
-    arc only clears at its apex."""
-    p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
-    d = p1 - p0
-    length = math.hypot(*d)
-    perp = np.array([-d[1], d[0]]) / length
-    corners = [p0, p0 + offset * perp, p1 + offset * perp, p1]
-    parts = []
-    for a, b in zip(corners, corners[1:]):
-        ts = np.linspace(0.0, 1.0, 96, endpoint=False)[:, None]
-        parts.append(a + ts * (b - a))
-    parts.append(p1[None, :])
-    return np.concatenate(parts, axis=0)
+    perp = np.array([-d[1], d[0]]) / math.hypot(*d)
+    if shape == "arc":
+        mid = 0.5 * (p0 + p1) + amount * perp
+        ts = np.linspace(0.0, 1.0, 256)[:, None]
+        return (1 - ts) ** 2 * p0 + 2 * (ts * (1 - ts)) * mid + ts ** 2 * p1
+    corners = [p0, p0 + amount * perp, p1 + amount * perp, p1]
+    ts = np.linspace(0.0, 1.0, 96, endpoint=False)[:, None]
+    return np.concatenate([a + ts * (b - a) for a, b in zip(corners, corners[1:])]
+                          + [p1[None, :]])
 
 
 def insert_quantum_link(emb: Embedding, u: str, v: str,
@@ -557,8 +568,9 @@ def insert_quantum_link(emb: Embedding, u: str, v: str,
     ancilla_w = ANCILLA_WEIGHT_FACTOR * min(wu, wv)
     g = reg.origin_graph
 
-    intended = {frozenset(e) for e in emb.induced_edges}
-    n_existing = sum(1 for a in reg.atoms if a.is_ancilla)
+    # ancilla names count on from the existing ancillas, skipping ids in use
+    fresh = (f"anc{k}" for k in itertools.count(sum(a.is_ancilla for a in reg.atoms)))
+    pool = tuple(itertools.islice((a for a in fresh if a not in ids), MAX_CHAIN_ATOMS))
     curves = [("arc", 0.0)]
     for b in (0.6, 1.0, 1.5, 2.0, 2.6):
         curves += [("arc", b * spacing), ("arc", -b * spacing)]
@@ -571,35 +583,27 @@ def insert_quantum_link(emb: Embedding, u: str, v: str,
     # contrast), preferring fewer ancillas and straighter paths on ties.
     best = None
     for count in range(2, MAX_CHAIN_ATOMS + 1, 2):
+        names = pool[:count]
+        path = [u, *names, v]
+        link_map = {**emb.link_map, (u, v): names}
         for shape, amount in curves:
-            if shape == "arc":
-                chain_pos = _even_on_curve(_arc_curve(pu, pv, amount), count)
-            else:
-                chain_pos = _even_on_curve(_detour_curve(pu, pv, amount), count)
-            names = tuple(f"anc{n_existing + k}" for k in range(count))
-            new_atoms = reg.atoms + tuple(
+            chain_pos = _even_on_curve(_curve(pu, pv, shape, amount), count)
+            new_reg = Register(atoms=reg.atoms + tuple(
                 Atom(id=names[k], x=float(chain_pos[k][0]), y=float(chain_pos[k][1]),
                      detuning_weight=ancilla_w, is_ancilla=True)
                 for k in range(count)
-            )
-            new_reg = Register(atoms=new_atoms, origin_graph=g)
-            path = [u, *names, v]
-            chain_pairs = {frozenset(p) for p in zip(path, path[1:])}
-            link_map = dict(emb.link_map)
-            link_map[(u, v)] = names
+            ), origin_graph=g)
+            want = _edge_matrix(new_reg.ids, [*emb.induced_edges, *zip(path, path[1:])])
             try:
-                cand = _embedding_for(new_reg, dev, spacing,
-                                      intended | chain_pairs, link_map)
+                cand = _embedding_for(new_reg, dev, spacing, want, link_map)
             except InfeasibilityError:
                 continue
             # Physical contrast, not the omega_max-capped band: the shift on
             # the weakest intended edge over the shift on the strongest
             # intended non-edge.
-            dists = new_reg.pair_distances()
-            want = intended | chain_pairs
-            emax = max(d for p, d in dists.items() if frozenset(p) in want)
-            nmin = min(d for p, d in dists.items() if frozenset(p) not in want)
-            contrast = (nmin / emax) ** 6
+            iu = np.triu_indices(new_reg.n, 1)
+            d, w = new_reg.distances()[iu], want[iu]
+            contrast = (float(d[~w].min()) / float(d[w].max())) ** 6
             key = (round(contrast, 6), -count, shape == "arc", -abs(amount))
             if best is None or key > best[0]:
                 best = (key, cand)
@@ -649,13 +653,16 @@ def save_register(emb: Embedding, path, meta: dict | None = None):
 
 
 def _register_from_doc(doc) -> tuple:
-    """(register, link map, spacing, blockade radius) as stored, 0 when absent."""
+    """(register, link map, spacing or 0, blockade radius) as stored."""
     atoms = tuple(
         Atom(id=str(a["id"]), x=float(a["x"]), y=float(a["y"]),
              detuning_weight=float(a.get("w", 1.0)),
              is_ancilla=bool(a.get("ancilla", False)))
         for a in doc["atoms"]
     )
+    radius = float(doc["blockade_radius"])
+    if not radius > 0:
+        raise InputError(f"blockade_radius must be positive, got {radius}")
     meta = doc.get("meta", {})
     graph = None
     if "graph" in meta:
@@ -665,31 +672,32 @@ def _register_from_doc(doc) -> tuple:
             gdoc["edges"],
             weights=[n.get("weight", 1.0) for n in gdoc["nodes"]],
         )
+    ids = {a.id for a in atoms}
     links = {}
     for key, chain in meta.get("links", {}).items():
-        u, v = key.split("~")
-        links[(u, v)] = tuple(chain)
+        # written as f"{u}~{v}", and ids may contain "~": the split must name two atoms
+        ends = [(key[:k], key[k + 1:]) for k, c in enumerate(key)
+                if c == "~" and key[:k] in ids and key[k + 1:] in ids]
+        if len(ends) != 1:
+            raise InputError(f"link key {key!r} does not name exactly one pair of atoms")
+        links[ends[0]] = tuple(chain)
     return (Register(atoms=atoms, origin_graph=graph), links,
-            float(meta.get("spacing", 0.0)), float(doc.get("blockade_radius", 0.0)))
+            float(meta.get("spacing", 0.0)), radius)
 
 
 def load_register(path, dev: DeviceParams | None = None) -> Embedding:
-    dev = dev or DeviceParams()
+    """Read a register file; its stored graph must be the disk graph of its
+    stored blockade radius. `dev` is not needed for that."""
     reg, links, spacing, radius = files.read(path, _register_from_doc)
     if spacing <= 0 and reg.n > 1:
         spacing = reg.min_distance()
-    if radius <= 0:
-        cut = GEOMETRIC_EDGE_FACTOR * reg.min_distance()
-        intended = {frozenset(p) for p, d in reg.pair_distances().items() if d <= cut}
-        emb = _embedding_for(reg, dev, spacing, intended, links)
-    else:
-        emb = Embedding(
-            register=reg,
-            blockade_radius=radius,
-            induced_edges=_induced_pairs(reg, radius),
-            link_map=links,
-            spacing=spacing,
-        )
+    emb = Embedding(
+        register=reg,
+        blockade_radius=radius,
+        induced_edges=_induced_pairs(reg, radius),
+        link_map=links,
+        spacing=spacing,
+    )
     graph = reg.origin_graph
     if graph is not None and emb.projected_edges() != {frozenset(e) for e in graph.edges}:
         raise InfeasibilityError(

@@ -160,11 +160,11 @@ def interaction_diagonal(reg: Register, dev: DeviceParams) -> np.ndarray:
     cache = reg.__dict__.setdefault("_interaction_diagonals", {})
     if dev.c6 not in cache:
         bits = _bit_table(reg.n)
-        pos = reg.positions()
+        dist = reg.distances()
         diag = np.zeros(1 << reg.n)
         for i in range(reg.n):
             for j in range(i + 1, reg.n):
-                r = float(np.hypot(*(pos[i] - pos[j])))
+                r = float(dist[i, j])
                 if r <= 0:
                     raise InputError(f"coincident atoms {reg.atoms[i].id}, {reg.atoms[j].id}")
                 diag += (dev.c6 / r**6) * bits[i] * bits[j]
@@ -305,8 +305,6 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     plan = _plan(groups, a, np.empty_like(a))
     t_pend = d_pend = 0.0  # the last sub-step's trailing half, not yet applied
     for seg in seq.segments:
-        if abs(seg.phase) > 1e-12:
-            raise InputError("only phase-0 schedules are supported")
         steps = max(1, int(np.ceil(seg.duration / dt - 1e-9)))
         edges = np.linspace(0.0, seg.duration, steps + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])

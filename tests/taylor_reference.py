@@ -94,8 +94,6 @@ def taylor_evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     psi[0] = 1.0
 
     for seg in seq.segments:
-        if abs(seg.phase) > 1e-12:
-            raise InputError("only phase-0 schedules are supported")
         steps = max(1, int(np.ceil(seg.duration / dt - 1e-9)))
         edges = np.linspace(0.0, seg.duration, steps + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])

@@ -350,6 +350,14 @@ def _malformed(case, tmp_path):
     if case == "atom_without_x":
         path = _write(tmp_path / "r.json", {"atoms": [{"id": "a", "y": 0.0}]})
         return ["vqaa", "--register", path, *out], path
+    if case in ("register_without_radius", "link_key_names_no_atoms"):
+        doc = json.loads(Path(_p2_register(tmp_path)).read_text())
+        if case == "register_without_radius":
+            del doc["blockade_radius"]
+        else:
+            doc["meta"]["links"] = {"v0~nope": []}
+        path = _write(tmp_path / "r.json", doc)
+        return ["vqaa", "--register", path, *out], path
     if case == "xyz_not_numbers":
         path = _write(tmp_path / "l.json",
                       _ligand([{"id": "a", "kind": "HDonor", "xyz": "abc"}]))
@@ -381,7 +389,7 @@ def _malformed(case, tmp_path):
     "node_weight_not_a_number", "atom_without_x", "xyz_not_numbers",
     "points_not_a_list", "table_pair_without_s", "device_value_not_a_number",
     "junk_model_set", "node_weight_negative", "out_is_a_file",
-    "out_file_in_missing_dir",
+    "out_file_in_missing_dir", "register_without_radius", "link_key_names_no_atoms",
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     argv, path = _malformed(case, tmp_path)

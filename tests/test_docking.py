@@ -6,7 +6,6 @@ its graph and poses are frozen here as the reference case.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -134,22 +133,6 @@ def test_contact_count_matches_positive_strengths():
     contacts = enumerate_contacts(lig, rec, default_table())
     assert {c.vertex_id for c in contacts} == {"D:A", "P:N"}
     assert all(c.weight > 0 for c in contacts)
-
-
-def test_distance_kernel_damps_weights():
-    # ligand centroid sits at x=3, so the three donors are 3, 2, 5 away
-    # from it; the lone acceptor is 0 from its own centroid
-    lig = Molecule(name="l", points=(
-        point("D1", Kind.HDONOR, 0.0), point("D2", Kind.HDONOR, 1.0),
-        point("D3", Kind.HDONOR, 8.0)))
-    rec = Molecule(name="r", points=(point("A1", Kind.HACCEPTOR, 0.0),))
-    plain = enumerate_contacts(lig, rec, default_table())
-    damped = enumerate_contacts(lig, rec, default_table(), dist_lambda=2.0)
-    assert all(c.weight == 1.0 for c in plain)
-    by_id = {c.vertex_id: c.weight for c in damped}
-    assert by_id["D1:A1"] == pytest.approx(math.exp(-3.0 / 2.0))
-    assert by_id["D2:A1"] == pytest.approx(math.exp(-2.0 / 2.0))
-    assert by_id["D3:A1"] == pytest.approx(math.exp(-5.0 / 2.0))
 
 
 def test_pose_rejects_reused_points():

@@ -5,8 +5,11 @@ hand-built augmented graphs, since those are the properties the physics
 depends on and the easiest to get silently wrong.
 """
 
+import ast
+import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rydock.register
 from rydock.cli import DEFAULTS
 from rydock.docking import build_binding_graph, default_table, load_molecule
 from rydock.errors import InfeasibilityError, InputError
-from rydock.graphs import WeightedGraph, brute_force_mwis, complement
+from rydock.graphs import WeightedGraph, brute_force_mwis, complement, load_graph
 from rydock.histogram import Histogram
+from rydock.mlqaa.dataset import generate_corpus
 from rydock.register import (
     ANCILLA_WEIGHT_FACTOR,
     LAYOUT_ITERS,
@@ -93,9 +98,13 @@ def test_register_rejects_duplicate_ids():
 
 
 def test_pair_distances():
-    reg = Register(atoms=(Atom("a", 0, 0), Atom("b", 3, 4)))
-    assert reg.pair_distances() == {("a", "b"): pytest.approx(5.0)}
-    assert reg.min_distance() == pytest.approx(5.0)
+    reg = Register(atoms=(Atom("a", 0, 0), Atom("b", 3, 4), Atom("c", 3, 0)))
+    dist = reg.distances()
+    assert dist.tolist() == [[0.0, 5.0, 3.0], [5.0, 0.0, 4.0], [3.0, 4.0, 0.0]]
+    assert dist is reg.distances()
+    assert not dist.flags.writeable
+    assert reg.min_distance() == 3.0
+    assert Register(atoms=(Atom("a", 0, 0),)).min_distance() == math.inf
 
 
 def test_omega_bounds_single_edge():
@@ -134,8 +143,9 @@ def test_square_band_and_disk_graph():
     # every omega strictly inside the band reproduces the same disk graph
     for om in np.linspace(lo * 1.06, hi * 0.99, 10):
         r = blockade_radius(om, DEV)
-        induced = {frozenset(p) for p, d in
-                   emb.register.pair_distances().items() if d < r}
+        dist, ids = emb.register.distances(), emb.register.ids
+        induced = {frozenset((ids[i], ids[j])) for i in range(4) for j in range(i)
+                   if dist[i, j] < r}
         assert induced == sides
 
 
@@ -536,3 +546,98 @@ def test_embedding_without_origin_graph():
     emb = Embedding(register=reg, blockade_radius=8.0, induced_edges=())
     with pytest.raises(InputError):
         emb.graph
+
+
+def _placement_digest(embs):
+    """sha256 over every placement's atoms, radius, induced edges, links,
+    spacing and Rabi band, with each float at full precision."""
+    h = hashlib.sha256()
+    for emb in embs:
+        atoms = [(a.id, float(a.x), float(a.y), float(a.detuning_weight), a.is_ancilla)
+                 for a in emb.register.atoms]
+        links = sorted((k, tuple(v)) for k, v in emb.link_map.items())
+        band = tuple(float(b) for b in omega_bounds(emb, DEV))
+        h.update(repr((atoms, float(emb.blockade_radius), tuple(emb.induced_edges),
+                       links, float(emb.spacing), band)).encode())
+    return h.hexdigest()
+
+
+PINNED_PLACEMENTS = "82dd040090dda92e5c0d9be94a4cab5acc110afc726949ec009d045a22b25694"
+
+
+def test_placements_are_pinned():
+    # the fixture complement graph at seeds 0-5, two complement(six_node)
+    # layouts that route ancilla chains, and the 125 corpus registers
+    g = build_binding_graph(load_molecule(FIXTURES / "acetic_acid.json"),
+                            load_molecule(FIXTURES / "ethylene_glycol.json"),
+                            default_table(), tau=DEFAULTS["tau"])
+    embs = [layout(complement(g), DEV, spacing=DEFAULTS["spacing"], seed=s)
+            for s in range(6)]
+    six = complement(load_graph(FIXTURES / "six_node.json"))
+    chained = [layout(six, DEV, spacing=6.0, seed=s) for s in (1, 4)]
+    assert all(emb.link_map for emb in chained)
+    embs += chained
+    embs += [entry.embedding for entry in generate_corpus(DEV)]
+    assert _placement_digest(embs) == PINNED_PLACEMENTS
+
+
+def test_ancilla_names_skip_vertex_ids():
+    # a vertex named like the first ancilla keeps its name; the chain
+    # counts on past it
+    g = WeightedGraph.from_parts(["anc0", "v"], [("anc0", "v")])
+    emb = embedding_from_positions([(0, 0), (27, 0)], DEV, spacing=9.0, graph=g)
+    assert emb.register.ids == ("anc0", "v", "anc1", "anc2")
+    assert emb.link_map == {("anc0", "v"): ("anc1", "anc2")}
+    assert emb.ancilla_ids() == ("anc1", "anc2")
+    assert emb.projected_edges() == {frozenset(("anc0", "v"))}
+
+
+def test_link_keys_with_a_tilde_round_trip(tmp_path):
+    g = WeightedGraph.from_parts(["a~x", "v"], [("a~x", "v")])
+    emb = embedding_from_positions([(0, 0), (27, 0)], DEV, spacing=9.0, graph=g)
+    path = tmp_path / "reg.json"
+    save_register(emb, path)
+    assert json.loads(path.read_text())["meta"]["links"] == {"a~x~v": ["anc0", "anc1"]}
+    back = load_register(path, DEV)
+    assert back.link_map == emb.link_map
+    assert back.induced_edges == emb.induced_edges
+
+
+def test_load_register_refuses_unreadable_radius_and_link_keys(tmp_path):
+    # a register file has to store its radius, and each link key has to
+    # split at one "~" into two atom ids in exactly one way
+    g = WeightedGraph.from_parts(["u", "v"], [("u", "v")])
+    emb = embedding_from_positions([(0, 0), (27, 0)], DEV, spacing=9.0, graph=g)
+    path = tmp_path / "reg.json"
+    save_register(emb, path)
+    good = json.loads(path.read_text())
+    bad = [{k: v for k, v in good.items() if k != "blockade_radius"},
+           {**good, "blockade_radius": 0.0}]
+    for key in ("u~w", "u-v", "u~anc0~v"):
+        bad.append({**good, "meta": {**good["meta"], "links": {key: ["anc0", "anc1"]}}})
+    # "p~q~r" splits into atoms "p", "q~r" and into "p~q", "r"
+    ambiguous = json.loads(json.dumps(good))
+    for atom, name in zip(ambiguous["atoms"], ("p", "p~q", "q~r", "r")):
+        atom["id"] = name
+    ambiguous["meta"] = {"links": {"p~q~r": []}}
+    for doc in bad + [ambiguous]:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=re.escape(str(path))):
+            load_register(path, DEV)
+
+
+def _hypot_calls(tree):
+    """Lines of every call of hypot, by bare name or as an attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "hypot" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+
+
+def test_only_register_computes_distances():
+    # atom-pair distances come from Register.distances and its helper alone
+    src = Path(rydock.register.__file__).resolve().parent
+    offenders = [f"{path.relative_to(src).as_posix()}:{line}"
+                 for path in sorted(src.rglob("*.py")) if path.name != "register.py"
+                 for line in _hypot_calls(ast.parse(path.read_text()))]
+    assert offenders == []
+    code = "import numpy as np\nfrom math import hypot\nnp.hypot(1, 2)\nhypot(3, 4)\n"
+    assert _hypot_calls(ast.parse(code)) == [3, 4]

@@ -269,7 +269,7 @@ def test_diagonals_are_built_once_per_register_and_c6(monkeypatch):
     stronger = DeviceParams(c6=2.0 * DEV.c6)
     assert np.array_equal(interaction_diagonal(reg, stronger),
                           2.0 * interaction_diagonal(reg, DEV))
-    assert len(calls) == 2
+    assert len(calls) == 1  # the register keeps its distances too
     # a fresh register of the same atoms builds the same values
     fresh = Register(atoms=reg.atoms)
     assert interaction_diagonal(fresh, DEV).tobytes() == interaction_diagonal(reg, DEV).tobytes()
@@ -824,10 +824,6 @@ def test_evolve_input_errors():
     for dt in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InputError):
             evolve(reg, seq, DEV, dt=dt)
-    phased = PulseSequence(segments=(Segment(
-        omega=Ramp(1.0, 1.0, 100.0), delta=Ramp(0.0, 0.0, 100.0), phase=0.3),))
-    with pytest.raises(InputError):
-        evolve(reg, phased, DEV)
 
 
 def test_measure_statistics():
