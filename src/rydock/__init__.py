@@ -48,7 +48,7 @@ from .optimize import (
     success_probability,
     vqaa,
 )
-from .pulses import ComplexParams, PulseSequence, SimpleParams, complex_sequence, simple_sequence
+from .pulses import PulseSequence, complex_sequence, simple_sequence
 from .register import (
     DeviceParams,
     Embedding,
@@ -76,8 +76,7 @@ __all__ = [
     "Histogram", "load_histogram", "save_histogram",
     "ScoreBreakdown", "VqaaResult", "normalized_score", "qaa_sweep",
     "score", "success_probability", "vqaa",
-    "ComplexParams", "PulseSequence", "SimpleParams", "complex_sequence",
-    "simple_sequence",
+    "PulseSequence", "complex_sequence", "simple_sequence",
     "DeviceParams", "Embedding", "Register", "blockade_radius",
     "embedding_from_positions", "insert_quantum_link", "interaction",
     "layout", "load_register", "save_register", "strip_ancillas",

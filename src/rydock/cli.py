@@ -49,7 +49,6 @@ from .mlqaa.dataset import (
 )
 from .mlqaa.gcn import (
     TARGETS,
-    _from_scale,
     featurize,
     load_models,
     mape,
@@ -66,6 +65,7 @@ from .optimize import (
     success_probability,
     vqaa,
 )
+from .pulses import FAMILIES
 from .register import DeviceParams, layout, load_register, omega_bounds, save_register
 from .rng import substream
 
@@ -123,7 +123,7 @@ def effective_config(args) -> dict:
         raise InputError(f"dt must be a positive finite number, got {cfg['dt']}")
     if cfg["optimizer"] not in ("tpe", "nm"):
         raise InputError(f"unknown optimizer {cfg['optimizer']!r}")
-    if cfg["family"] not in ("simple", "complex"):
+    if cfg["family"] not in FAMILIES:
         raise InputError(f"unknown family {cfg['family']!r}")
     return cfg
 
@@ -325,15 +325,14 @@ def cmd_train(args, cfg, meta, out, dev) -> int:
     )
     report = {**meta, "train_size": len(train_recs), "holdout_size": len(hold_recs),
               "epochs": cfg["epochs"], "mape": {}}
-    # predictions come in each model's label scale; the Rabi band of every
-    # holdout register maps them back to device units before comparison
+    # the Rabi band of every holdout register maps each model's label-scale
+    # prediction back to device units
     bands = [omega_bounds(r.embedding(dev), dev) for r in hold_recs]
     for target in TARGETS:
         model = train(train_recs, target, epochs=cfg["epochs"], seed=cfg["seed"],
                       dev=dev)
         save_models({target: model}, os.path.join(out, f"mlqaa_{target}.npz"), meta=meta)
-        preds = [_from_scale(model.predict(featurize(np.asarray(r.positions))),
-                             model.scale, band)
+        preds = [model.predict(featurize(r.positions), band)
                  for r, band in zip(hold_recs, bands)]
         truth = [r.params[target] for r in hold_recs]
         value = mape(preds, truth) if hold_recs else float("nan")
@@ -454,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("vqaa", parents=[common],
                        help="variational pulse search on a register")
     v.add_argument("--register", required=True)
-    v.add_argument("--family", choices=["simple", "complex"])
+    v.add_argument("--family", choices=FAMILIES)
     v.add_argument("--optimizer", choices=["tpe", "nm"])
     v.add_argument("--rounds", type=int)
     v.add_argument("--resume", action="store_true",
@@ -474,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--subset", default="lines", choices=["lines", "all"])
     b.add_argument("--rounds", dest="rounds_list", default="10,50,200",
                    help="comma list")
-    b.add_argument("--family", choices=["simple", "complex"])
+    b.add_argument("--family", choices=FAMILIES)
     b.set_defaults(func=cmd_benchmark)
 
     ds = sub.add_parser("dataset", parents=[common],

@@ -140,10 +140,10 @@ def complement(g: WeightedGraph) -> WeightedGraph:
     )
 
 
-def _check_cap(g: WeightedGraph, size_cap: int):
-    if g.n > size_cap:
+def _check_cap(g: WeightedGraph):
+    if g.n > SIZE_CAP:
         raise InputError(
-            f"graph has {g.n} vertices, exact enumeration capped at {size_cap}"
+            f"graph has {g.n} vertices, exact enumeration capped at {SIZE_CAP}"
         )
     if g.n == 0:
         raise InputError("empty graph")
@@ -172,12 +172,12 @@ def _solutions(g: WeightedGraph, valid: np.ndarray) -> list:
     return out
 
 
-def brute_force_mwis(g: WeightedGraph, size_cap: int = SIZE_CAP) -> list:
+def brute_force_mwis(g: WeightedGraph) -> list:
     """All maximum-weight independent sets, sorted by bitstring.
 
-    Exhaustive over all 2^n subsets; refuses graphs larger than `size_cap`.
+    Exhaustive over all 2^n subsets; refuses graphs larger than SIZE_CAP.
     """
-    _check_cap(g, size_cap)
+    _check_cap(g)
     dim = 1 << g.n
     idx = np.arange(dim, dtype=np.int64)
     valid = np.ones(dim, dtype=bool)
@@ -189,14 +189,14 @@ def brute_force_mwis(g: WeightedGraph, size_cap: int = SIZE_CAP) -> list:
     return _solutions(g, valid)
 
 
-def max_weight_clique(g: WeightedGraph, size_cap: int = SIZE_CAP) -> list:
+def max_weight_clique(g: WeightedGraph) -> list:
     """All maximum-weight cliques, sorted by bitstring.
 
     Enumerated directly from the adjacency structure (every pair inside the
     subset must be an edge of g), not via the complement; the complement
     route is kept as an independent cross-check in the tests.
     """
-    _check_cap(g, size_cap)
+    _check_cap(g)
     dim = 1 << g.n
     idx = np.arange(dim, dtype=np.int64)
     valid = np.ones(dim, dtype=bool)

@@ -16,12 +16,10 @@ from .dataset import (
 from .gcn import (
     TARGETS,
     GcnModel,
-    GraphFeatures,
     featurize,
     forward,
     load_models,
     mape,
-    propagation_matrix,
     predict_params,
     save_models,
     train,
@@ -31,7 +29,6 @@ __all__ = [
     "FAMILIES", "SPACINGS", "CorpusEntry", "DatasetRecord", "corpus_entry",
     "generate_corpus", "label_dataset", "load_dataset", "save_dataset",
     "shape_positions", "train_holdout_split",
-    "TARGETS", "GcnModel", "GraphFeatures", "featurize", "forward",
-    "load_models", "mape", "propagation_matrix", "predict_params",
-    "save_models", "train",
+    "TARGETS", "GcnModel", "featurize", "forward", "load_models", "mape",
+    "predict_params", "save_models", "train",
 ]

@@ -143,14 +143,13 @@ def corpus_entry(family: str, size_index: int, spacing: float,
                        spacing=float(spacing), embedding=emb)
 
 
-def generate_corpus(dev: DeviceParams | None = None,
-                    families=FAMILIES, spacings=SPACINGS) -> list:
-    """All family x size x spacing registers, feasibility-checked."""
+def generate_corpus(dev: DeviceParams | None = None) -> list:
+    """All FAMILIES x size x SPACINGS registers, feasibility-checked."""
     dev = dev or DeviceParams()
     entries = []
-    for family in families:
+    for family in FAMILIES:
         for size_index in range(SIZES_PER_FAMILY):
-            for spacing in spacings:
+            for spacing in SPACINGS:
                 entry = corpus_entry(family, size_index, spacing, dev)
                 omega_bounds(entry.embedding, dev)
                 entries.append(entry)
@@ -182,10 +181,10 @@ class DatasetRecord:
         )
 
 
-def _canonical_trial(trials, space, tol: float = LABEL_TOL):
-    """The near-best trial closest to the search-space centre."""
+def _canonical_trial(trials, space):
+    """The trial within LABEL_TOL of the best score closest to the centre."""
     best = max(t.score for t in trials)
-    near = [t for t in trials if t.score >= (1.0 - tol) * best]
+    near = [t for t in trials if t.score >= (1.0 - LABEL_TOL) * best]
     center = {k: 0.5 * (lo + hi) for k, (lo, hi) in space.intervals.items()}
     span = {k: hi - lo for k, (lo, hi) in space.intervals.items()}
 

@@ -1,7 +1,8 @@
 """Graph-convolutional regression from register geometry to pulse params.
 
 A register becomes a complete directed graph weighted by inverse squared
-pairwise distance, with all-ones node features. Five convolution layers
+pairwise distance, with all-ones node features: in a padded batch those
+are the atom mask itself. Five convolution layers
 (hidden width 128, ReLU, dropout 0.1 while training) pass messages through
 the raw weighted adjacency with unit self-loops, an
 additive pool collapses node states to one vector, and an affine head
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InputError, NumericalError
-from ..register import DeviceParams, Embedding, Register, omega_bounds
+from ..register import DeviceParams, Embedding, omega_bounds
 from ..rng import substream
 from ..optimize import search_space
 
@@ -43,6 +44,8 @@ HIDDEN = 128
 LAYERS = 5
 DROPOUT = 0.1
 BATCH_SIZE = 64
+LEARNING_RATE = (1e-2, 1e-4)  # decays geometrically from the first to the second
+VAL_FRAC = 0.2
 TARGETS = ("t_rise", "t_fall", "omega", "delta0", "deltaf")
 MODEL_VERSION = "2"
 
@@ -79,55 +82,23 @@ def _from_scale(value: float, scale: str, band) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class GraphFeatures:
-    """Complete directed graph over the atoms, weights 1/R^2, node ones."""
-
-    edge_index: np.ndarray
-    edge_weight: np.ndarray
-    node_feature: np.ndarray
-    n: int
-
-
-def featurize(reg) -> GraphFeatures:
-    """Features from a Register, an Embedding, or an (N, 2) position array."""
-    if isinstance(reg, Embedding):
-        reg = reg.register
-    pos = reg.positions() if isinstance(reg, Register) else np.asarray(reg, dtype=float)
-    n = len(pos)
-    if n < 2:
+def featurize(positions) -> np.ndarray:
+    """The (n, n) propagation matrix A + I of (n, 2) positions, A_ij =
+    1 / (dx^2 + dy^2): summed squares, not a squared hypot, keep the
+    features bit-identical to the pairwise form. Unnormalised, as degree
+    normalisation would divide out the register's length scale, which
+    several pulse parameters depend on; the device's minimum spacing keeps
+    the magnitudes tame."""
+    pos = np.asarray(positions, dtype=float)
+    if len(pos) < 2:
         raise InputError("featurization needs at least 2 atoms")
-    rows, cols, weights = [], [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d2 = float(np.sum((pos[i] - pos[j]) ** 2))
-            if d2 == 0.0:
-                raise InputError(f"coincident atoms {i} and {j}")
-            rows.append(i)
-            cols.append(j)
-            weights.append(1.0 / d2)
-    return GraphFeatures(
-        edge_index=np.array([rows, cols], dtype=np.int64),
-        edge_weight=np.array(weights, dtype=float),
-        node_feature=np.ones((n, 1), dtype=float),
-        n=n,
-    )
-
-
-def propagation_matrix(f: GraphFeatures) -> np.ndarray:
-    """A + I over the weighted adjacency, unnormalised.
-
-    Degree normalisation would divide out the overall 1/R^2 magnitude and
-    with it the register's length scale, which several pulse parameters
-    depend on directly. Raw propagation keeps that scale visible; the
-    magnitudes stay tame because interatomic distances are bounded below
-    by the device's minimum spacing.
-    """
-    a = np.zeros((f.n, f.n))
-    a[f.edge_index[0], f.edge_index[1]] = f.edge_weight
-    return a + np.eye(f.n)
+    d = pos[:, None, :] - pos[None, :, :]
+    d2 = d[..., 0] ** 2 + d[..., 1] ** 2
+    np.fill_diagonal(d2, 1.0)  # A_ii = 0, so (A + I)_ii = 1 = 1 / 1
+    hit = np.argwhere(d2 == 0.0)
+    if len(hit):
+        raise InputError(f"coincident atoms {hit[0][0]} and {hit[0][1]}")
+    return 1.0 / d2
 
 
 @dataclass
@@ -141,13 +112,10 @@ class GcnModel:
     version: str = MODEL_VERSION
     history: tuple = field(default=(), repr=False)
 
-    def predict(self, feats: GraphFeatures) -> float:
-        """Prediction for one register, in the model's label scale.
-
-        Callers that need device units go through predict_params, which
-        undoes the band scales against the register at hand.
-        """
-        return self.t_lo + forward(self, feats) * (self.t_hi - self.t_lo)
+    def predict(self, feats: np.ndarray, band) -> float:
+        """Prediction for one register in device units, given its Rabi band."""
+        label = self.t_lo + forward(self, feats) * (self.t_hi - self.t_lo)
+        return _from_scale(label, self.scale, band)
 
 
 def _weight_names():
@@ -173,20 +141,19 @@ def init_weights(seed: int) -> dict:
 
 
 def _pack(feats_list) -> tuple:
-    nmax = max(f.n for f in feats_list)
+    """(adjacency, atom mask) of a padded batch; the mask is the node features."""
+    nmax = max(len(f) for f in feats_list)
     b = len(feats_list)
     adj = np.zeros((b, nmax, nmax))
-    x = np.zeros((b, nmax, 1))
     mask = np.zeros((b, nmax, 1))
     for k, f in enumerate(feats_list):
-        adj[k, : f.n, : f.n] = propagation_matrix(f)
-        x[k, : f.n] = f.node_feature
-        mask[k, : f.n] = 1.0
-    return adj, x, mask
+        adj[k, : len(f), : len(f)] = f
+        mask[k, : len(f)] = 1.0
+    return adj, mask
 
 
-def _forward_batch(weights, adj, x, mask, drop_masks=None):
-    h = x
+def _forward_batch(weights, adj, mask, drop_masks=None):
+    h = mask
     caches = []
     for layer in range(LAYERS):
         ah = adj @ h
@@ -202,10 +169,10 @@ def _forward_batch(weights, adj, x, mask, drop_masks=None):
     return y, pooled, caches
 
 
-def loss_and_gradients(weights, adj, x, mask, targets, drop_masks=None, grads=None):
+def loss_and_gradients(weights, adj, mask, targets, drop_masks=None, grads=None):
     """Mean-squared-error loss and its gradient for every weight array,
     written into the arrays of `grads` when given."""
-    y, pooled, caches = _forward_batch(weights, adj, x, mask, drop_masks)
+    y, pooled, caches = _forward_batch(weights, adj, mask, drop_masks)
     b = len(targets)
     diff = y - targets
     loss = float(np.mean(diff * diff))
@@ -230,10 +197,10 @@ def loss_and_gradients(weights, adj, x, mask, targets, drop_masks=None, grads=No
     return loss, grads, y
 
 
-def forward(model: GcnModel, feats: GraphFeatures) -> float:
+def forward(model: GcnModel, feats: np.ndarray) -> float:
     """Dropout-free scalar output for one graph (normalised target space)."""
-    adj, x, mask = _pack([feats])
-    y, _, _ = _forward_batch(model.weights, adj, x, mask)
+    adj, mask = _pack([feats])
+    y, _, _ = _forward_batch(model.weights, adj, mask)
     return float(y[0])
 
 
@@ -289,19 +256,16 @@ def _drop_masks(rng, shape_b, shape_n):
     return np.multiply(draw >= DROPOUT, 1.0 / (1.0 - DROPOUT), out=draw)
 
 
-def train(records, target: str, lr=(1e-2, 1e-4), epochs: int = 300,
-          seed: int = 0, batch_size: int = BATCH_SIZE,
-          val_frac: float = 0.2, dropout: bool = True,
+def train(records, target: str, epochs: int = 300, seed: int = 0,
           dev: DeviceParams | None = None) -> GcnModel:
     """Fit one regression model for `target` over labelled records.
 
     Labels are moved into the target's scale (see TARGET_SCALES), then
     min-max normalised to [0, 1], with the constants stored on the model
-    for inference. A scalar `lr` is held constant; a (hi, lo) pair decays
-    geometrically across epochs. The returned weights are the epoch-best
-    by validation loss (the records are split val_frac off
-    deterministically; with too few records for a split the training loss
-    stands in).
+    for inference. The learning rate decays geometrically over LEARNING_RATE.
+    The returned weights are the epoch-best by validation loss (VAL_FRAC of
+    the records, split off deterministically; with too few records for a
+    split the training loss stands in). The constants are read at call time.
     """
     if target not in TARGETS:
         raise InputError(f"unknown target {target!r}")
@@ -310,7 +274,7 @@ def train(records, target: str, lr=(1e-2, 1e-4), epochs: int = 300,
     scale = TARGET_SCALES[target]
     if scale != "identity" and dev is None:
         dev = DeviceParams()
-    feats = [featurize(np.asarray(r.positions)) for r in records]
+    feats = [featurize(r.positions) for r in records]
     raw = np.array([
         _to_scale(
             float(r.params[target]), scale,
@@ -325,23 +289,17 @@ def train(records, target: str, lr=(1e-2, 1e-4), epochs: int = 300,
 
     n = len(records)
     order = substream(seed, "val").permutation(n)
-    n_val = int(round(val_frac * n))
+    n_val = int(round(VAL_FRAC * n))
     val_idx = order[:n_val]
     tr_idx = order[n_val:]
-    if len(tr_idx) == 0:
-        tr_idx, val_idx = order, np.array([], dtype=int)
 
-    adj, x, mask = _pack(feats)
+    adj, mask = _pack(feats)
     flat_w, weights = _flat_views(init_weights(seed))
     flat_g = np.empty_like(flat_w)
     grads = _views(flat_g, weights)
     m_state, v_state = np.zeros_like(flat_w), np.zeros_like(flat_w)
-    if np.isscalar(lr):
-        lr_of = lambda e: float(lr)
-    else:
-        hi, lo = float(lr[0]), float(lr[1])
-        decay = (lo / hi) ** (1.0 / max(epochs - 1, 1))
-        lr_of = lambda e: hi * decay ** e
+    hi, lo = LEARNING_RATE
+    decay = (lo / hi) ** (1.0 / max(epochs - 1, 1))
 
     best_val = math.inf
     best_flat = flat_w.copy()
@@ -349,15 +307,13 @@ def train(records, target: str, lr=(1e-2, 1e-4), epochs: int = 300,
     step = 0
     for epoch in range(epochs):
         perm = substream(seed, "shuffle", epoch).permutation(len(tr_idx))
-        epoch_lr = lr_of(epoch)
-        for bstart in range(0, len(tr_idx), batch_size):
-            batch = tr_idx[perm[bstart : bstart + batch_size]]
-            drop = None
-            if dropout:
-                rng = substream(seed, "drop", epoch, bstart)
-                drop = _drop_masks(rng, len(batch), adj.shape[1])
+        epoch_lr = hi * decay ** epoch
+        for bstart in range(0, len(tr_idx), BATCH_SIZE):
+            batch = tr_idx[perm[bstart : bstart + BATCH_SIZE]]
+            drop = _drop_masks(substream(seed, "drop", epoch, bstart),
+                               len(batch), adj.shape[1])
             loss, _, _ = loss_and_gradients(
-                weights, adj[batch], x[batch], mask[batch], targets[batch], drop, grads,
+                weights, adj[batch], mask[batch], targets[batch], drop, grads,
             )
             if not math.isfinite(loss):
                 raise NumericalError(
@@ -368,7 +324,7 @@ def train(records, target: str, lr=(1e-2, 1e-4), epochs: int = 300,
         # free the last step's masks before the epoch forward, which would
         # otherwise set the training's peak memory
         del drop
-        y, _, _ = _forward_batch(weights, adj, x, mask)
+        y, _, _ = _forward_batch(weights, adj, mask)
         sq = (y - targets) ** 2
         train_loss = float(np.mean(sq[tr_idx]))
         val_loss = float(np.mean(sq[val_idx])) if len(val_idx) else train_loss
@@ -403,14 +359,10 @@ def predict_params(models: dict, emb: Embedding, dev: DeviceParams) -> dict:
     missing = [t for t in TARGETS if t not in models]
     if missing:
         raise InputError(f"missing models for {missing}")
-    feats = featurize(emb.register)
+    feats = featurize(emb.register.positions())
     space = search_space(emb, dev, "complex")
     band = space.intervals["omega"]
-    raw = {
-        name: _from_scale(models[name].predict(feats), models[name].scale, band)
-        for name in TARGETS
-    }
-    return space.clamp(raw)
+    return space.clamp({name: models[name].predict(feats, band) for name in TARGETS})
 
 
 def save_models(models: dict, path, meta: dict | None = None):

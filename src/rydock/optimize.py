@@ -12,6 +12,9 @@ converged runs on graphs with a unique optimum; that trade-off is
 intentional and documented here. A normalised score divides by the best
 reachable mean(f), w(MWIS)/w(V), so it never exceeds 1.
 
+A search box narrows the hardware table of `pulses.FAMILIES` only where
+the search decides (`search_space`); `sequence_for` checks every pulse.
+
 Every scored pulse is evolved (or a kept final state re-measured) and
 stripped by `_outcome`, the one home of the exact omega=0 shortcut.
 `qaa_sweep` keeps its own loop: there an omega=0 cell is infeasible.
@@ -31,10 +34,11 @@ from .errors import InfeasibilityError, InputError
 from .graphs import WeightedGraph, brute_force_mwis
 from .histogram import Histogram
 from .pulses import (
+    FAMILIES,
     MIN_WAVEFORM_NS,
-    ComplexParams,
-    SimpleParams,
     complex_sequence,
+    durations,
+    hardware_bounds,
     simple_sequence,
 )
 from .register import DeviceParams, Embedding, omega_bounds, strip_ancillas
@@ -125,11 +129,12 @@ def normalized_value(value: float, g: WeightedGraph) -> float:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Box bounds per parameter, plus an optional joint duration budget."""
+    """Box bounds per parameter, plus an optional joint limit on the sum of
+    the `ramps` durations."""
 
-    family: str
     intervals: dict
     total_time_limit: float | None = None
+    ramps: tuple = ()
 
     @property
     def names(self) -> tuple:
@@ -140,11 +145,11 @@ class SearchSpace:
         for k, (lo, hi) in self.intervals.items():
             out[k] = float(min(max(params[k], lo), hi))
         if self.total_time_limit is not None:
-            total = out["t_rise"] + out["t_fall"]
+            total = sum(out[k] for k in self.ramps)
             if total > self.total_time_limit:
                 f = self.total_time_limit / total
-                out["t_rise"] = max(out["t_rise"] * f, self.intervals["t_rise"][0])
-                out["t_fall"] = max(out["t_fall"] * f, self.intervals["t_fall"][0])
+                for k in self.ramps:
+                    out[k] = max(out[k] * f, self.intervals[k][0])
         return out
 
     def feasible(self, params: dict) -> bool:
@@ -152,58 +157,39 @@ class SearchSpace:
             if not lo - 1e-9 <= params[k] <= hi + 1e-9:
                 return False
         if self.total_time_limit is not None:
-            if params["t_rise"] + params["t_fall"] > self.total_time_limit + 1e-9:
+            if sum(params[k] for k in self.ramps) > self.total_time_limit + 1e-9:
                 return False
         return True
 
 
 def search_space(emb: Embedding, dev: DeviceParams, family: str,
-                 relaxed: bool = False) -> SearchSpace:
-    """Bounds for the pulse search on this embedding.
-
-    `relaxed` doubles the duration budget; the simplex searcher uses it to
-    chase slow sweeps past the nominal coherence budget.
-    """
-    lo, hi = omega_bounds(emb, dev)
-    coherence = dev.coherence_time * (2.0 if relaxed else 1.0)
+                 budget: float | None = None) -> SearchSpace:
+    """The family's hardware bounds under the duration `budget` (the
+    coherence time unless given), narrowed to the Rabi band of this
+    embedding, a simple sweep delta >= 0.05 and complex ramps of 2500 ns
+    per coherence time of budget."""
+    budget = dev.coherence_time if budget is None else budget
+    box = {k: (lo, hi) for k, (lo, hi, _) in
+           hardware_bounds(family, dev.omega_max, dev.delta_abs_max, budget).items()}
+    box["omega"] = omega_bounds(emb, dev)
     if family == "simple":
-        return SearchSpace(
-            family="simple",
-            intervals={
-                "omega": (lo, hi),
-                "delta": (0.05, dev.delta_abs_max),
-                "time": (2 * MIN_WAVEFORM_NS, coherence),
-            },
-        )
-    if family == "complex":
-        ramp_hi = min(2500.0 * (2.0 if relaxed else 1.0), coherence - MIN_WAVEFORM_NS)
-        return SearchSpace(
-            family="complex",
-            intervals={
-                "t_rise": (MIN_WAVEFORM_NS, ramp_hi),
-                "t_fall": (MIN_WAVEFORM_NS, ramp_hi),
-                "omega": (lo, hi),
-                "delta0": (0.0, dev.delta_abs_max),
-                "deltaf": (0.0, dev.delta_abs_max),
-            },
-            total_time_limit=coherence,
-        )
-    raise InputError(f"unknown family {family!r}")
+        box["delta"] = (0.05, box["delta"][1])
+        return SearchSpace(box)
+    ramp_hi = min(2500.0 * (budget / dev.coherence_time), budget - MIN_WAVEFORM_NS)
+    ramps = durations(family)
+    box.update({k: (box[k][0], ramp_hi) for k in ramps})
+    return SearchSpace(box, total_time_limit=budget, ramps=ramps)
 
 
 def sequence_for(params: dict, family: str, dev: DeviceParams,
                  coherence_ns: float | None = None):
-    budget = coherence_ns if coherence_ns is not None else dev.coherence_time
-    if family == "simple":
-        p = SimpleParams(omega=params["omega"], delta=params["delta"], time=params["time"])
-        return simple_sequence(p, dev.omega_max, dev.delta_abs_max, budget)
-    if family == "complex":
-        p = ComplexParams(
-            t_rise=params["t_rise"], t_fall=params["t_fall"], omega=params["omega"],
-            delta0=params["delta0"], deltaf=params["deltaf"],
-        )
-        return complex_sequence(p, dev.omega_max, dev.delta_abs_max, budget)
-    raise InputError(f"unknown family {family!r}")
+    """The checked schedule of `params` in a budget of `coherence_ns`."""
+    if family not in FAMILIES:
+        raise InputError(f"unknown family {family!r}")
+    # looked up at call time, so wrappers of the two builders see the calls
+    build = simple_sequence if family == "simple" else complex_sequence
+    return build(params, dev.omega_max, dev.delta_abs_max,
+                 dev.coherence_time if coherence_ns is None else coherence_ns)
 
 
 def nelder_mead(objective, x0, bounds, max_iter: int = 200, seed: int = 0):
@@ -298,16 +284,14 @@ def _sample_trunc(rng, mu, sigma, lo, hi):
     return float(min(max(mu, lo), hi))
 
 
-def tpe_suggest(history, space: SearchSpace, seed,
-                n_startup: int = TPE_STARTUP, gamma: float = TPE_GAMMA,
-                n_candidates: int = TPE_CANDIDATES) -> dict:
+def tpe_suggest(history, space: SearchSpace, seed) -> dict:
     """Next parameter point given (params, score) history.
 
-    The first `n_startup` suggestions are uniform. Afterwards the history
-    splits at the gamma score quantile into good/bad sets; each dimension
+    The first TPE_STARTUP suggestions are uniform. Afterwards the history
+    splits at the TPE_GAMMA score quantile into good/bad sets; each dimension
     gets truncated-Gaussian kernel densities l(x) over the good points and
     g(x) over the bad (bandwidth = interval width / sqrt(set size)), and
-    the best of `n_candidates` draws from l under the ratio l/g wins. The
+    the best of TPE_CANDIDATES draws from l under the ratio l/g wins. The
     joint duration budget is enforced by rejection during sampling.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -320,18 +304,18 @@ def tpe_suggest(history, space: SearchSpace, seed,
         return space.clamp(p)
 
     history = list(history)
-    if len(history) < n_startup:
+    if len(history) < TPE_STARTUP:
         return uniform_point()
 
     ranked = sorted(history, key=lambda t: (-t.score, t.round))
-    n_good = max(1, int(math.ceil(gamma * len(ranked))))
+    n_good = max(1, int(math.ceil(TPE_GAMMA * len(ranked))))
     good = ranked[:n_good]
     bad = ranked[n_good:] or good
     sig_good = {k: (hi - lo) / math.sqrt(len(good)) for k, (lo, hi) in space.intervals.items()}
     sig_bad = {k: (hi - lo) / math.sqrt(len(bad)) for k, (lo, hi) in space.intervals.items()}
 
     candidates = []
-    for _ in range(n_candidates):
+    for _ in range(TPE_CANDIDATES):
         for _try in range(200):
             anchor = good[int(rng.integers(len(good)))]
             cand = {}
@@ -409,7 +393,7 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
     nullified the loop runs a second pass of the same depth before giving
     up (low_confidence marks a best trial that still scored 0).
     optimizer="nm": NM_RESTARTS simplex searches from random starts inside
-    a relaxed-budget space, `rounds` iterations each.
+    a space of twice the coherence time, `rounds` iterations each.
 
     Every evaluation draws its shots from a stream keyed by (seed, round),
     and the final state of the winning trial is kept and re-measured at 5x
@@ -425,6 +409,8 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
     """
     if rounds < 1:
         raise InputError("rounds must be >= 1")
+    if optimizer not in ("tpe", "nm"):
+        raise InputError(f"unknown optimizer {optimizer!r}")
     if replay and optimizer != "tpe":
         raise InputError("only a tpe search can replay logged trials")
     if [t.round for t in replay] != list(range(len(replay))):
@@ -457,10 +443,10 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
         ), state)
 
     second_pass = False
+    budget = dev.coherence_time * (2.0 if optimizer == "nm" else 1.0)
+    space = search_space(emb, dev, family, budget)
     try:
         if optimizer == "tpe":
-            budget = dev.coherence_time
-            space = search_space(emb, dev, family)
             target = rounds
             rnd = 0
             while rnd < target:
@@ -472,9 +458,7 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
                 if rnd == target and not second_pass and all(t.score == 0.0 for t in trials):
                     target += rounds
                     second_pass = True
-        elif optimizer == "nm":
-            budget = dev.coherence_time * 2.0
-            space = search_space(emb, dev, family, relaxed=True)
+        else:
             names = space.names
             bounds = [space.intervals[k] for k in names]
             counter = [0]
@@ -493,8 +477,6 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
                         break
                 nelder_mead(objective, x0, bounds, max_iter=rounds,
                             seed=substream_seed(seed, "nm", restart))
-        else:
-            raise InputError(f"unknown optimizer {optimizer!r}")
     finally:
         if log_fh:
             log_fh.close()

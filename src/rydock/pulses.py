@@ -6,6 +6,11 @@ carrier phase. Detuning sign convention: the Hamiltonian contains
 -delta(t) * w_i * n_i, so sweeps run from negative (ground state favoured)
 to positive (excitation favoured). This is the single most error-prone sign
 in the package; it is asserted by the evolution tests.
+
+`FAMILIES` states each schedule family once, its parameters in search order
+with hardware bounds. Lower bounds are strict on omega and the simple delta
+(a dead drive or sweep is refused) and exact elsewhere; upper bounds and the
+complex ramps' shared duration budget allow 1e-9 of rounding.
 """
 
 from __future__ import annotations
@@ -127,78 +132,74 @@ class PulseSequence:
         if not self.segments:
             raise InputError("empty pulse sequence")
 
-    @property
-    def total_duration(self) -> float:
-        return float(sum(s.duration for s in self.segments))
+
+# Each family's parameters in search order, with hardware bounds (lo, hi,
+# lo_open). A string `hi` names a device limit, or the duration budget.
+FAMILIES = {
+    # one segment: Rabi bump 0 -> omega -> 0, detuning sweep -delta -> +delta
+    "simple": {
+        "omega": (0, "omega_max", True),
+        "delta": (0, "delta_abs_max", True),
+        "time": (2 * MIN_WAVEFORM_NS, "budget", False),
+    },
+    # Rabi rise at constant -delta0, then fall as the detuning ramps to +deltaf
+    "complex": {
+        "t_rise": (MIN_WAVEFORM_NS, "budget", False),
+        "t_fall": (MIN_WAVEFORM_NS, "budget", False),
+        "omega": (0, "omega_max", True),
+        "delta0": (0, "delta_abs_max", False),
+        "deltaf": (0, "delta_abs_max", False),
+    },
+}
 
 
-@dataclass(frozen=True)
-class SimpleParams:
-    """Single-segment family: Rabi bump 0 -> omega -> 0, detuning sweep
-    -delta -> +delta, one total duration."""
-
-    omega: float
-    delta: float
-    time: float
-
-    def validate(self, omega_max: float, delta_abs_max: float,
-                 coherence_ns: float = DEFAULT_COHERENCE_NS):
-        if not 0.0 < self.omega <= omega_max + 1e-9:
-            raise InputError(f"omega {self.omega} outside (0, {omega_max}]")
-        if not 0.0 < self.delta <= delta_abs_max + 1e-9:
-            raise InputError(f"delta {self.delta} outside (0, {delta_abs_max}]")
-        if not 2 * MIN_WAVEFORM_NS <= self.time <= coherence_ns + 1e-9:
-            raise InputError(f"time {self.time} outside [{2 * MIN_WAVEFORM_NS}, {coherence_ns}]")
+def hardware_bounds(family: str, omega_max: float, delta_abs_max: float, budget: float) -> dict:
+    """{parameter: (lo, hi, lo_open)} of `family`, device limits filled in."""
+    if family not in FAMILIES:
+        raise InputError(f"unknown family {family!r}")
+    limit = {"omega_max": omega_max, "delta_abs_max": delta_abs_max, "budget": budget}
+    return {k: (lo, limit[hi], lo_open) for k, (lo, hi, lo_open) in FAMILIES[family].items()}
 
 
-@dataclass(frozen=True)
-class ComplexParams:
-    """Two-segment family: linear Rabi rise at constant -delta0, then Rabi
-    fall while the detuning ramps -delta0 -> +deltaf."""
-
-    t_rise: float
-    t_fall: float
-    omega: float
-    delta0: float
-    deltaf: float
-
-    def validate(self, omega_max: float, delta_abs_max: float,
-                 coherence_ns: float = DEFAULT_COHERENCE_NS):
-        for name, t in (("t_rise", self.t_rise), ("t_fall", self.t_fall)):
-            if not MIN_WAVEFORM_NS <= t <= coherence_ns + 1e-9:
-                raise InputError(f"{name} {t} outside [{MIN_WAVEFORM_NS}, {coherence_ns}]")
-        if self.t_rise + self.t_fall > coherence_ns + 1e-9:
-            raise InputError(
-                f"t_rise + t_fall = {self.t_rise + self.t_fall:.0f} ns "
-                f"exceeds the {coherence_ns:.0f} ns budget"
-            )
-        if not 0.0 < self.omega <= omega_max + 1e-9:
-            raise InputError(f"omega {self.omega} outside (0, {omega_max}]")
-        for name, d in (("delta0", self.delta0), ("deltaf", self.deltaf)):
-            if not 0.0 <= d <= delta_abs_max + 1e-9:
-                raise InputError(f"{name} {d} outside [0, {delta_abs_max}]")
+def durations(family: str) -> tuple:
+    """The segment durations of `family`, whose sum must fit the budget."""
+    return tuple(k for k, (_, hi, _) in FAMILIES[family].items() if hi == "budget")
 
 
-def simple_sequence(params: SimpleParams, omega_max: float, delta_abs_max: float,
+def _check_params(params: dict, family: str, omega_max: float, delta_abs_max: float,
+                  budget: float):
+    """InputError unless every parameter of `family` is inside its hardware
+    interval and the segment durations fit the budget together."""
+    for k, (lo, hi, lo_open) in hardware_bounds(family, omega_max, delta_abs_max,
+                                                 budget).items():
+        v = params[k]
+        if not (lo < v if lo_open else lo <= v) or not v <= hi + 1e-9:
+            raise InputError(f"{k} {v} outside {'(' if lo_open else '['}{lo}, {hi}]")
+    total = sum(params[k] for k in durations(family))
+    if total > budget + 1e-9:
+        raise InputError(f"{' + '.join(durations(family))} = {total:.0f} ns "
+                         f"exceeds the {budget:.0f} ns budget")
+
+
+def simple_sequence(params: dict, omega_max: float, delta_abs_max: float,
                     coherence_ns: float = DEFAULT_COHERENCE_NS) -> PulseSequence:
-    params.validate(omega_max, delta_abs_max, coherence_ns)
+    _check_params(params, "simple", omega_max, delta_abs_max, coherence_ns)
     seg = Segment(
-        omega=Interpolated((0.0, params.omega, 0.0), params.time),
-        delta=Interpolated((-params.delta, 0.0, params.delta), params.time),
+        omega=Interpolated((0.0, params["omega"], 0.0), params["time"]),
+        delta=Interpolated((-params["delta"], 0.0, params["delta"]), params["time"]),
     )
     return PulseSequence(segments=(seg,))
 
 
-def complex_sequence(params: ComplexParams, omega_max: float, delta_abs_max: float,
+def complex_sequence(params: dict, omega_max: float, delta_abs_max: float,
                      coherence_ns: float = DEFAULT_COHERENCE_NS) -> PulseSequence:
-    params.validate(omega_max, delta_abs_max, coherence_ns)
+    _check_params(params, "complex", omega_max, delta_abs_max, coherence_ns)
     rise = Segment(
-        omega=Ramp(0.0, params.omega, params.t_rise),
-        delta=Ramp(-params.delta0, -params.delta0, params.t_rise),
+        omega=Ramp(0.0, params["omega"], params["t_rise"]),
+        delta=Ramp(-params["delta0"], -params["delta0"], params["t_rise"]),
     )
     fall = Segment(
-        omega=Ramp(params.omega, 0.0, params.t_fall),
-        delta=Ramp(-params.delta0, params.deltaf, params.t_fall),
+        omega=Ramp(params["omega"], 0.0, params["t_fall"]),
+        delta=Ramp(-params["delta0"], params["deltaf"], params["t_fall"]),
     )
     return PulseSequence(segments=(rise, fall))
-

@@ -337,8 +337,8 @@ def embedding_from_positions(positions, dev: DeviceParams, ids=None, weights=Non
     return _assemble(graph, dev, positions, direct, linked, spacing)
 
 
-def _relax(pos, springs, repel, spacing, iters=LAYOUT_ITERS):
-    """Force-directed relaxation.
+def _relax(pos, springs, repel, spacing):
+    """Force-directed relaxation over LAYOUT_ITERS iterations, read at call time.
 
     `springs`: index pairs pulled toward `spacing`. `repel`: (i, j, target)
     triples pushed out to `target` when closer. A pair closer than 1e-9 is
@@ -359,8 +359,8 @@ def _relax(pos, springs, repel, spacing, iters=LAYOUT_ITERS):
     # contribution (k, end, axis) goes to force slot 2 * atom + axis
     slots = (2 * ij[:, :, None] + np.arange(2)).ravel()
     contrib = np.empty((len(pairs), 2, 2))
-    for it in range(iters):
-        step = 0.12 * spacing * (1.0 - 0.9 * it / iters)
+    for it in range(LAYOUT_ITERS):
+        step = 0.12 * spacing * (1.0 - 0.9 * it / LAYOUT_ITERS)
         d = pos[second] - pos[first]
         # math.hypot, not np.hypot: the two can round the last bit apart,
         # and that is enough to move a placement

@@ -510,12 +510,12 @@ def test_cli_import_loads_no_scipy():
     code = (
         "import sys\n"
         "import rydock.cli\n"
-        "from rydock.pulses import SimpleParams, simple_sequence\n"
+        "from rydock.pulses import simple_sequence\n"
         "from rydock.register import Atom, DeviceParams, Register\n"
         "from rydock.simulator import evolve\n"
         "reg = Register(atoms=tuple(Atom(f'q{k}', 9.0 * k, 0.0) for k in range(12)))\n"
         "dev = DeviceParams()\n"
-        "seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=100.0),\n"
+        "seq = simple_sequence(dict(omega=3.0, delta=2.5, time=100.0),\n"
         "                      dev.omega_max, dev.delta_abs_max)\n"
         "evolve(reg, seq, dev, dt=8.0)\n"
         "print(' '.join(sorted(m for m in sys.modules\n"

@@ -20,7 +20,6 @@ from rydock.mlqaa import (
     load_models,
     mape,
     predict_params,
-    propagation_matrix,
     save_dataset,
     save_models,
     shape_positions,
@@ -82,13 +81,8 @@ def _record(spacing, n=2, omega=None):
 
 def test_featurize_two_atoms():
     f = featurize(np.array([[0.0, 0.0], [5.0, 0.0]]))
-    assert f.n == 2
-    assert f.node_feature.shape == (2, 1)
-    assert np.all(f.node_feature == 1.0)
-    assert f.edge_index.shape == (2, 2)
-    pairs = set(zip(f.edge_index[0].tolist(), f.edge_index[1].tolist()))
-    assert pairs == {(0, 1), (1, 0)}
-    assert np.allclose(f.edge_weight, 1.0 / 25.0)
+    assert f.shape == (2, 2)
+    assert f.tolist() == [[1.0, 1.0 / 25.0], [1.0 / 25.0, 1.0]]
 
 
 def test_featurize_complete_digraph():
@@ -96,19 +90,17 @@ def test_featurize_complete_digraph():
         rng = substream(7, "feat", n)
         pos = rng.uniform(0.0, 60.0, size=(n, 2))
         f = featurize(pos)
-        assert f.edge_weight.shape == (n * (n - 1),)
-        assert f.edge_index.dtype == np.int64
+        assert f.shape == (n, n)
+        assert np.all(np.diag(f) == 1.0)
+        assert np.all(f > 0.0) and np.array_equal(f, f.T)
 
 
 def test_featurize_accepts_register_embedding_positions():
     pos = _line(3, 9.0)
     emb = embedding_from_positions([tuple(p) for p in pos], DEV, spacing=9.0)
     fa = featurize(pos)
-    fb = featurize(emb.register)
-    fc = featurize(emb)
-    for other in (fb, fc):
-        assert np.array_equal(fa.edge_index, other.edge_index)
-        assert np.allclose(fa.edge_weight, other.edge_weight)
+    for other in (featurize(emb.register.positions()), featurize(pos.tolist())):
+        assert fa.tobytes() == other.tobytes()
 
 
 def test_featurize_rigid_motion_invariance():
@@ -118,9 +110,7 @@ def test_featurize_rigid_motion_invariance():
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     moved = pos @ rot.T + np.array([17.0, -4.0])
-    fa, fb = featurize(pos), featurize(moved)
-    assert np.array_equal(fa.edge_index, fb.edge_index)
-    assert np.allclose(fa.edge_weight, fb.edge_weight)
+    assert np.allclose(featurize(pos), featurize(moved))
 
 
 def test_featurize_errors():
@@ -132,10 +122,9 @@ def test_featurize_errors():
 
 def test_propagation_matrix_hand_values():
     f = featurize(np.array([[0.0, 0.0], [5.0, 0.0]]))
-    assert np.allclose(propagation_matrix(f), [[1.0, 0.04], [0.04, 1.0]])
+    assert np.allclose(f, [[1.0, 0.04], [0.04, 1.0]])
     # 3-4-5 right triangle keeps each inverse squared side, unnormalised
-    g = featurize(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]))
-    p = propagation_matrix(g)
+    p = featurize(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]))
     assert np.allclose(np.diag(p), 1.0)
     assert np.isclose(p[0, 1], 1.0 / 9.0)
     assert np.isclose(p[0, 2], 1.0 / 16.0)
@@ -172,10 +161,10 @@ def gradient_check(model: GcnModel, feats, target_value: float,
                    n_sample: int = 100, step: float = 1e-5,
                    seed: int = 0) -> float:
     """Max relative error of analytic vs central-difference gradients."""
-    adj, x, mask = _pack([feats])
+    adj, mask = _pack([feats])
     targets = np.array([target_value], dtype=float)
     weights = {k: v.copy() for k, v in model.weights.items()}
-    _, grads, _ = loss_and_gradients(weights, adj, x, mask, targets)
+    _, grads, _ = loss_and_gradients(weights, adj, mask, targets)
     rng = substream(seed, "gradcheck")
     names = _weight_names()
     sizes = np.array([weights[k].size for k in names])
@@ -190,9 +179,9 @@ def gradient_check(model: GcnModel, feats, target_value: float,
         idx = np.unravel_index(local, weights[name].shape)
         keep = weights[name][idx]
         weights[name][idx] = keep + step
-        lp, _, _ = loss_and_gradients(weights, adj, x, mask, targets)
+        lp, _, _ = loss_and_gradients(weights, adj, mask, targets)
         weights[name][idx] = keep - step
-        lm, _, _ = loss_and_gradients(weights, adj, x, mask, targets)
+        lm, _, _ = loss_and_gradients(weights, adj, mask, targets)
         weights[name][idx] = keep
         numeric = (lp - lm) / (2 * step)
         analytic = grads[name][idx]
@@ -223,9 +212,9 @@ def test_batch_padding_matches_single_forward():
     model = _model("delta0", seed=2)
     fa = featurize(_line(2, 7.0))
     fb = featurize(_line(5, 9.0))
-    adj, x, mask = _pack([fa, fb])
+    adj, mask = _pack([fa, fb])
     assert adj.shape == (2, 5, 5)
-    y, _, _ = _forward_batch(model.weights, adj, x, mask)
+    y, _, _ = _forward_batch(model.weights, adj, mask)
     assert y[0] == pytest.approx(forward(model, fa), abs=1e-10)
     assert y[1] == pytest.approx(forward(model, fb), abs=1e-10)
 
@@ -282,19 +271,20 @@ def _per_array_adam(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def test_flat_buffer_training_equals_per_array_adam(monkeypatch):
     records = [_record(s, n=n) for s, n in ((7.0, 2), (8.0, 3), (9.0, 3), (10.0, 4), (6.5, 2))]
-    got = {t: train(records, t, epochs=6, seed=2, batch_size=2) for t in TARGETS}
+    monkeypatch.setattr("rydock.mlqaa.gcn.BATCH_SIZE", 2)
+    got = {t: train(records, t, epochs=6, seed=2) for t in TARGETS}
     monkeypatch.setattr("rydock.mlqaa.gcn._adam_step", _per_array_adam)
     for t in TARGETS:
-        want = train(records, t, epochs=6, seed=2, batch_size=2)
+        want = train(records, t, epochs=6, seed=2)
         assert got[t].history == want.history
         assert all(got[t].weights[k].tobytes() == want.weights[k].tobytes()
                    for k in want.weights)
     # gradients written into a flat buffer's views equal freshly allocated ones
-    adj, x, mask = _pack([featurize(np.asarray(r.positions)) for r in records])
+    adj, mask = _pack([featurize(r.positions) for r in records])
     weights, targets = init_weights(5), np.linspace(0.0, 1.0, len(records))
-    fresh = loss_and_gradients(weights, adj, x, mask, targets)[1]
+    fresh = loss_and_gradients(weights, adj, mask, targets)[1]
     flat = np.full(sum(w.size for w in weights.values()), np.nan)
-    loss_and_gradients(weights, adj, x, mask, targets, grads=_views(flat, weights))
+    loss_and_gradients(weights, adj, mask, targets, grads=_views(flat, weights))
     assert all(_views(flat, weights)[k].tobytes() == fresh[k].tobytes() for k in fresh)
 
 
@@ -307,12 +297,14 @@ def test_drop_masks_one_draw_equals_per_layer_draws():
         assert np.array_equal(masks[layer], keep / (1.0 - DROPOUT))
 
 
-def test_train_overfits_single_record():
+def test_train_overfits_single_record(monkeypatch):
+    # masks of exactly 1.0 leave every product unchanged: no dropout
+    monkeypatch.setattr("rydock.mlqaa.gcn.DROPOUT", 0.0)
     rec = _record(9.0, n=3)
-    model = train([rec], "t_rise", epochs=250, seed=0, dropout=False)
+    model = train([rec], "t_rise", epochs=250, seed=0)
     assert model.scale == "identity"
     assert min(tl for tl, _ in model.history) < 1e-3
-    pred = model.predict(featurize(np.asarray(rec.positions)))
+    pred = model.predict(featurize(rec.positions), None)
     assert pred == pytest.approx(300.0, abs=0.5)
 
 
@@ -327,17 +319,17 @@ def test_train_determinism():
     assert any(not np.array_equal(a.weights[k], c.weights[k]) for k in a.weights)
 
 
-def test_train_band_scale_inverts_per_register():
+def test_train_band_scale_inverts_per_register(monkeypatch):
     # Both labels sit at the exact middle of their own usable band, so a
     # model fit in band fraction must come back at mid-band in rad/us for
     # each register separately even though the two bands barely overlap.
+    monkeypatch.setattr("rydock.mlqaa.gcn.DROPOUT", 0.0)
     recs = [_record(6.0, omega=None), _record(11.0, omega=None)]
-    model = train(recs, "omega", epochs=300, seed=0, dropout=False, dev=DEV)
+    model = train(recs, "omega", epochs=300, seed=0, dev=DEV)
     assert model.scale == "band"
     for rec in recs:
         lo, hi = omega_bounds(rec.embedding(DEV), DEV)
-        z = model.predict(featurize(np.asarray(rec.positions)))
-        got = _from_scale(z, "band", (lo, hi))
+        got = model.predict(featurize(rec.positions), (lo, hi))
         assert abs(got - 0.5 * (lo + hi)) <= 0.05 * (hi - lo)
 
 
@@ -383,7 +375,7 @@ def test_save_load_roundtrip(tmp_path, monkeypatch):
     save_models(models, path, meta={"note": "roundtrip"})
     loaded = load_models(path)
     assert set(loaded) == {"t_rise", "omega"}
-    feats = featurize(_line(3, 8.5))
+    feats, band = featurize(_line(3, 8.5)), (1.0, 4.0)
     for name, model in models.items():
         other = loaded[name]
         assert other.version == MODEL_VERSION
@@ -391,7 +383,7 @@ def test_save_load_roundtrip(tmp_path, monkeypatch):
         assert other.t_lo == pytest.approx(model.t_lo)
         assert other.t_hi == pytest.approx(model.t_hi)
         assert other.seed == model.seed
-        assert other.predict(feats) == pytest.approx(model.predict(feats))
+        assert other.predict(feats, band) == pytest.approx(model.predict(feats, band))
     monkeypatch.setattr("rydock.mlqaa.gcn.MODEL_VERSION", "999")
     with pytest.raises(InputError):
         load_models(path)

@@ -215,7 +215,7 @@ def test_search_space_contracts():
     assert comp.intervals["t_rise"] == (16.0, 2500.0)
     assert comp.total_time_limit == DEV.coherence_time
 
-    relaxed = search_space(emb, DEV, "complex", relaxed=True)
+    relaxed = search_space(emb, DEV, "complex", 2 * DEV.coherence_time)
     assert relaxed.total_time_limit == 2 * DEV.coherence_time
     assert relaxed.intervals["t_rise"][1] == 5000.0
 
@@ -224,10 +224,9 @@ def test_search_space_contracts():
 
 
 def test_clamp_and_feasible():
-    sp = SearchSpace(family="complex",
-                     intervals={"t_rise": (16.0, 4000.0),
+    sp = SearchSpace(intervals={"t_rise": (16.0, 4000.0),
                                 "t_fall": (16.0, 4000.0)},
-                     total_time_limit=5000.0)
+                     total_time_limit=5000.0, ramps=("t_rise", "t_fall"))
     out = sp.clamp({"t_rise": 4000.0, "t_fall": 3000.0})
     assert out["t_rise"] + out["t_fall"] <= 5000.0 + 1e-9
     assert out["t_rise"] == pytest.approx(4000.0 * 5.0 / 7.0)
@@ -242,14 +241,57 @@ def test_clamp_and_feasible():
 def test_sequence_for_families():
     seq = sequence_for({"omega": 3.0, "delta": 2.0, "time": 800.0},
                        "simple", DEV)
-    assert len(seq.segments) == 1
-    assert seq.total_duration == pytest.approx(800.0)
+    assert [s.duration for s in seq.segments] == [800.0]
     seq = sequence_for({"t_rise": 100.0, "t_fall": 400.0, "omega": 4.0,
                         "delta0": 2.0, "deltaf": 5.0}, "complex", DEV)
-    assert len(seq.segments) == 2
-    assert seq.total_duration == pytest.approx(500.0)
+    assert [s.duration for s in seq.segments] == [100.0, 400.0]
     with pytest.raises(InputError):
         sequence_for({}, "fancy", DEV)
+
+
+def _simple(**kw):
+    return "simple", {"omega": 4.0, "delta": 3.0, "time": 1000.0, **kw}
+
+
+def _complex(**kw):
+    return "complex", {"t_rise": 200.0, "t_fall": 800.0, "omega": 5.0,
+                       "delta0": 2.0, "deltaf": 6.0, **kw}
+
+
+# (family, params, accepted): strict lower bounds on omega and the simple
+# delta, exact lower bounds elsewhere, 1e-9 of slack on every upper bound
+# and on the ramps' shared budget
+HARDWARE_CASES = {
+    "simple": (*_simple(), True),
+    "simple-omega-0": (*_simple(omega=0.0), False),
+    "simple-omega-16": (*_simple(omega=16.0), False),
+    "simple-omega-max-slack": (*_simple(omega=DEV.omega_max + 1e-9), True),
+    "simple-delta-0": (*_simple(delta=0.0), False),
+    "simple-delta-9": (*_simple(delta=9.0), False),
+    "simple-time-20": (*_simple(time=20.0), False),
+    "simple-time-32": (*_simple(time=32.0), True),
+    "simple-time-6000": (*_simple(time=6000.0), False),
+    "complex": (*_complex(), True),
+    "complex-rise-10": (*_complex(t_rise=10.0), False),
+    "complex-rise-under-16": (*_complex(t_rise=16.0 - 1e-9), False),
+    "complex-ramps-6000": (*_complex(t_rise=3000.0, t_fall=3000.0), False),
+    "complex-ramps-coherence": (*_complex(t_rise=1000.0, t_fall=4000.0), True),
+    "complex-omega-0": (*_complex(omega=0.0), False),
+    "complex-omega-max-slack": (*_complex(omega=DEV.omega_max + 1e-9), True),
+    "complex-delta0-0": (*_complex(delta0=0.0), True),
+    "complex-delta0-neg": (*_complex(delta0=-1.0), False),
+    "complex-deltaf-9": (*_complex(deltaf=9.0), False),
+}
+
+
+@pytest.mark.parametrize("family, params, accepted", HARDWARE_CASES.values(),
+                         ids=HARDWARE_CASES.keys())
+def test_sequence_for_hardware_check(family, params, accepted):
+    if accepted:
+        sequence_for(params, family, DEV)
+    else:
+        with pytest.raises(InputError):
+            sequence_for(params, family, DEV)
 
 
 def test_nelder_mead_quadratic():
@@ -287,7 +329,7 @@ def test_nelder_mead_deterministic_and_validated():
         nelder_mead(f, [0.0], [(1.0, 1.0)])
 
 
-SPACE_1D = SearchSpace(family="simple", intervals={"x": (0.0, 1.0)})
+SPACE_1D = SearchSpace(intervals={"x": (0.0, 1.0)})
 
 
 def run_tpe(seed, rounds=50):
@@ -335,10 +377,9 @@ def test_tpe_startup_uniform_deterministic():
 
 
 def test_tpe_respects_joint_budget():
-    sp = SearchSpace(family="complex",
-                     intervals={"t_rise": (16.0, 2500.0),
+    sp = SearchSpace(intervals={"t_rise": (16.0, 2500.0),
                                 "t_fall": (16.0, 2500.0)},
-                     total_time_limit=2600.0)
+                     total_time_limit=2600.0, ramps=("t_rise", "t_fall"))
     hist = []
     rng = np.random.default_rng(3)
     for r in range(120):

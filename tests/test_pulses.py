@@ -11,18 +11,20 @@ from scipy.interpolate import PchipInterpolator
 from rydock.errors import InputError
 from rydock.pulses import (
     MIN_WAVEFORM_NS,
-    ComplexParams,
     Interpolated,
     PulseSequence,
     Ramp,
     Segment,
-    SimpleParams,
     complex_sequence,
     simple_sequence,
 )
 
 OMEGA_MAX = 15.7
 DELTA_MAX = 8.0
+
+
+def total_duration(seq: PulseSequence) -> float:
+    return float(sum(seg.duration for seg in seq.segments))
 
 
 def segment_at(seq: PulseSequence, t: float):
@@ -48,7 +50,7 @@ def delta_at(seq: PulseSequence, t: float) -> float:
 def dump_sequence(seq: PulseSequence, path, resolution_ns: float = 4.0,
                   meta: dict | None = None):
     """Write sampled (t, omega, delta) triples at fixed resolution."""
-    total = seq.total_duration
+    total = total_duration(seq)
     ts = np.arange(0.0, total + resolution_ns / 2, resolution_ns)
     ts[-1] = min(ts[-1], total)
     samples = [[float(t), omega_at(seq, t), delta_at(seq, t)] for t in ts]
@@ -63,7 +65,7 @@ def dump_sequence(seq: PulseSequence, path, resolution_ns: float = 4.0,
 def assert_inside_envelope(seq):
     """The sampled waveforms keep the Rabi frequency in [0, OMEGA_MAX] and
     |detuning| within DELTA_MAX, and the schedule fits 5 us of coherence."""
-    assert seq.total_duration <= 5000.0
+    assert total_duration(seq) <= 5000.0
     for seg in seq.segments:
         t = np.linspace(0.0, seg.duration, 1001)
         omega, delta = seg.omega.sample(t), seg.delta.sample(t)
@@ -148,7 +150,7 @@ def test_sequence_lookup_across_segments():
     a = Segment(omega=Ramp(0.0, 4.0, 100.0), delta=Ramp(-2.0, -2.0, 100.0))
     b = Segment(omega=Ramp(4.0, 0.0, 300.0), delta=Ramp(-2.0, 6.0, 300.0))
     seq = PulseSequence(segments=(a, b))
-    assert seq.total_duration == pytest.approx(400.0)
+    assert total_duration(seq) == pytest.approx(400.0)
     assert omega_at(seq, 0.0) == pytest.approx(0.0)
     assert omega_at(seq, 100.0) == pytest.approx(4.0)
     assert omega_at(seq, 250.0) == pytest.approx(2.0)
@@ -162,25 +164,24 @@ def test_sequence_lookup_across_segments():
 
 
 def test_simple_params_validation():
-    SimpleParams(omega=4.0, delta=3.0, time=1000.0).validate(OMEGA_MAX, DELTA_MAX)
+    simple_sequence(dict(omega=4.0, delta=3.0, time=1000.0), OMEGA_MAX, DELTA_MAX)
     bad = [
-        SimpleParams(omega=0.0, delta=3.0, time=1000.0),
-        SimpleParams(omega=16.0, delta=3.0, time=1000.0),
-        SimpleParams(omega=4.0, delta=0.0, time=1000.0),
-        SimpleParams(omega=4.0, delta=9.0, time=1000.0),
-        SimpleParams(omega=4.0, delta=3.0, time=20.0),
-        SimpleParams(omega=4.0, delta=3.0, time=6000.0),
+        dict(omega=0.0, delta=3.0, time=1000.0),
+        dict(omega=16.0, delta=3.0, time=1000.0),
+        dict(omega=4.0, delta=0.0, time=1000.0),
+        dict(omega=4.0, delta=9.0, time=1000.0),
+        dict(omega=4.0, delta=3.0, time=20.0),
+        dict(omega=4.0, delta=3.0, time=6000.0),
     ]
     for p in bad:
         with pytest.raises(InputError):
-            p.validate(OMEGA_MAX, DELTA_MAX)
+            simple_sequence(p, OMEGA_MAX, DELTA_MAX)
 
 
 def test_simple_sequence_shape():
-    seq = simple_sequence(SimpleParams(omega=4.0, delta=3.0, time=1000.0),
-                          OMEGA_MAX, DELTA_MAX)
+    seq = simple_sequence(dict(omega=4.0, delta=3.0, time=1000.0), OMEGA_MAX, DELTA_MAX)
     assert len(seq.segments) == 1
-    assert seq.total_duration == pytest.approx(1000.0)
+    assert total_duration(seq) == pytest.approx(1000.0)
     assert omega_at(seq, 0.0) == pytest.approx(0.0)
     assert omega_at(seq, 500.0) == pytest.approx(4.0)
     assert omega_at(seq, 1000.0) == pytest.approx(0.0)
@@ -193,27 +194,26 @@ def test_simple_sequence_shape():
 
 
 def test_complex_params_validation():
-    ComplexParams(t_rise=200.0, t_fall=800.0, omega=5.0,
-                  delta0=2.0, deltaf=6.0).validate(OMEGA_MAX, DELTA_MAX)
+    complex_sequence(dict(t_rise=200.0, t_fall=800.0, omega=5.0, delta0=2.0, deltaf=6.0),
+                     OMEGA_MAX, DELTA_MAX)
     bad = [
-        ComplexParams(t_rise=10.0, t_fall=800.0, omega=5.0, delta0=2.0, deltaf=6.0),
-        ComplexParams(t_rise=3000.0, t_fall=3000.0, omega=5.0, delta0=2.0, deltaf=6.0),
-        ComplexParams(t_rise=200.0, t_fall=800.0, omega=0.0, delta0=2.0, deltaf=6.0),
-        ComplexParams(t_rise=200.0, t_fall=800.0, omega=5.0, delta0=-1.0, deltaf=6.0),
-        ComplexParams(t_rise=200.0, t_fall=800.0, omega=5.0, delta0=2.0, deltaf=9.0),
+        dict(t_rise=10.0, t_fall=800.0, omega=5.0, delta0=2.0, deltaf=6.0),
+        dict(t_rise=3000.0, t_fall=3000.0, omega=5.0, delta0=2.0, deltaf=6.0),
+        dict(t_rise=200.0, t_fall=800.0, omega=0.0, delta0=2.0, deltaf=6.0),
+        dict(t_rise=200.0, t_fall=800.0, omega=5.0, delta0=-1.0, deltaf=6.0),
+        dict(t_rise=200.0, t_fall=800.0, omega=5.0, delta0=2.0, deltaf=9.0),
     ]
     for p in bad:
         with pytest.raises(InputError):
-            p.validate(OMEGA_MAX, DELTA_MAX)
+            complex_sequence(p, OMEGA_MAX, DELTA_MAX)
 
 
 def test_complex_sequence_shape():
     seq = complex_sequence(
-        ComplexParams(t_rise=200.0, t_fall=800.0, omega=5.0,
-                      delta0=2.0, deltaf=6.0),
+        dict(t_rise=200.0, t_fall=800.0, omega=5.0, delta0=2.0, deltaf=6.0),
         OMEGA_MAX, DELTA_MAX)
     assert len(seq.segments) == 2
-    assert seq.total_duration == pytest.approx(1000.0)
+    assert total_duration(seq) == pytest.approx(1000.0)
     assert omega_at(seq, 0.0) == pytest.approx(0.0)
     assert omega_at(seq, 100.0) == pytest.approx(2.5)
     assert omega_at(seq, 200.0) == pytest.approx(5.0)
@@ -228,8 +228,7 @@ def test_complex_sequence_shape():
 
 
 def test_dump_sequence(tmp_path):
-    seq = simple_sequence(SimpleParams(omega=4.0, delta=3.0, time=100.0),
-                          OMEGA_MAX, DELTA_MAX)
+    seq = simple_sequence(dict(omega=4.0, delta=3.0, time=100.0), OMEGA_MAX, DELTA_MAX)
     path = tmp_path / "seq.json"
     dump_sequence(seq, path, resolution_ns=4.0, meta={"tag": "demo"})
     doc = json.loads(path.read_text())

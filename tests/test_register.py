@@ -359,7 +359,8 @@ def _relax_reference(pos, springs, repel, spacing, iters=LAYOUT_ITERS):
     return pos
 
 
-def test_relax_matches_pairwise_reference():
+def test_relax_matches_pairwise_reference(monkeypatch):
+    monkeypatch.setattr("rydock.register.LAYOUT_ITERS", 300)
     spacing = 6.0
     for trial in range(6):
         rng = substream(23, "relax", trial)
@@ -377,7 +378,7 @@ def test_relax_matches_pairwise_reference():
         if trial == 2:
             pos[2] = pos[1]
             springs = []
-        got = _relax(pos, springs, repel, spacing, iters=300)
+        got = _relax(pos, springs, repel, spacing)
         want = _relax_reference(pos, springs, repel, spacing, iters=300)
         assert np.max(np.abs(got - want)) <= 1e-12
 

@@ -19,12 +19,10 @@ from rydock.graphs import complement
 from rydock.mlqaa.dataset import corpus_entry, generate_corpus
 from rydock.optimize import search_space, sequence_for
 from rydock.pulses import (
-    ComplexParams,
     Interpolated,
     PulseSequence,
     Ramp,
     Segment,
-    SimpleParams,
     complex_sequence,
     simple_sequence,
 )
@@ -258,7 +256,7 @@ def test_diagonals_are_built_once_per_register_and_c6(monkeypatch):
     calls = []
     monkeypatch.setattr(Register, "positions",
                         lambda self: calls.append(1) or positions(self))
-    seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=200.0),
+    seq = simple_sequence(dict(omega=3.0, delta=2.5, time=200.0),
                           DEV.omega_max, DEV.delta_abs_max)
     a = evolve(reg, seq, DEV, dt=4.0).amplitudes
     b = evolve(reg, seq, DEV, dt=4.0).amplitudes
@@ -329,7 +327,7 @@ def test_detuning_sign_favours_occupation():
     # slow sweep to positive delta leaves an isolated atom excited; the
     # opposite sign convention would leave it in the ground state
     reg = line_register(0.0)
-    seq = simple_sequence(SimpleParams(omega=4.0, delta=6.0, time=2000.0),
+    seq = simple_sequence(dict(omega=4.0, delta=6.0, time=2000.0),
                           DEV.omega_max, DEV.delta_abs_max)
     probs = exact_distribution(evolve(reg, seq, DEV, dt=4.0))
     assert probs["1"] > 0.9
@@ -337,7 +335,7 @@ def test_detuning_sign_favours_occupation():
 
 def test_blockade_suppresses_double_excitation():
     reg = line_register(0.0, 6.0)
-    seq = simple_sequence(SimpleParams(omega=4.0, delta=6.0, time=2000.0),
+    seq = simple_sequence(dict(omega=4.0, delta=6.0, time=2000.0),
                           DEV.omega_max, DEV.delta_abs_max)
     probs = exact_distribution(evolve(reg, seq, DEV, dt=4.0))
     assert probs.get("11", 0.0) < 0.01
@@ -350,7 +348,7 @@ def test_against_dense_expm_oracle():
                           Atom("b", 9, 0),
                           Atom("c", 0, 9, detuning_weight=2.0)))
     seq = complex_sequence(
-        ComplexParams(t_rise=100.0, t_fall=300.0, omega=5.0,
+        dict(t_rise=100.0, t_fall=300.0, omega=5.0,
                       delta0=2.0, deltaf=6.0),
         DEV.omega_max, DEV.delta_abs_max)
     check_oracles(reg, seq, dt=4.0)
@@ -358,7 +356,7 @@ def test_against_dense_expm_oracle():
 
 def test_oracle_simple_family_two_atoms():
     reg = line_register(0.0, 9.0)
-    seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=400.0),
+    seq = simple_sequence(dict(omega=3.0, delta=2.5, time=400.0),
                           DEV.omega_max, DEV.delta_abs_max)
     check_oracles(reg, seq, dt=4.0)
 
@@ -370,7 +368,7 @@ def test_oracle_split_substeps():
     reg = line_register(0.0, 4.0, 8.0)
     diag = interaction_diagonal(reg, DEV)
     assert 0.5 * np.ptp(diag) * 8e-3 > THETA_MAX
-    seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=400.0),
+    seq = simple_sequence(dict(omega=3.0, delta=2.5, time=400.0),
                           DEV.omega_max, DEV.delta_abs_max)
     (seg,) = seq.segments
     assert np.median(split_substeps(reg, DEV, seg, 8.0)) > 10
@@ -384,7 +382,7 @@ def test_oracle_above_dense_threshold():
     assert len(_groups(n)) == 2
     reg = line_register(*(9.0 * k for k in range(n)),
                         weights=[1.0 + 0.25 * k for k in range(n)])
-    seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=200.0),
+    seq = simple_sequence(dict(omega=3.0, delta=2.5, time=200.0),
                           DEV.omega_max, DEV.delta_abs_max)
     check_oracles(reg, seq, dt=8.0)
 
@@ -398,7 +396,7 @@ def test_oracle_energy_far_from_midpoint():
     diag = interaction_diagonal(reg, DEV)
     assert 0.5 * np.ptp(diag) * 16e-3 > 5 * THETA_MAX
     seq = complex_sequence(
-        ComplexParams(t_rise=200.0, t_fall=300.0, omega=6.0,
+        dict(t_rise=200.0, t_fall=300.0, omega=6.0,
                       delta0=3.0, deltaf=7.0),
         DEV.omega_max, DEV.delta_abs_max)
     check_oracles(reg, seq, dt=16.0)
@@ -409,7 +407,7 @@ def test_oracle_detuning_sets_substeps():
     # the sub-step rule alone splits each step
     reg = line_register(0.0, 30.0, weights=[3.0, 1.0])
     seq = complex_sequence(
-        ComplexParams(t_rise=100.0, t_fall=200.0, omega=4.0,
+        dict(t_rise=100.0, t_fall=200.0, omega=4.0,
                       delta0=5.0, deltaf=8.0),
         DEV.omega_max, DEV.delta_abs_max)
     assert all(max(split_substeps(reg, DEV, seg, 16.0)) > 1 for seg in seq.segments)
@@ -420,7 +418,7 @@ def test_split_error_is_second_order():
     # one Strang sub-step per midpoint step on both grids, so halving dt
     # should cut the error against a fine midpoint expm run about 4x
     reg = line_register(0.0, 10.0, 20.0, weights=[1.0, 1.5, 0.5])
-    seq = simple_sequence(SimpleParams(omega=4.0, delta=3.0, time=600.0),
+    seq = simple_sequence(dict(omega=4.0, delta=3.0, time=600.0),
                           DEV.omega_max, DEV.delta_abs_max)
     assert all(max(split_substeps(reg, DEV, seg, 8.0)) == 1 for seg in seq.segments)
     ref = expm_evolve(reg, seq, DEV, 0.5)
@@ -448,7 +446,7 @@ def test_undriven_segment_is_a_diagonal_phase():
 
 def test_evolve_repeats_bit_for_bit():
     # one, two and four Kronecker groups
-    seq = simple_sequence(SimpleParams(omega=3.0, delta=2.5, time=200.0),
+    seq = simple_sequence(dict(omega=3.0, delta=2.5, time=200.0),
                           DEV.omega_max, DEV.delta_abs_max)
     for n in (3, 8, 13):
         reg = line_register(*(9.0 * k for k in range(n)))
@@ -568,7 +566,7 @@ def test_small_groups_match_the_old_partition(monkeypatch):
     # its 4 + 4 + 4 partition and under 6 + 6, the rule used up to 10 atoms
     emb = corpus_entry("hexagon", 4, 9.75, DEV).embedding
     hi = omega_bounds(emb, DEV)[1]
-    seq = simple_sequence(SimpleParams(omega=0.8 * hi, delta=3.5, time=600.0),
+    seq = simple_sequence(dict(omega=0.8 * hi, delta=3.5, time=600.0),
                           DEV.omega_max, DEV.delta_abs_max)
     assert group_sizes(emb.register.n) == (4, 4, 4)
     new = exact_distribution(evolve(emb.register, seq, DEV, dt=4.0))
@@ -673,7 +671,7 @@ def _drive_cases():
     names = {"triangle-0-s6", "hexagon-0-s7.25", "hexagon-1-s6", "hexagon-4-s9.75"}
     rng = np.random.default_rng(11)
     cases = [(line_register(0.0), simple_sequence(
-        SimpleParams(omega=4.0, delta=3.0, time=1000.0), DEV.omega_max, DEV.delta_abs_max))]
+        dict(omega=4.0, delta=3.0, time=1000.0), DEV.omega_max, DEV.delta_abs_max))]
     for entry in generate_corpus(DEV):
         seq = _random_complex_pulse(entry.embedding, rng)
         if entry.name in names:
@@ -759,7 +757,7 @@ def test_evolve_memory_is_bounded():
     # first step, sigma, and the final phase's temporaries.
     # Holding two chunks at once, or a segment's rows, reads 16 or more.
     emb = corpus_entry("hexagon", 4, 9.75, DEV).embedding
-    seq = simple_sequence(SimpleParams(omega=0.8 * omega_bounds(emb, DEV)[1], delta=3.5,
+    seq = simple_sequence(dict(omega=0.8 * omega_bounds(emb, DEV)[1], delta=3.5,
                                        time=1000.0), DEV.omega_max, DEV.delta_abs_max)
     evolve(emb.register, seq, DEV, dt=4.0)  # warm the cached diagonals and indices
     state = 16 << emb.register.n
@@ -801,7 +799,7 @@ def test_measure_groups_script_runs(capsys):
 
 def test_norm_preserved():
     reg = line_register(0.0, 9.0, 18.0)
-    seq = simple_sequence(SimpleParams(omega=4.0, delta=3.0, time=1000.0),
+    seq = simple_sequence(dict(omega=4.0, delta=3.0, time=1000.0),
                           DEV.omega_max, DEV.delta_abs_max)
     state = evolve(reg, seq, DEV, dt=4.0)
     assert state.norm() == pytest.approx(1.0, abs=1e-6)
@@ -809,7 +807,7 @@ def test_norm_preserved():
 
 def test_dt_refinement_converges():
     reg = line_register(0.0, 9.0, 18.0)
-    seq = simple_sequence(SimpleParams(omega=4.0, delta=3.0, time=1000.0),
+    seq = simple_sequence(dict(omega=4.0, delta=3.0, time=1000.0),
                           DEV.omega_max, DEV.delta_abs_max)
     ref = evolve(reg, seq, DEV, dt=0.5).amplitudes
     err8 = np.linalg.norm(evolve(reg, seq, DEV, dt=8.0).amplitudes - ref)
@@ -850,7 +848,7 @@ def test_measure_seeding():
 
 def test_exact_distribution_normalised():
     reg = line_register(0.0, 9.0)
-    seq = simple_sequence(SimpleParams(omega=3.0, delta=2.0, time=600.0),
+    seq = simple_sequence(dict(omega=3.0, delta=2.0, time=600.0),
                           DEV.omega_max, DEV.delta_abs_max)
     probs = exact_distribution(evolve(reg, seq, DEV, dt=2.0))
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
