@@ -15,6 +15,7 @@ naming the path.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -247,8 +248,8 @@ def cmd_sweep(args, cfg, meta, out, dev) -> int:
     return 0
 
 
-def _benchmark_entries(subset: str):
-    entries = generate_corpus()
+def _benchmark_entries(subset: str, dev: DeviceParams):
+    entries = generate_corpus(dev)
     if subset == "lines":
         return [e for e in entries if e.family == "line"]
     if subset == "all":
@@ -261,7 +262,7 @@ def cmd_benchmark(args, cfg, meta, out, dev) -> int:
     if not rounds_list or rounds_list[0] < 1:
         raise InputError("rounds list must contain positive integers")
     rows = []
-    for entry in _benchmark_entries(args.subset):
+    for entry in _benchmark_entries(args.subset, dev):
         entry_seed = int(substream(cfg["seed"], "bench", entry.name).integers(1 << 62))
         kw = dict(family=cfg["family"], shots=cfg["shots"], optimizer="tpe",
                   seed=entry_seed, dt=cfg["dt"])
@@ -422,7 +423,11 @@ def cmd_oracle(args, cfg, meta, out, dev) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    unchanged, so every `main` call can reuse it. It names the command and
+    holds no function; `main` looks the `cmd_*` function up."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, help="root random seed")
@@ -442,13 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--receptor", required=True)
     d.add_argument("--table", help="interaction table JSON (default built-in)")
     d.add_argument("--tau", type=float, help="distance tolerance, angstrom")
-    d.set_defaults(func=cmd_dock)
 
     e = sub.add_parser("embed", parents=[common],
                        help="lay a graph out as an atom register")
     e.add_argument("--graph", required=True)
     e.add_argument("--spacing", type=float, help="target edge length, um")
-    e.set_defaults(func=cmd_embed)
 
     v = sub.add_parser("vqaa", parents=[common],
                        help="variational pulse search on a register")
@@ -458,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--rounds", type=int)
     v.add_argument("--resume", action="store_true",
                    help="replay trials.jsonl of the same search, extending a shorter one")
-    v.set_defaults(func=cmd_vqaa)
 
     w = sub.add_parser("sweep", parents=[common],
                        help="success-probability grid over the simple family")
@@ -466,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--omegas", required=True, help="comma list, rad/us")
     w.add_argument("--deltas", required=True, help="comma list, rad/us")
     w.add_argument("--times", required=True, help="comma list, ns")
-    w.set_defaults(func=cmd_sweep)
 
     b = sub.add_parser("benchmark", parents=[common],
                        help="normalized score vs optimization rounds on the corpus")
@@ -474,31 +475,27 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--rounds", dest="rounds_list", default="10,50,200",
                    help="comma list")
     b.add_argument("--family", choices=FAMILIES)
-    b.set_defaults(func=cmd_benchmark)
 
     ds = sub.add_parser("dataset", parents=[common],
                         help="generate and label the 125-register corpus")
     ds.add_argument("--rounds", type=int, help="search rounds per register")
     ds.add_argument("--verbose", action="store_true")
-    ds.set_defaults(func=cmd_dataset, dt_default=8.0)
+    ds.set_defaults(dt_default=8.0)
 
     t = sub.add_parser("train", parents=[common],
                        help="fit the five pulse-parameter regressors")
     t.add_argument("--dataset", required=True)
     t.add_argument("--epochs", type=int)
-    t.set_defaults(func=cmd_train)
 
     pr = sub.add_parser("predict", parents=[common],
                         help="pulse parameters for a register from trained models")
     pr.add_argument("--register", required=True)
     pr.add_argument("--models", required=True, help="directory with mlqaa_*.npz")
-    pr.set_defaults(func=cmd_predict)
 
     me = sub.add_parser("mlqaa-eval", parents=[common],
                         help="head-to-head: predicted pulses vs the search labels")
     me.add_argument("--dataset", required=True)
     me.add_argument("--models", required=True)
-    me.set_defaults(func=cmd_mlqaa_eval)
 
     o = sub.add_parser("oracle", parents=[common],
                        help="exact solver listing for a graph file")
@@ -506,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--clique", action="store_true",
                    help="also list maximum-weight cliques of the graph itself")
     o.add_argument("--out-file", dest="out_file")
-    o.set_defaults(func=cmd_oracle)
     return p
 
 
@@ -517,7 +513,10 @@ def main(argv=None) -> int:
         dev = DeviceParams(**cfg["device"])
         meta = {"config_digest": config_digest(cfg, args.command), "seed": cfg["seed"]}
         os.makedirs(cfg["out"], exist_ok=True)
-        return args.func(args, cfg, meta, cfg["out"], dev)
+        # looked up on every call, so a rebinding of a cmd_* name in this
+        # module (as a tracer or a test makes) takes effect
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(args, cfg, meta, cfg["out"], dev)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

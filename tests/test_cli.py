@@ -240,6 +240,45 @@ def test_benchmark_rows_equal_standalone_runs(tmp_path, monkeypatch):
                                       str(res.low_confidence)]
 
 
+def test_benchmark_embeds_under_the_configured_device(tmp_path, monkeypatch):
+    # the corpus a benchmark searches is embedded under the config's device;
+    # with c6 halved the first line register's blockade radius moves
+    dev = replace(DEV, c6=DEV.c6 / 2)
+    cfg = _write(tmp_path / "cfg.json", {"device": {"c6": dev.c6}})
+    searched = []
+
+    class Searched(Exception):
+        pass
+
+    def first_search(emb, used, **kw):
+        searched.append((emb, used))
+        raise Searched
+
+    monkeypatch.setattr("rydock.cli.vqaa", first_search)
+    with pytest.raises(Searched):
+        main(["benchmark", "--config", cfg, "--rounds", "1", "--out", str(tmp_path)])
+    (emb, used), = searched
+    assert used == dev
+    want = corpus_entry("line", 0, 6.0, dev).embedding
+    assert want.blockade_radius != corpus_entry("line", 0, 6.0, DEV).embedding.blockade_radius
+    assert emb.blockade_radius == want.blockade_radius
+    assert emb.register.atoms == want.register.atoms
+
+
+def test_main_reuses_one_parser_without_carrying_options(tmp_path, monkeypatch):
+    # the parser is built once per process; an option given to one call
+    # must not leak into the next, and a command rebound after the parser
+    # was built (as bench/tracer.py rebinds them) is the one that runs
+    graph = _write_graph(tmp_path / "p2.json", [1.0, 1.0], [["v0", "v1"]])
+    for out, extra in (("a", ["--spacing", "7"]), ("b", [])):
+        assert main(["embed", "--graph", graph, "--out", str(tmp_path / out), *extra]) == 0
+    assert load_register(tmp_path / "a" / "register.json").spacing == 7.0
+    assert load_register(tmp_path / "b" / "register.json").spacing == DEFAULTS["spacing"]
+    assert rydock.cli.build_parser() is rydock.cli.build_parser()
+    monkeypatch.setattr("rydock.cli.cmd_embed", lambda args, cfg, *rest: cfg["spacing"])
+    assert main(["embed", "--graph", graph, "--spacing", "5", "--out", str(tmp_path)]) == 5.0
+
+
 def test_sweep_writes_grid(tmp_path, capsys):
     register = _p2_register(tmp_path)
     rc = main(["sweep", "--register", register, "--omegas", "2.0",
