@@ -118,8 +118,9 @@ def effective_config(args) -> dict:
             cfg[k] = float(cfg[k])
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad config value: {exc}") from None
-    if cfg["shots"] < 1:
-        raise InputError("shots must be >= 1")
+    for k, least in (("seed", 0), ("shots", 1), ("epochs", 1)):
+        if cfg[k] < least:
+            raise InputError(f"{k} must be >= {least}")
     if not (math.isfinite(cfg["dt"]) and cfg["dt"] > 0):
         raise InputError(f"dt must be a positive finite number, got {cfg['dt']}")
     if cfg["optimizer"] not in ("tpe", "nm"):

@@ -15,9 +15,9 @@ reachable mean(f), w(MWIS)/w(V), so it never exceeds 1.
 A search box narrows the hardware table of `pulses.FAMILIES` only where
 the search decides (`search_space`); `sequence_for` checks every pulse.
 
-Every scored pulse is evolved (or a kept final state re-measured) and
-stripped by `_outcome`, the one home of the exact omega=0 shortcut.
-`qaa_sweep` keeps its own loop: there an omega=0 cell is infeasible.
+Every pulse is evolved (or a kept final state re-measured) and stripped by
+`_outcome`, the one home of the exact omega=0 shortcut. `qaa_sweep` calls
+it too, but marks an omega=0 cell infeasible before the shortcut is reached.
 """
 
 from __future__ import annotations
@@ -519,16 +519,14 @@ def qaa_sweep(emb: Embedding, dev: DeviceParams, omegas, deltas, times,
     for i, om in enumerate(omegas):
         for j, de in enumerate(deltas):
             for k, tt in enumerate(times):
-                cell = {"omega": float(om), "delta": float(de), "time": float(tt)}
+                cell = {"omega": float(om), "delta": float(de), "time": float(tt),
+                        "success_prob": float("nan")}
                 try:
-                    seq = sequence_for(
-                        {"omega": om, "delta": de, "time": tt}, "simple", dev,
-                    )
-                    state = evolve(emb.register, seq, dev, dt=dt)
-                    hist = measure(state, shots, substream(seed, "sweep", i, j, k))
-                    stripped = strip_ancillas(hist, emb)
-                    cell["success_prob"] = success_probability(stripped, g)
+                    if om != 0:  # a dead drive is infeasible here, not shortcut
+                        hist, _ = _outcome({"omega": om, "delta": de, "time": tt}, emb, dev,
+                                           "simple", shots, substream(seed, "sweep", i, j, k), dt)
+                        cell["success_prob"] = success_probability(hist, g)
                 except (InputError, InfeasibilityError):
-                    cell["success_prob"] = float("nan")
+                    pass
                 rows.append(cell)
     return rows

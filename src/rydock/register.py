@@ -6,6 +6,10 @@ set. Edges that cannot be drawn inside the disk band are routed through
 chains of ancilla atoms ("quantum links"); an even chain preserves the
 projected maximum-weight independent set, which is why link parity matters.
 
+Every register with known positions becomes an Embedding in `_assemble`:
+`layout`'s relaxed draws, graphs that carry positions, and the geometric
+registers of `embedding_from_positions`.
+
 Atom-pair distances come from one place: `Register.distances()`, a cached
 read-only (n, n) np.hypot matrix, or its helper on `layout`'s positions,
 which `_relax` reads once per iteration; an intended-edge set is one
@@ -266,7 +270,7 @@ def _embedding_for(reg: Register, dev: DeviceParams, spacing: float,
             f"atoms closer than the {dev.min_spacing} um hardware minimum"
         )
     lo, hi = _rabi_band(reg, intended, dev)
-    radius = blockade_radius(_band_omega(lo, hi), dev)
+    radius = blockade_radius(_band_omega(lo, hi) if reg.n > 1 else dev.omega_max, dev)
     induced = _induced_pairs(reg, radius)
     if not np.array_equal(_edge_matrix(reg.ids, induced), intended):
         raise InfeasibilityError("disk graph does not match the intended edges")
@@ -279,71 +283,26 @@ def _embedding_for(reg: Register, dev: DeviceParams, spacing: float,
     )
 
 
-def embedding_from_positions(positions, dev: DeviceParams, ids=None, weights=None,
-                             spacing: float = 0.0,
-                             graph: WeightedGraph | None = None) -> Embedding:
-    """Embedding for explicitly placed atoms.
-
-    With a graph supplied, its edges are the intended pairs and the
-    positions must realise them. Without one, pairs within 1.3x the minimum
-    pairwise distance count as edges and the induced graph (unit weights)
-    becomes the origin graph.
-    """
+def embedding_from_positions(positions, dev: DeviceParams, ids=None,
+                             spacing: float = 0.0) -> Embedding:
+    """Embedding for explicitly placed atoms: pairs within
+    GEOMETRIC_EDGE_FACTOR x the least pairwise distance are the edges of its
+    origin graph (unit weights, the positions kept). A spacing <= 0 becomes
+    that least distance."""
     positions = np.asarray(positions, dtype=float)
     n = len(positions)
-    if graph is not None:
-        if ids is None:
-            ids = list(graph.vertex_ids)
-        if list(ids) != list(graph.vertex_ids):
-            raise InputError("ids must match the graph's vertex order")
-        if weights is None:
-            weights = list(graph.weights)
-    if ids is None:
-        ids = [f"q{k}" for k in range(n)]
-    ids = [str(i) for i in ids]
+    ids = [f"q{k}" for k in range(n)] if ids is None else [str(i) for i in ids]
     if len(ids) != n:
         raise InputError("ids length does not match positions")
-    if weights is None:
-        weights = [1.0] * n
-    atoms = tuple(
-        Atom(id=ids[k], x=float(positions[k][0]), y=float(positions[k][1]),
-             detuning_weight=float(weights[k]))
-        for k in range(n)
-    )
-    reg = Register(atoms=atoms)
+    dist = _distance_matrix(positions)
+    least = float(dist[np.triu_indices(n, 1)].min()) if n > 1 else dev.min_spacing
     if spacing <= 0:
-        spacing = reg.min_distance() if n > 1 else dev.min_spacing
-
-    intended = None
-    if graph is None:
-        cut = GEOMETRIC_EDGE_FACTOR * (reg.min_distance() if n > 1 else spacing)
-        intended = reg.distances() <= cut
-        np.fill_diagonal(intended, False)
-        edges = [(ids[i], ids[j]) for i, j in zip(*np.nonzero(np.triu(intended)))]
-        graph = WeightedGraph.from_parts(
-            ids, edges, weights=weights,
-            positions=[(a.x, a.y) for a in atoms],
-        )
-    reg = Register(atoms=atoms, origin_graph=graph)
-    if n == 1:
-        return Embedding(
-            register=reg,
-            blockade_radius=blockade_radius(dev.omega_max, dev),
-            induced_edges=(),
-            spacing=spacing,
-        )
-    if intended is not None:
-        return _embedding_for(reg, dev, spacing, intended)
-    # Edges longer than the chain threshold are routed through ancilla
-    # chains instead of being demanded of the bare disk rule.
-    index = {v: k for k, v in enumerate(ids)}
-    direct, linked = set(), set()
-    for (u, v) in graph.edges:
-        i, j = sorted((index[u], index[v]))
-        d = math.hypot(positions[i][0] - positions[j][0],
-                       positions[i][1] - positions[j][1])
-        (linked if d > LINK_CUT * spacing else direct).add((i, j))
-    return _assemble(graph, dev, positions, direct, linked, spacing)
+        spacing = least
+    i, j = np.nonzero(np.triu(dist <= GEOMETRIC_EDGE_FACTOR * least, 1))
+    edges = list(zip(i.tolist(), j.tolist()))
+    g = WeightedGraph.from_parts(ids, [(ids[a], ids[b]) for a, b in edges],
+                                 positions=positions.tolist())
+    return _assemble(g, dev, positions, edges, set(), spacing)
 
 
 def _relax(pos, springs, repel, spacing):
@@ -415,7 +374,8 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
            seed: int = 0) -> Embedding:
     """Place a graph on the plane so the disk rule reproduces its edges.
 
-    Geometric graphs (with positions) are used as given. Others are drawn
+    A graph with positions, or a lone vertex, is placed as given: its edges
+    longer than LINK_CUT x spacing become ancilla chains. Others are drawn
     uniformly from a seeded stream and relaxed by stress majorization
     (`_relax`). An edge the relaxation cannot shorten is routed through an
     ancilla chain, its ends pushed out to LINK_TARGET in the next
@@ -428,15 +388,15 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
         raise InputError("cannot lay out an empty graph")
     if spacing < dev.min_spacing:
         raise InputError(f"spacing {spacing} below hardware minimum {dev.min_spacing}")
-    if g.positions is not None or g.n == 1:
-        return embedding_from_positions(
-            g.positions if g.positions is not None else [(0.0, 0.0)], dev,
-            ids=g.vertex_ids, weights=g.weights, spacing=spacing, graph=g,
-        )
-
     index = {v: k for k, v in enumerate(g.vertex_ids)}
-    all_pairs = {(i, j) for i in range(g.n) for j in range(i + 1, g.n)}
     base_edges = {tuple(sorted((index[u], index[v]))) for (u, v) in g.edges}
+    if g.positions is not None or g.n == 1:
+        pos = g.positions if g.positions is not None else ((0.0, 0.0),)
+        linked = {(i, j) for (i, j) in base_edges if math.hypot(
+            pos[i][0] - pos[j][0], pos[i][1] - pos[j][1]) > LINK_CUT * spacing}
+        return _assemble(g, dev, pos, base_edges - linked, linked, spacing)
+
+    all_pairs = {(i, j) for i in range(g.n) for j in range(i + 1, g.n)}
 
     failures = []
     fallback = None
@@ -504,6 +464,8 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
 
 
 def _assemble(g, dev, pos, direct, linked, spacing):
+    """Embedding of `g` with vertex k at pos[k]: the `direct` index pairs
+    are its disk-graph edges and each `linked` pair gets an ancilla chain."""
     atoms = tuple(
         Atom(id=g.vertex_ids[k], x=float(pos[k][0]), y=float(pos[k][1]),
              detuning_weight=g.weights[k])

@@ -91,6 +91,8 @@ def test_effective_config_validation(tmp_path):
         {"dt": float("nan")},
         {"dt": float("inf")},
         {"seed": "xyz"},
+        {"seed": -1},
+        {"epochs": 0},
         ["not", "an", "object"],
     ):
         with pytest.raises(InputError):
@@ -320,6 +322,9 @@ def test_exit_codes(tmp_path, capsys):
                         [["v0", f"v{k}"] for k in range(1, 7)])
     assert main(["embed", "--graph", star, "--out", str(tmp_path)]) == 3
     assert "infeasible" in capsys.readouterr().err
+    # a negative seed is refused before any random stream is made
+    assert main(["embed", "--graph", star, "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
     assert main(["dock", "--ligand", str(tmp_path / "absent.json"),
                  "--receptor", str(FIXTURES / "acetic_acid.json"),

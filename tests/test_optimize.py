@@ -33,7 +33,7 @@ from rydock.optimize import (
     tpe_suggest,
     vqaa,
 )
-from rydock.register import DeviceParams, embedding_from_positions, strip_ancillas
+from rydock.register import DeviceParams, layout, strip_ancillas
 from rydock.rng import substream
 from rydock.simulator import evolve, measure
 
@@ -42,9 +42,8 @@ PATH3 = WeightedGraph.from_parts("abc", [("a", "b"), ("b", "c")])
 
 
 def k2_embedding():
-    g = WeightedGraph.from_parts(["a", "b"], [("a", "b")])
-    return embedding_from_positions([(0, 0), (9, 0)], DEV, ids=["a", "b"],
-                                    spacing=9.0, graph=g)
+    g = WeightedGraph.from_parts(["a", "b"], [("a", "b")], positions=[(0, 0), (9, 0)])
+    return layout(g, DEV, spacing=9.0)
 
 
 def test_score_worked_examples():
@@ -581,8 +580,13 @@ def _evaluation_calls(tree):
 
 
 def test_only_optimize_evaluates_pulses():
-    # a pulse is evolved, measured and stripped in optimize alone, so there
-    # is one evaluation path; simulator defines the first two
+    # a pulse is evolved, measured and stripped in optimize._outcome alone,
+    # so there is one evaluation path; simulator defines the first two
+    tree = ast.parse((SRC / "optimize.py").read_text())
+    outcome = [fn for fn in tree.body if getattr(fn, "name", None) == "_outcome"]
+    assert [sorted(name for _, name in _evaluation_calls(fn)) for fn in outcome] == [
+        ["evolve", "measure", "strip_ancillas"]]
+    assert len(_evaluation_calls(tree)) == 3
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()

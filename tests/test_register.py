@@ -154,10 +154,10 @@ def test_square_band_and_disk_graph():
 def test_empty_band_raises():
     # direct diagonal demanded alongside an equal-length non-edge
     g = WeightedGraph.from_parts(
-        "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("a", "c")])
-    pts = [(0, 0), (6, 0), (6, 6), (0, 6)]
+        "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("a", "c")],
+        positions=[(0, 0), (6, 0), (6, 6), (0, 6)])
     with pytest.raises(InfeasibilityError):
-        embedding_from_positions(pts, DEV, ids="abcd", spacing=6.0, graph=g)
+        layout(g, DEV, spacing=6.0)
 
 
 def test_min_spacing_enforced():
@@ -176,11 +176,8 @@ def test_geometric_edge_reading():
 
 
 def test_ids_must_match_graph_order():
-    g = WeightedGraph.from_parts("ab", [("a", "b")])
     with pytest.raises(InputError):
-        embedding_from_positions([(0, 0), (6, 0)], DEV, ids=["b", "a"], graph=g)
-    with pytest.raises(InputError):
-        embedding_from_positions([(0, 0), (6, 0)], DEV, ids=["a"], graph=None)
+        embedding_from_positions([(0, 0), (6, 0)], DEV, ids=["a"])
 
 
 def test_single_atom_embedding():
@@ -221,9 +218,9 @@ def test_unit_ancilla_weight_would_tie():
 
 
 def test_canonical_link_three_spacings_apart():
-    g = WeightedGraph.from_parts(["u", "v"], [("u", "v")], weights=[1.5, 2.0])
-    emb = embedding_from_positions([(0, 0), (27, 0)], DEV, ids=["u", "v"],
-                                   spacing=9.0, graph=g)
+    g = WeightedGraph.from_parts(["u", "v"], [("u", "v")], weights=[1.5, 2.0],
+                                 positions=[(0, 0), (27, 0)])
+    emb = layout(g, DEV, spacing=9.0)
     assert set(emb.link_map) == {("u", "v")}
     chain = emb.link_map[("u", "v")]
     assert len(chain) == 2
@@ -265,10 +262,10 @@ def test_chains_are_even_and_invariant_on_random_instances():
         if not cands:
             continue
         _, i, j = max(cands)
-        g = WeightedGraph.from_parts(ids, list(h.edges) + [(ids[i], ids[j])])
+        g = WeightedGraph.from_parts(ids, list(h.edges) + [(ids[i], ids[j])],
+                                     positions=pos)
         try:
-            emb = embedding_from_positions(pos, DEV, ids=ids, spacing=9.0,
-                                           graph=g)
+            emb = layout(g, DEV, spacing=9.0)
         except InfeasibilityError:
             continue
         if not emb.link_map:
@@ -292,9 +289,8 @@ def test_link_routes_around_collinear_obstruction():
     # B sits exactly on the segment between A and C, so a straight chain
     # cannot work; the router must bow the chain out
     g = WeightedGraph.from_parts(
-        "abc", [("a", "b"), ("b", "c"), ("a", "c")])
-    pts = [(0, 0), (9, 0), (18, 0)]
-    emb = embedding_from_positions(pts, DEV, ids="abc", spacing=9.0, graph=g)
+        "abc", [("a", "b"), ("b", "c"), ("a", "c")], positions=[(0, 0), (9, 0), (18, 0)])
+    emb = layout(g, DEV, spacing=9.0)
     assert emb.projected_edges() == {frozenset(e) for e in g.edges}
     assert len(emb.ancilla_ids()) >= 2
     for a in emb.register.atoms:
@@ -303,9 +299,8 @@ def test_link_routes_around_collinear_obstruction():
 
 
 def test_insert_link_errors():
-    g = WeightedGraph.from_parts("ab", [("a", "b")])
-    emb = embedding_from_positions([(0, 0), (6, 0)], DEV, ids="ab",
-                                   spacing=6.0, graph=g)
+    g = WeightedGraph.from_parts("ab", [("a", "b")], positions=[(0, 0), (6, 0)])
+    emb = layout(g, DEV, spacing=6.0)
     with pytest.raises(InputError):
         insert_quantum_link(emb, "a", "q", DEV)
     with pytest.raises(InputError):
@@ -523,15 +518,14 @@ def test_strip_ancillas_hand_case():
 
 
 def test_strip_ancillas_identity_and_conservation():
-    g = WeightedGraph.from_parts("ab", [("a", "b")])
-    flat = embedding_from_positions([(0, 0), (6, 0)], DEV, ids="ab",
-                                    spacing=6.0, graph=g)
+    flat = layout(WeightedGraph.from_parts("ab", [("a", "b")], positions=[(0, 0), (6, 0)]),
+                  DEV, spacing=6.0)
     h = Histogram(shots=4, counts={"01": 1, "10": 3})
     assert strip_ancillas(h, flat) is h
 
-    linked = embedding_from_positions([(0, 0), (27, 0)], DEV, ids=["a", "b"],
-                                      spacing=9.0, graph=WeightedGraph.from_parts(
-                                          ["a", "b"], [("a", "b")]))
+    linked = layout(WeightedGraph.from_parts(["a", "b"], [("a", "b")],
+                                             positions=[(0, 0), (27, 0)]),
+                    DEV, spacing=9.0)
     rng = np.random.default_rng(41)
     n = linked.register.n
     for _ in range(10):
@@ -546,9 +540,9 @@ def test_strip_ancillas_identity_and_conservation():
 
 
 def test_save_load_roundtrip(tmp_path):
-    g = WeightedGraph.from_parts(["u", "v"], [("u", "v")], weights=[1.5, 2.0])
-    emb = embedding_from_positions([(0, 0), (27, 0)], DEV, ids=["u", "v"],
-                                   spacing=9.0, graph=g)
+    g = WeightedGraph.from_parts(["u", "v"], [("u", "v")], weights=[1.5, 2.0],
+                                 positions=[(0, 0), (27, 0)])
+    emb = layout(g, DEV, spacing=9.0)
     path = tmp_path / "reg.json"
     save_register(emb, path, meta={"note": "kept"})
     back = load_register(path, DEV)
@@ -566,9 +560,9 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_load_register_checks_stored_radius(tmp_path):
-    g = WeightedGraph.from_parts(["u", "v", "w"], [("u", "v"), ("v", "w")])
-    emb = embedding_from_positions([(0, 0), (9, 0), (18, 0)], DEV,
-                                   spacing=9.0, graph=g)
+    g = WeightedGraph.from_parts(["u", "v", "w"], [("u", "v"), ("v", "w")],
+                                 positions=[(0, 0), (9, 0), (18, 0)])
+    emb = layout(g, DEV, spacing=9.0)
     path = tmp_path / "reg.json"
     save_register(emb, path)
     assert load_register(path, DEV).projected_edges() == {frozenset(e) for e in g.edges}
@@ -605,11 +599,33 @@ def _placement_digest(embs):
 PINNED_PLACEMENTS = "1790243892b28a2bbe4b5d1ecd2bf9e40743885b9b10d17d0711a27a2c7eccbe"
 # the 125 corpus registers alone: placed explicitly, never by `layout`
 PINNED_CORPUS = "496776f673f0b276f154d9de4dbec278c72af6e2263e481104fe77d4169c8253"
+# graphs that carry positions (and a lone vertex), laid out as placed
+PINNED_POSITIONED = "2369be6611aac002462e837fcc03549101784c6d1321aecf8e1ae02f20fbe12d"
 
 
 def test_corpus_placements_are_pinned():
     embs = [entry.embedding for entry in generate_corpus(DEV)]
     assert _placement_digest(embs) == PINNED_CORPUS
+
+
+def _positioned_placements():
+    """Graphs that carry positions, laid out as placed: the three positioned
+    fixtures at 9 um, five_node at 6 um, a two-vertex edge 27 um long (routed
+    as a link) and one weighted lone vertex."""
+    embs = [layout(load_graph(FIXTURES / f"{name}.json"), DEV, spacing=9.0)
+            for name in ("five_node", "six_node", "eight_node")]
+    embs.append(layout(load_graph(FIXTURES / "five_node.json"), DEV, spacing=6.0))
+    embs.append(layout(WeightedGraph.from_parts(["u", "v"], [("u", "v")],
+                                                positions=[(0, 0), (27, 0)]),
+                       DEV, spacing=9.0))
+    embs.append(layout(WeightedGraph.from_parts(["v"], [], weights=[2.0]), DEV))
+    return embs
+
+
+def test_positioned_placements_are_pinned():
+    embs = _positioned_placements()
+    assert embs[4].link_map and embs[5].register.n == 1
+    assert _placement_digest(embs) == PINNED_POSITIONED
 
 
 def test_placements_are_pinned():
@@ -629,8 +645,8 @@ def test_placements_are_pinned():
 def test_ancilla_names_skip_vertex_ids():
     # a vertex named like the first ancilla keeps its name; the chain
     # counts on past it
-    g = WeightedGraph.from_parts(["anc0", "v"], [("anc0", "v")])
-    emb = embedding_from_positions([(0, 0), (27, 0)], DEV, spacing=9.0, graph=g)
+    g = WeightedGraph.from_parts(["anc0", "v"], [("anc0", "v")], positions=[(0, 0), (27, 0)])
+    emb = layout(g, DEV, spacing=9.0)
     assert emb.register.ids == ("anc0", "v", "anc1", "anc2")
     assert emb.link_map == {("anc0", "v"): ("anc1", "anc2")}
     assert emb.ancilla_ids() == ("anc1", "anc2")
@@ -638,8 +654,8 @@ def test_ancilla_names_skip_vertex_ids():
 
 
 def test_link_keys_with_a_tilde_round_trip(tmp_path):
-    g = WeightedGraph.from_parts(["a~x", "v"], [("a~x", "v")])
-    emb = embedding_from_positions([(0, 0), (27, 0)], DEV, spacing=9.0, graph=g)
+    g = WeightedGraph.from_parts(["a~x", "v"], [("a~x", "v")], positions=[(0, 0), (27, 0)])
+    emb = layout(g, DEV, spacing=9.0)
     path = tmp_path / "reg.json"
     save_register(emb, path)
     assert json.loads(path.read_text())["meta"]["links"] == {"a~x~v": ["anc0", "anc1"]}
@@ -651,8 +667,8 @@ def test_link_keys_with_a_tilde_round_trip(tmp_path):
 def test_load_register_refuses_unreadable_radius_and_link_keys(tmp_path):
     # a register file has to store its radius, and each link key has to
     # split at one "~" into two atom ids in exactly one way
-    g = WeightedGraph.from_parts(["u", "v"], [("u", "v")])
-    emb = embedding_from_positions([(0, 0), (27, 0)], DEV, spacing=9.0, graph=g)
+    g = WeightedGraph.from_parts(["u", "v"], [("u", "v")], positions=[(0, 0), (27, 0)])
+    emb = layout(g, DEV, spacing=9.0)
     path = tmp_path / "reg.json"
     save_register(emb, path)
     good = json.loads(path.read_text())
