@@ -259,9 +259,10 @@ def _benchmark_entries(subset: str, dev: DeviceParams):
 
 
 def cmd_benchmark(args, cfg, meta, out, dev) -> int:
-    rounds_list = sorted(int(r) for r in _float_list(args.rounds_list))
-    if not rounds_list or rounds_list[0] < 1:
-        raise InputError("rounds list must contain positive integers")
+    rounds = _float_list(args.rounds_list)
+    if not rounds or not all(r >= 1 and r.is_integer() for r in rounds):
+        raise InputError(f"rounds list must contain positive integers, got {args.rounds_list!r}")
+    rounds_list = sorted(int(r) for r in rounds)
     rows = []
     for entry in _benchmark_entries(args.subset, dev):
         entry_seed = int(substream(cfg["seed"], "bench", entry.name).integers(1 << 62))
@@ -320,8 +321,6 @@ def cmd_dataset(args, cfg, meta, out, dev) -> int:
 
 def cmd_train(args, cfg, meta, out, dev) -> int:
     records = load_dataset(args.dataset)
-    if not records:
-        raise InputError("dataset is empty")
     train_recs, hold_recs = train_holdout_split(
         records, seed=cfg["seed"], holdout_frac=cfg["holdout_frac"],
     )
@@ -337,7 +336,7 @@ def cmd_train(args, cfg, meta, out, dev) -> int:
         preds = [model.predict(featurize(r.positions), band)
                  for r, band in zip(hold_recs, bands)]
         truth = [r.params[target] for r in hold_recs]
-        value = mape(preds, truth) if hold_recs else float("nan")
+        value = mape(preds, truth)
         report["mape"][target] = value
         print(f"{target}: holdout MAPE {value:.1f}%  "
               f"(best val loss {min(v for _, v in model.history):.5f})")

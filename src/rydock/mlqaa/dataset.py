@@ -266,7 +266,9 @@ def load_dataset(path) -> list:
 
 
 def train_holdout_split(records, seed: int = 0, holdout_frac: float = 0.2):
-    """Deterministic shuffle split into (train, holdout)."""
+    """Deterministic shuffle split into (train, holdout), at least one held out."""
+    if not records:
+        raise InputError("dataset is empty")
     if not 0.0 < holdout_frac < 1.0:
         raise InputError("holdout_frac must be in (0, 1)")
     order = substream(seed, "holdout").permutation(len(records))

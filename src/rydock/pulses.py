@@ -7,6 +7,13 @@ carrier phase. Detuning sign convention: the Hamiltonian contains
 to positive (excitation favoured). This is the single most error-prone sign
 in the package; it is asserted by the evolution tests.
 
+The simple family is closed form, with u = t/T: the Rabi bump
+4 omega u (1 - u) and the sweep -delta + 2 delta u. These are the PCHIP
+(Fritsch and Carlson, SIAM J. Numer. Anal. 17, 238, 1980) through
+(0, omega, 0) and (-delta, 0, delta) at t = 0, T/2, T, since they share its
+values and slopes, which fix a cubic on each half: interior slope 0 for the
+bump and 2 delta/T for the sweep, end slopes +-4 omega/T and 2 delta/T.
+
 `FAMILIES` states each schedule family once, its parameters in search order
 with hardware bounds. Lower bounds are strict on omega and the simple delta
 (a dead drive or sweep is refused) and exact elsewhere; upper bounds and the
@@ -16,7 +23,6 @@ complex ramps' shared duration budget allow 1e-9 of rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -44,68 +50,19 @@ class Ramp:
 
 
 @dataclass(frozen=True)
-class Interpolated:
-    """Shape-preserving piecewise cubic (PCHIP) through evenly spaced points.
+class Parabola:
+    """Rabi bump 0 -> `peak` -> 0 over `duration` ns: 4 peak u (1 - u), u = t/duration."""
 
-    Interior slopes are the Fritsch-Carlson weighted harmonic mean of the
-    neighbouring secant slopes, and zero where those change sign or either
-    is flat, so the curve is monotone between neighbouring points and never
-    overshoots their range. End slopes use the one-sided three-point
-    formula, set to zero when it disagrees in sign with the end secant and
-    capped at three times that secant when the first two secants differ in
-    sign. Two points give a straight line. Slopes, coefficients and the
-    evaluation order follow scipy's `PchipInterpolator`, and the samples
-    match it bit for bit.
-    """
-
-    points: tuple
+    peak: float
     duration: float
 
     def __post_init__(self):
         if self.duration < MIN_WAVEFORM_NS:
             raise InputError(f"waveform shorter than {MIN_WAVEFORM_NS} ns")
-        if len(self.points) < 2:
-            raise InputError("interpolated waveform needs at least 2 points")
-
-    @cached_property
-    def _spline(self):
-        """Knots and per-interval coefficients of c0 s^3 + c1 s^2 + c2 s + c3."""
-        x = np.linspace(0.0, self.duration, len(self.points))
-        y = np.asarray(self.points, dtype=float)
-        h = np.diff(x)
-        m = np.diff(y) / h
-        if len(y) == 2:
-            d = np.array([m[0], m[0]])
-        else:
-            w1 = 2 * h[1:] + h[:-1]
-            w2 = h[1:] + 2 * h[:-1]
-            keep = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
-            d = np.zeros_like(y)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-                d[1:-1] = np.where(keep, 1.0 / whmean, 0.0)
-            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        return x, (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
 
     def sample(self, t):
-        x, (c0, c1, c2, c3) = self._spline
-        t = np.clip(np.asarray(t, dtype=float), 0.0, self.duration)
-        k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-        s = t - x[k]
-        s2 = s * s
-        return c3[k] + c2[k] * s + c1[k] * s2 + c0[k] * (s2 * s)
-
-
-def _pchip_end_slope(h0, h1, m0, m1):
-    """One-sided three-point end slope with the two shape-preserving clamps."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+        u = np.clip(np.asarray(t, dtype=float) / self.duration, 0.0, 1.0)
+        return 4.0 * self.peak * u * (1.0 - u)
 
 
 @dataclass(frozen=True)
@@ -136,7 +93,8 @@ class PulseSequence:
 # Each family's parameters in search order, with hardware bounds (lo, hi,
 # lo_open). A string `hi` names a device limit, or the duration budget.
 FAMILIES = {
-    # one segment: Rabi bump 0 -> omega -> 0, detuning sweep -delta -> +delta
+    # one segment, u = t/time: Rabi bump 4 omega u (1 - u), detuning sweep
+    # -delta + 2 delta u (the PCHIP through 0, omega, 0 and -delta, 0, delta)
     "simple": {
         "omega": (0, "omega_max", True),
         "delta": (0, "delta_abs_max", True),
@@ -185,8 +143,8 @@ def simple_sequence(params: dict, omega_max: float, delta_abs_max: float,
                     coherence_ns: float = DEFAULT_COHERENCE_NS) -> PulseSequence:
     _check_params(params, "simple", omega_max, delta_abs_max, coherence_ns)
     seg = Segment(
-        omega=Interpolated((0.0, params["omega"], 0.0), params["time"]),
-        delta=Interpolated((-params["delta"], 0.0, params["delta"]), params["time"]),
+        omega=Parabola(params["omega"], params["time"]),
+        delta=Ramp(-params["delta"], params["delta"], params["time"]),
     )
     return PulseSequence(segments=(seg,))
 

@@ -242,6 +242,18 @@ def test_benchmark_rows_equal_standalone_runs(tmp_path, monkeypatch):
                                       str(res.low_confidence)]
 
 
+@pytest.mark.parametrize("rounds", ["1.5", "10,2.5", "0", "nan", "inf", ","])
+def test_benchmark_refuses_rounds_that_are_not_positive_integers(tmp_path, monkeypatch,
+                                                                 capsys, rounds):
+    # refused before any corpus is built, instead of truncating 1.5 to 1 round
+    monkeypatch.setattr("rydock.cli.generate_corpus",
+                        lambda *a, **k: pytest.fail("corpus built"))
+    capsys.readouterr()
+    assert main(["benchmark", "--rounds", rounds, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rounds list"), err
+
+
 def test_benchmark_embeds_under_the_configured_device(tmp_path, monkeypatch):
     # the corpus a benchmark searches is embedded under the config's device;
     # with c6 halved the first line register's blockade radius moves
@@ -527,6 +539,24 @@ def test_mlqaa_eval_scores_a_zero_drive_prediction(tmp_path, monkeypatch):
     rows = (tmp_path / "mlqaa_eval.csv").read_text().strip().splitlines()
     assert len(rows) == 3
     assert rows[2].split(",")[3] == "0.0"  # mlqaa_norm of the all-zeros outcome
+
+
+def test_mlqaa_eval_refuses_an_empty_dataset(tmp_path, capsys):
+    # with valid models, an empty dataset is refused as `train` refuses it,
+    # instead of averaging no rows into a NaN gap
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset([_record(s) for s in (6.0, 7.5, 9.0, 11.0)], dataset)
+    models_dir = tmp_path / "models"
+    assert main(["train", "--dataset", str(dataset), "--epochs", "2",
+                 "--seed", "0", "--out", str(models_dir)]) == 0
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    capsys.readouterr()
+    for command in (["train"], ["mlqaa-eval", "--models", str(models_dir)]):
+        assert main([*command, "--dataset", str(empty), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: dataset is empty"], err
+    assert not (tmp_path / "mlqaa_eval_summary.json").exists()
 
 
 def test_train_mape_in_device_units(tmp_path):

@@ -11,7 +11,7 @@ from scipy.interpolate import PchipInterpolator
 from rydock.errors import InputError
 from rydock.pulses import (
     MIN_WAVEFORM_NS,
-    Interpolated,
+    Parabola,
     PulseSequence,
     Ramp,
     Segment,
@@ -90,53 +90,37 @@ def test_waveform_minimum_duration():
     with pytest.raises(InputError):
         Ramp(0.0, 1.0, MIN_WAVEFORM_NS / 2)
     with pytest.raises(InputError):
-        Interpolated((0.0, 1.0), 1.0)
-    with pytest.raises(InputError):
-        Interpolated((1.0,), 100.0)
+        Parabola(1.0, MIN_WAVEFORM_NS / 2)
 
 
-def test_interpolated_hits_points_without_overshoot():
-    w = Interpolated((0.0, 5.0, 0.0), 200.0)
-    assert w.sample(0.0) == pytest.approx(0.0)
-    assert w.sample(100.0) == pytest.approx(5.0)
-    assert w.sample(200.0) == pytest.approx(0.0)
-    dense = w.sample(np.linspace(-10.0, 210.0, 500))
-    assert dense.min() >= -1e-9
-    assert dense.max() <= 5.0 + 1e-9
-    dense = w.sample(np.linspace(0.0, 200.0, 401))
+def test_parabola_hits_its_peak_without_overshoot():
+    w = Parabola(5.0, 200.0)
+    assert (w.sample(0.0), w.sample(100.0), w.sample(200.0)) == (0.0, 5.0, 0.0)
+    assert (w.sample(-10.0), w.sample(210.0)) == (0.0, 0.0)
+    dense = w.sample(np.linspace(-10.0, 210.0, 441))
     assert (dense.min(), dense.max()) == (0.0, 5.0)
-
-
-def test_interpolated_monotone_between_points():
-    w = Interpolated((-3.0, 0.0, 3.0), 120.0)
-    dense = w.sample(np.linspace(0.0, 120.0, 400))
-    assert np.all(np.diff(dense) >= -1e-9)
-
-
-# Small integers give repeated points, flat sides and sign changes; the
-# wide floats cover everything else a waveform can carry.
-_knot_values = st.one_of(
-    st.integers(-3, 3).map(float),
-    st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
-)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    points=st.lists(_knot_values, min_size=2, max_size=8),
-    duration=st.floats(MIN_WAVEFORM_NS, 5000.0),
+    omega=st.floats(1e-3, OMEGA_MAX),
+    delta=st.floats(1e-3, DELTA_MAX),
+    time=st.floats(2 * MIN_WAVEFORM_NS, 5000.0),
     times=st.lists(st.floats(-1000.0, 6000.0), max_size=40),
 )
-def test_interpolated_matches_scipy_pchip_exactly(points, duration, times):
-    # scipy is the oracle only: the waveform itself is a numpy port
-    w = Interpolated(tuple(points), duration)
-    knots = np.linspace(0.0, duration, len(points))
-    t = np.concatenate([times, knots, [0.0, duration, -1.0, duration + 1.0]])
-    with np.errstate(over="ignore"):  # scipy's own 1/slope on subnormal secants
-        want = PchipInterpolator(knots, np.asarray(points))(np.clip(t, 0.0, duration))
-    assert np.array_equal(w.sample(t), want)
-    # scalar samples, as `omega_at` takes them, agree too
-    assert all(w.sample(x) == y for x, y in zip(t[-4:], want[-4:]))
+def test_simple_family_is_the_pchip_through_its_three_points(omega, delta, time, times):
+    # scipy is the oracle only: the simple family's bump and sweep are closed
+    # forms of the shape-preserving cubic through (0, omega, 0), (-delta, 0, delta)
+    (seg,) = simple_sequence(dict(omega=omega, delta=delta, time=time),
+                             OMEGA_MAX, DELTA_MAX).segments
+    knots = np.array([0.0, 0.5 * time, time])
+    t = np.concatenate([times, knots, np.linspace(0.0, time, 21), [-1.0, time + 1.0]])
+    clipped = np.clip(t, 0.0, time)
+    for wave, points in ((seg.omega, (0.0, omega, 0.0)), (seg.delta, (-delta, 0.0, delta))):
+        want = PchipInterpolator(knots, points)(clipped)
+        assert np.abs(wave.sample(t) - want).max() <= 1e-15 * max(map(abs, points))
+        # scalar samples, as `omega_at` takes them, agree too
+        assert [wave.sample(x) for x in t[-4:]] == list(wave.sample(t[-4:]))
 
 
 def test_segment_duration_mismatch():

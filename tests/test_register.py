@@ -46,6 +46,8 @@ from rydock.register import (
 from rydock.register import _relax
 from rydock.rng import substream
 
+import measure_layout
+
 DEV = DeviceParams()
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -702,3 +704,16 @@ def test_only_register_computes_distances():
     assert offenders == []
     code = "import numpy as np\nfrom math import hypot\nnp.hypot(1, 2)\nhypot(3, 4)\n"
     assert _hypot_calls(ast.parse(code)) == [3, 4]
+
+
+def test_measure_layout_script_runs(capsys):
+    # the counting scan behind `_relax`'s iteration and placement figures
+    measure_layout.main(["--seeds", "1", "--repeats", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["graph", "seed", "draws", "relax", "iters", "anc",
+                                "hi/lo", "ms"]
+    rows = [line.split() for line in lines[1:4]]
+    assert [r[:2] for r in rows] == [["fixture", "1"], ["six_node", "1"], ["six_node", "4"]]
+    assert rows[0][2:4] == ["1", "1"] and rows[0][5:7] == ["0", "5.6825"]
+    assert [r[5] for r in rows[1:]] == ["4", "4"]
+    assert lines[4].startswith("fixture: 1/1 chain-free, hi/lo median 5.6825")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 
@@ -19,7 +20,6 @@ from rydock.graphs import complement
 from rydock.mlqaa.dataset import corpus_entry, generate_corpus
 from rydock.optimize import search_space, sequence_for
 from rydock.pulses import (
-    Interpolated,
     PulseSequence,
     Ramp,
     Segment,
@@ -717,6 +717,18 @@ def _grid_register(n, spacing, seed):
         for k, (dx, dy) in enumerate(jitter)))
 
 
+@dataclass(frozen=True)
+class PchipWave:
+    """scipy's PCHIP through evenly spaced `points` over `duration` ns."""
+
+    points: tuple
+    duration: float
+
+    def sample(self, t):
+        knots = np.linspace(0.0, self.duration, len(self.points))
+        return PchipInterpolator(knots, self.points)(np.clip(t, 0.0, self.duration))
+
+
 @pytest.mark.parametrize("n", [3, 6, 12, 13])
 @settings(max_examples=8, deadline=None)
 @given(spacing=st.floats(5.5, 6.5), seed=st.integers(0, 2**32 - 1),
@@ -730,7 +742,7 @@ def test_two_buffer_loop_equals_the_allocating_loop(n, spacing, seed, frac, dt):
     assert len(group_sizes(n)) == {3: 1, 6: 2, 12: 3, 13: 4}[n]
     omega = frac * DEV.omega_max
     seq = PulseSequence(segments=(
-        Segment(omega=Interpolated((0.0, 0.0, omega, omega), 240.0),
+        Segment(omega=PchipWave((0.0, 0.0, omega, omega), 240.0),
                 delta=Ramp(-2.0, 3.0, 240.0)),
         constant_segment(0.5 * omega, 3.0, 40.0)))
     counts = []
