@@ -26,7 +26,6 @@ from .docking import (
     default_table,
     enumerate_contacts,
     load_molecule,
-    pose_from_clique,
 )
 from .errors import InfeasibilityError, InputError, NumericalError
 from .graphs import (
@@ -69,7 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Contact", "InteractionTable", "Molecule", "PharmacophorePoint",
     "build_binding_graph", "default_table", "enumerate_contacts",
-    "load_molecule", "pose_from_clique",
+    "load_molecule",
     "InfeasibilityError", "InputError", "NumericalError",
     "VertexSubset", "WeightedGraph", "brute_force_mwis", "complement",
     "load_graph", "max_weight_clique", "save_graph",

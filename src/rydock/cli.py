@@ -258,7 +258,16 @@ def _benchmark_entries(subset: str, dev: DeviceParams):
     raise InputError(f"unknown subset {subset!r}")
 
 
+def _refuse_other(cfg: dict, command: str, **runs):
+    """InputError when the config sets a key to a value `command` ignores."""
+    for k, v in runs.items():
+        if cfg[k] != v:
+            raise InputError(f"{command} runs {k} {v!r} only, not {cfg[k]!r}")
+
+
 def cmd_benchmark(args, cfg, meta, out, dev) -> int:
+    # replaying the longest search for every shorter one needs tpe
+    _refuse_other(cfg, "benchmark", optimizer="tpe")
     rounds = _float_list(args.rounds_list)
     if not rounds or not all(r >= 1 and r.is_integer() for r in rounds):
         raise InputError(f"rounds list must contain positive integers, got {args.rounds_list!r}")
@@ -293,6 +302,8 @@ def cmd_benchmark(args, cfg, meta, out, dev) -> int:
 
 
 def cmd_dataset(args, cfg, meta, out, dev) -> int:
+    # the labels are the complex-family parameters the GCN learns, found by tpe
+    _refuse_other(cfg, "dataset", optimizer="tpe", family="complex")
     entries = generate_corpus(dev)
 
     def progress(k, total, name, res):
@@ -324,6 +335,8 @@ def cmd_train(args, cfg, meta, out, dev) -> int:
     train_recs, hold_recs = train_holdout_split(
         records, seed=cfg["seed"], holdout_frac=cfg["holdout_frac"],
     )
+    if not train_recs:
+        raise InputError("training split is empty: the holdout takes every record")
     report = {**meta, "train_size": len(train_recs), "holdout_size": len(hold_recs),
               "epochs": cfg["epochs"], "mape": {}}
     # the Rabi band of every holdout register maps each model's label-scale

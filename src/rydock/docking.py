@@ -137,32 +137,6 @@ def build_binding_graph(ligand: Molecule, receptor: Molecule,
     return WeightedGraph.from_parts(ids, edges, weights=weights)
 
 
-def pose_from_clique(clique, contacts) -> list:
-    """Map a clique of the binding graph back to (ligand, receptor) pairs.
-
-    Rejects selections that reuse a ligand or receptor point; a physical
-    pose assigns each point at most once.
-    """
-    members = clique.members if hasattr(clique, "members") else set(map(str, clique))
-    known = {c.vertex_id for c in contacts}
-    unknown = members - known
-    if unknown:
-        raise InputError(f"unknown contacts {sorted(unknown)}")
-    lig_seen, rec_seen = set(), set()
-    pose = []
-    for c in contacts:
-        if c.vertex_id not in members:
-            continue
-        if c.ligand_point in lig_seen:
-            raise InputError(f"ligand point {c.ligand_point} used twice")
-        if c.receptor_point in rec_seen:
-            raise InputError(f"receptor point {c.receptor_point} used twice")
-        lig_seen.add(c.ligand_point)
-        rec_seen.add(c.receptor_point)
-        pose.append((c.ligand_point, c.receptor_point))
-    return pose
-
-
 def load_molecule(path) -> Molecule:
     """Read a pharmacophore JSON file: {"name", "points": [{"id", "kind", "xyz"}]}."""
     return files.read(path, lambda doc: Molecule(

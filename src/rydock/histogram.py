@@ -35,10 +35,6 @@ class Histogram:
         if total != self.shots:
             raise InputError(f"counts sum to {total}, expected {self.shots}")
 
-    @property
-    def width(self) -> int:
-        return len(next(iter(self.counts)))
-
     def top(self, k: int = 10) -> list:
         """Most frequent outcomes, count-descending with bitstring tiebreak."""
         ordered = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -129,11 +129,11 @@ def normalized_value(value: float, g: WeightedGraph) -> float:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Box bounds per parameter, plus an optional joint limit on the sum of
-    the `ramps` durations."""
+    """Box bounds per parameter, plus a joint limit on the sum of the
+    `ramps` durations."""
 
     intervals: dict
-    total_time_limit: float | None = None
+    total_time_limit: float = math.inf
     ramps: tuple = ()
 
     @property
@@ -144,52 +144,44 @@ class SearchSpace:
         out = {}
         for k, (lo, hi) in self.intervals.items():
             out[k] = float(min(max(params[k], lo), hi))
-        if self.total_time_limit is not None:
-            total = sum(out[k] for k in self.ramps)
-            if total > self.total_time_limit:
-                f = self.total_time_limit / total
-                for k in self.ramps:
-                    out[k] = max(out[k] * f, self.intervals[k][0])
+        total = sum(out[k] for k in self.ramps)
+        if total > self.total_time_limit:
+            f = self.total_time_limit / total
+            for k in self.ramps:
+                out[k] = max(out[k] * f, self.intervals[k][0])
         return out
 
     def feasible(self, params: dict) -> bool:
         for k, (lo, hi) in self.intervals.items():
             if not lo - 1e-9 <= params[k] <= hi + 1e-9:
                 return False
-        if self.total_time_limit is not None:
-            if sum(params[k] for k in self.ramps) > self.total_time_limit + 1e-9:
-                return False
-        return True
+        return sum(params[k] for k in self.ramps) <= self.total_time_limit + 1e-9
 
 
-def search_space(emb: Embedding, dev: DeviceParams, family: str,
-                 budget: float | None = None) -> SearchSpace:
-    """The family's hardware bounds under the duration `budget` (the
-    coherence time unless given), narrowed to the Rabi band of this
-    embedding, a simple sweep delta >= 0.05 and complex ramps of 2500 ns
-    per coherence time of budget."""
-    budget = dev.coherence_time if budget is None else budget
+def search_space(emb: Embedding, dev: DeviceParams, family: str) -> SearchSpace:
+    """The family's hardware bounds under the device coherence time, which
+    both optimizers of `vqaa` search, narrowed to the Rabi band of this
+    embedding, a simple sweep delta >= 0.05 and complex ramps of at most
+    2500 ns each."""
+    coherence = dev.coherence_time
     box = {k: (lo, hi) for k, (lo, hi, _) in
-           hardware_bounds(family, dev.omega_max, dev.delta_abs_max, budget).items()}
+           hardware_bounds(family, dev.omega_max, dev.delta_abs_max, coherence).items()}
     box["omega"] = omega_bounds(emb, dev)
+    ramps = durations(family)
     if family == "simple":
         box["delta"] = (0.05, box["delta"][1])
-        return SearchSpace(box)
-    ramp_hi = min(2500.0 * (budget / dev.coherence_time), budget - MIN_WAVEFORM_NS)
-    ramps = durations(family)
-    box.update({k: (box[k][0], ramp_hi) for k in ramps})
-    return SearchSpace(box, total_time_limit=budget, ramps=ramps)
+    else:
+        box.update({k: (box[k][0], min(2500.0, coherence - MIN_WAVEFORM_NS)) for k in ramps})
+    return SearchSpace(box, total_time_limit=coherence, ramps=ramps)
 
 
-def sequence_for(params: dict, family: str, dev: DeviceParams,
-                 coherence_ns: float | None = None):
-    """The checked schedule of `params` in a budget of `coherence_ns`."""
+def sequence_for(params: dict, family: str, dev: DeviceParams):
+    """The checked schedule of `params` within the device coherence time."""
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}")
     # looked up at call time, so wrappers of the two builders see the calls
     build = simple_sequence if family == "simple" else complex_sequence
-    return build(params, dev.omega_max, dev.delta_abs_max,
-                 dev.coherence_time if coherence_ns is None else coherence_ns)
+    return build(params, dev.omega_max, dev.delta_abs_max, dev.coherence_time)
 
 
 def nelder_mead(objective, x0, bounds, max_iter: int = 200, seed: int = 0):
@@ -360,8 +352,7 @@ class VqaaResult:
     family: str
 
 
-def _outcome(params, emb, dev, family, shots, shot_seed, dt,
-             coherence_ns=None, state=None):
+def _outcome(params, emb, dev, family, shots, shot_seed, dt, state=None):
     """(stripped Histogram, final StateVector) of `params` evolved, or of a kept
     final `state`, measured `shots` times; no state on the omega=0 shortcut."""
     if state is None:
@@ -369,7 +360,7 @@ def _outcome(params, emb, dev, family, shots, shot_seed, dt,
             # hardware validation rejects a dead drive, but searches and
             # predictions can land on the omega=0 bound, where this is exact
             return Histogram(shots=shots, counts={"0" * emb.graph.n: shots}), None
-        seq = sequence_for(params, family, dev, coherence_ns)
+        seq = sequence_for(params, family, dev)
         state = evolve(emb.register, seq, dev, dt=dt)
     return strip_ancillas(measure(state, shots, shot_seed), emb), state
 
@@ -392,8 +383,8 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
     optimizer="tpe": `rounds` sequential suggestions; when every trial ends
     nullified the loop runs a second pass of the same depth before giving
     up (low_confidence marks a best trial that still scored 0).
-    optimizer="nm": NM_RESTARTS simplex searches from random starts inside
-    a space of twice the coherence time, `rounds` iterations each.
+    optimizer="nm": NM_RESTARTS simplex searches from random starts,
+    `rounds` iterations each, in the same `search_space` as tpe.
 
     Every evaluation draws its shots from a stream keyed by (seed, round),
     and the final state of the winning trial is kept and re-measured at 5x
@@ -435,7 +426,7 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
 
     def run_one(params, rnd):
         stripped, state = _outcome(params, emb, dev, family, shots,
-                                   substream(seed, "shots", rnd), dt, budget)
+                                   substream(seed, "shots", rnd), dt)
         sb = score(stripped, g)
         return record(Trial(
             round=rnd, params=dict(params), score=sb.score, gini=sb.gini,
@@ -443,8 +434,7 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
         ), state)
 
     second_pass = False
-    budget = dev.coherence_time * (2.0 if optimizer == "nm" else 1.0)
-    space = search_space(emb, dev, family, budget)
+    space = search_space(emb, dev, family)
     try:
         if optimizer == "tpe":
             target = rounds
@@ -482,7 +472,7 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
             log_fh.close()
 
     rh, _ = _outcome(best.params, emb, dev, family, shots * REFINE_SHOT_FACTOR,
-                     substream(seed, "refine"), dt, budget, state=best_state)
+                     substream(seed, "refine"), dt, state=best_state)
     return VqaaResult(
         best=best, trials=tuple(trials), refined=score(rh, g), refined_histogram=rh,
         low_confidence=best.score == 0.0, second_pass=second_pass, family=family,

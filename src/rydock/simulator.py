@@ -116,9 +116,6 @@ class StateVector:
     amplitudes: np.ndarray
     n_atoms: int
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _check_cap(n: int):
     if n > ATOM_CAP:

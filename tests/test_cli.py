@@ -254,6 +254,25 @@ def test_benchmark_refuses_rounds_that_are_not_positive_integers(tmp_path, monke
     assert len(err) == 1 and err[0].startswith("error: rounds list"), err
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("benchmark", {"optimizer": "nm"}),
+    ("dataset", {"optimizer": "nm"}),
+    ("dataset", {"family": "simple"}),
+])
+def test_corpus_commands_refuse_settings_they_ignore(tmp_path, monkeypatch, capsys,
+                                                     command, doc):
+    # benchmark always searches with tpe, and dataset labels with tpe on the
+    # complex family; another value is refused before any corpus is built
+    monkeypatch.setattr("rydock.cli.generate_corpus",
+                        lambda *a, **k: pytest.fail("corpus built"))
+    cfg = _write(tmp_path / "cfg.json", doc)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    (key, value), = doc.items()
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {command} runs {key} {DEFAULTS[key]!r} only, not {value!r}"], err
+
+
 def test_benchmark_embeds_under_the_configured_device(tmp_path, monkeypatch):
     # the corpus a benchmark searches is embedded under the config's device;
     # with c6 halved the first line register's blockade radius moves
@@ -557,6 +576,17 @@ def test_mlqaa_eval_refuses_an_empty_dataset(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: dataset is empty"], err
     assert not (tmp_path / "mlqaa_eval_summary.json").exists()
+
+
+def test_train_refuses_an_empty_training_split(tmp_path, capsys):
+    # one record is all held out: the file is not empty, its training split is
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset([_record(6.0)], dataset)
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(dataset), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: training split is empty: the holdout takes every record"], err
+    assert not (tmp_path / "mape_report.json").exists()
 
 
 def test_train_mape_in_device_units(tmp_path):
