@@ -70,10 +70,6 @@ from .pulses import FAMILIES
 from .register import DeviceParams, layout, load_register, omega_bounds, save_register
 from .rng import substream
 
-CONFIG_KEYS = {
-    "device", "seed", "shots", "dt", "rounds", "optimizer", "family",
-    "tau", "spacing", "epochs", "holdout_frac", "out",
-}
 # Spacing 9 um puts edge interactions near 10 rad/us and 1.7x non-edge
 # clearances near 0.5 rad/us, both comfortably bracketed by the hardware
 # omega and delta ranges; tighter registers leave the soft interaction
@@ -83,6 +79,7 @@ DEFAULTS = {
     "family": "complex", "tau": DEFAULT_TAU, "spacing": 9.0, "epochs": 300,
     "holdout_frac": 0.2, "out": ".",
 }
+CONFIG_KEYS = {"device", *DEFAULTS}
 
 
 def _config_doc(doc) -> dict:

@@ -1,4 +1,9 @@
-"""The one JSON reader and the one JSON writer for rydock's files.
+"""The one JSON reader and the one JSON document writer for rydock's files.
+
+Two logs are written a line at a time outside `write`, as JSON lines that
+`read(..., lines=True)` reads back: `vqaa`'s `trials.jsonl` grows one trial
+at a time, so that `--resume` can replay a search that was cut short, and
+`save_dataset` writes one `dataset.jsonl` record per register.
 
 `read` turns every way an input file can be unreadable or malformed into an
 InputError that names the file, so the CLI exits 2 on it. Its `parse`

@@ -6,7 +6,9 @@ checked against the exact solvers below.
 
 Bit conventions used everywhere downstream: vertex order is fixed at
 construction, bit k of an integer mask is vertex k, and the leftmost
-character of a bitstring is vertex 0.
+character of a bitstring is vertex 0; `bitstrings` is the one rendering.
+`independent_weights` is the one independence test: the per-graph table of
+w(C) that `brute_force_mwis` maximises and `optimize.score` reads.
 """
 
 from __future__ import annotations
@@ -149,64 +151,69 @@ def _check_cap(g: WeightedGraph):
         raise InputError("empty graph")
 
 
-def _mask_weights(g: WeightedGraph) -> np.ndarray:
-    dim = 1 << g.n
-    idx = np.arange(dim, dtype=np.int64)
-    total = np.zeros(dim)
-    for k, w in enumerate(g.weights):
-        total += w * ((idx >> k) & 1)
-    return total
+def _weight_table(g: WeightedGraph, conflicts) -> np.ndarray:
+    """w(C) of every subset C (bit k = vertex k), summed in vertex order, and
+    -inf where C holds a vertex k and one of the vertices of mask
+    conflicts[k]. Built over vertices 0..k-1, then doubled by vertex k."""
+    _check_cap(g)
+    table = np.zeros(1)
+    for k, (w, bad) in enumerate(zip(g.weights, conflicts)):
+        grown = table + w
+        grown[(np.arange(1 << k) & bad) != 0] = -np.inf
+        table = np.concatenate([table, grown])
+    return table
 
 
-def _solutions(g: WeightedGraph, valid: np.ndarray) -> list:
-    weights = _mask_weights(g)
-    weights[~valid] = -np.inf
-    best = weights.max()
-    if not np.isfinite(best):
-        raise InputError("no valid subset found")
-    out = []
-    for mask in np.flatnonzero(weights == best):
-        bits = "".join("1" if (int(mask) >> k) & 1 else "0" for k in range(g.n))
-        out.append(VertexSubset.from_bitstring(g, bits))
-    out.sort(key=lambda s: s.bitstring)
-    return out
+def independent_weights(g: WeightedGraph) -> np.ndarray:
+    """w(C) of every subset C, -inf where C holds an edge: the one
+    independence test. A read-only 2^n vector, built on the first call for a
+    graph and kept on the frozen graph; refuses graphs larger than SIZE_CAP."""
+    table = g.__dict__.get("_independent_weights")
+    if table is None:
+        table = _weight_table(g, g.adjacency_masks())
+        table.flags.writeable = False
+        g.__dict__["_independent_weights"] = table
+    return table
+
+
+def bitstrings(indices, n: int) -> list:
+    """Render subset masks or basis indices: bit k = character k, bit 0
+    leftmost. The characters are built a column at a time and cut from one
+    ASCII string, which keeps the temporaries to about a byte per character."""
+    indices = np.asarray(indices, dtype=np.int64)
+    chars = np.empty((len(indices), n), dtype=np.uint8)
+    for k in range(n):
+        chars[:, k] = (indices >> k) & 1
+    chars += ord("0")
+    text = chars.tobytes().decode("ascii")
+    return [text[i:i + n] for i in range(0, len(text), n)]
+
+
+def _solutions(g: WeightedGraph, weights: np.ndarray) -> list:
+    """The subsets of largest weight in a table of w(C), sorted by bitstring;
+    the empty set, of weight 0, is in every table."""
+    bits = sorted(bitstrings(np.flatnonzero(weights == weights.max()), g.n))
+    return [VertexSubset.from_bitstring(g, b) for b in bits]
 
 
 def brute_force_mwis(g: WeightedGraph) -> list:
-    """All maximum-weight independent sets, sorted by bitstring.
-
-    Exhaustive over all 2^n subsets; refuses graphs larger than SIZE_CAP.
-    """
-    _check_cap(g)
-    dim = 1 << g.n
-    idx = np.arange(dim, dtype=np.int64)
-    valid = np.ones(dim, dtype=bool)
-    index = {v: k for k, v in enumerate(g.vertex_ids)}
-    for (u, v) in g.edges:
-        bi = ((idx >> index[u]) & 1).astype(bool)
-        bj = ((idx >> index[v]) & 1).astype(bool)
-        valid &= ~(bi & bj)
-    return _solutions(g, valid)
+    """All maximum-weight independent sets, sorted by bitstring: the argmax
+    of `independent_weights`. Exhaustive over all 2^n subsets; refuses graphs
+    larger than SIZE_CAP."""
+    return _solutions(g, independent_weights(g))
 
 
 def max_weight_clique(g: WeightedGraph) -> list:
     """All maximum-weight cliques, sorted by bitstring.
 
-    Enumerated directly from the adjacency structure (every pair inside the
-    subset must be an edge of g), not via the complement; the complement
-    route is kept as an independent cross-check in the tests.
+    Enumerated directly from the adjacency structure (a subset holding a
+    vertex and one of its non-neighbours is refused), not via the
+    complement; the complement route is kept as an independent cross-check
+    in the tests.
     """
-    _check_cap(g)
-    dim = 1 << g.n
-    idx = np.arange(dim, dtype=np.int64)
-    valid = np.ones(dim, dtype=bool)
-    masks = g.adjacency_masks()
-    for k in range(g.n):
-        bk = ((idx >> k) & 1).astype(bool)
-        outside = np.int64(~(masks[k] | (1 << k)) & (dim - 1))
-        ok = (idx & outside) == 0
-        valid &= ~bk | ok
-    return _solutions(g, valid)
+    full = (1 << g.n) - 1
+    return _solutions(g, _weight_table(g, [full & ~(adj | 1 << k)
+                                           for k, adj in enumerate(g.adjacency_masks())]))
 
 
 def load_graph(path) -> WeightedGraph:

@@ -201,7 +201,7 @@ def label_dataset(entries, dev: DeviceParams, rounds: int = 40,
 
     Runs the tpe search per register (seeded per-entry, so entries can be
     relabelled independently), picks the canonical trial of the near-best
-    plateau, and stores its parameters with a 5x-shot re-scored quality.
+    plateau, and stores its parameters with a REFINE_SHOT_FACTOR x shots re-score.
     The search keeps the final state of every trial still within LABEL_TOL
     of its running best, so `optimize._outcome` re-measures the canonical
     trial, not evolving it again. Entries that stay nullified even after the
@@ -229,7 +229,8 @@ def label_dataset(entries, dev: DeviceParams, rounds: int = 40,
         canon = _canonical_trial(res.trials, space)
         # looked up on the module, as vqaa's calls are, so wrappers see them
         hist, _ = optimize._outcome(canon.params, entry.embedding, dev, "complex",
-                                    5 * shots, substream(entry_seed, "canon"), dt,
+                                    optimize.REFINE_SHOT_FACTOR * shots,
+                                    substream(entry_seed, "canon"), dt,
                                     state=plateau[canon.round][1])
         sb = optimize.score(hist, entry.embedding.graph)
         if sb.score <= 0.0:

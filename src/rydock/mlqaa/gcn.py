@@ -385,20 +385,26 @@ def save_models(models: dict, path, meta: dict | None = None):
 
 def load_models(path) -> dict:
     """The models stored in `path`; any unreadable or malformed model file,
-    including a missing array, is an InputError naming it."""
+    including a missing array or a target stored in a scale other than its
+    TARGET_SCALES entry, is an InputError naming it."""
     try:
         # opened here, not by np.load, which leaves its file open on a bad zip
         with open(path, "rb") as fh, np.load(fh) as data:
             info = json.loads(bytes(data["__meta__"].tobytes()).decode())
             if info.get("version") != MODEL_VERSION:
                 raise InputError(f"unsupported version {info.get('version')!r}")
-            return {name: GcnModel(
+            models = {name: GcnModel(
                 weights={wname: np.array(data[f"{name}:{wname}"])
                          for wname in _weight_names()},
                 target=name, t_lo=float(tmeta["t_lo"]), t_hi=float(tmeta["t_hi"]),
-                seed=int(tmeta["seed"]), scale=str(tmeta.get("scale", "identity")),
+                seed=int(tmeta["seed"]), scale=tmeta["scale"],
                 version=str(tmeta["version"]),
             ) for name, tmeta in info["targets"].items()}
+            for name, model in models.items():
+                if model.scale != TARGET_SCALES.get(name):
+                    raise InputError(f"target {name!r} has scale {model.scale!r}, "
+                                     f"not {TARGET_SCALES.get(name)!r}")
+            return models
     except (OSError, EOFError, zipfile.BadZipFile, AttributeError, KeyError,
             TypeError, ValueError) as exc:
         raise InputError(f"bad model file {path}: {exc}") from None

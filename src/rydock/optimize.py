@@ -12,8 +12,10 @@ converged runs on graphs with a unique optimum; that trade-off is
 intentional and documented here. A normalised score divides by the best
 reachable mean(f), w(MWIS)/w(V), so it never exceeds 1.
 
-A search box narrows the hardware table of `pulses.FAMILIES` only where
-the search decides (`search_space`); `sequence_for` checks every pulse.
+Independence is read from `graphs.independent_weights`, the one test. The
+search space is a `pulses.ParamSpace`, the hardware space narrowed where the
+search decides (`search_space`); its methods are both optimizers' one
+feasibility test, clamp and draw. `sequence_for` checks every pulse.
 
 Every pulse is evolved (or a kept final state re-measured) and stripped by
 `_outcome`, the one home of the exact omega=0 shortcut. `qaa_sweep` calls
@@ -25,22 +27,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import compress
 
 import numpy as np
 
 from . import files
 from .errors import InfeasibilityError, InputError
-from .graphs import WeightedGraph, brute_force_mwis
+from .graphs import WeightedGraph, brute_force_mwis, independent_weights
 from .histogram import Histogram
-from .pulses import (
-    FAMILIES,
-    MIN_WAVEFORM_NS,
-    complex_sequence,
-    durations,
-    hardware_bounds,
-    simple_sequence,
-)
+from .pulses import FAMILIES, MIN_WAVEFORM_NS, ParamSpace, complex_sequence, simple_sequence
 from .register import DeviceParams, Embedding, omega_bounds, strip_ancillas
 from .rng import substream, substream_seed
 from .simulator import evolve, measure
@@ -63,11 +57,11 @@ class ScoreBreakdown:
 
 def score(hist: Histogram, g: WeightedGraph) -> ScoreBreakdown:
     """Frequency-weighted independence score of a histogram against a graph,
-    nullified below the GINI_THRESHOLD read at call time."""
+    nullified below the GINI_THRESHOLD read at call time. Each outcome's
+    w(C) is looked up in the graph's `independent_weights` table."""
     n = g.n
     total = g.total_weight()
-    index = {v: k for k, v in enumerate(g.vertex_ids)}
-    edges = [(index[u], index[v]) for (u, v) in g.edges]
+    table = independent_weights(g)
     mean_f = 0.0
     herf = 0.0
     for bits, c in hist.counts.items():
@@ -75,11 +69,9 @@ def score(hist: Histogram, g: WeightedGraph) -> ScoreBreakdown:
             raise InputError(f"bitstring width {len(bits)} vs {n} vertices")
         p = c / hist.shots
         herf += p * p
-        for (i, j) in edges:
-            if bits[i] == "1" and bits[j] == "1":
-                break
-        else:
-            mean_f += p * sum(compress(g.weights, map("1".__eq__, bits))) / total
+        w = table.item(int(bits[::-1], 2))  # vertex 0 is the leftmost character
+        if w != -math.inf:
+            mean_f += p * w / total
     gini = 1.0 - herf
     nullified = gini < GINI_THRESHOLD
     return ScoreBreakdown(
@@ -127,52 +119,19 @@ def normalized_value(value: float, g: WeightedGraph) -> float:
     return float(value / (best / g.total_weight()))
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Box bounds per parameter, plus a joint limit on the sum of the
-    `ramps` durations."""
-
-    intervals: dict
-    total_time_limit: float = math.inf
-    ramps: tuple = ()
-
-    @property
-    def names(self) -> tuple:
-        return tuple(self.intervals)
-
-    def clamp(self, params: dict) -> dict:
-        out = {}
-        for k, (lo, hi) in self.intervals.items():
-            out[k] = float(min(max(params[k], lo), hi))
-        total = sum(out[k] for k in self.ramps)
-        if total > self.total_time_limit:
-            f = self.total_time_limit / total
-            for k in self.ramps:
-                out[k] = max(out[k] * f, self.intervals[k][0])
-        return out
-
-    def feasible(self, params: dict) -> bool:
-        for k, (lo, hi) in self.intervals.items():
-            if not lo - 1e-9 <= params[k] <= hi + 1e-9:
-                return False
-        return sum(params[k] for k in self.ramps) <= self.total_time_limit + 1e-9
-
-
-def search_space(emb: Embedding, dev: DeviceParams, family: str) -> SearchSpace:
-    """The family's hardware bounds under the device coherence time, which
+def search_space(emb: Embedding, dev: DeviceParams, family: str) -> ParamSpace:
+    """The family's hardware space under the device coherence time, which
     both optimizers of `vqaa` search, narrowed to the Rabi band of this
     embedding, a simple sweep delta >= 0.05 and complex ramps of at most
-    2500 ns each."""
+    2500 ns each, with every lower bound closed: omega = 0 is searched."""
     coherence = dev.coherence_time
-    box = {k: (lo, hi) for k, (lo, hi, _) in
-           hardware_bounds(family, dev.omega_max, dev.delta_abs_max, coherence).items()}
-    box["omega"] = omega_bounds(emb, dev)
-    ramps = durations(family)
+    hw = ParamSpace.hardware(family, dev.omega_max, dev.delta_abs_max, coherence)
+    box = dict(hw.intervals, omega=omega_bounds(emb, dev))
     if family == "simple":
         box["delta"] = (0.05, box["delta"][1])
     else:
-        box.update({k: (box[k][0], min(2500.0, coherence - MIN_WAVEFORM_NS)) for k in ramps})
-    return SearchSpace(box, total_time_limit=coherence, ramps=ramps)
+        box.update({k: (box[k][0], min(2500.0, coherence - MIN_WAVEFORM_NS)) for k in hw.ramps})
+    return replace(hw, intervals=box, open_lo=frozenset())
 
 
 def sequence_for(params: dict, family: str, dev: DeviceParams):
@@ -276,7 +235,7 @@ def _sample_trunc(rng, mu, sigma, lo, hi):
     return float(min(max(mu, lo), hi))
 
 
-def tpe_suggest(history, space: SearchSpace, seed) -> dict:
+def tpe_suggest(history, space: ParamSpace, seed) -> dict:
     """Next parameter point given (params, score) history.
 
     The first TPE_STARTUP suggestions are uniform. Afterwards the history
@@ -286,18 +245,10 @@ def tpe_suggest(history, space: SearchSpace, seed) -> dict:
     the best of TPE_CANDIDATES draws from l under the ratio l/g wins. The
     joint duration budget is enforced by rejection during sampling.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-    def uniform_point():
-        for _ in range(200):
-            p = {k: float(rng.uniform(lo, hi)) for k, (lo, hi) in space.intervals.items()}
-            if space.feasible(p):
-                return p
-        return space.clamp(p)
-
+    rng = np.random.default_rng(seed)
     history = list(history)
     if len(history) < TPE_STARTUP:
-        return uniform_point()
+        return space.uniform(rng)
 
     ranked = sorted(history, key=lambda t: (-t.score, t.round))
     n_good = max(1, int(math.ceil(TPE_GAMMA * len(ranked))))
@@ -306,18 +257,12 @@ def tpe_suggest(history, space: SearchSpace, seed) -> dict:
     sig_good = {k: (hi - lo) / math.sqrt(len(good)) for k, (lo, hi) in space.intervals.items()}
     sig_bad = {k: (hi - lo) / math.sqrt(len(bad)) for k, (lo, hi) in space.intervals.items()}
 
-    candidates = []
-    for _ in range(TPE_CANDIDATES):
-        for _try in range(200):
-            anchor = good[int(rng.integers(len(good)))]
-            cand = {}
-            for k, (lo, hi) in space.intervals.items():
-                cand[k] = _sample_trunc(rng, anchor.params[k], sig_good[k], lo, hi)
-            if space.feasible(cand):
-                break
-        else:
-            cand = space.clamp(cand)
-        candidates.append(cand)
+    def near_good():  # truncated kernels around one good trial
+        anchor = good[int(rng.integers(len(good)))]
+        return {k: _sample_trunc(rng, anchor.params[k], sig_good[k], lo, hi)
+                for k, (lo, hi) in space.intervals.items()}
+
+    candidates = [space.draw(near_good) for _ in range(TPE_CANDIDATES)]
 
     # log l(x) - log g(x) summed over the dimensions; math.log, not np.log,
     # whose last bit can differ and flip a near-tie
@@ -387,10 +332,10 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
     `rounds` iterations each, in the same `search_space` as tpe.
 
     Every evaluation draws its shots from a stream keyed by (seed, round),
-    and the final state of the winning trial is kept and re-measured at 5x
-    shots for reporting. Trials go to `log_path` as JSON lines with `log_fields`.
-    `on_trial(trial, state)` sees each trial with its final state (None on the
-    exact omega=0 shortcut and on a replayed trial).
+    and the final state of the winning trial is kept and re-measured at
+    REFINE_SHOT_FACTOR x shots for reporting. Trials go to `log_path` as JSON
+    lines with `log_fields`. `on_trial(trial, state)` sees each trial with its
+    final state (None on the exact omega=0 shortcut and on a replayed trial).
 
     `replay` holds the logged trials of rounds 0..k-1 of an identically
     seeded tpe search; they stand in for those rounds, exactly, since round r
@@ -449,24 +394,18 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
                     target += rounds
                     second_pass = True
         else:
-            names = space.names
-            bounds = [space.intervals[k] for k in names]
             counter = [0]
 
             def objective(x):
-                params = space.clamp(dict(zip(names, x)))
+                params = space.clamp(dict(zip(space.names, x)))
                 trial = run_one(params, counter[0])
                 counter[0] += 1
                 return -trial.score
 
             for restart in range(NM_RESTARTS):
-                rng = substream(seed, "nm-start", restart)
-                for _ in range(200):
-                    x0 = np.array([rng.uniform(lo, hi) for (lo, hi) in bounds])
-                    if space.feasible(dict(zip(names, x0))):
-                        break
-                nelder_mead(objective, x0, bounds, max_iter=rounds,
-                            seed=substream_seed(seed, "nm", restart))
+                x0 = space.uniform(substream(seed, "nm-start", restart))
+                nelder_mead(objective, list(x0.values()), list(space.intervals.values()),
+                            max_iter=rounds, seed=substream_seed(seed, "nm", restart))
     finally:
         if log_fh:
             log_fh.close()

@@ -17,11 +17,15 @@ bump and 2 delta/T for the sweep, end slopes +-4 omega/T and 2 delta/T.
 `FAMILIES` states each schedule family once, its parameters in search order
 with hardware bounds. Lower bounds are strict on omega and the simple delta
 (a dead drive or sweep is refused) and exact elsewhere; upper bounds and the
-complex ramps' shared duration budget allow 1e-9 of rounding.
+complex ramps' shared duration budget allow 1e-9 of rounding. `ParamSpace`
+is the one home of pulse feasibility: the builders `check` a pulse against
+`ParamSpace.hardware`, `optimize.search_space` narrows that space, and both
+searches draw, clamp and test their points with its methods.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,37 +115,81 @@ FAMILIES = {
 }
 
 
-def hardware_bounds(family: str, omega_max: float, delta_abs_max: float, budget: float) -> dict:
-    """{parameter: (lo, hi, lo_open)} of `family`, device limits filled in."""
-    if family not in FAMILIES:
-        raise InputError(f"unknown family {family!r}")
-    limit = {"omega_max": omega_max, "delta_abs_max": delta_abs_max, "budget": budget}
-    return {k: (lo, limit[hi], lo_open) for k, (lo, hi, lo_open) in FAMILIES[family].items()}
+@dataclass(frozen=True)
+class ParamSpace:
+    """Bounds (lo, hi) per parameter, in search order, with the lower bounds
+    of `open_lo` strict, plus a joint limit on the sum of the `ramps`
+    durations. Upper bounds and the limit allow 1e-9 of rounding."""
 
+    intervals: dict
+    total_time_limit: float = math.inf
+    ramps: tuple = ()
+    open_lo: frozenset = frozenset()
 
-def durations(family: str) -> tuple:
-    """The segment durations of `family`, whose sum must fit the budget."""
-    return tuple(k for k, (_, hi, _) in FAMILIES[family].items() if hi == "budget")
+    @classmethod
+    def hardware(cls, family: str, omega_max: float, delta_abs_max: float,
+                 budget: float) -> "ParamSpace":
+        """The hardware space of `family` within the duration `budget`."""
+        if family not in FAMILIES:
+            raise InputError(f"unknown family {family!r}")
+        limit = {"omega_max": omega_max, "delta_abs_max": delta_abs_max, "budget": budget}
+        table = FAMILIES[family].items()
+        return cls({k: (lo, limit[hi]) for k, (lo, hi, _) in table}, budget,
+                   tuple(k for k, (_, hi, _) in table if hi == "budget"),
+                   frozenset(k for k, (_, _, lo_open) in table if lo_open))
 
+    @property
+    def names(self) -> tuple:
+        return tuple(self.intervals)
 
-def _check_params(params: dict, family: str, omega_max: float, delta_abs_max: float,
-                  budget: float):
-    """InputError unless every parameter of `family` is inside its hardware
-    interval and the segment durations fit the budget together."""
-    for k, (lo, hi, lo_open) in hardware_bounds(family, omega_max, delta_abs_max,
-                                                 budget).items():
-        v = params[k]
-        if not (lo < v if lo_open else lo <= v) or not v <= hi + 1e-9:
-            raise InputError(f"{k} {v} outside {'(' if lo_open else '['}{lo}, {hi}]")
-    total = sum(params[k] for k in durations(family))
-    if total > budget + 1e-9:
-        raise InputError(f"{' + '.join(durations(family))} = {total:.0f} ns "
-                         f"exceeds the {budget:.0f} ns budget")
+    def _violations(self, params: dict):
+        """Why `params` lies outside the space, in the order checked."""
+        for k, (lo, hi) in self.intervals.items():
+            v, lo_open = params[k], k in self.open_lo
+            if not (lo < v if lo_open else lo <= v) or not v <= hi + 1e-9:
+                yield f"{k} {v} outside {'(' if lo_open else '['}{lo}, {hi}]"
+        total = sum(params[k] for k in self.ramps)
+        if total > self.total_time_limit + 1e-9:
+            yield (f"{' + '.join(self.ramps)} = {total:.0f} ns "
+                   f"exceeds the {self.total_time_limit:.0f} ns budget")
+
+    def feasible(self, params: dict) -> bool:
+        return next(self._violations(params), None) is None
+
+    def check(self, params: dict):
+        """InputError naming the first bound that `params` breaks."""
+        for reason in self._violations(params):
+            raise InputError(reason)
+
+    def clamp(self, params: dict) -> dict:
+        """`params` moved into the box, then the ramps scaled down together
+        (not below their lower bounds) to fit the duration limit."""
+        out = {k: float(min(max(params[k], lo), hi)) for k, (lo, hi) in self.intervals.items()}
+        total = sum(out[k] for k in self.ramps)
+        if total > self.total_time_limit:
+            f = self.total_time_limit / total
+            for k in self.ramps:
+                out[k] = max(out[k] * f, self.intervals[k][0])
+        return out
+
+    def draw(self, sample) -> dict:
+        """A point of `sample()`, redrawn until it is feasible (at most 200
+        times, then clamped)."""
+        for _ in range(200):
+            p = sample()
+            if self.feasible(p):
+                return p
+        return self.clamp(p)
+
+    def uniform(self, rng) -> dict:
+        """A feasible draw, uniform over the box."""
+        return self.draw(lambda: {k: float(rng.uniform(lo, hi))
+                                  for k, (lo, hi) in self.intervals.items()})
 
 
 def simple_sequence(params: dict, omega_max: float, delta_abs_max: float,
                     coherence_ns: float = DEFAULT_COHERENCE_NS) -> PulseSequence:
-    _check_params(params, "simple", omega_max, delta_abs_max, coherence_ns)
+    ParamSpace.hardware("simple", omega_max, delta_abs_max, coherence_ns).check(params)
     seg = Segment(
         omega=Parabola(params["omega"], params["time"]),
         delta=Ramp(-params["delta"], params["delta"], params["time"]),
@@ -151,7 +199,7 @@ def simple_sequence(params: dict, omega_max: float, delta_abs_max: float,
 
 def complex_sequence(params: dict, omega_max: float, delta_abs_max: float,
                      coherence_ns: float = DEFAULT_COHERENCE_NS) -> PulseSequence:
-    _check_params(params, "complex", omega_max, delta_abs_max, coherence_ns)
+    ParamSpace.hardware("complex", omega_max, delta_abs_max, coherence_ns).check(params)
     rise = Segment(
         omega=Ramp(0.0, params["omega"], params["t_rise"]),
         delta=Ramp(-params["delta0"], -params["delta0"], params["t_rise"]),

@@ -41,12 +41,14 @@ and in place for an even one, so every sub-step starts and ends in a and is
 one np.multiply and one np.dot per group, each with out=, creating no array.
 The detuning phase factorises over the groups.
 
-Preparation is batched. evolve walks each stretch of steps with equal nsub in
-chunks and prepares a chunk at once: each group's matrices are one gather,
-table[c0:c1].take(index, axis=1), from one table per group size, and the
-phases are one vectorised build of the chunk's first-sub-step rows (each
-merging the previous sub-step's trailing half) and, when nsub > 1, one of its
-repeated rows; a constant detuning builds one row. The loop then runs the
+Preparation is batched. `_compile` turns the whole schedule into flat
+per-step arrays, the one place where a step's first phase merges the previous
+sub-step's trailing half. evolve then walks each stretch of steps with equal
+(nsub, half width) in chunks and prepares a chunk at once: each group's
+matrices are one gather, table[c0:c1].take(index, axis=1), from one table per
+group size, and the phases are one vectorised build of the chunk's
+first-sub-step rows and, when nsub > 1, one of its repeated rows; a constant
+detuning builds one row. The loop then runs the
 chunk's sub-steps as one flat sequence. A chunk holds at most CHUNK_FLOATS =
 2^16 floats (512 KiB) of matrices and rows, or one step's where that is more
 (from 14 atoms), so memory does not grow with the schedule.
@@ -92,6 +94,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .graphs import bitstrings
 from .histogram import Histogram
 from .pulses import PulseSequence
 from .register import DeviceParams, Register
@@ -122,19 +125,6 @@ def _check_cap(n: int):
         raise InputError(f"{n} atoms exceeds the {ATOM_CAP}-atom state-vector cap")
     if n < 1:
         raise InputError("need at least one atom")
-
-
-def bitstrings(indices, n: int) -> list:
-    """Render basis indices: atom k = bit k, atom 0 leftmost. The characters
-    are built a column at a time and cut from one ASCII string, which keeps
-    the temporaries to about a byte per character."""
-    indices = np.asarray(indices, dtype=np.int64)
-    chars = np.empty((len(indices), n), dtype=np.uint8)
-    for k in range(n):
-        chars[:, k] = (indices >> k) & 1
-    chars += ord("0")
-    text = chars.tobytes().decode("ascii")
-    return [text[i:i + n] for i in range(0, len(text), n)]
 
 
 def _bit_table(n: int) -> np.ndarray:
@@ -268,16 +258,41 @@ def substep_counts(tau: float, gap: float, omegas: np.ndarray,
     ceil(tau gap (|Omega| / omega_max)^OMEGA_EXPONENT / PHI_OMEGA), at least
     1 and at most ceil(tau gap / PHI_MAX)."""
     cap = max(1, math.ceil(tau * gap / PHI_MAX))
-    if cap == 1:
-        return np.ones(omegas.shape, dtype=np.int64)
     want = np.ceil(tau * gap * (np.abs(omegas) / omega_max) ** OMEGA_EXPONENT / PHI_OMEGA)
     return np.clip(want, 1, cap).astype(np.int64)
+
+
+def _compile(seq: PulseSequence, dt: float, flip_gap: np.ndarray, weights: np.ndarray,
+             omega_max: float) -> tuple:
+    """The schedule as flat per-step arrays (theta, nsub, half, lead, d_first,
+    t_first). A midpoint step of width tau runs nsub sub-steps of half width
+    half = tau / (2 nsub), each turning the drive by theta = Omega half and the
+    detuning phase by lead = delta half per half. Its first phase also applies
+    the previous step's trailing half: t_first and d_first are the previous
+    half and lead plus its own, 0 before the first step."""
+    omegas, deltas, nsubs, halves = [], [], [], []
+    for seg in seq.segments:
+        steps = max(1, int(np.ceil(seg.duration / dt - 1e-9)))
+        edges = np.linspace(0.0, seg.duration, steps + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        omegas.append(np.asarray(seg.omega.sample(mids), dtype=float).reshape(-1))
+        deltas.append(np.asarray(seg.delta.sample(mids), dtype=float).reshape(-1))
+        tau = seg.duration / steps * 1e-3  # ns -> us
+        gap = float(np.max(flip_gap + np.abs(deltas[-1]).max() * np.abs(weights)))
+        nsubs.append(substep_counts(tau, gap, omegas[-1], omega_max))
+        halves.append(0.5 * tau / nsubs[-1])
+    omega, delta, nsub, half = map(np.concatenate, (omegas, deltas, nsubs, halves))
+    lead = delta * half
+    return (omega * half, nsub, half, lead, np.append(0.0, lead[:-1]) + lead,
+            np.append(0.0, half[:-1]) + half)
 
 
 def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
            dt: float = 4.0) -> StateVector:
     """Integrate the schedule from |00...0> with midpoint steps of `dt` ns,
     each run as Strang sub-steps; steps never straddle segment boundaries.
+    The schedule is compiled first (`_compile`), then run in stretches of
+    equal (nsub, half).
 
     Raises NumericalError when the norm drifts by more than 1e-4; drift is
     never hidden by renormalising.
@@ -287,7 +302,6 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     inter = interaction_diagonal(reg, dev)
     occ = occupation_diagonal(reg)
     n, dim, groups = reg.n, 1 << reg.n, _groups(reg.n)
-    weights = reg.detuning_weights()
     pop = _popcount(n)
     sign = 1.0 - 2.0 * (pop & 1)  # sigma = S_N^2 = (-1)^popcount
     # i w.n over each group's atoms (occ where only they are excited), top first
@@ -295,53 +309,36 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     iocc = [1j * occ[np.arange(1 << m) << lo] for (m, _), lo in zip(groups, lows)][::-1]
     # one flip of atom k changes U by at most sum_j U_kj (U >= 0)
     flip_gap = inter[-1] - inter[(dim - 1) ^ (1 << np.arange(n))]
+    theta, nsubs, halves, leads, d_firsts, t_firsts = _compile(
+        seq, dt, flip_gap, reg.detuning_weights(), dev.omega_max)
+    tables = {m: drive_table(theta, m) for m in {size for size, _ in groups}}
     mat_floats = sum(index.size for _, index in groups)
 
     a = np.zeros(2 * dim)  # the state's interleaved re/im floats, between sub-steps
     a[0] = 1.0
     plan = _plan(groups, a, np.empty_like(a))
-    t_pend = d_pend = 0.0  # the last sub-step's trailing half, not yet applied
-    for seg in seq.segments:
-        steps = max(1, int(np.ceil(seg.duration / dt - 1e-9)))
-        edges = np.linspace(0.0, seg.duration, steps + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        omegas = np.asarray(seg.omega.sample(mids), dtype=float).reshape(-1)
-        deltas = np.asarray(seg.delta.sample(mids), dtype=float).reshape(-1)
-        tau = seg.duration / steps * 1e-3  # ns -> us
-        gap = float(np.max(flip_gap + np.abs(deltas).max() * np.abs(weights)))
-        nsubs = substep_counts(tau, gap, omegas, dev.omega_max)
-        halves = 0.5 * tau / nsubs
-        dhalves = deltas * halves
-        # a first sub-step also applies the previous sub-step's trailing half
-        d_firsts = np.append(d_pend, dhalves[:-1]) + dhalves
-        tables = {m: drive_table(omegas * halves, m) for m in {size for size, _ in groups}}
-        # the steps run in stretches of equal nsub, a handful per segment
-        ends = (np.flatnonzero(np.diff(nsubs)) + 1).tolist() + [steps]
-        for start, end in zip([0] + ends[:-1], ends):
-            nsub = int(nsubs[start])
-            half = 0.5 * tau / nsub
-            # sigma exp(-i t U) of every phase but the stretch's first, t = 2 half
-            u = sign * np.exp(-1j * (half + half) * inter)
-            # steps whose group matrices and one or two phase rows fit the budget
-            chunk = max(1, CHUNK_FLOATS // (mat_floats + 2 * dim * min(nsub, 2)))
-            for c0 in range(start, end, chunk):
-                c1 = min(c0 + chunk, end)
-                mats = list(zip(*(tables[m][c0:c1].take(index, axis=1) for m, index in groups)))
-                if t_pend == half:
-                    firsts = _phase_rows(u, iocc, d_firsts[c0:c1])
-                else:  # a stretch's first step: the trailing half has another width
-                    carry = sign * np.exp(-1j * (t_pend + half) * inter)
-                    firsts = [*_phase_rows(carry, iocc, d_firsts[c0:c0 + 1]),
-                              *_phase_rows(u, iocc, d_firsts[c0 + 1:c1])]
-                lead = dhalves[c0:c1]
-                repeats = _phase_rows(u, iocc, lead + lead) if nsub > 1 else firsts
-                # each step's first phase row, then its repeated one nsub - 1 times
-                _substeps(plan, chain.from_iterable(zip(firsts, *[repeats] * (nsub - 1))),
-                          chain.from_iterable(zip(*[mats] * nsub)))
-                t_pend, d_pend = half, float(lead[-1])
-                del mats, firsts, repeats  # freed before the next chunk's are built
+    ends = (np.flatnonzero((np.diff(nsubs) != 0) | (np.diff(halves) != 0)) + 1).tolist()
+    for start, end in zip([0] + ends, ends + [len(nsubs)]):
+        nsub, half = int(nsubs[start]), float(halves[start])
+        # sigma exp(-i t U) of every phase but the stretch's first, t = 2 half
+        u = sign * np.exp(-1j * (half + half) * inter)
+        # steps whose group matrices and one or two phase rows fit the budget
+        chunk = max(1, CHUNK_FLOATS // (mat_floats + 2 * dim * min(nsub, 2)))
+        for c0 in range(start, end, chunk):
+            c1 = min(c0 + chunk, end)
+            mats = list(zip(*(tables[m][c0:c1].take(index, axis=1) for m, index in groups)))
+            firsts = _phase_rows(u, iocc, d_firsts[c0 + (c0 == start):c1])
+            if c0 == start:  # the previous step's trailing half has another width
+                carry = sign * np.exp(-1j * float(t_firsts[c0]) * inter)
+                firsts = [*_phase_rows(carry, iocc, d_firsts[c0:c0 + 1]), *firsts]
+            lead = leads[c0:c1]
+            repeats = _phase_rows(u, iocc, lead + lead) if nsub > 1 else firsts
+            # each step's first phase row, then its repeated one nsub - 1 times
+            _substeps(plan, chain.from_iterable(zip(firsts, *[repeats] * (nsub - 1))),
+                      chain.from_iterable(zip(*[mats] * nsub)))
+            del mats, firsts, repeats  # freed before the next chunk's are built
     # sigma S_N = i^popcount turns the sigma-phased G products into R products
-    last = _phase_rows(sign * np.exp(-1j * t_pend * inter), iocc, np.array([d_pend]))[0]
+    last = _phase_rows(sign * np.exp(-1j * float(halves[-1]) * inter), iocc, leads[-1:])[0]
     psi = plan[0]
     psi *= last
     psi *= _I_POWERS[pop & 3]
@@ -357,8 +354,7 @@ def measure(state: StateVector, shots: int, seed) -> Histogram:
     if shots <= 0:
         raise InputError("shots must be positive")
     probs = np.abs(state.amplitudes) ** 2
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs / probs.sum())
+    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
     hit = np.flatnonzero(counts)
     return Histogram(shots=shots, counts=dict(zip(bitstrings(hit, state.n_atoms),
                                                   counts[hit].tolist())))

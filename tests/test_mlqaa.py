@@ -476,6 +476,24 @@ def test_load_models_refuses_broken_files(tmp_path):
         load_models(tmp_path / "absent.npz")
 
 
+def test_load_models_refuses_a_wrong_scale(tmp_path):
+    # a target read in another scale predicts in the wrong units, silently
+    path = tmp_path / "m.npz"
+    save_models({"omega": _model("omega", seed=3)}, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    info = json.loads(arrays["__meta__"].tobytes().decode())
+    for scale in (None, "bogus", "identity"):
+        tmeta = info["targets"]["omega"]
+        tmeta.pop("scale", None)
+        if scale is not None:
+            tmeta["scale"] = scale
+        arrays["__meta__"] = np.frombuffer(json.dumps(info).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(InputError, match="bad model file .*m.npz"):
+            load_models(path)
+
+
 def test_dataset_jsonl_roundtrip(tmp_path):
     recs = [_record(6.0), _record(9.0, n=3)]
     path = tmp_path / "labels.jsonl"

@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from rydock.histogram import Histogram
 from rydock.optimize import (
     GINI_THRESHOLD,
     REFINE_SHOT_FACTOR,
-    SearchSpace,
+    ScoreBreakdown,
     Trial,
     _kernel_density,
     evaluate_params,
@@ -33,6 +34,7 @@ from rydock.optimize import (
     tpe_suggest,
     vqaa,
 )
+from rydock.pulses import ParamSpace
 from rydock.register import DeviceParams, layout, strip_ancillas
 from rydock.rng import substream
 from rydock.simulator import evolve, measure
@@ -83,6 +85,54 @@ def test_nullification_threshold_is_strict(monkeypatch):
 def test_score_width_mismatch():
     with pytest.raises(InputError):
         score(Histogram(shots=1, counts={"10": 1}), PATH3)
+
+
+def edge_loop_score(hist, g):
+    """The oracle for `score`: every outcome tested against each edge and
+    w(C) summed over its members, without the graph's `independent_weights`
+    table. The arithmetic is the same, so the results must be equal."""
+    total = g.total_weight()
+    index = {v: k for k, v in enumerate(g.vertex_ids)}
+    edges = [(index[u], index[v]) for (u, v) in g.edges]
+    mean_f = 0.0
+    herf = 0.0
+    for bits, c in hist.counts.items():
+        p = c / hist.shots
+        herf += p * p
+        for (i, j) in edges:
+            if bits[i] == "1" and bits[j] == "1":
+                break
+        else:
+            mean_f += p * sum(compress(g.weights, map("1".__eq__, bits))) / total
+    gini = 1.0 - herf
+    nullified = gini < GINI_THRESHOLD
+    return ScoreBreakdown(mean_f=float(mean_f), gini=float(gini),
+                          score=0.0 if nullified else float(mean_f * gini),
+                          nullified=nullified)
+
+
+@st.composite
+def graphs_and_histograms(draw):
+    """A weighted graph of at most 10 vertices and a histogram over its subsets."""
+    n = draw(st.integers(1, 10))
+    weights = draw(st.lists(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+                            min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    ids = [f"v{k}" for k in range(n)]
+    g = WeightedGraph.from_parts(ids, [(ids[i], ids[j]) for (i, j), k in zip(pairs, keep) if k],
+                                 weights=weights)
+    masks = draw(st.dictionaries(st.integers(0, (1 << n) - 1), st.integers(1, 500),
+                                 min_size=1, max_size=30))
+    counts = {"".join("1" if m >> k & 1 else "0" for k in range(n)): c for m, c in masks.items()}
+    return g, Histogram(shots=sum(counts.values()), counts=counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graphs_and_histograms())
+def test_score_equals_the_edge_loop_oracle(case):
+    g, hist = case
+    assert score(hist, g) == edge_loop_score(hist, g)
 
 
 def test_score_bounds_on_random_inputs(monkeypatch):
@@ -219,7 +269,7 @@ def test_search_space_contracts():
 
 
 def test_clamp_and_feasible():
-    sp = SearchSpace(intervals={"t_rise": (16.0, 4000.0),
+    sp = ParamSpace(intervals={"t_rise": (16.0, 4000.0),
                                 "t_fall": (16.0, 4000.0)},
                      total_time_limit=5000.0, ramps=("t_rise", "t_fall"))
     out = sp.clamp({"t_rise": 4000.0, "t_fall": 3000.0})
@@ -324,7 +374,7 @@ def test_nelder_mead_deterministic_and_validated():
         nelder_mead(f, [0.0], [(1.0, 1.0)])
 
 
-SPACE_1D = SearchSpace(intervals={"x": (0.0, 1.0)})
+SPACE_1D = ParamSpace(intervals={"x": (0.0, 1.0)})
 
 
 def run_tpe(seed, rounds=50):
@@ -372,7 +422,7 @@ def test_tpe_startup_uniform_deterministic():
 
 
 def test_tpe_respects_joint_budget():
-    sp = SearchSpace(intervals={"t_rise": (16.0, 2500.0),
+    sp = ParamSpace(intervals={"t_rise": (16.0, 2500.0),
                                 "t_fall": (16.0, 2500.0)},
                      total_time_limit=2600.0, ramps=("t_rise", "t_fall"))
     hist = []

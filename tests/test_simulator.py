@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from rydock.cli import DEFAULTS
 from rydock.docking import build_binding_graph, default_table, load_molecule
 from rydock.errors import InputError
-from rydock.graphs import complement
+from rydock.graphs import bitstrings, complement
 from rydock.mlqaa.dataset import corpus_entry, generate_corpus
 from rydock.optimize import search_space, sequence_for
 from rydock.pulses import (
@@ -41,7 +41,6 @@ from rydock.simulator import (
     _plan,
     _signed_index,
     _substeps,
-    bitstrings,
     drive_table,
     evolve,
     exact_distribution,
