@@ -48,10 +48,10 @@ sub-step's trailing half. evolve then walks each stretch of steps with equal
 matrices are one gather, table[c0:c1].take(index, axis=1), from one table per
 group size, and the phases are one vectorised build of the chunk's
 first-sub-step rows and, when nsub > 1, one of its repeated rows; a constant
-detuning builds one row. The loop then runs the
-chunk's sub-steps as one flat sequence. A chunk holds at most CHUNK_FLOATS =
-2^16 floats (512 KiB) of matrices and rows, or one step's where that is more
-(from 14 atoms), so memory does not grow with the schedule.
+detuning builds one row. The loop then runs the chunk's sub-steps as one flat
+sequence. A chunk holds at most CHUNK_FLOATS = 2^16 floats (512 KiB) of
+matrices and rows, or one step's where that is more (from 14 atoms), so the
+2^N-sized buffers do not grow with the schedule.
 
 Partition: tests/measure_groups.py times near-equal partitions into groups of
 2-7 atoms on the corpus registers and 13-16-atom placements, and prints the
@@ -265,11 +265,11 @@ def substep_counts(tau: float, gap: float, omegas: np.ndarray,
 def _compile(seq: PulseSequence, dt: float, flip_gap: np.ndarray, weights: np.ndarray,
              omega_max: float) -> tuple:
     """The schedule as flat per-step arrays (theta, nsub, half, lead, d_first,
-    t_first). A midpoint step of width tau runs nsub sub-steps of half width
-    half = tau / (2 nsub), each turning the drive by theta = Omega half and the
-    detuning phase by lead = delta half per half. Its first phase also applies
-    the previous step's trailing half: t_first and d_first are the previous
-    half and lead plus its own, 0 before the first step."""
+    t_first). A midpoint step of width tau runs nsub sub-steps of width 2 half,
+    each a drive by angle theta = Omega half between two detuning half-phases
+    lead = delta half. Its first phase also applies the previous step's
+    trailing half: t_first and d_first are the previous half and lead plus its
+    own, 0 before the first step."""
     omegas, deltas, nsubs, halves = [], [], [], []
     for seg in seq.segments:
         steps = max(1, int(np.ceil(seg.duration / dt - 1e-9)))

@@ -270,8 +270,8 @@ def test_search_space_contracts():
 
 def test_clamp_and_feasible():
     sp = ParamSpace(intervals={"t_rise": (16.0, 4000.0),
-                                "t_fall": (16.0, 4000.0)},
-                     total_time_limit=5000.0, ramps=("t_rise", "t_fall"))
+                               "t_fall": (16.0, 4000.0)},
+                    total_time_limit=5000.0, ramps=("t_rise", "t_fall"))
     out = sp.clamp({"t_rise": 4000.0, "t_fall": 3000.0})
     assert out["t_rise"] + out["t_fall"] <= 5000.0 + 1e-9
     assert out["t_rise"] == pytest.approx(4000.0 * 5.0 / 7.0)
@@ -423,8 +423,8 @@ def test_tpe_startup_uniform_deterministic():
 
 def test_tpe_respects_joint_budget():
     sp = ParamSpace(intervals={"t_rise": (16.0, 2500.0),
-                                "t_fall": (16.0, 2500.0)},
-                     total_time_limit=2600.0, ramps=("t_rise", "t_fall"))
+                               "t_fall": (16.0, 2500.0)},
+                    total_time_limit=2600.0, ramps=("t_rise", "t_fall"))
     hist = []
     rng = np.random.default_rng(3)
     for r in range(120):
