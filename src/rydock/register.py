@@ -12,10 +12,12 @@ registers of `embedding_from_positions`.
 
 Atom-pair distances come from one place: `Register.distances()`, a cached
 read-only (n, n) np.hypot matrix, or its helper on `layout`'s positions,
-which `_relax` reads once per iteration; an intended-edge set is one
-symmetric boolean matrix. c6 / r^6 stays a scalar pow, which an array pow
-can round apart from, and the LINK_CUT split keeps math.hypot, whose last
-bit can differ from np.hypot's: either could flip a borderline comparison.
+which `_relax` reads once per iteration. An edge set is one symmetric
+boolean matrix over vertex order: a graph's edges, an intended disk graph,
+and `layout`'s direct and linked pairs alike. c6 / r^6 stays a scalar pow,
+which an array pow can round apart from, and the LINK_CUT split keeps
+math.hypot, whose last bit can differ from np.hypot's: either could flip a
+borderline comparison.
 """
 
 from __future__ import annotations
@@ -151,8 +153,7 @@ def _distance_matrix(pos) -> np.ndarray:
 
 
 def _edge_matrix(ids, pairs) -> np.ndarray:
-    """Symmetric boolean matrix over `ids`, True at each pair in `pairs`;
-    pass range(n) as `ids` for index pairs."""
+    """Symmetric boolean matrix over `ids`, True at each pair in `pairs`."""
     index = {v: k for k, v in enumerate(ids)}
     edges = np.zeros((len(index), len(index)), dtype=bool)
     for u, v in pairs:
@@ -220,17 +221,15 @@ def _induced_pairs(reg: Register, radius: float) -> tuple:
     return tuple((ids[a], ids[b]) for a, b in zip(i[near].tolist(), j[near].tolist()))
 
 
-def _band(dist, edges, dev: DeviceParams, others=None) -> tuple:
+def _band(dist, edges, dev: DeviceParams) -> tuple:
     """Rabi band (lo, hi] from a distance matrix and a symmetric boolean
     matrix of intended edges: hi keeps the longest edge inside the blockade
-    disk (capped at the hardware omega_max), lo the shortest of the `others`
-    pairs (by default every pair that is not an edge) outside it. The band
-    is usable when lo * BAND_MARGIN < hi."""
+    disk (capped at the hardware omega_max), lo the shortest non-edge
+    outside it. The band is usable when lo * BAND_MARGIN < hi."""
     iu = np.triu_indices(len(dist), 1)
     d, e = dist[iu], edges[iu]
-    o = ~e if others is None else others[iu]
     hi = min(dev.omega_max, interaction(float(d[e].max()), dev)) if e.any() else dev.omega_max
-    lo = interaction(float(d[o].min()), dev) if o.any() else 0.0
+    lo = interaction(float(d[~e].min()), dev) if not e.all() else 0.0
     return lo, hi
 
 
@@ -298,37 +297,29 @@ def embedding_from_positions(positions, dev: DeviceParams, ids=None,
     least = float(dist[np.triu_indices(n, 1)].min()) if n > 1 else dev.min_spacing
     if spacing <= 0:
         spacing = least
-    i, j = np.nonzero(np.triu(dist <= GEOMETRIC_EDGE_FACTOR * least, 1))
-    edges = list(zip(i.tolist(), j.tolist()))
-    g = WeightedGraph.from_parts(ids, [(ids[a], ids[b]) for a, b in edges],
+    edges = np.triu(dist <= GEOMETRIC_EDGE_FACTOR * least, 1)
+    g = WeightedGraph.from_parts(ids, [(ids[a], ids[b]) for a, b in zip(*np.nonzero(edges))],
                                  positions=positions.tolist())
-    return _assemble(g, dev, positions, edges, set(), spacing)
+    return _assemble(g, dev, positions, edges | edges.T, np.zeros_like(edges), spacing)
 
 
-def _relax(pos, springs, repel, spacing):
+def _relax(pos, target, one_sided, spacing):
     """Stress majorization (SMACOF; Gansner, Koren and North, "Graph Drawing
     by Stress Majorization", GD 2004) of the layout energy
 
-        E(X) = sum over springs (i, j) of (r_ij - spacing)^2
-             + sum over repel triples (i, j, t) of min(0, r_ij - t)^2,
+        E(X) = sum over pairs i < j of (r_ij - t_ij)^2,
+               or of min(0, r_ij - t_ij)^2 where one_sided[i, j],
 
-    r_ij being the distance of atoms i and j. `springs` and `repel` together
-    name every pair once, so each pair has unit weight and one Guttman
-    transform is X+ = B(X) X / n. A repel term is one-sided: at each iterate
-    it is majorised by the two-sided term with target max(t, r_ij), so E
-    never rises. A pair closer than 1e-9 takes a fixed unit vector of its
-    own as its direction, which majorises too. Stops once no atom moves more
-    than LAYOUT_TOL * spacing in one transform, or after LAYOUT_MAX_ITERS;
-    the result is centred on the origin.
+    r_ij being the distance of atoms i and j and t_ij = target[i, j]; the
+    two symmetric (n, n) matrices' diagonals are never read. Each pair has
+    unit weight, so one Guttman transform is X+ = B(X) X / n. At each
+    iterate a one-sided term is majorised by the two-sided term with target
+    max(t_ij, r_ij), so E never rises. A pair closer than 1e-9 takes a fixed
+    unit vector of its own as its direction, which majorises too. Stops
+    once no atom moves more than LAYOUT_TOL * spacing in one transform, or
+    after LAYOUT_MAX_ITERS; the result is centred on the origin.
     """
     n = len(pos)
-    target = np.zeros((n, n))
-    one_sided = np.zeros((n, n), dtype=bool)
-    for (i, j) in springs:
-        target[i, j] = target[j, i] = spacing
-    for (i, j, t) in repel:
-        target[i, j] = target[j, i] = t
-        one_sided[i, j] = one_sided[j, i] = True
     # unit vectors u_ij = -u_ji standing in for (pos_i - pos_j) / dist_ij when
     # atoms i and j coincide, each pair at its own golden-angle multiple so
     # that the pushes on atoms that start together do not cancel
@@ -355,14 +346,14 @@ def _relax(pos, springs, repel, spacing):
 
 
 def _layout_ok(dist, direct, linked, spacing, dev):
-    """Direct edges (a boolean matrix) vs everything else must leave a usable
-    disk band, linked pairs must be far enough to route a chain through, and
-    no two atoms may violate the hardware minimum."""
+    """Direct edges vs everything else must leave a usable disk band, linked
+    pairs must be at least 2.5 spacings apart to route a chain through, and
+    no two atoms may violate the hardware minimum; `direct` and `linked`
+    are symmetric boolean matrices."""
     if len(dist) > 1 and dist[np.triu_indices(len(dist), 1)].min() < dev.min_spacing:
         return False
-    for (i, j) in linked:
-        if dist[i, j] < 2.5 * spacing:
-            return False
+    if (dist[linked] < 2.5 * spacing).any():
+        return False
     if direct.any():
         lo, hi = _band(dist, direct, dev)
         if lo * BAND_MARGIN >= hi:
@@ -388,15 +379,14 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
         raise InputError("cannot lay out an empty graph")
     if spacing < dev.min_spacing:
         raise InputError(f"spacing {spacing} below hardware minimum {dev.min_spacing}")
-    index = {v: k for k, v in enumerate(g.vertex_ids)}
-    base_edges = {tuple(sorted((index[u], index[v]))) for (u, v) in g.edges}
+    edges = _edge_matrix(g.vertex_ids, g.edges)
     if g.positions is not None or g.n == 1:
         pos = g.positions if g.positions is not None else ((0.0, 0.0),)
-        linked = {(i, j) for (i, j) in base_edges if math.hypot(
-            pos[i][0] - pos[j][0], pos[i][1] - pos[j][1]) > LINK_CUT * spacing}
-        return _assemble(g, dev, pos, base_edges - linked, linked, spacing)
-
-    all_pairs = {(i, j) for i in range(g.n) for j in range(i + 1, g.n)}
+        linked = np.zeros_like(edges)
+        for i, j in zip(*np.nonzero(edges)):
+            linked[i, j] = math.hypot(pos[i][0] - pos[j][0],
+                                      pos[i][1] - pos[j][1]) > LINK_CUT * spacing
+        return _assemble(g, dev, pos, edges & ~linked, linked, spacing)
 
     failures = []
     fallback = None
@@ -406,44 +396,35 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
         rng = substream(seed, "layout", attempt)
         side = spacing * (math.sqrt(g.n) + 1.0)
         pos = rng.uniform(0.0, side, size=(g.n, 2))
-        direct = set(base_edges)
-        linked = set()
+        direct, linked = edges.copy(), np.zeros_like(edges)
         ok = False
-        for _round in range(1 + len(base_edges)):
-            repel = [(i, j, NONEDGE_TARGET * spacing) for (i, j) in sorted(all_pairs - base_edges)]
-            repel += [(i, j, LINK_TARGET * spacing) for (i, j) in sorted(linked)]
-            pos = _relax(pos, sorted(direct), repel, spacing)
+        for _round in range(1 + len(g.edges)):
+            target = spacing * np.where(direct, 1.0, np.where(linked, LINK_TARGET, NONEDGE_TARGET))
+            pos = _relax(pos, target, ~direct, spacing)
             dmat = _distance_matrix(pos)
-            direct_edges = _edge_matrix(range(g.n), direct)
-            if _layout_ok(dmat, direct_edges, linked, spacing, dev):
+            if _layout_ok(dmat, direct, linked, spacing, dev):
                 ok = True
                 break
-            long_edges = [(dmat[i, j], (i, j)) for (i, j) in direct
-                          if dmat[i, j] > LINK_CUT * spacing]
-            if long_edges:
-                _, worst = max(long_edges)
-            else:
+            worst = _extreme(max, dmat, direct & (dmat > LINK_CUT * spacing))
+            if worst is None:
                 # Frustration can also surface as non-edges jammed inside
                 # the blockade floor (the omega_max cap makes that floor an
                 # absolute distance). Free the tightest such pair by
                 # rerouting its longest incident edge through a chain.
-                if not direct:
+                if not direct.any():
                     break
-                _, hi = _band(dmat, direct_edges, dev, others=np.zeros_like(direct_edges))
+                hi = min(dev.omega_max, interaction(float(dmat[direct].max()), dev))
                 needed = (dev.c6 * BAND_MARGIN / hi) ** (1.0 / 6.0)
-                crowded = [(dmat[i, j], (i, j))
-                           for (i, j) in sorted(all_pairs - direct - linked)
-                           if dmat[i, j] < needed]
-                if not crowded:
+                crowded = _extreme(min, dmat, ~edges & (dmat < needed))
+                if crowded is None:
                     break
-                _, (ci, cj) = min(crowded)
-                incident = [(dmat[i, j], (i, j)) for (i, j) in direct
-                            if i in (ci, cj) or j in (ci, cj)]
-                if not incident:
+                ends = np.isin(np.arange(g.n), crowded)
+                worst = _extreme(max, dmat, direct & (ends[:, None] | ends[None, :]))
+                if worst is None:
                     break
-                _, worst = max(incident)
-            direct.discard(worst)
-            linked.add(worst)
+            i, j = worst
+            direct[i, j] = direct[j, i] = False
+            linked[i, j] = linked[j, i] = True
         if not ok:
             failures.append(f"seed {attempt}: no usable band")
             continue
@@ -463,17 +444,26 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
     raise InfeasibilityError("layout failed on all seeds: " + "; ".join(failures))
 
 
+def _extreme(pick, dist, pairs):
+    """The pair (i, j), i < j, of a symmetric boolean matrix that `pick`
+    (max or min) chooses by (distance, (i, j)), or None if there is none."""
+    i, j = np.nonzero(np.triu(pairs, 1))
+    return pick(zip(dist[i, j], zip(i.tolist(), j.tolist())), default=(None, None))[1]
+
+
 def _assemble(g, dev, pos, direct, linked, spacing):
-    """Embedding of `g` with vertex k at pos[k]: the `direct` index pairs
-    are its disk-graph edges and each `linked` pair gets an ancilla chain."""
+    """Embedding of `g` with vertex k at pos[k]. `direct` and `linked` are
+    symmetric boolean matrices over vertex order: `direct` holds its
+    disk-graph edges, and each `linked` pair, in sorted order, gets an
+    ancilla chain."""
     atoms = tuple(
         Atom(id=g.vertex_ids[k], x=float(pos[k][0]), y=float(pos[k][1]),
              detuning_weight=g.weights[k])
         for k in range(g.n)
     )
     reg = Register(atoms=atoms, origin_graph=g)
-    emb = _embedding_for(reg, dev, spacing, _edge_matrix(range(g.n), direct))
-    for (i, j) in sorted(linked):
+    emb = _embedding_for(reg, dev, spacing, direct)
+    for i, j in zip(*np.nonzero(np.triu(linked))):
         emb = insert_quantum_link(emb, g.vertex_ids[i], g.vertex_ids[j], dev)
     want = {frozenset(e) for e in g.edges}
     got = emb.projected_edges()

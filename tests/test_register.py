@@ -43,7 +43,7 @@ from rydock.register import (
     save_register,
     strip_ancillas,
 )
-from rydock.register import _relax
+from rydock.register import _distance_matrix, _layout_ok, _relax
 from rydock.rng import substream
 
 import measure_layout
@@ -363,16 +363,28 @@ def relax_problems(draw):
     return pos, springs, repel, spacing
 
 
+def _relax_matrices(n, springs, repel, spacing):
+    """`_relax`'s target and one-sided matrices for spring pairs and repel
+    triples (i, j, t), as `layout` builds them from its edge matrices."""
+    target, one_sided = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
+    for i, j, t, repels in ([(i, j, spacing, False) for i, j in springs]
+                            + [(i, j, t, True) for i, j, t in repel]):
+        target[i, j] = target[j, i] = t
+        one_sided[i, j] = one_sided[j, i] = repels
+    return target, one_sided
+
+
 @given(relax_problems())
 @settings(max_examples=60, deadline=None)
 def test_relax_energy_never_rises(problem):
     # one iteration per call: the iteration depends on the positions alone
     pos, springs, repel, spacing = problem
+    target, one_sided = _relax_matrices(len(pos), springs, repel, spacing)
     energy, _ = _layout_energy_and_gradient(pos, springs, repel, spacing)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("rydock.register.LAYOUT_MAX_ITERS", 1)
         for _ in range(40):
-            pos = _relax(pos, springs, repel, spacing)
+            pos = _relax(pos, target, one_sided, spacing)
             following, _ = _layout_energy_and_gradient(pos, springs, repel, spacing)
             assert following <= energy * (1.0 + 1e-12) + 1e-12
             energy = following
@@ -397,11 +409,21 @@ def test_relax_ends_stationary(problem):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("rydock.register.LAYOUT_MAX_ITERS", 5000)
         mp.setattr("rydock.register._distance_matrix", counted)
-        got = _relax(pos, springs, repel, spacing)
+        got = _relax(pos, *_relax_matrices(len(pos), springs, repel, spacing), spacing)
     assume(iterations[0] < 5000)
     _, grad = _layout_energy_and_gradient(got, springs, repel, spacing)
     step = np.hypot(grad[:, 0], grad[:, 1]) / (2 * len(pos))
     assert step.max() <= LAYOUT_TOL * spacing
+
+
+def test_layout_ok_needs_linked_pairs_two_and_a_half_spacings_apart():
+    # a linked pair exactly 2.5 spacings apart can take a chain; one a
+    # rounding step closer cannot
+    spacing = 9.0
+    linked = np.array([[False, True], [True, False]])
+    for x, ok in ((2.5 * spacing, True), (np.nextafter(2.5 * spacing, 0.0), False)):
+        dist = _distance_matrix(np.array([[0.0, 0.0], [x, 0.0]]))
+        assert _layout_ok(dist, np.zeros_like(linked), linked, spacing, DEV) is ok
 
 
 def test_layout_path_band_nonempty():
