@@ -120,6 +120,9 @@ def effective_config(args) -> dict:
             raise InputError(f"{k} must be >= {least}")
     if not (math.isfinite(cfg["dt"]) and cfg["dt"] > 0):
         raise InputError(f"dt must be a positive finite number, got {cfg['dt']}")
+    for k in ("tau", "spacing"):
+        if not math.isfinite(cfg[k]):
+            raise InputError(f"{k} must be finite, got {cfg[k]}")
     if cfg["optimizer"] not in ("tpe", "nm"):
         raise InputError(f"unknown optimizer {cfg['optimizer']!r}")
     if cfg["family"] not in FAMILIES:

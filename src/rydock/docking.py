@@ -12,6 +12,7 @@ maximum-weight independent set of the complement) is the best pose.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,6 +43,8 @@ class PharmacophorePoint:
     def __post_init__(self):
         if len(self.position) != 3:
             raise InputError(f"point {self.id}: position must have 3 coordinates")
+        if not all(math.isfinite(x) for x in self.position):
+            raise InputError(f"point {self.id}: position must be finite")
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,11 @@ class WeightedGraph:
             if (u, v) in seen:
                 raise InputError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-        if self.positions is not None and len(self.positions) != len(ids):
-            raise InputError("positions length does not match vertex count")
+        if self.positions is not None:
+            if len(self.positions) != len(ids):
+                raise InputError("positions length does not match vertex count")
+            if not np.isfinite(self.positions).all():
+                raise InputError("positions must be finite")
 
     @classmethod
     def from_parts(cls, ids, edges, weights=None, positions=None):

@@ -91,8 +91,8 @@ class DeviceParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"device parameter {name} must be a number, got {value!r}")
-            if not value > 0:
-                raise InputError(f"device parameter {name} must be positive")
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"device parameter {name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,10 @@ class Atom:
     is_ancilla: bool = False
 
     def __post_init__(self):
-        if self.detuning_weight <= 0:
-            raise InputError(f"atom {self.id}: detuning weight must be positive")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise InputError(f"atom {self.id}: position must be finite")
+        if not (math.isfinite(self.detuning_weight) and self.detuning_weight > 0):
+            raise InputError(f"atom {self.id}: detuning weight must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -627,8 +629,8 @@ def _register_from_doc(doc) -> tuple:
         for a in doc["atoms"]
     )
     radius = float(doc["blockade_radius"])
-    if not radius > 0:
-        raise InputError(f"blockade_radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise InputError(f"blockade_radius must be positive and finite, got {radius}")
     meta = doc.get("meta", {})
     graph = None
     if "graph" in meta:

@@ -1,6 +1,7 @@
 """Command line surface: config layering, digests, output files, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -425,17 +426,34 @@ def _malformed(case, tmp_path):
     if case == "atom_without_x":
         path = _write(tmp_path / "r.json", {"atoms": [{"id": "a", "y": 0.0}]})
         return ["vqaa", "--register", path, *out], path
-    if case in ("register_without_radius", "link_key_names_no_atoms"):
+    if case in ("register_without_radius", "link_key_names_no_atoms",
+                "atom_weight_nan", "atom_x_nan", "atom_x_infinite", "radius_infinite"):
         doc = json.loads(Path(_p2_register(tmp_path)).read_text())
         if case == "register_without_radius":
             del doc["blockade_radius"]
-        else:
+        elif case == "link_key_names_no_atoms":
             doc["meta"]["links"] = {"v0~nope": []}
+        elif case == "radius_infinite":
+            doc["blockade_radius"] = math.inf
+        else:
+            key, value = {"atom_weight_nan": ("w", math.nan), "atom_x_nan": ("x", math.nan),
+                          "atom_x_infinite": ("x", math.inf)}[case]
+            doc["atoms"][0][key] = value
         path = _write(tmp_path / "r.json", doc)
         return ["vqaa", "--register", path, *out], path
+    if case == "graph_pos_nan":
+        path = _write(tmp_path / "g.json", {"nodes": [{"id": "a", "pos": [0.0, 0.0]},
+                                                      {"id": "b", "pos": [math.nan, 9.0]}],
+                                            "edges": [["a", "b"]]})
+        return ["embed", "--graph", path, *out], path
     if case == "xyz_not_numbers":
         path = _write(tmp_path / "l.json",
                       _ligand([{"id": "a", "kind": "HDonor", "xyz": "abc"}]))
+        return ["dock", "--ligand", path, "--receptor", RECEPTOR, *out], path
+    if case == "xyz_nan":
+        points = json.loads(Path(LIGAND).read_text())["points"]
+        points[0]["xyz"][0] = math.nan
+        path = _write(tmp_path / "l.json", _ligand(points))
         return ["dock", "--ligand", path, "--receptor", RECEPTOR, *out], path
     if case == "points_not_a_list":
         path = _write(tmp_path / "l.json", _ligand(5))
@@ -446,6 +464,10 @@ def _malformed(case, tmp_path):
                 "--table", path, *out], path
     if case == "device_value_not_a_number":
         path = _write(tmp_path / "cfg.json", {"device": {"c6": "x"}})
+        return ["embed", "--graph", str(FIXTURES / "five_node.json"),
+                "--config", path, *out], path
+    if case == "device_c6_infinite":
+        path = _write(tmp_path / "cfg.json", {"device": {"c6": math.inf}})
         return ["embed", "--graph", str(FIXTURES / "five_node.json"),
                 "--config", path, *out], path
     if case == "junk_model_set":
@@ -465,6 +487,10 @@ def _malformed(case, tmp_path):
     "points_not_a_list", "table_pair_without_s", "device_value_not_a_number",
     "junk_model_set", "node_weight_negative", "out_is_a_file",
     "out_file_in_missing_dir", "register_without_radius", "link_key_names_no_atoms",
+    # JSON reads NaN and Infinity literals, so every number a file feeds in
+    # is checked for being finite
+    "xyz_nan", "atom_weight_nan", "atom_x_nan", "atom_x_infinite", "radius_infinite",
+    "graph_pos_nan", "device_c6_infinite",
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     argv, path = _malformed(case, tmp_path)
@@ -472,6 +498,19 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and path in err[0], err
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--graph", str(FIXTURES / "five_node.json"), "--spacing", "nan"],
+    ["embed", "--graph", str(FIXTURES / "five_node.json"), "--spacing", "inf"],
+    ["dock", "--ligand", LIGAND, "--receptor", RECEPTOR, "--tau", "nan"],
+], ids=["spacing_nan", "spacing_inf", "tau_nan"])
+def test_non_finite_flags_exit_2(tmp_path, capsys, argv):
+    flag = argv[-2].lstrip("-")
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} must be finite"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_log_formats_are_pinned(tmp_path):
