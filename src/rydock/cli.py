@@ -80,6 +80,9 @@ DEFAULTS = {
     "holdout_frac": 0.2, "out": ".",
 }
 CONFIG_KEYS = {"device", *DEFAULTS}
+# Enters every config digest: a change that moves any output bumps it, so
+# that one digest always stamps the same bytes.
+OUTPUT_VERSION = 1
 
 
 def _config_doc(doc) -> dict:
@@ -134,6 +137,7 @@ def config_digest(cfg: dict, command: str) -> str:
     doc = dict(cfg)
     doc.pop("out", None)  # runs differing only in output directory are the same run
     doc["command"] = command
+    doc["output_version"] = OUTPUT_VERSION
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

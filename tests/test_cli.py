@@ -116,6 +116,13 @@ def test_config_digest_stability():
     assert a != config_digest(cfg, "dock")
 
 
+def test_config_digest_includes_the_output_version(monkeypatch):
+    cfg = effective_config(Namespace(config=None))
+    a = config_digest(cfg, "dock")
+    monkeypatch.setattr("rydock.cli.OUTPUT_VERSION", rydock.cli.OUTPUT_VERSION + 1)
+    assert config_digest(cfg, "dock") != a
+
+
 def test_dock_embed_vqaa_pipeline(tmp_path, capsys):
     rc = main([
         "dock", "--ligand", str(FIXTURES / "acetic_acid.json"),

@@ -6,8 +6,9 @@ complement(six_node) at 6 um, which routes 4 ancillas, and a short `vqaa` on
 it, so that `strip_ancillas` runs; `vqaa` with tpe (dt 4, 14 rounds) and nm
 (dt 8, 4 rounds) in both pulse families; a `sweep` with an omega = 0 cell;
 and `label_dataset` on three corpus entries. A refactor that claims
-identical outputs keeps every pin; a change that moves an output must
-re-pin it and name the file.
+identical outputs keeps every pin; a change that moves an output bumps
+`cli.OUTPUT_VERSION`, which enters every config digest, pins the new
+version's outputs and names the files that moved.
 
 The GCN commands (`train`, `predict`, `mlqaa-eval`) are left out: their
 weights are raw GEMM sums, whose last bits depend on the CPU's kernels.
@@ -18,38 +19,40 @@ from pathlib import Path
 
 import pytest
 
-from rydock.cli import main
+from rydock.cli import OUTPUT_VERSION, main
 from rydock.graphs import complement, load_graph, save_graph
 from rydock.mlqaa.dataset import corpus_entry, label_dataset, save_dataset
 from rydock.register import DeviceParams
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-PINNED = {
+# the sha256 of every output, by the `OUTPUT_VERSION` that wrote them
+PINNED = {1: {
     "dataset/dataset.jsonl": "bfa7d45ede14f80c1dbdcd29ce24ee2d76b936922d1f92179a47a5891c8c0ed0",
-    "dock/binding_graph.json": "e5d80eeb10dba122695d92bbc407ce71b115fefe5d8e0718c0f9d36e07b0e34a",
-    "dock/complement_graph.json": "95cd24d6d91f959ef869ceaa89416717479261bfe23881af9713227f7bda78bd",
-    "embed6/register.json": "924a9190cdbe09b85134731e13d0529d0c0f12978df9c6fb6d827bcc1cfd3d0d",
-    "embed9/register.json": "859132dd9b95cf3f371a8cf3467e233dcb5fa9d1067f67ccb83259527e8e59cc",
-    "embed_anc/register.json": "c4c95752f5221cb8134e8f08096d2adfe7142c7179a4fe9463164f73c3f7347a",
-    "nm_complex/histogram.json": "04a6ce7cdbce695de85f99b1464bafc942362f3837191065c8c60b12bc552e18",
-    "nm_complex/result.json": "c69fc2dba3e7efd8a8c5bdbec6199b1215b60abc741d1ec1702e41ae8680af50",
-    "nm_complex/trials.jsonl": "3fae81aa803d56ef1182b4426383ad613fa4b6db367119e1d2a4be7ecc01353d",
-    "nm_simple/histogram.json": "dac64077d4ac8281a99e5924a8bb5d9f8236ed14c153772dedd08e9ba1ebe0b6",
-    "nm_simple/result.json": "0481890168ddd4fdccf05639db11bc0790a111bd0435c93b00214cb6a20b5b8a",
-    "nm_simple/trials.jsonl": "11426601c8209dab78c21eb8cbcae9be17939eceea6e89bd15ce9ebc17a4928c",
+    "dock/binding_graph.json": "37054951df262c753457aaac668289591351c2ba8b219bf872ed9c258e926788",
+    "dock/complement_graph.json": "938962654c902843b751157994bb190eecc4a94ee3bbf415bf1afadd2c44e39c",
+    "embed6/register.json": "fcdcda78ac8d93c169bee944eff6551571ec4fd38fe17a981b907628368e4e2e",
+    "embed9/register.json": "cd6b34cbfef46069e6268ebc970c8a251719ede9e7451472701a4c9f054ed9a9",
+    "embed_anc/register.json": "d6f9806acc448cd89ca6b2945abdd2cba4e6bff9f5d19c7553567a134190b24f",
+    "nm_complex/histogram.json": "0582e69555f1a649965faa0cbf616a03a42bf3df805717845b61cc4fcb148bab",
+    "nm_complex/result.json": "3a689d83f86ed6a6389272ba3ad6dbfaa3f86f26333c30194ea2d327bc4474e9",
+    "nm_complex/trials.jsonl": "e0ef2f8bf294b40aa2df56b04a0485e84884dff4c3c71a682963b6b223a6c64c",
+    "nm_simple/histogram.json": "8c865309b0407f3866e6138c0c8eb901a8e24c3465e362bc15a21177eb18c2a9",
+    "nm_simple/result.json": "cb65eec47b72c100c6dc17ae56ecd5d1117b5e753a9807e32a20db768a59f72a",
+    "nm_simple/trials.jsonl": "40cbd7573e86e70fca97ab621a0480bca79b56f816a4f76a2a8d9acdb1cf309f",
     "six_node_complement.json": "2f11c232ecb8df27ffaf863735ee823125a45509f51368b175b109f1e59ce955",
-    "sweep/sweep.csv": "3da15168513127bdece04b32035890ac6a7ca63248548cab1c808d6862e1f56b",
-    "tpe_complex/histogram.json": "dddbd7e2ff4c12e4afe680f3f33a9e97a595535fdb0ea44d3c35583970b32901",
-    "tpe_complex/result.json": "4e95966a492d04b9593b215441c4937d070ca081d7bbfbc1b75ac987182ac669",
-    "tpe_complex/trials.jsonl": "c4e348d84fd8d59cb4b9052b65686ca6a6f637cf14b2e184aea11113a39fb016",
-    "tpe_simple/histogram.json": "a03d8f9d79399c9950794d873664de4368eec7272408de1de1cdd6ef03e11638",
-    "tpe_simple/result.json": "7556770b8acbd9708be9672e941396c09edbd6905cda69b6fba505135f7feb4a",
-    "tpe_simple/trials.jsonl": "0adc4d95c1e295c85f631e633de36fedeb181ba42e3aac53d4f4932addcf0e2d",
-    "vqaa_anc/histogram.json": "50bb4f3959d366eed0d0ee625ce6fb3525cfc0e504a566c1cc33c044eea4d28e",
-    "vqaa_anc/result.json": "65f66b55dc0b0c705cec520407f620d312485b8f1a6379b9b030e95e255de336",
-    "vqaa_anc/trials.jsonl": "1b573b8c6bc7ce282f8ce761d0700d9682bfc1b371bb05f7695dabcc4e3818cf",
-}
+    "sweep/sweep.csv": "52e56fa0efd220f59a0bfc6412cc478e303c1010ceb579566a9316b89d99bc83",
+    "tpe_complex/histogram.json": "77f9722e6b0703f63d88743fc7460a1dcd847fd7b6d71d91285e40660776d9be",
+    "tpe_complex/result.json": "e74051297ae687e15f4bf0afd7420a83ff215ca268a42bf86ca0ab377d13aefe",
+    "tpe_complex/trials.jsonl": "fca51327bd307c02bad44b849ccb937e070083bda947015a0213729832ea508b",
+    "tpe_simple/histogram.json": "3144519e26c711fcd1693bd5d41ddf16da57dcff3c1714771fa4d2cad9c0105c",
+    "tpe_simple/result.json": "e4c08f493ccea8bba7f4deebf220ffa22715fd592bdcccaf31b74f1acf3f2852",
+    "tpe_simple/trials.jsonl": "5bef4f45f4a9fa4e4cafa16b976e21fa89955b8052b83d71c2139bd79aee61ad",
+    "vqaa_anc/histogram.json": "8ab98930824dab3f6400ecab6b2eebd5e7096a3559ce2b93949ddefa3c5355bb",
+    "vqaa_anc/result.json": "06b9cb9dd6f86f65f408b5706e04432362abc63a35a2abe74d9fdac2ea44743e",
+    "vqaa_anc/trials.jsonl": "76b7ab4cf41087bc87286b2455c71391249e49c6e696a3895d889177f28c1952",
+}}
+PINS = PINNED.get(OUTPUT_VERSION, {})
 
 
 def _run(root: Path):
@@ -94,11 +97,12 @@ def digests(tmp_path_factory):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("step", sorted({name.split("/")[0] for name in PINNED}))
+@pytest.mark.parametrize("step", sorted({name.split("/")[0] for name in PINS}))
 def test_outputs_are_pinned(digests, step):
     got = {k: v for k, v in digests.items() if k.split("/")[0] == step}
-    assert got == {k: v for k, v in PINNED.items() if k.split("/")[0] == step}
+    assert got == {k: v for k, v in PINS.items() if k.split("/")[0] == step}
 
 
 def test_every_output_is_pinned(digests):
-    assert sorted(digests) == sorted(PINNED)
+    # fails too when the current OUTPUT_VERSION has no pins
+    assert sorted(digests) == sorted(PINS)
