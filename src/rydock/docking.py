@@ -151,9 +151,17 @@ def load_molecule(path) -> Molecule:
     ))
 
 
+def _strength(entry) -> float:
+    s = float(entry["s"])
+    if not math.isfinite(s):  # JSON reads NaN and Infinity literals
+        raise InputError(f"pair {entry['a']}-{entry['b']}: s must be finite, got {s}")
+    return s
+
+
 def load_table(path) -> InteractionTable:
-    """Read an interaction table JSON file: {"pairs": [{"a", "b", "s"}]}."""
+    """Read an interaction table JSON file: {"pairs": [{"a", "b", "s"}]},
+    every s finite."""
     return files.read(path, lambda doc: InteractionTable(pairs={
-        frozenset((Kind(e["a"]), Kind(e["b"]))): float(e["s"])
+        frozenset((Kind(e["a"]), Kind(e["b"]))): _strength(e)
         for e in doc.get("pairs", [])
     }))

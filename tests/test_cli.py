@@ -465,8 +465,11 @@ def _malformed(case, tmp_path):
     if case == "points_not_a_list":
         path = _write(tmp_path / "l.json", _ligand(5))
         return ["dock", "--ligand", path, "--receptor", RECEPTOR, *out], path
-    if case == "table_pair_without_s":
-        path = _write(tmp_path / "t.json", {"pairs": [{"a": "HDonor", "b": "HAcceptor"}]})
+    if case in ("table_pair_without_s", "table_s_nan", "table_s_infinite"):
+        pair = {"a": "HDonor", "b": "HAcceptor"}
+        if case != "table_pair_without_s":
+            pair["s"] = math.nan if case == "table_s_nan" else math.inf
+        path = _write(tmp_path / "t.json", {"pairs": [pair]})
         return ["dock", "--ligand", LIGAND, "--receptor", RECEPTOR,
                 "--table", path, *out], path
     if case == "device_value_not_a_number":
@@ -497,7 +500,7 @@ def _malformed(case, tmp_path):
     # JSON reads NaN and Infinity literals, so every number a file feeds in
     # is checked for being finite
     "xyz_nan", "atom_weight_nan", "atom_x_nan", "atom_x_infinite", "radius_infinite",
-    "graph_pos_nan", "device_c6_infinite",
+    "graph_pos_nan", "device_c6_infinite", "table_s_nan", "table_s_infinite",
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     argv, path = _malformed(case, tmp_path)
