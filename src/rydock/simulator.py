@@ -27,19 +27,25 @@ h = popcount(r ^ c), so a step's group matrix is one gather of a real table
 (the m + 1 values, their negatives, a 0) over a fixed signed index.
 
 The state is interleaved float64 (re, im per amplitude); the phase multiplies
-its complex view. G^{(x)N} runs in Kronecker groups, lowest atoms first: one
-up to GROUP_MAX_ATOMS = 5 atoms, else near-equal groups of at most
+its complex view. G^{(x)N} is split into Kronecker groups, lowest atoms first:
+one up to GROUP_MAX_ATOMS = 5 atoms, else near-equal groups of at most
 SMALL_GROUP_MAX_ATOMS = 4, smaller ones lowest. evolve keeps two state
 buffers, a and b, and builds their views once (`_plan`). One group is
-G.dot(x.reshape(2^N, 2)) into y.reshape(2^N, 2). Otherwise each group is
-F.dot(x.reshape(-1, len(F)).T) into y.reshape(len(F), -1), which acts on the
-group in the lowest bits and writes it out as the highest; the lowest group's
-F is G^{(x)m} (x) I_2, so the re/im axis rides the rotation as one more bit,
-and after the last group the layout is canonical again. Each product writes
-the other buffer, and the phase multiply writes a -> b for an odd group count
-and in place for an even one, so every sub-step starts and ends in a and is
-one np.multiply and one np.dot per group, each with out=, creating no array.
-The detuning phase factorises over the groups.
+G.dot(x.reshape(2^N, 2)) into y.reshape(2^N, 2). Otherwise the groups run top
+group first, each as x.reshape(len(F), -1).T.dot(F) into y.reshape(-1,
+len(F)), which takes the group in the highest bits and writes it out as the
+lowest. F is the group's matrix itself, since G^{(x)m} and the lowest group's
+G^{(x)m} (x) I_2 are symmetric; in the latter the re/im axis rides the
+rotation as one more bit. The lowest group runs last, when (re/im, its atoms)
+are the highest bits, and after it the layout is canonical again. This is
+OpenBLAS's faster GEMM orientation: on 2^13 floats (OpenBLAS 0.3.31, one
+thread, a 2-vCPU AVX-512 Xeon) it takes 9.7 against 16.9 us at len(F) = 16
+and 13.5 against 22.6 us at 32, where F.dot(x.reshape(-1, len(F)).T) writes
+the lowest group out as the highest. Each product writes the other buffer,
+and the phase multiply writes a -> b for an odd group count and in place for
+an even one, so every sub-step starts and ends in a and is one np.multiply
+and one np.dot per group, each with out=, creating no array. The detuning
+phase factorises over the groups.
 
 Preparation is batched. `_compile` turns the whole schedule into flat
 per-step arrays, the one place where a step's first phase merges the previous
@@ -56,7 +62,8 @@ matrices and rows, or one step's where that is more (from 14 atoms), so the
 Partition: tests/measure_groups.py times near-equal partitions into groups of
 2-7 atoms on the corpus registers and 13-16-atom placements, and prints the
 table; the rule is within 8% of the fastest at every size from 3 to 16 atoms
-at dt 4 and 8 (6 atoms: 3+3 runs 1.18 / 0.98 times a single group's speed).
+at dt 4 and 8, two cells of it after a re-time (6 atoms: 3+3 runs 1.30 / 1.06
+times a single group's speed; 12 atoms: 4+4+4 is within 2-7% of 3+3+3+3).
 
 Sub-steps. g = max_k (sum_j U_kj + max|delta| w_k) bounds the energy change
 of one atom flip over the segment. The leading splitting error terms, the
@@ -227,28 +234,38 @@ def _phase_rows(u, iocc, d):
 
 def _plan(groups, a: np.ndarray, b: np.ndarray) -> tuple:
     """The fixed views of a sub-step that starts and ends in buffer `a`: the
-    phase multiply's complex input and output, and each group's (input,
-    output) float views. Each product writes the other buffer, and the phase
-    writes a -> b for an odd group count and in place for an even one."""
+    phase multiply's complex input and output, and the (input, output) float
+    views of each product in the order they run, top group first. Each
+    product writes the other buffer, and the phase writes a -> b for an odd
+    group count and in place for an even one."""
     src = a if len(groups) % 2 == 0 else b
     psi, out, views = a.view(np.complex128), src.view(np.complex128), []
-    for _, index in groups:
+    for _, index in groups[::-1]:
         dst, k = (b if src is a else a), len(index)
         views.append((src.reshape(-1, 2), dst.reshape(-1, 2)) if len(groups) == 1
-                     else (src.reshape(-1, k).T, dst.reshape(k, -1)))
+                     else (src.reshape(k, -1).T, dst.reshape(-1, k)))
         src = dst
     return psi, out, views
 
 
 def _substeps(plan, phases, factors):
     """Run one sub-step per phase row and tuple of group matrices on a
-    `_plan`'s buffers: the phase multiply, then one GEMM per group."""
+    `_plan`'s buffers: the phase multiply, then one GEMM per group. Each
+    tuple holds the matrices in the order the products run, top group first.
+    A single group's G multiplies the (2^N, 2) view from the left; otherwise
+    each symmetric F multiplies its view from the right."""
     psi, out, views = plan
     multiply, dot = np.multiply, np.dot
+    if len(views) == 1:
+        (x, y), = views
+        for phase, (mat,) in zip(phases, factors):
+            multiply(psi, phase, out=out)
+            dot(mat, x, out=y)
+        return
     for phase, mats in zip(phases, factors):
         multiply(psi, phase, out=out)
         for mat, (x, y) in zip(mats, views):
-            dot(mat, x, out=y)
+            dot(x, mat, out=y)
 
 
 def substep_counts(tau: float, gap: float, omegas: np.ndarray,
@@ -326,7 +343,8 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
         chunk = max(1, CHUNK_FLOATS // (mat_floats + 2 * dim * min(nsub, 2)))
         for c0 in range(start, end, chunk):
             c1 = min(c0 + chunk, end)
-            mats = list(zip(*(tables[m][c0:c1].take(index, axis=1) for m, index in groups)))
+            mats = list(zip(*(tables[m][c0:c1].take(index, axis=1)
+                              for m, index in groups[::-1])))  # in run order
             firsts = _phase_rows(u, iocc, d_firsts[c0 + (c0 == start):c1])
             if c0 == start:  # the previous step's trailing half has another width
                 carry = sign * np.exp(-1j * float(t_firsts[c0]) * inter)

@@ -488,7 +488,8 @@ def _state(n, seed):
 
 
 def _factors(theta, n):
-    return [drive_table(theta, m).take(index) for m, index in _groups(n)]
+    """Each group's matrix in the order `_substeps` runs them, top group first."""
+    return [drive_table(theta, m).take(index) for m, index in _groups(n)[::-1]]
 
 
 def real_drive(psi, theta, n):
@@ -511,6 +512,25 @@ def test_grouped_drive_factor_equals_kron(n, theta, seed):
         dense = np.kron(_reflection(theta), dense)
     psi = _state(n, seed)
     assert np.abs(real_drive(psi, theta, n) - dense @ psi).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([3, 6, 9, 10]), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_one_substep_equals_the_dense_kron_product(n, data, seed):
+    # 1, 2 and 3 groups, each turned by its own angle; the dense product fixes
+    # which atoms each group acts on whatever the GEMM orientation, so a view
+    # built against the wrong buffer or a flipped group order fails here
+    groups = _groups(n)
+    thetas = data.draw(st.lists(_angles, min_size=len(groups), max_size=len(groups)))
+    dense = np.ones((1, 1))
+    for (m, _), theta in zip(groups, thetas):
+        for _ in range(m):
+            dense = np.kron(_reflection(theta), dense)
+    mats = [drive_table(theta, m).take(index) for (m, index), theta in zip(groups, thetas)]
+    psi = _state(n, seed)
+    a = psi.view(float).copy()
+    _substeps(_plan(groups, a, np.empty_like(a)), [np.ones(1 << n, complex)], [mats[::-1]])
+    assert np.abs(a.view(complex) - dense @ psi).max() < 1e-13
 
 
 @settings(max_examples=60, deadline=None)
