@@ -80,6 +80,8 @@ DEFAULTS = {
     "holdout_frac": 0.2, "out": ".",
 }
 CONFIG_KEYS = {"device", *DEFAULTS}
+# The sweep grid's flags, in qaa_sweep's argument order.
+SWEEP_AXES = ("omegas", "deltas", "times")
 # Enters every config digest: a change that moves any output bumps it, so
 # that one digest always stamps the same bytes.
 OUTPUT_VERSION = 1
@@ -233,12 +235,20 @@ def cmd_vqaa(args, cfg, meta, out, dev) -> int:
     return 0
 
 
+def _sweep_axis(args, k: str) -> list:
+    """The sweep flag `k` as a non-empty list of finite numbers."""
+    values = _float_list(getattr(args, k))
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad or not values:
+        raise InputError(f"{k} must be finite, got {bad[0] if bad else 'no values'}")
+    return values
+
+
 def cmd_sweep(args, cfg, meta, out, dev) -> int:
     emb = load_register(args.register, dev)
     rows = qaa_sweep(
-        emb, dev, _float_list(args.omegas), _float_list(args.deltas),
-        _float_list(args.times), shots=cfg["shots"], seed=cfg["seed"],
-        dt=cfg["dt"],
+        emb, dev, *(_sweep_axis(args, k) for k in SWEEP_AXES),
+        shots=cfg["shots"], seed=cfg["seed"], dt=cfg["dt"],
     )
     _write_csv(os.path.join(out, "sweep.csv"), meta,
                ["omega", "delta", "time", "success_prob"], rows)
@@ -529,6 +539,9 @@ def main(argv=None) -> int:
         cfg = effective_config(args)
         dev = DeviceParams(**cfg["device"])
         meta = {"config_digest": config_digest(cfg, args.command), "seed": cfg["seed"]}
+        if args.command == "sweep":  # refused before the output directory is made
+            for k in SWEEP_AXES:
+                _sweep_axis(args, k)
         os.makedirs(cfg["out"], exist_ok=True)
         # looked up on every call, so a rebinding of a cmd_* name in this
         # module (as a tracer or a test makes) takes effect

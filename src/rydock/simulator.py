@@ -59,11 +59,29 @@ sequence. A chunk holds at most CHUNK_FLOATS = 2^16 floats (512 KiB) of
 matrices and rows, or one step's where that is more (from 14 atoms), so the
 2^N-sized buffers do not grow with the schedule.
 
+A phase row is u exp(i d occ), u = sigma exp(-i t U): the outer product over
+the groups of exp(i d w.n), then times u. Rows of at least LONG_ROW = 2^10
+amplitudes (10 atoms and more) run on BLAS: each group product is one stacked
+real GEMM of inner size 2, and u multiplies one contiguous row at a time.
+numpy vectorises a complex multiply only when both operands are contiguous and
+of one shape. On a 4096-amplitude row (one OpenBLAS thread, a 2-vCPU AVX-512
+Xeon) the broadcast outer product took 11-13 us against 3-5 us for the GEMM,
+and the broadcast u 5-6 against 4 us per row; that cut _phase_rows from 33-35%
+to 25-26% of a simple-pulse 12-atom evolve. Shorter rows keep the broadcasts,
+so registers of at most 9 atoms keep their bytes: on the 3-8-atom corpus
+registers, the variants alternating in one process, the GEMM for every product
+made a 6-atom evolve 4-5% slower and per-row u made a 3- or 4-atom evolve
+12-14% slower, from the tiny stacked GEMMs and the extra calls on one-row
+chunks (the carry row, a constant detuning).
+
 Partition: tests/measure_groups.py times near-equal partitions into groups of
 2-7 atoms on the corpus registers and 13-16-atom placements, and prints the
 table; the rule is within 8% of the fastest at every size from 3 to 16 atoms
-at dt 4 and 8, two cells of it after a re-time (6 atoms: 3+3 runs 1.30 / 1.06
-times a single group's speed; 12 atoms: 4+4+4 is within 2-7% of 3+3+3+3).
+but 12 at dt 4 and 8, two cells of it after a re-time (6 atoms: 3+3 runs 1.30
+/ 1.06 times a single group's speed; 13 atoms: 3+3+3+4 is within 1% of the
+fastest). At 12 atoms, with the BLAS phase rows, 3+3+3+3 led 4+4+4 by -1% to
+12% over three scans; the rule keeps 4+4+4, since a new partition moves
+amplitudes.
 
 Sub-steps. g = max_k (sum_j U_kj + max|delta| w_k) bounds the energy change
 of one atom flip over the segment. The leading splitting error terms, the
@@ -118,6 +136,8 @@ GROUP_MAX_ATOMS = 5
 SMALL_GROUP_MAX_ATOMS = 4
 # Floats of the group matrices and phase rows that evolve prepares at a time.
 CHUNK_FLOATS = 1 << 16
+# Amplitudes per phase row from which _phase_rows builds on BLAS (see above).
+LONG_ROW = 1 << 10
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -220,15 +240,27 @@ def drive_table(theta, m: int) -> np.ndarray:
 def _phase_rows(u, iocc, d):
     """The rows u exp(i d occ), one per entry of `d`; a constant `d` builds
     one row and repeats it. exp(i d occ) is an outer product over the groups,
-    whose i w.n parts `iocc` come top group first."""
+    whose i w.n parts `iocc` come top group first. A product with rows of
+    LONG_ROW amplitudes or more runs as one stacked real GEMM: each (re, im)
+    of `out` times [[Re e, Im e], [-Im e, Re e]] is the complex out * e."""
     steps = len(d)
     if (d == d[:1]).all():
         d = d[:1]
     out = np.exp(d[:, None] * iocc[0])
     for col in iocc[1:]:
-        out = (out[:, :, None] * np.exp(d[:, None] * col)[:, None, :]).reshape(
-            len(d), out.shape[1] * len(col))
-    np.multiply(u, out, out=out)  # in place, in u * out's operand order and rounding
+        e = np.exp(d[:, None] * col)
+        rows, width = out.shape
+        if width * len(col) < LONG_ROW:
+            out = out[:, :, None] * e[:, None, :]
+        else:
+            rot = np.stack([e.view(float), (1j * e).view(float)], axis=1)
+            out = np.matmul(out.view(float).reshape(rows, width, 2), rot).view(complex)
+        out = out.reshape(rows, width * len(col))
+    if out.shape[1] < LONG_ROW:
+        np.multiply(u, out, out=out)  # in place, in u * out's operand order and rounding
+    else:
+        for row in out:
+            np.multiply(u, row, out=row)
     return out if len(d) == steps else [out[0]] * steps
 
 

@@ -45,13 +45,22 @@ partition `evolve` uses. Output on 2 vCPUs with one BLAS thread, --atoms 3-16
         9  corpus    10   4  4+5           150.72    1.30
         9  corpus    10   8  3+3+3         115.31    1.36 *
         9  corpus    10   8  4+5           128.17    1.22
-       12  corpus    10   4  3+3+3+3       529.40    2.63
-       12  corpus    10   4  4+4+4         564.24    2.47 *
-       12  corpus    10   8  3+3+3+3       444.31    2.94
-       12  corpus    10   8  4+4+4         455.03    2.87 *
-       12  corpus    10   8  6+6          1306.42    1.00
-       13  placed     8   8  3+3+3+4       614.68    1.05 *
-       13  placed     8   8  4+4+5         518.35    1.25
+       10  corpus    10   4  4+3+3         258.01    1.34  (a)
+       10  corpus    10   4  3+3+4         242.06    1.42 *(a)
+       10  corpus    10   8  3+3+4         229.25    1.39 *(a)
+       10  corpus    10   8  5+5           319.20    1.00  (a)
+       11  corpus     5   4  3+4+4         315.14    2.53 *(a)
+       11  corpus     5   8  3+4+4         245.92    2.32 *(a)
+       12  corpus    10   4  3+3+3+3       493.50    2.75  (a)
+       12  corpus    10   4  4+4+4         508.49    2.67 *(a)
+       12  corpus    10   8  3+3+3+3       480.03    2.47  (a)
+       12  corpus    10   8  4+4+4         518.65    2.28 *(a)
+       12  corpus    10   8  6+6          1184.84    1.00  (a)
+       13  placed     8   4  3+3+3+4       788.20    1.23 *(a)
+       13  placed     8   4  4+4+5         733.91    1.32  (a)
+       13  placed     8   8  4+3+3+3       551.82    1.38  (a)
+       13  placed     8   8  3+3+3+4       619.60    1.22 *(a)
+       13  placed     8   8  4+4+5         564.31    1.34  (a)
        14  placed     8   4  3+3+4+4      1939.31    1.48 *
        14  placed     8   4  4+5+5        2790.93    1.03
        14  placed     8   8  3+3+4+4      1578.75    1.50 *
@@ -59,14 +68,18 @@ partition `evolve` uses. Output on 2 vCPUs with one BLAS thread, --atoms 3-16
        16  placed     8   8  4+4+4+4     12404.94    1.29 *
        16  placed     8   8  5+5+6       14188.27    1.12
 
-The rule is within 8% of the fastest partition in every other row of that
-scan. Two rows re-timed within it at --repeats 7: at 8 atoms, dt 4, 2+3+3
-leads 4+4 by 3% (1% at dt 8), and at 13 atoms, dt 8, 3+3+3+4 is within 1% of
-4+3+3+3 and 19% ahead of 4+4+5. At 12 atoms 3+3+3+3 leads 4+4+4 by 2-7% in
-both scans; a new partition moves amplitudes, so the rule keeps 4+4+4. At 7
-atoms the rule's 3+4 now beats 4+3 by 8-9%. The host's speed drifted by up
-to 1.8x between scans, so compare ratios within one scan, not times across
-scans.
+Rows marked (a) are from a later scan of --atoms 10-13 (about 2 minutes),
+taken after the phase rows of 10 atoms and more moved to BLAS outer products;
+the other rows are from the full scan before it. In the full scan the rule is
+within 8% of the fastest partition at every size but those re-timed below; in
+the (a) scan it is the fastest at 10 and 11 atoms. Re-timed at --repeats 7: at
+8 atoms, dt 4, 2+3+3 leads 4+4 by 3% (1% at dt 8); at 13 atoms, after the (a)
+scan, 3+3+3+4 is the fastest at dt 8 and within 1% of 4+3+3+3 at dt 4. At 12
+atoms 3+3+3+3 led 4+4+4 by 2-7% before the BLAS phase rows, and by -1% to 12%
+in three scans after (3% / 8%, 10% / 2% and -1% / 12% at dt 4 / 8); a new
+partition moves amplitudes, so the rule keeps 4+4+4. At 7 atoms the rule's 3+4
+now beats 4+3 by 8-9%. The host's speed drifted by up to 1.8x between scans,
+so compare ratios within one scan, not times across scans.
 """
 
 from __future__ import annotations

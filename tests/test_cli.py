@@ -402,6 +402,7 @@ def _ligand(points):
 
 LIGAND = str(FIXTURES / "acetic_acid.json")
 RECEPTOR = str(FIXTURES / "ethylene_glycol.json")
+SWEEP = ["sweep", "--register", "REGISTER"]  # a two-atom register, written per test
 
 
 def _malformed(case, tmp_path):
@@ -514,9 +515,17 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     ["embed", "--graph", str(FIXTURES / "five_node.json"), "--spacing", "nan"],
     ["embed", "--graph", str(FIXTURES / "five_node.json"), "--spacing", "inf"],
     ["dock", "--ligand", LIGAND, "--receptor", RECEPTOR, "--tau", "nan"],
-], ids=["spacing_nan", "spacing_inf", "tau_nan"])
+    [*SWEEP, "--deltas", "5", "--times", "400", "--omegas", "nan"],
+    [*SWEEP, "--omegas", "3", "--times", "400", "--deltas", "nan"],
+    [*SWEEP, "--omegas", "3", "--deltas", "5", "--times", "inf"],
+    [*SWEEP, "--deltas", "5", "--times", "400", "--omegas", ","],
+], ids=["spacing_nan", "spacing_inf", "tau_nan", "omegas_nan", "deltas_nan", "times_inf",
+        "omegas_empty"])
 def test_non_finite_flags_exit_2(tmp_path, capsys, argv):
     flag = argv[-2].lstrip("-")
+    if "REGISTER" in argv:
+        argv = [_p2_register(tmp_path) if a == "REGISTER" else a for a in argv]
+        capsys.readouterr()
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {flag} must be finite"), err

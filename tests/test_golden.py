@@ -5,10 +5,12 @@ is pinned: `dock`; `embed` of its complement at 9 and 6 um; `embed` of
 complement(six_node) at 6 um, which routes 4 ancillas, and a short `vqaa` on
 it, so that `strip_ancillas` runs; `vqaa` with tpe (dt 4, 14 rounds) and nm
 (dt 8, 4 rounds) in both pulse families; a `sweep` with an omega = 0 cell;
-and `label_dataset` on three corpus entries. A refactor that claims
-identical outputs keeps every pin; a change that moves an output bumps
-`cli.OUTPUT_VERSION`, which enters every config digest, pins the new
-version's outputs and names the files that moved.
+a one-cell `sweep` on the 12-atom two-hexagon corpus register, whose phase
+rows are long enough for `evolve`'s BLAS build; and `label_dataset` on three
+corpus entries. A refactor that claims identical outputs keeps every pin; a
+change that moves an output bumps `cli.OUTPUT_VERSION`, which enters every
+config digest, pins the new version's outputs and names the files that
+moved.
 
 The GCN commands (`train`, `predict`, `mlqaa-eval`) are left out: their
 weights are raw GEMM sums, whose last bits depend on the CPU's kernels.
@@ -22,7 +24,7 @@ import pytest
 from rydock.cli import OUTPUT_VERSION, main
 from rydock.graphs import complement, load_graph, save_graph
 from rydock.mlqaa.dataset import corpus_entry, label_dataset, save_dataset
-from rydock.register import DeviceParams
+from rydock.register import DeviceParams, save_register
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -42,6 +44,8 @@ PINNED = {1: {
     "nm_simple/trials.jsonl": "40cbd7573e86e70fca97ab621a0480bca79b56f816a4f76a2a8d9acdb1cf309f",
     "six_node_complement.json": "2f11c232ecb8df27ffaf863735ee823125a45509f51368b175b109f1e59ce955",
     "sweep/sweep.csv": "52e56fa0efd220f59a0bfc6412cc478e303c1010ceb579566a9316b89d99bc83",
+    "sweep12/hexagon-4-s9.75.json": "6a8b469764317a045789ca936530784eadc857a385c91db7229971b5a4592670",
+    "sweep12/sweep.csv": "6d2e936efea4eb2e8f51c8319c706ba65787a3c73857f25aa83cecc1ee0d7469",
     "tpe_complex/histogram.json": "77f9722e6b0703f63d88743fc7460a1dcd847fd7b6d71d91285e40660776d9be",
     "tpe_complex/result.json": "e74051297ae687e15f4bf0afd7420a83ff215ca268a42bf86ca0ab377d13aefe",
     "tpe_complex/trials.jsonl": "fca51327bd307c02bad44b849ccb937e070083bda947015a0213729832ea508b",
@@ -81,6 +85,12 @@ def _run(root: Path):
         "--deltas", "2,5", "--times", "400,1200", "--shots", "200", "--dt", "8")
 
     dev = DeviceParams()
+    hex12 = root / "sweep12" / "hexagon-4-s9.75.json"
+    hex12.parent.mkdir()
+    save_register(corpus_entry("hexagon", 4, 9.75, dev).embedding, hex12)
+    cli("sweep12", "sweep", "--register", str(hex12), "--omegas", "2", "--deltas", "5",
+        "--times", "2000", "--shots", "200", "--dt", "8")
+
     entries = [corpus_entry(family, 0, spacing, dev)
                for family, spacing in (("line", 9.75), ("rectangle", 8.5), ("hexagon", 11.0))]
     records = label_dataset(entries, dev, rounds=2, shots=200, seed=1)

@@ -32,12 +32,14 @@ from rydock import simulator
 from rydock.simulator import (
     ATOM_CAP,
     GROUP_MAX_ATOMS,
+    LONG_ROW,
     OMEGA_EXPONENT,
     PHI_MAX,
     PHI_OMEGA,
     SMALL_GROUP_MAX_ATOMS,
     StateVector,
     _groups,
+    _phase_rows,
     _plan,
     _signed_index,
     _substeps,
@@ -560,6 +562,49 @@ def test_grouped_drive_factor_equals_per_atom_rotations(n, theta, seed):
     psi = _state(n, seed)
     want = per_atom_drive(psi, n, _reflection(theta))
     assert np.abs(real_drive(psi, theta, n) - want).max() < 1e-12
+
+
+def _broadcast_phase_rows(u, iocc, d):
+    """`_phase_rows` as it builds rows shorter than LONG_ROW: broadcast outer
+    products over the groups, then one broadcast multiply by u."""
+    steps = len(d)
+    if (d == d[:1]).all():
+        d = d[:1]
+    out = np.exp(d[:, None] * iocc[0])
+    for col in iocc[1:]:
+        out = (out[:, :, None] * np.exp(d[:, None] * col)[:, None, :]).reshape(
+            len(d), out.shape[1] * len(col))
+    np.multiply(u, out, out=out)
+    return out if len(d) == steps else [out[0]] * steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 13), data=st.data(), kind=st.sampled_from(["empty", "constant", "varying"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_phase_rows_match_the_direct_phase(n, data, kind, seed):
+    # 1-4 groups of any sizes, rows of 2^3 to 2^13 amplitudes, so both sides
+    # of LONG_ROW; a chunk's d is empty (its one step opens the stretch),
+    # constant (one row, repeated) or varying
+    cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True))
+    sizes = np.diff([0, *sorted(cuts), n])
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, n)
+    bits = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1
+    occ = weights @ bits
+    lows = np.cumsum([0, *sizes])
+    iocc = [1j * (weights[lo:lo + m] @ bits[:m, :1 << m])
+            for m, lo in zip(sizes, lows)][::-1]
+    u = np.exp(-1j * rng.uniform(0.0, 2 * np.pi, 1 << n))
+    rows = data.draw(st.integers(1, 4))
+    d = {"empty": np.empty(0), "constant": np.full(rows, rng.uniform(-0.3, 0.3)),
+         "varying": rng.uniform(-0.3, 0.3, rows)}[kind]
+    got = _phase_rows(u, iocc, d)
+    assert len(got) == len(d)
+    for row, step in zip(got, d):
+        assert np.abs(row - u * np.exp(1j * step * occ)).max() <= 1e-14
+    if 1 << n < LONG_ROW:
+        want = _broadcast_phase_rows(u, iocc, d)
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
 
 
 def test_partition_covers_the_atoms_in_order():
