@@ -194,11 +194,7 @@ def cmd_vqaa(args, cfg, meta, out, dev) -> int:
         register_sha = hashlib.sha256(fh.read()).hexdigest()
     digest = config_digest({**cfg, "rounds": None, "register": register_sha}, "vqaa")
 
-    done = []
-    if args.resume and os.path.exists(log_path):
-        if cfg["optimizer"] != "tpe":
-            raise InputError("resume is only meaningful for the tpe optimizer")
-        done = load_trials(log_path, digest)
+    done = load_trials(log_path, digest) if args.resume and os.path.exists(log_path) else []
     # a log of the same search is replayed, and extended if it is shorter
     res = vqaa(
         emb, dev, family=cfg["family"], rounds=cfg["rounds"],
@@ -539,9 +535,12 @@ def main(argv=None) -> int:
         cfg = effective_config(args)
         dev = DeviceParams(**cfg["device"])
         meta = {"config_digest": config_digest(cfg, args.command), "seed": cfg["seed"]}
-        if args.command == "sweep":  # refused before the output directory is made
+        # refused before the output directory is made
+        if args.command == "sweep":
             for k in SWEEP_AXES:
                 _sweep_axis(args, k)
+        if args.command == "vqaa" and args.resume and cfg["optimizer"] != "tpe":
+            raise InputError("resume is only meaningful for the tpe optimizer")
         os.makedirs(cfg["out"], exist_ok=True)
         # looked up on every call, so a rebinding of a cmd_* name in this
         # module (as a tracer or a test makes) takes effect

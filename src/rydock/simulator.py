@@ -52,36 +52,47 @@ per-step arrays, the one place where a step's first phase merges the previous
 sub-step's trailing half. evolve then walks each stretch of steps with equal
 (nsub, half width) in chunks and prepares a chunk at once: each group's
 matrices are one gather, table[c0:c1].take(index, axis=1), from one table per
-group size, and the phases are one vectorised build of the chunk's
-first-sub-step rows and, when nsub > 1, one of its repeated rows; a constant
-detuning builds one row. The loop then runs the chunk's sub-steps as one flat
-sequence. A chunk holds at most CHUNK_FLOATS = 2^16 floats (512 KiB) of
-matrices and rows, or one step's where that is more (from 14 atoms), so the
-2^N-sized buffers do not grow with the schedule.
+group size. Rows shorter than LONG_ROW are one vectorised build of the
+chunk's first-sub-step rows and, when nsub > 1, one of its repeated rows; a
+constant detuning builds one row. Longer rows are stepped across the chunks
+(below). The loop then runs the chunk's sub-steps as one flat sequence. A
+chunk holds at most CHUNK_FLOATS = 2^16 floats (512 KiB) of matrices and
+rows, the running rows and R counted, or one step's where that is more (from
+14 atoms), so the 2^N-sized buffers do not grow with the schedule.
 
-A phase row is u exp(i d occ), u = sigma exp(-i t U): the outer product over
-the groups of exp(i d w.n), then times u. Rows of at least LONG_ROW = 2^10
-amplitudes (10 atoms and more) run on BLAS: each group product is one stacked
-real GEMM of inner size 2, and u multiplies one contiguous row at a time.
-numpy vectorises a complex multiply only when both operands are contiguous and
-of one shape. On a 4096-amplitude row (one OpenBLAS thread, a 2-vCPU AVX-512
-Xeon) the broadcast outer product took 11-13 us against 3-5 us for the GEMM,
-and the broadcast u 5-6 against 4 us per row; that cut _phase_rows from 33-35%
-to 25-26% of a simple-pulse 12-atom evolve. Shorter rows keep the broadcasts,
-so registers of at most 9 atoms keep their bytes: on the 3-8-atom corpus
-registers, the variants alternating in one process, the GEMM for every product
-made a 6-atom evolve 4-5% slower and per-row u made a 3- or 4-atom evolve
-12-14% slower, from the tiny stacked GEMMs and the extra calls on one-row
-chunks (the carry row, a constant detuning).
+A phase row is u exp(i d occ), u = sigma exp(-i t U): the broadcast outer
+product over the groups of exp(i d w.n), then times u (`_phase_rows`). Rows
+of at least LONG_ROW = 2^10 amplitudes (10 atoms and more) are stepped
+(`_stepped_rows`). Both pulse families sweep the detuning as a Ramp, so along
+a stretch d_j is affine in j and row_{j+1} = row_j R, R = exp(i slope occ):
+one contiguous complex multiply in place. Each kind of row, the steps' first
+rows and their repeated ones (d = 2 lead), keeps one running row and one R
+across the stretch's chunks, two state-sized rows each, and so its bytes do
+not depend on CHUNK_FLOATS. Every ANCHOR_PERIOD = 16 steps from the start of
+the stretch the first row is rebuilt exactly; the repeated row enters the
+state nsub - 1 times a step, so it is rebuilt every max(1, 16 // (nsub - 1))
+steps. R comes from np.cos and np.sin of slope occ: an R built as the outer
+product made the rows drift 2-3 times as fast from the exact ones. A stretch
+whose d leaves an anchor's line, d_a + k slope, by a phase over AFFINE_TOL =
+1e-14 rad builds every row exactly (an anchor each step): a detuning that is
+not a Ramp, or a stretch across a segment boundary where the slope changes.
+Against exact rows, over the 125 corpus registers with a uniform and a
+band-top complex pulse at dt 4 and 8 and 10-16-atom grids at 7.25 um, the
+stepped rows moved no amplitude by more than 5.6e-14 (hexagon-3-s7.25, dt
+4). With anchors every 32 steps the worst read 1.3e-13; with R the outer
+product, 1.3e-13, and 9.8e-13 when the repeated row too was anchored every
+16 steps. On a 4096-amplitude row (one OpenBLAS thread, a 2-vCPU AVX-512
+Xeon) an exact row takes about 29 us and a step 3 us. Shorter rows are built
+exactly for every step, so registers of at most 9 atoms keep their bytes and
+the batched build.
 
 Partition: tests/measure_groups.py times near-equal partitions into groups of
-2-7 atoms on the corpus registers and 13-16-atom placements, and prints the
-table; the rule is within 8% of the fastest at every size from 3 to 16 atoms
-but 12 at dt 4 and 8, two cells of it after a re-time (6 atoms: 3+3 runs 1.30
-/ 1.06 times a single group's speed; 13 atoms: 3+3+3+4 is within 1% of the
-fastest). At 12 atoms, with the BLAS phase rows, 3+3+3+3 led 4+4+4 by -1% to
-12% over three scans; the rule keeps 4+4+4, since a new partition moves
-amplitudes.
+2-7 atoms on the corpus registers and 13-16-atom placements, each back to
+back with the rule's, and prints the median over registers and repeats of
+the time ratio to the rule. With the stepped rows, from 3 to 14 atoms every
+other partition is slower than the rule but 2+3+3 at 8 atoms (0.88 / 0.93 of
+the rule's time at dt 4 / 8) and 3+3+3+3 at 12 (0.95 / 0.95); the rule keeps
+4+4 and 4+4+4, since a new partition moves amplitudes.
 
 Sub-steps. g = max_k (sum_j U_kj + max|delta| w_k) bounds the energy change
 of one atom flip over the segment. The leading splitting error terms, the
@@ -114,7 +125,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -136,8 +147,13 @@ GROUP_MAX_ATOMS = 5
 SMALL_GROUP_MAX_ATOMS = 4
 # Floats of the group matrices and phase rows that evolve prepares at a time.
 CHUNK_FLOATS = 1 << 16
-# Amplitudes per phase row from which _phase_rows builds on BLAS (see above).
+# Amplitudes per phase row from which evolve steps the rows (see above).
 LONG_ROW = 1 << 10
+# Steps between exact rebuilds of a stepped phase row.
+ANCHOR_PERIOD = 16
+# Largest phase (rad) by which a stretch's d may leave its anchors' line and
+# still be stepped.
+AFFINE_TOL = 1e-14
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -239,29 +255,72 @@ def drive_table(theta, m: int) -> np.ndarray:
 
 def _phase_rows(u, iocc, d):
     """The rows u exp(i d occ), one per entry of `d`; a constant `d` builds
-    one row and repeats it. exp(i d occ) is an outer product over the groups,
-    whose i w.n parts `iocc` come top group first. A product with rows of
-    LONG_ROW amplitudes or more runs as one stacked real GEMM: each (re, im)
-    of `out` times [[Re e, Im e], [-Im e, Re e]] is the complex out * e."""
+    one row and repeats it. exp(i d occ) is a broadcast outer product over
+    the groups, whose i w.n parts `iocc` come top group first."""
     steps = len(d)
     if (d == d[:1]).all():
         d = d[:1]
     out = np.exp(d[:, None] * iocc[0])
     for col in iocc[1:]:
-        e = np.exp(d[:, None] * col)
-        rows, width = out.shape
-        if width * len(col) < LONG_ROW:
-            out = out[:, :, None] * e[:, None, :]
-        else:
-            rot = np.stack([e.view(float), (1j * e).view(float)], axis=1)
-            out = np.matmul(out.view(float).reshape(rows, width, 2), rot).view(complex)
-        out = out.reshape(rows, width * len(col))
-    if out.shape[1] < LONG_ROW:
-        np.multiply(u, out, out=out)  # in place, in u * out's operand order and rounding
-    else:
-        for row in out:
-            np.multiply(u, row, out=row)
+        out = (out[:, :, None] * np.exp(d[:, None] * col)[:, None, :]).reshape(
+            len(d), out.shape[1] * len(col))
+    np.multiply(u, out, out=out)  # in place, in u * out's operand order and rounding
     return out if len(d) == steps else [out[0]] * steps
+
+
+def _chunk_phases(carry, u, iocc, d_firsts, leads, nsub):
+    """A chunk's phase rows in run order, one per sub-step: each step's first
+    row, then its repeated row d = 2 lead nsub - 1 times, each kind built at
+    once (`_phase_rows`). `carry` replaces u in the first step's first row
+    when the chunk opens its stretch, and is None otherwise."""
+    firsts = _phase_rows(u, iocc, d_firsts[carry is not None:])
+    if carry is not None:
+        firsts = [*_phase_rows(carry, iocc, d_firsts[:1]), *firsts]
+    repeats = _phase_rows(u, iocc, leads + leads) if nsub > 1 else firsts
+    return chain.from_iterable(zip(firsts, *[repeats] * (nsub - 1)))
+
+
+def _stepped_rows(u, iocc, occ, d, period):
+    """Yield the rows u exp(i d_j occ) of one stretch in order, as one running
+    row that each yield overwrites. Every `period` steps, counted from the
+    first, the row is built exactly (`_phase_rows`); in between it steps by
+    R = exp(i slope occ), slope = the stretch's per-step change of d, R from
+    np.cos and np.sin of slope occ. If some d_j leaves its anchor's line,
+    d_anchor + k slope, by a phase over AFFINE_TOL, every row is exact."""
+    if not len(d):
+        return
+    steps = np.arange(len(d))
+    back = steps % period
+    slope = (d[-1] - d[0]) / max(1, len(d) - 1)
+    if np.abs(d - d[steps - back] - back * slope).max() * np.abs(occ).max() > AFFINE_TOL:
+        period = 1
+    if slope and period > 1:
+        ratio = np.empty_like(u)
+        np.cos(slope * occ, out=ratio.real)
+        np.sin(slope * occ, out=ratio.imag)
+    for j in range(len(d)):
+        if j % period == 0:
+            row = _phase_rows(u, iocc, d[j:j + 1])[0]
+        elif slope:  # a constant d keeps its one row
+            row *= ratio
+        yield row
+
+
+def _stretch_phases(carry, u, iocc, occ, d_firsts, leads, nsub):
+    """A stretch's phase rows in run order, one per sub-step: each step's
+    first row (the first step's from `carry`, the others from u), then its
+    repeated row d = 2 lead nsub - 1 times, each kind stepped from its own
+    running row (`_stepped_rows`). A row's error grows with its distance from
+    the anchor and enters the state once per use, so the repeated row, used
+    nsub - 1 times, is anchored nsub - 1 times as often."""
+    # iter(): the chain drops the first step's row once it has run
+    firsts = chain(iter(_phase_rows(carry, iocc, d_firsts[:1])),
+                   _stepped_rows(u, iocc, occ, d_firsts[1:], ANCHOR_PERIOD))
+    if nsub == 1:
+        return firsts
+    repeats = _stepped_rows(u, iocc, occ, leads + leads, max(1, ANCHOR_PERIOD // (nsub - 1)))
+    return chain.from_iterable((first, *[rep] * (nsub - 1))
+                               for first, rep in zip(firsts, repeats))
 
 
 def _plan(groups, a: np.ndarray, b: np.ndarray) -> tuple:
@@ -341,7 +400,14 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     """Integrate the schedule from |00...0> with midpoint steps of `dt` ns,
     each run as Strang sub-steps; steps never straddle segment boundaries.
     The schedule is compiled first (`_compile`), then run in stretches of
-    equal (nsub, half).
+    equal (nsub, half). Phase rows of LONG_ROW amplitudes or more are stepped
+    along each stretch by R = exp(i slope occ) (`_stretch_phases`), rebuilt
+    exactly every ANCHOR_PERIOD = 16 steps (the repeated row every
+    max(1, 16 // (nsub - 1)) steps), and built exactly for every step where
+    the detuning leaves its line by a phase over AFFINE_TOL; they hold two
+    state-sized rows per kind and moved amplitudes by at most 5.6e-14 from
+    exact rows over the corpus scan in the module docstring. Shorter rows
+    are exact.
 
     Raises NumericalError when the norm drifts by more than 1e-4; drift is
     never hidden by renormalising.
@@ -369,24 +435,28 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     ends = (np.flatnonzero((np.diff(nsubs) != 0) | (np.diff(halves) != 0)) + 1).tolist()
     for start, end in zip([0] + ends, ends + [len(nsubs)]):
         nsub, half = int(nsubs[start]), float(halves[start])
-        # sigma exp(-i t U) of every phase but the stretch's first, t = 2 half
+        # sigma exp(-i t U) of every phase but the stretch's first, t = 2 half,
+        # and of the first, whose t holds the previous step's trailing half
         u = sign * np.exp(-1j * (half + half) * inter)
-        # steps whose group matrices and one or two phase rows fit the budget
-        chunk = max(1, CHUNK_FLOATS // (mat_floats + 2 * dim * min(nsub, 2)))
+        carry = sign * np.exp(-1j * float(t_firsts[start]) * inter)
+        if dim >= LONG_ROW:
+            # rows stepped across the stretch; chunks of steps whose group
+            # matrices fit the budget beside the one or two running rows and Rs
+            stepped = _stretch_phases(carry, u, iocc, occ, d_firsts[start:end],
+                                      leads[start:end], nsub)
+            chunk = max(1, (CHUNK_FLOATS - 4 * dim * min(nsub, 2)) // mat_floats)
+        else:  # steps whose group matrices and one or two phase rows fit the budget
+            chunk = max(1, CHUNK_FLOATS // (mat_floats + 2 * dim * min(nsub, 2)))
         for c0 in range(start, end, chunk):
             c1 = min(c0 + chunk, end)
             mats = list(zip(*(tables[m][c0:c1].take(index, axis=1)
                               for m, index in groups[::-1])))  # in run order
-            firsts = _phase_rows(u, iocc, d_firsts[c0 + (c0 == start):c1])
-            if c0 == start:  # the previous step's trailing half has another width
-                carry = sign * np.exp(-1j * float(t_firsts[c0]) * inter)
-                firsts = [*_phase_rows(carry, iocc, d_firsts[c0:c0 + 1]), *firsts]
-            lead = leads[c0:c1]
-            repeats = _phase_rows(u, iocc, lead + lead) if nsub > 1 else firsts
-            # each step's first phase row, then its repeated one nsub - 1 times
-            _substeps(plan, chain.from_iterable(zip(firsts, *[repeats] * (nsub - 1))),
-                      chain.from_iterable(zip(*[mats] * nsub)))
-            del mats, firsts, repeats  # freed before the next chunk's are built
+            phases = (islice(stepped, nsub * (c1 - c0)) if dim >= LONG_ROW else
+                      _chunk_phases(carry if c0 == start else None, u, iocc,
+                                    d_firsts[c0:c1], leads[c0:c1], nsub))
+            _substeps(plan, phases, chain.from_iterable(zip(*[mats] * nsub)))
+            del mats, phases  # freed before the next chunk's are built
+        stepped = None  # the running rows, freed before the next stretch's
     # sigma S_N = i^popcount turns the sigma-phased G products into R products
     last = _phase_rows(sign * np.exp(-1j * float(halves[-1]) * inter), iocc, leads[-1:])[0]
     psi = plan[0]

@@ -17,69 +17,63 @@ from a fresh `default_rng(11)`; `--only fixture` times it alone.
 
 Partitions: near-equal groups of at most c atoms for c = 2..7, at most four
 groups (`sizes`), smaller ones lowest as `group_sizes` puts them and also
-larger ones lowest, one row per distinct partition. Every variant evolves
-every pulse at dt 4 and 8 ns, the variants alternating within each repeat;
-printed is the sum over the set's registers of each variant's median time,
-and the speed-up over groups of at most 6, larger ones lowest. `*` marks the
-partition `evolve` uses. Output on 2 vCPUs with one BLAS thread, --atoms 3-16
---per-size 10 --repeats 3, about 14 minutes (excerpt):
+larger ones lowest, one row per distinct partition. Each variant but the
+rule's (`group_sizes`, marked `*`) evolves every pulse at dt 4 and 8 ns back
+to back with the rule's partition, which goes first every other repeat, so a
+drift in the host's speed hits both times of a pair alike. Printed are the
+sum over the set's registers of each variant's median time, and the paired
+statistic: the median, with quartiles, over registers and repeats of the
+variant's time over the rule's time in the same pair. Output on 2 vCPUs with
+one BLAS thread, --atoms 3-14 --per-size 10 --repeats 3, about 5 minutes
+(excerpt):
 
-    atoms  set      regs  dt  partition  ms/evolve  vs 6-cap
-        5  corpus     5   4  2+3            28.78    0.79
-        5  corpus     5   4  5              22.63    1.00 *
-        6  corpus    10   4  2+2+2          43.97    1.13
-        6  corpus    10   4  3+3            38.34    1.30 *
-        6  corpus    10   4  6              49.71    1.00
-        6  corpus    10   8  3+3            34.03    1.06 *
-        6  corpus    10   8  6              36.20    1.00
-        6  fixture    1   4  2+2+2           2.44    1.39
-        6  fixture    1   4  3+3             2.00    1.69 *
-        6  fixture    1   8  3+3             1.24    1.51 *
-        7  corpus     5   4  4+3            79.70    1.00
-        7  corpus     5   4  3+4            73.75    1.08 *
-        7  corpus     5   8  4+3            70.96    1.00
-        7  corpus     5   8  3+4            64.86    1.09 *
-        8  corpus    10   4  2+3+3         131.45    1.09
-        8  corpus    10   4  4+4           143.87    1.00 *
-        9  corpus    10   4  3+3+3         125.43    1.57 *
-        9  corpus    10   4  4+5           150.72    1.30
-        9  corpus    10   8  3+3+3         115.31    1.36 *
-        9  corpus    10   8  4+5           128.17    1.22
-       10  corpus    10   4  4+3+3         258.01    1.34  (a)
-       10  corpus    10   4  3+3+4         242.06    1.42 *(a)
-       10  corpus    10   8  3+3+4         229.25    1.39 *(a)
-       10  corpus    10   8  5+5           319.20    1.00  (a)
-       11  corpus     5   4  3+4+4         315.14    2.53 *(a)
-       11  corpus     5   8  3+4+4         245.92    2.32 *(a)
-       12  corpus    10   4  3+3+3+3       493.50    2.75  (a)
-       12  corpus    10   4  4+4+4         508.49    2.67 *(a)
-       12  corpus    10   8  3+3+3+3       480.03    2.47  (a)
-       12  corpus    10   8  4+4+4         518.65    2.28 *(a)
-       12  corpus    10   8  6+6          1184.84    1.00  (a)
-       13  placed     8   4  3+3+3+4       788.20    1.23 *(a)
-       13  placed     8   4  4+4+5         733.91    1.32  (a)
-       13  placed     8   8  4+3+3+3       551.82    1.38  (a)
-       13  placed     8   8  3+3+3+4       619.60    1.22 *(a)
-       13  placed     8   8  4+4+5         564.31    1.34  (a)
-       14  placed     8   4  3+3+4+4      1939.31    1.48 *
-       14  placed     8   4  4+5+5        2790.93    1.03
-       14  placed     8   8  3+3+4+4      1578.75    1.50 *
-       16  placed     8   4  4+4+4+4     15325.21    1.30 *
-       16  placed     8   8  4+4+4+4     12404.94    1.29 *
-       16  placed     8   8  5+5+6       14188.27    1.12
+    atoms  set      regs  dt  partition  ms/evolve  vs rule  [q1-q3]
+        5  corpus     5   4  2+3            53.59   1.10  [1.07-1.23]
+        5  corpus     5   4  5              43.28   1.00  *
+        6  corpus    10   4  2+2+2          45.19   1.10  [1.02-1.21]
+        6  corpus    10   4  3+3            40.83   1.00  *
+        6  corpus    10   4  6              52.06   1.47  [1.19-1.71]
+        6  corpus    10   8  3+3            38.86   1.00  *
+        6  corpus    10   8  6              39.09   1.28  [1.01-1.63]
+        6  fixture    1   4  2+2+2           2.04   1.10  [1.10-1.10]
+        6  fixture    1   4  3+3             1.86   1.00  *
+        6  fixture    1   8  2+2+2           1.19   0.99  [0.99-1.01]
+        6  fixture    1   8  3+3             1.15   1.00  *
+        7  corpus     5   4  4+3            93.22   1.16  [1.08-1.36]
+        7  corpus     5   4  3+4            80.00   1.00  *
+        7  corpus     5   8  4+3            87.79   1.08  [1.05-1.14]
+        7  corpus     5   8  3+4            84.28   1.00  *
+        8  corpus    10   4  2+3+3         131.79   0.88  [0.84-0.94]
+        8  corpus    10   4  4+4           141.47   1.00  *
+        8  corpus    10   8  2+3+3         159.00   0.93  [0.87-1.02]
+        8  corpus    10   8  4+4           135.49   1.00  *
+        9  corpus    10   4  3+3+3         120.63   1.00  *
+        9  corpus    10   4  4+5           156.57   1.26  [1.23-1.39]
+       10  corpus    10   4  4+3+3         326.70   1.06  [1.01-1.10]
+       10  corpus    10   4  3+3+4         302.70   1.00  *
+       11  corpus     5   4  4+4+3         335.19   1.09  [1.05-1.13]
+       11  corpus     5   4  3+4+4         331.19   1.00  *
+       12  corpus    10   4  3+3+3+3       560.70   0.95  [0.93-0.97]
+       12  corpus    10   4  4+4+4         576.38   1.00  *
+       12  corpus    10   8  3+3+3+3       419.40   0.95  [0.91-0.98]
+       12  corpus    10   8  4+4+4         445.33   1.00  *
+       13  placed     8   4  4+3+3+3       501.30   1.04  [1.02-1.05]
+       13  placed     8   4  3+3+3+4       480.39   1.00  *
+       13  placed     8   8  4+3+3+3       397.78   1.03  [1.02-1.05]
+       13  placed     8   8  3+3+3+4       381.82   1.00  *
+       14  placed     8   4  4+4+3+3      1548.60   1.20  [1.19-1.23]
+       14  placed     8   4  3+3+4+4      1291.42   1.00  *
 
-Rows marked (a) are from a later scan of --atoms 10-13 (about 2 minutes),
-taken after the phase rows of 10 atoms and more moved to BLAS outer products;
-the other rows are from the full scan before it. In the full scan the rule is
-within 8% of the fastest partition at every size but those re-timed below; in
-the (a) scan it is the fastest at 10 and 11 atoms. Re-timed at --repeats 7: at
-8 atoms, dt 4, 2+3+3 leads 4+4 by 3% (1% at dt 8); at 13 atoms, after the (a)
-scan, 3+3+3+4 is the fastest at dt 8 and within 1% of 4+3+3+3 at dt 4. At 12
-atoms 3+3+3+3 led 4+4+4 by 2-7% before the BLAS phase rows, and by -1% to 12%
-in three scans after (3% / 8%, 10% / 2% and -1% / 12% at dt 4 / 8); a new
-partition moves amplitudes, so the rule keeps 4+4+4. At 7 atoms the rule's 3+4
-now beats 4+3 by 8-9%. The host's speed drifted by up to 1.8x between scans,
-so compare ratios within one scan, not times across scans.
+Every other partition reads slower than the rule at every size but two.
+At 8 atoms 2+3+3 leads 4+4 (0.88 / 0.93 at dt 4 / 8; re-timed at --repeats
+7 with another job sharing the host, 0.90 / 0.91 with quartiles 0.84-1.00 /
+0.81-1.02), and at 12 atoms 3+3+3+3 leads 4+4+4 (0.95 / 0.95; at --repeats
+7, 0.95 / 0.95 with quartiles 0.92-1.01 / 0.90-1.01). A new partition moves
+amplitudes, so the rule keeps 4+4 and 4+4+4. 15 and 16 atoms were not timed
+with the paired statistic; in the last scan before it (sums of medians), at
+16 atoms the rule's 4+4+4+4 ran 1.14 times as fast as 5+5+6 at dt 8. The
+host's speed drifts by up to 1.8x between scans, so compare ratios, not
+times across scans.
 """
 
 from __future__ import annotations
@@ -209,8 +203,9 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     lo, _, hi = args.atoms.partition("-")
     atoms = range(int(lo), int(hi or lo) + 1)
-    print("atoms  set      regs  dt  partition  ms/evolve  vs 6-cap")
+    print("atoms  set      regs  dt  partition  ms/evolve  vs rule  [q1-q3]")
     for n, label, regs in cases(atoms, args.per_size, args.only):
+        rule = simulator.group_sizes(n)
         variants = list(dict.fromkeys(v for c in CAPS if c * MAX_GROUPS >= n
                                       for v in (sizes(n, c)[::-1], sizes(n, c))))
         for dt in DTS:
@@ -218,19 +213,25 @@ def main(argv=None) -> None:
                 for v in variants:
                     time_evolve(reg, seq, dt, v)  # warm the caches
             runs = {(v, name): [] for v in variants for name, _, _ in regs}
+            ratios = {v: [] for v in variants if v != rule}
             for r in range(args.repeats):
                 for name, reg, seq in regs:
-                    # alternate which variant goes first
-                    order = variants[r % len(variants):] + variants[:r % len(variants)]
-                    for v in order:
-                        runs[v, name].append(time_evolve(reg, seq, dt, v))
-            total = {v: sum(statistics.median(runs[v, name]) for name, _, _ in regs)
-                     for v in variants}
-            base = sizes(n, 6)[::-1]
+                    for v in ratios:
+                        # back to back with the rule, which goes first every other repeat
+                        pair = (v, rule) if r % 2 else (rule, v)
+                        times = dict(zip(pair, (time_evolve(reg, seq, dt, p) for p in pair)))
+                        runs[v, name].append(times[v])
+                        runs[rule, name].append(times[rule])
+                        ratios[v].append(times[v] / times[rule])
             for v in variants:
-                mark = " *" if v == simulator.group_sizes(n) else ""
+                total = sum(statistics.median(runs[v, name]) for name, _, _ in regs)
+                if v == rule:
+                    paired = "   1.00  *"
+                else:
+                    q1, med, q3 = np.percentile(ratios[v], [25, 50, 75])
+                    paired = f"   {med:4.2f}  [{q1:4.2f}-{q3:4.2f}]"
                 print(f"{n:5d}  {label:7s} {len(regs):4d} {dt:3.0f}  {'+'.join(map(str, v)):9s}"
-                      f"  {1e3 * total[v]:9.2f}  {total[base] / total[v]:6.2f}{mark}", flush=True)
+                      f"  {1e3 * total:9.2f}{paired}", flush=True)
 
 
 if __name__ == "__main__":

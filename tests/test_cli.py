@@ -188,6 +188,22 @@ def test_vqaa_resume_reuses_trials(tmp_path):
     assert rc == 2
 
 
+def test_vqaa_resume_with_nm_is_refused_before_any_output(tmp_path, capsys):
+    # refused whether or not a log exists, before the search and before the
+    # output directory is made
+    register = _p2_register(tmp_path)
+    out = tmp_path / "nm"
+    argv = ["vqaa", "--register", register, "--rounds", "2", "--optimizer", "nm",
+            "--out", str(out), "--resume"]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: resume is only meaningful for the tpe optimizer\n"
+    out.mkdir()
+    (out / "trials.jsonl").write_text("")
+    assert main(argv) == 2
+    assert [p.name for p in out.iterdir()] == ["trials.jsonl"]
+
+
 def test_vqaa_resume_reruns_a_log_of_another_search(tmp_path):
     # a log written under another seed, dt and shot count must not be
     # replayed: the resumed run must equal a fresh run of its own config

@@ -6,7 +6,7 @@ complement(six_node) at 6 um, which routes 4 ancillas, and a short `vqaa` on
 it, so that `strip_ancillas` runs; `vqaa` with tpe (dt 4, 14 rounds) and nm
 (dt 8, 4 rounds) in both pulse families; a `sweep` with an omega = 0 cell;
 a one-cell `sweep` on the 12-atom two-hexagon corpus register, whose phase
-rows are long enough for `evolve`'s BLAS build; and `label_dataset` on three
+rows are long enough for `evolve` to step them; and `label_dataset` on three
 corpus entries. A refactor that claims identical outputs keeps every pin; a
 change that moves an output bumps `cli.OUTPUT_VERSION`, which enters every
 config digest, pins the new version's outputs and names the files that

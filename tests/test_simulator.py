@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from rydock.simulator import (
     _phase_rows,
     _plan,
     _signed_index,
+    _stretch_phases,
     _substeps,
     drive_table,
     evolve,
@@ -564,9 +566,22 @@ def test_grouped_drive_factor_equals_per_atom_rotations(n, theta, seed):
     assert np.abs(real_drive(psi, theta, n) - want).max() < 1e-12
 
 
+def _random_occupation(n, data, rng):
+    """occ = w.n over n atoms with random weights, and its i w.n parts over
+    1-4 groups of any sizes, top group first, as evolve passes them."""
+    cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True))
+    sizes = np.diff([0, *sorted(cuts), n])
+    weights = rng.uniform(0.5, 1.5, n)
+    bits = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1
+    lows = np.cumsum([0, *sizes])
+    iocc = [1j * (weights[lo:lo + m] @ bits[:m, :1 << m])
+            for m, lo in zip(sizes, lows)][::-1]
+    return weights @ bits, iocc
+
+
 def _broadcast_phase_rows(u, iocc, d):
-    """`_phase_rows` as it builds rows shorter than LONG_ROW: broadcast outer
-    products over the groups, then one broadcast multiply by u."""
+    """`_phase_rows` as a plain copy: broadcast outer products over the
+    groups, then one broadcast multiply by u."""
     steps = len(d)
     if (d == d[:1]).all():
         d = d[:1]
@@ -582,18 +597,12 @@ def _broadcast_phase_rows(u, iocc, d):
 @given(n=st.integers(3, 13), data=st.data(), kind=st.sampled_from(["empty", "constant", "varying"]),
        seed=st.integers(0, 2**32 - 1))
 def test_phase_rows_match_the_direct_phase(n, data, kind, seed):
-    # 1-4 groups of any sizes, rows of 2^3 to 2^13 amplitudes, so both sides
-    # of LONG_ROW; a chunk's d is empty (its one step opens the stretch),
-    # constant (one row, repeated) or varying
-    cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True))
-    sizes = np.diff([0, *sorted(cuts), n])
+    # 1-4 groups of any sizes, rows of 2^3 to 2^13 amplitudes; a chunk's d is
+    # empty (its one step opens the stretch), constant (one row, repeated) or
+    # varying. Rows of every length, the anchors and the exact fallback of
+    # stepped rows included, keep the broadcast build's bytes
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.5, 1.5, n)
-    bits = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1
-    occ = weights @ bits
-    lows = np.cumsum([0, *sizes])
-    iocc = [1j * (weights[lo:lo + m] @ bits[:m, :1 << m])
-            for m, lo in zip(sizes, lows)][::-1]
+    occ, iocc = _random_occupation(n, data, rng)
     u = np.exp(-1j * rng.uniform(0.0, 2 * np.pi, 1 << n))
     rows = data.draw(st.integers(1, 4))
     d = {"empty": np.empty(0), "constant": np.full(rows, rng.uniform(-0.3, 0.3)),
@@ -602,9 +611,42 @@ def test_phase_rows_match_the_direct_phase(n, data, kind, seed):
     assert len(got) == len(d)
     for row, step in zip(got, d):
         assert np.abs(row - u * np.exp(1j * step * occ)).max() <= 1e-14
-    if 1 << n < LONG_ROW:
-        want = _broadcast_phase_rows(u, iocc, d)
-        assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
+    want = _broadcast_phase_rows(u, iocc, d)
+    assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 12), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_stepped_rows_follow_an_affine_detuning(n, data, seed):
+    # a stretch of steps along a Ramp, with any anchor period and sub-step
+    # count, read in chunks of any split as evolve reads it: every phase row
+    # within 1e-13 of the exact one, and the same bytes whatever the split
+    rng = np.random.default_rng(seed)
+    occ, iocc = _random_occupation(n, data, rng)
+    u, carry = np.exp(-1j * rng.uniform(0.0, 2 * np.pi, (2, 1 << n)))
+    steps, nsub = data.draw(st.integers(1, 150)), data.draw(st.integers(1, 4))
+    period = data.draw(st.integers(1, 64))
+    edges = np.linspace(0.0, 1000.0, steps + 1)  # midpoints as _compile takes them
+    half = rng.uniform(1e-4, 2e-3)
+    delta = Ramp(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0), 1000.0)
+    leads = delta.sample(0.5 * (edges[:-1] + edges[1:])) * half
+    d_firsts = np.append(rng.uniform(-0.05, 0.05), leads[:-1]) + leads
+    want = []
+    for j, (first, lead) in enumerate(zip(d_firsts, leads)):
+        want.append((carry if j == 0 else u) * np.exp(1j * first * occ))
+        want += [u * np.exp(2j * lead * occ)] * (nsub - 1)
+    split = sorted(data.draw(st.lists(st.integers(0, steps), max_size=4)))
+    runs = []
+    for bounds in ([0, steps], [0, *split, steps]):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "ANCHOR_PERIOD", period)
+            phases = _stretch_phases(carry, u, iocc, occ, d_firsts, leads, nsub)
+            runs.append([row.copy() for c0, c1 in zip(bounds, bounds[1:])
+                         for row in islice(phases, nsub * (c1 - c0))])
+            assert next(phases, None) is None
+    assert len(runs[0]) == len(want)
+    assert all(np.abs(got - row).max() <= 1e-13 for got, row in zip(runs[0], want))
+    assert [row.tobytes() for row in runs[0]] == [row.tobytes() for row in runs[1]]
 
 
 def test_partition_covers_the_atoms_in_order():
@@ -793,6 +835,34 @@ class PchipWave:
         return PchipInterpolator(knots, self.points)(np.clip(t, 0.0, self.duration))
 
 
+def test_rows_step_along_a_ramp_and_not_along_a_pchip_wave(monkeypatch):
+    # 10 and 12 atoms, so evolve steps the rows. Along a Ramp detuning they
+    # move the amplitudes, by at most 1e-13, also on triangle-2-s6, whose
+    # repeated row enters the state up to 37 times a step; along a PchipWave
+    # the stretch leaves its line, and evolve takes exact rows, the bytes of
+    # an anchor every step
+    rng = np.random.default_rng(11)  # corpus pulses are drawn in corpus order
+    for entry in generate_corpus(DEV):
+        pulse = _random_complex_pulse(entry.embedding, rng)
+        if entry.name == "triangle-2-s6":
+            break
+    hexagon = corpus_entry("hexagon", 4, 9.75, DEV).embedding.register
+    omega = 0.3 * DEV.omega_max
+    waves = {"ramp": Ramp(-3.0, 4.0, 400.0), "pchip": PchipWave((-3.0, 2.0, -1.0, 4.0), 400.0)}
+    cases = {k: (hexagon, PulseSequence(segments=(
+        Segment(omega=Ramp(omega, omega, 400.0), delta=wave),))) for k, wave in waves.items()}
+    cases["stiff"] = (entry.embedding.register, pulse)
+    assert all(1 << reg.n >= LONG_ROW for reg, _ in cases.values())
+    got = {k: evolve(reg, seq, DEV, dt=8.0).amplitudes for k, (reg, seq) in cases.items()}
+    monkeypatch.setattr(simulator, "ANCHOR_PERIOD", 1)
+    exact = {k: evolve(reg, seq, DEV, dt=8.0).amplitudes for k, (reg, seq) in cases.items()}
+    for k in ("ramp", "stiff"):
+        assert got[k].tobytes() != exact[k].tobytes()
+        assert np.abs(got[k] - exact[k]).max() <= 1e-13
+    assert got["pchip"].tobytes() == exact["pchip"].tobytes()
+    assert np.abs(got["pchip"] - complex_evolve(hexagon, cases["pchip"][1], DEV, 8.0)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("n", [3, 6, 12, 13])
 @settings(max_examples=8, deadline=None)
 @given(spacing=st.floats(5.5, 6.5), seed=st.integers(0, 2**32 - 1),
@@ -871,6 +941,12 @@ def test_measure_groups_script_runs(capsys):
     assert {row.split()[3] for row in rows} == {"4", "8"}
     assert {row.split()[4] for row in rows} == {"2+2+2", "3+3", "6"}
     assert [row.split()[4] for row in rows if row.endswith("*")] == ["3+3"] * 4
+    # each other partition's paired ratio to the rule, with its quartiles
+    for row in rows:
+        if row.endswith("*"):
+            assert row.split()[6:] == ["1.00", "*"]
+        else:
+            assert float(row.split()[6]) > 0 and row.split()[7].startswith("[")
 
 
 def test_norm_preserved():
