@@ -352,9 +352,13 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
     if [t.round for t in replay] != list(range(len(replay))):
         raise InputError("replayed trials must be rounds 0..k-1 in order")
     g = emb.graph
+    # an empty Rabi band raises here, before the log of an earlier run is truncated
+    space = search_space(emb, dev, family)
     trials = []
     best = best_state = None
-    log_fh = open(log_path, "w") if log_path else None
+    # line-buffered: each trial's line is flushed before the next evaluation,
+    # so a search killed between trials leaves only whole lines to replay
+    log_fh = open(log_path, "w", buffering=1) if log_path else None
 
     def record(trial, state):
         nonlocal best, best_state
@@ -379,7 +383,6 @@ def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
         ), state)
 
     second_pass = False
-    space = search_space(emb, dev, family)
     try:
         if optimizer == "tpe":
             target = rounds

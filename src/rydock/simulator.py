@@ -34,65 +34,54 @@ buffers, a and b, and builds their views once (`_plan`). One group is
 G.dot(x.reshape(2^N, 2)) into y.reshape(2^N, 2). Otherwise the groups run top
 group first, each as x.reshape(len(F), -1).T.dot(F) into y.reshape(-1,
 len(F)), which takes the group in the highest bits and writes it out as the
-lowest. F is the group's matrix itself, since G^{(x)m} and the lowest group's
-G^{(x)m} (x) I_2 are symmetric; in the latter the re/im axis rides the
-rotation as one more bit. The lowest group runs last, when (re/im, its atoms)
-are the highest bits, and after it the layout is canonical again. This is
-OpenBLAS's faster GEMM orientation: on 2^13 floats (OpenBLAS 0.3.31, one
-thread, a 2-vCPU AVX-512 Xeon) it takes 9.7 against 16.9 us at len(F) = 16
-and 13.5 against 22.6 us at 32, where F.dot(x.reshape(-1, len(F)).T) writes
-the lowest group out as the highest. Each product writes the other buffer,
-and the phase multiply writes a -> b for an odd group count and in place for
-an even one, so every sub-step starts and ends in a and is one np.multiply
-and one np.dot per group, each with out=, creating no array. The detuning
-phase factorises over the groups.
+lowest: OpenBLAS's faster GEMM orientation. F is the group's matrix itself,
+since G^{(x)m} and the lowest group's G^{(x)m} (x) I_2 are symmetric; in the
+latter the re/im axis rides the rotation as one more bit. The lowest group
+runs last, when (re/im, its atoms) are the highest bits, and after it the
+layout is canonical again. Each product writes the other buffer, and the
+phase multiply writes a -> b for an odd group count and in place for an even
+one, so every sub-step starts and ends in a and is one np.multiply and one
+np.dot per group, each with out=, creating no array. The detuning phase
+factorises over the groups. tests/measure_groups.py times the partitions and
+holds the timings behind these choices.
 
-Preparation is batched. `_compile` turns the whole schedule into flat
-per-step arrays, the one place where a step's first phase merges the previous
-sub-step's trailing half. evolve then walks each stretch of steps with equal
-(nsub, half width) in chunks and prepares a chunk at once: each group's
-matrices are one gather, table[c0:c1].take(index, axis=1), from one table per
-group size. Rows shorter than LONG_ROW are one vectorised build of the
-chunk's first-sub-step rows and, when nsub > 1, one of its repeated rows; a
-constant detuning builds one row. Longer rows are stepped across the chunks
-(below). The loop then runs the chunk's sub-steps as one flat sequence. A
-chunk holds at most CHUNK_FLOATS = 2^16 floats (512 KiB) of matrices and
-rows, the running rows and R counted, or one step's where that is more (from
-14 atoms), so the 2^N-sized buffers do not grow with the schedule.
+Schedule. `_compile` turns the pulse into flat per-step arrays, the one place
+where a step's first phase merges the previous sub-step's trailing half, and
+cuts them into stretches of steps with equal (nsub, half) that end at
+segment boundaries. evolve runs a stretch in chunks of steps, counted back
+from its end. A chunk's matrices are one gather per group,
+table[c0:c1].take(index, axis=1), from one table per group size, and
+`_substeps` runs each step's nsub sub-steps: its first phase row once, then
+its repeated row nsub - 1 times. A chunk holds at most CHUNK_FLOATS = 2^16
+floats (512 KiB) of matrices and rows, or one step's where that is more
+(from 14 atoms), so the 2^N-sized buffers do not grow with the schedule.
 
-A phase row is u exp(i d occ), u = sigma exp(-i t U): the broadcast outer
-product over the groups of exp(i d w.n), then times u (`_phase_rows`). Rows
-of at least LONG_ROW = 2^10 amplitudes (10 atoms and more) are stepped
-(`_stepped_rows`). Both pulse families sweep the detuning as a Ramp, so along
-a stretch d_j is affine in j and row_{j+1} = row_j R, R = exp(i slope occ):
-one contiguous complex multiply in place. Each kind of row, the steps' first
-rows and their repeated ones (d = 2 lead), keeps one running row and one R
-across the stretch's chunks, two state-sized rows each, and so its bytes do
-not depend on CHUNK_FLOATS. Every ANCHOR_PERIOD = 16 steps from the start of
-the stretch the first row is rebuilt exactly; the repeated row enters the
-state nsub - 1 times a step, so it is rebuilt every max(1, 16 // (nsub - 1))
-steps. R comes from np.cos and np.sin of slope occ: an R built as the outer
-product made the rows drift 2-3 times as fast from the exact ones. A stretch
-whose d leaves an anchor's line, d_a + k slope, by a phase over AFFINE_TOL =
-1e-14 rad builds every row exactly (an anchor each step): a detuning that is
-not a Ramp, or a stretch across a segment boundary where the slope changes.
-Against exact rows, over the 125 corpus registers with a uniform and a
-band-top complex pulse at dt 4 and 8 and 10-16-atom grids at 7.25 um, the
-stepped rows moved no amplitude by more than 5.6e-14 (hexagon-3-s7.25, dt
-4). With anchors every 32 steps the worst read 1.3e-13; with R the outer
-product, 1.3e-13, and 9.8e-13 when the repeated row too was anchored every
-16 steps. On a 4096-amplitude row (one OpenBLAS thread, a 2-vCPU AVX-512
-Xeon) an exact row takes about 29 us and a step 3 us. Shorter rows are built
-exactly for every step, so registers of at most 9 atoms keep their bytes and
-the batched build.
+Phase rows. A row is u exp(i d occ), u = sigma exp(-i t U), with d = d_first
+for a step's first row and d = 2 lead for its repeated row; the stretch's
+first row takes its own u, whose t holds the previous step's trailing half.
+`_rows` gives each kind of row across a stretch:
+- By default a row is exact: the broadcast outer product over the groups of
+  exp(i d w.n), times u (`_phase_rows`). Rows are built a chunk at a time,
+  in batches that line up with the chunks; a constant d builds one row.
+- Rows of at least LONG_ROW = 2^10 amplitudes (10 atoms and more) are
+  stepped where d is affine along the stretch, as along the Ramp detuning
+  of both pulse families: row_{j+1} = row_j R, R = exp(i slope occ) from
+  np.cos and np.sin of slope occ, one contiguous complex multiply in place.
+  Each kind keeps one running row and one R, so stepped bytes do not depend
+  on CHUNK_FLOATS. The first rows are rebuilt exactly every ANCHOR_PERIOD =
+  16 steps from the stretch's second step; the repeated row enters the state
+  nsub - 1 times a step, so it is rebuilt every max(1, 16 // (nsub - 1))
+  steps. d is affine when it leaves no anchor's line, d_a + k slope, by a
+  phase over AFFINE_TOL = 1e-14 rad; other long rows are exact, one at a
+  time.
+Stepped rows stay within 1e-13 of exact rows on the corpus registers and on
+13-16-atom grids. Registers of at most 9 atoms take exact rows only.
 
 Partition: tests/measure_groups.py times near-equal partitions into groups of
-2-7 atoms on the corpus registers and 13-16-atom placements, each back to
-back with the rule's, and prints the median over registers and repeats of
-the time ratio to the rule. With the stepped rows, from 3 to 14 atoms every
-other partition is slower than the rule but 2+3+3 at 8 atoms (0.88 / 0.93 of
-the rule's time at dt 4 / 8) and 3+3+3+3 at 12 (0.95 / 0.95); the rule keeps
-4+4 and 4+4+4, since a new partition moves amplitudes.
+2-7 atoms against the rule's, back to back, on corpus registers and 13-16-atom
+placements; its docstring has the table. Two lead the rule's, 2+3+3 at 8
+atoms and 3+3+3+3 at 12, but a new partition moves amplitudes, so the rule
+keeps 4+4 and 4+4+4.
 
 Sub-steps. g = max_k (sum_j U_kj + max|delta| w_k) bounds the energy change
 of one atom flip over the segment. The leading splitting error terms, the
@@ -103,11 +92,9 @@ nsub = ceil(tau g (|Omega| / omega_max)^OMEGA_EXPONENT / PHI_OMEGA), at least
 undriven step one sub-step, and no step more than the cap.
 
 Calibration (tests/calibrate_substeps.py, whose docstring has the tables):
-over all 125 corpus registers, OMEGA_EXPONENT = 0.75 with PHI_OMEGA = 0.06
-cuts the sub-steps on the `corpus_mlqaa` registers by 22% at dt 4 and 26% at
-dt 8 for the least growth of the worst TV against the Taylor midpoint rule at
-dt 0.5: 1.36e-4 at dt 4 and 2.66e-4 at dt 8 (the cap alone, 1.34e-4 and
-2.66e-4; no sub-steps, 2.3e-3 and 9.7e-3).
+OMEGA_EXPONENT = 0.75 and PHI_OMEGA = 0.06 keep the worst TV against the
+Taylor midpoint rule at dt 0.5, over all 125 corpus registers, at 1.36e-4 at
+dt 4 and 2.66e-4 at dt 8.
 
 Caveat: the rule does not bound the Omega^2 g term, and a step with
 tau g < PHI_MAX runs unsplit at any drive, so band-top pulses on weakly
@@ -125,7 +112,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -268,59 +255,36 @@ def _phase_rows(u, iocc, d):
     return out if len(d) == steps else [out[0]] * steps
 
 
-def _chunk_phases(carry, u, iocc, d_firsts, leads, nsub):
-    """A chunk's phase rows in run order, one per sub-step: each step's first
-    row, then its repeated row d = 2 lead nsub - 1 times, each kind built at
-    once (`_phase_rows`). `carry` replaces u in the first step's first row
-    when the chunk opens its stretch, and is None otherwise."""
-    firsts = _phase_rows(u, iocc, d_firsts[carry is not None:])
-    if carry is not None:
-        firsts = [*_phase_rows(carry, iocc, d_firsts[:1]), *firsts]
-    repeats = _phase_rows(u, iocc, leads + leads) if nsub > 1 else firsts
-    return chain.from_iterable(zip(firsts, *[repeats] * (nsub - 1)))
+def _rows(u, iocc, occ, d, period, batch):
+    """Yield the rows u exp(i d_j occ), one per entry of `d`, in order.
 
-
-def _stepped_rows(u, iocc, occ, d, period):
-    """Yield the rows u exp(i d_j occ) of one stretch in order, as one running
-    row that each yield overwrites. Every `period` steps, counted from the
-    first, the row is built exactly (`_phase_rows`); in between it steps by
-    R = exp(i slope occ), slope = the stretch's per-step change of d, R from
-    np.cos and np.sin of slope occ. If some d_j leaves its anchor's line,
-    d_anchor + k slope, by a phase over AFFINE_TOL, every row is exact."""
-    if not len(d):
-        return
-    steps = np.arange(len(d))
-    back = steps % period
-    slope = (d[-1] - d[0]) / max(1, len(d) - 1)
-    if np.abs(d - d[steps - back] - back * slope).max() * np.abs(occ).max() > AFFINE_TOL:
-        period = 1
-    if slope and period > 1:
-        ratio = np.empty_like(u)
-        np.cos(slope * occ, out=ratio.real)
-        np.sin(slope * occ, out=ratio.imag)
-    for j in range(len(d)):
-        if j % period == 0:
-            row = _phase_rows(u, iocc, d[j:j + 1])[0]
-        elif slope:  # a constant d keeps its one row
-            row *= ratio
-        yield row
-
-
-def _stretch_phases(carry, u, iocc, occ, d_firsts, leads, nsub):
-    """A stretch's phase rows in run order, one per sub-step: each step's
-    first row (the first step's from `carry`, the others from u), then its
-    repeated row d = 2 lead nsub - 1 times, each kind stepped from its own
-    running row (`_stepped_rows`). A row's error grows with its distance from
-    the anchor and enters the state once per use, so the repeated row, used
-    nsub - 1 times, is anchored nsub - 1 times as often."""
-    # iter(): the chain drops the first step's row once it has run
-    firsts = chain(iter(_phase_rows(carry, iocc, d_firsts[:1])),
-                   _stepped_rows(u, iocc, occ, d_firsts[1:], ANCHOR_PERIOD))
-    if nsub == 1:
-        return firsts
-    repeats = _stepped_rows(u, iocc, occ, leads + leads, max(1, ANCHOR_PERIOD // (nsub - 1)))
-    return chain.from_iterable((first, *[rep] * (nsub - 1))
-                               for first, rep in zip(firsts, repeats))
+    Rows are exact (`_phase_rows`), built `batch` at a time, the batches
+    counted back from the last row. Rows of at least LONG_ROW amplitudes are
+    stepped instead, as one running row that each yield overwrites: it is
+    built exactly every `period` rows from the first and otherwise multiplied
+    by R = exp(i slope occ), slope = d's mean step, R from np.cos and np.sin
+    of slope occ; with slope 0 the first row serves them all. Long rows whose
+    d leaves an anchor's line, d_anchor + k slope, by a phase over AFFINE_TOL
+    are exact, one at a time."""
+    if len(u) >= LONG_ROW and len(d):
+        steps = np.arange(len(d))
+        back = steps % period
+        slope = (d[-1] - d[0]) / max(1, len(d) - 1)
+        if np.abs(d - d[steps - back] - back * slope).max() * np.abs(occ).max() <= AFFINE_TOL:
+            if slope and period > 1:
+                ratio = np.empty_like(u)
+                np.cos(slope * occ, out=ratio.real)
+                np.sin(slope * occ, out=ratio.imag)
+            for j in range(len(d)):
+                if j == 0 or slope and j % period == 0:
+                    row = _phase_rows(u, iocc, d[j:j + 1])[0]
+                elif slope:
+                    row *= ratio
+                yield row
+            return
+        batch = 1
+    for c1 in range(len(d) % batch or batch, len(d) + 1, batch):
+        yield from _phase_rows(u, iocc, d[max(0, c1 - batch):c1])
 
 
 def _plan(groups, a: np.ndarray, b: np.ndarray) -> tuple:
@@ -339,24 +303,29 @@ def _plan(groups, a: np.ndarray, b: np.ndarray) -> tuple:
     return psi, out, views
 
 
-def _substeps(plan, phases, factors):
-    """Run one sub-step per phase row and tuple of group matrices on a
-    `_plan`'s buffers: the phase multiply, then one GEMM per group. Each
-    tuple holds the matrices in the order the products run, top group first.
-    A single group's G multiplies the (2^N, 2) view from the left; otherwise
-    each symmetric F multiplies its view from the right."""
+def _substeps(plan, steps, nsub):
+    """Run `nsub` sub-steps per (first row, repeated row, group matrices)
+    triple on a `_plan`'s buffers: each a phase multiply, by the first row
+    and then by the repeated one, and one GEMM per group, the matrices in
+    the order the products run, top group first. A single group's G
+    multiplies the (2^N, 2) view from the left; otherwise each symmetric F
+    multiplies its view from the right."""
     psi, out, views = plan
     multiply, dot = np.multiply, np.dot
     if len(views) == 1:
         (x, y), = views
-        for phase, (mat,) in zip(phases, factors):
-            multiply(psi, phase, out=out)
-            dot(mat, x, out=y)
+        for phase, rep, (mat,) in steps:
+            for _ in range(nsub):
+                multiply(psi, phase, out=out)
+                dot(mat, x, out=y)
+                phase = rep
         return
-    for phase, mats in zip(phases, factors):
-        multiply(psi, phase, out=out)
-        for mat, (x, y) in zip(mats, views):
-            dot(x, mat, out=y)
+    for phase, rep, mats in steps:
+        for _ in range(nsub):
+            multiply(psi, phase, out=out)
+            for mat, (x, y) in zip(mats, views):
+                dot(x, mat, out=y)
+            phase = rep
 
 
 def substep_counts(tau: float, gap: float, omegas: np.ndarray,
@@ -373,11 +342,13 @@ def substep_counts(tau: float, gap: float, omegas: np.ndarray,
 def _compile(seq: PulseSequence, dt: float, flip_gap: np.ndarray, weights: np.ndarray,
              omega_max: float) -> tuple:
     """The schedule as flat per-step arrays (theta, nsub, half, lead, d_first,
-    t_first). A midpoint step of width tau runs nsub sub-steps of width 2 half,
-    each a drive by angle theta = Omega half between two detuning half-phases
-    lead = delta half. Its first phase also applies the previous step's
-    trailing half: t_first and d_first are the previous half and lead plus its
-    own, 0 before the first step."""
+    t_first), then the stretch bounds. A midpoint step of width tau runs nsub
+    sub-steps of width 2 half, each a drive by angle theta = Omega half between
+    two detuning half-phases lead = delta half. Its first phase also applies
+    the previous step's trailing half: t_first and d_first are the previous
+    half and lead plus its own, 0 before the first step. A stretch is a run of
+    steps with equal (nsub, half) within one segment; the bounds run from 0 to
+    the step count."""
     omegas, deltas, nsubs, halves = [], [], [], []
     for seg in seq.segments:
         steps = max(1, int(np.ceil(seg.duration / dt - 1e-9)))
@@ -391,23 +362,19 @@ def _compile(seq: PulseSequence, dt: float, flip_gap: np.ndarray, weights: np.nd
         halves.append(0.5 * tau / nsubs[-1])
     omega, delta, nsub, half = map(np.concatenate, (omegas, deltas, nsubs, halves))
     lead = delta * half
+    # half changes within a segment only where nsub does
+    bounds = np.union1d(np.flatnonzero(np.diff(nsub)) + 1, np.cumsum(list(map(len, nsubs))))
     return (omega * half, nsub, half, lead, np.append(0.0, lead[:-1]) + lead,
-            np.append(0.0, half[:-1]) + half)
+            np.append(0.0, half[:-1]) + half, [0, *bounds.tolist()])
 
 
 def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
            dt: float = 4.0) -> StateVector:
     """Integrate the schedule from |00...0> with midpoint steps of `dt` ns,
     each run as Strang sub-steps; steps never straddle segment boundaries.
-    The schedule is compiled first (`_compile`), then run in stretches of
-    equal (nsub, half). Phase rows of LONG_ROW amplitudes or more are stepped
-    along each stretch by R = exp(i slope occ) (`_stretch_phases`), rebuilt
-    exactly every ANCHOR_PERIOD = 16 steps (the repeated row every
-    max(1, 16 // (nsub - 1)) steps), and built exactly for every step where
-    the detuning leaves its line by a phase over AFFINE_TOL; they hold two
-    state-sized rows per kind and moved amplitudes by at most 5.6e-14 from
-    exact rows over the corpus scan in the module docstring. Shorter rows
-    are exact.
+    The schedule is compiled into stretches (`_compile`); each stretch draws
+    its first and repeated phase rows from `_rows` and runs in chunks of
+    steps through `_substeps`.
 
     Raises NumericalError when the norm drifts by more than 1e-4; drift is
     never hidden by renormalising.
@@ -424,39 +391,41 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     iocc = [1j * occ[np.arange(1 << m) << lo] for (m, _), lo in zip(groups, lows)][::-1]
     # one flip of atom k changes U by at most sum_j U_kj (U >= 0)
     flip_gap = inter[-1] - inter[(dim - 1) ^ (1 << np.arange(n))]
-    theta, nsubs, halves, leads, d_firsts, t_firsts = _compile(
+    theta, nsubs, halves, leads, d_firsts, t_firsts, bounds = _compile(
         seq, dt, flip_gap, reg.detuning_weights(), dev.omega_max)
     tables = {m: drive_table(theta, m) for m in {size for size, _ in groups}}
+    gathers = [(tables[m], index) for m, index in groups[::-1]]  # in run order
     mat_floats = sum(index.size for _, index in groups)
 
     a = np.zeros(2 * dim)  # the state's interleaved re/im floats, between sub-steps
     a[0] = 1.0
     plan = _plan(groups, a, np.empty_like(a))
-    ends = (np.flatnonzero((np.diff(nsubs) != 0) | (np.diff(halves) != 0)) + 1).tolist()
-    for start, end in zip([0] + ends, ends + [len(nsubs)]):
+    for start, end in zip(bounds, bounds[1:]):
         nsub, half = int(nsubs[start]), float(halves[start])
         # sigma exp(-i t U) of every phase but the stretch's first, t = 2 half,
         # and of the first, whose t holds the previous step's trailing half
         u = sign * np.exp(-1j * (half + half) * inter)
         carry = sign * np.exp(-1j * float(t_firsts[start]) * inter)
-        if dim >= LONG_ROW:
-            # rows stepped across the stretch; chunks of steps whose group
-            # matrices fit the budget beside the one or two running rows and Rs
-            stepped = _stretch_phases(carry, u, iocc, occ, d_firsts[start:end],
-                                      leads[start:end], nsub)
-            chunk = max(1, (CHUNK_FLOATS - 4 * dim * min(nsub, 2)) // mat_floats)
-        else:  # steps whose group matrices and one or two phase rows fit the budget
-            chunk = max(1, CHUNK_FLOATS // (mat_floats + 2 * dim * min(nsub, 2)))
-        for c0 in range(start, end, chunk):
-            c1 = min(c0 + chunk, end)
-            mats = list(zip(*(tables[m][c0:c1].take(index, axis=1)
-                              for m, index in groups[::-1])))  # in run order
-            phases = (islice(stepped, nsub * (c1 - c0)) if dim >= LONG_ROW else
-                      _chunk_phases(carry if c0 == start else None, u, iocc,
-                                    d_firsts[c0:c1], leads[c0:c1], nsub))
-            _substeps(plan, phases, chain.from_iterable(zip(*[mats] * nsub)))
-            del mats, phases  # freed before the next chunk's are built
-        stepped = None  # the running rows, freed before the next stretch's
+        # steps whose group matrices fit the budget beside their first and
+        # repeated rows, or beside two rows of each kind where `_rows` steps
+        row_floats = 2 * dim * min(nsub, 2)
+        chunk = max(1, (CHUNK_FLOATS - 2 * row_floats) // mat_floats if dim >= LONG_ROW
+                    else CHUNK_FLOATS // (mat_floats + row_floats))
+        # iter(): the chain drops the first step's row once it has run
+        firsts = chain(iter(_phase_rows(carry, iocc, d_firsts[start:start + 1])),
+                       _rows(u, iocc, occ, d_firsts[start + 1:end], ANCHOR_PERIOD, chunk))
+        # the repeated row enters the state nsub - 1 times a step, so it is
+        # anchored nsub - 1 times as often
+        repeats = repeat(None) if nsub == 1 else _rows(
+            u, iocc, occ, leads[start:end] + leads[start:end],
+            max(1, ANCHOR_PERIOD // (nsub - 1)), chunk)
+        # chunks counted back from the stretch's end, as `_rows` counts its
+        # batches, so that both kinds of batch line up with the chunks
+        for c1 in range(start + ((end - start) % chunk or chunk), end + 1, chunk):
+            c0 = max(start, c1 - chunk)
+            _substeps(plan, zip(islice(firsts, c1 - c0), islice(repeats, c1 - c0), zip(
+                *(table[c0:c1].take(index, axis=1) for table, index in gathers))), nsub)
+        firsts = repeats = None  # the running rows, freed before the next stretch's
     # sigma S_N = i^popcount turns the sigma-phased G products into R products
     last = _phase_rows(sign * np.exp(-1j * float(halves[-1]) * inter), iocc, leads[-1:])[0]
     psi = plan[0]

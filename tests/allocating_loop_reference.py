@@ -30,13 +30,14 @@ def drive_factor(f: np.ndarray, factors) -> np.ndarray:
     return f.reshape(-1)
 
 
-def allocating_substeps(plan, phases, factors) -> None:
+def allocating_substeps(plan, steps, nsub) -> None:
     """`_substeps` with a new array per product: runs on a copy of the state
     in the plan's first buffer and writes the result back there."""
     state = plan[0]
     f = state.view(float).copy()
-    for phase, mats in zip(phases, factors):
-        psi = f.view(np.complex128)
-        psi *= phase
-        f = drive_factor(f, mats)
+    for first, rep, mats in steps:
+        for phase in (first, *[rep] * (nsub - 1)):
+            psi = f.view(np.complex128)
+            psi *= phase
+            f = drive_factor(f, mats)
     state.view(float)[:] = f

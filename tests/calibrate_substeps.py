@@ -45,7 +45,9 @@ and 8, and the pool sub-steps at dt 8:
 
 No rule that cuts the pool sub-steps by a quarter keeps the worst fine TV
 at dt 4 at the cap's 1.338e-4; p = 0.75, phi = 0.06 grows it least, with
-the smaller splitting error of the two best.
+the smaller splitting error of the two best. With no sub-steps at all (one
+Strang step per midpoint step) the worst fine TV reads 2.3e-3 at dt 4 and
+9.7e-3 at dt 8.
 """
 
 from __future__ import annotations

@@ -74,6 +74,15 @@ with the paired statistic; in the last scan before it (sums of medians), at
 16 atoms the rule's 4+4+4+4 ran 1.14 times as fast as 5+5+6 at dt 8. The
 host's speed drifts by up to 1.8x between scans, so compare ratios, not
 times across scans.
+
+Timings behind `evolve`'s group products and phase rows, on 2 vCPUs of an
+AVX-512 Xeon with OpenBLAS 0.3.31 and one BLAS thread:
+- GEMM orientation, on 2^13 floats: x.reshape(len(F), -1).T.dot(F), which
+  writes the group out as the lowest, takes 9.7 us against 16.9 us for
+  F.dot(x.reshape(-1, len(F)).T) at len(F) = 16, and 13.5 against 22.6 us
+  at len(F) = 32.
+- Phase rows on 4096 amplitudes: an exact row takes about 29 us, a step of
+  a stepped row (one complex multiply by R) about 3 us.
 """
 
 from __future__ import annotations

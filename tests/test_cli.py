@@ -225,6 +225,41 @@ def test_vqaa_resume_reruns_a_log_of_another_search(tmp_path):
     assert (run_a / "trials.jsonl").read_bytes() == (run_b / "trials.jsonl").read_bytes()
 
 
+def test_vqaa_on_an_empty_band_exits_3_and_keeps_the_log(tmp_path, capsys):
+    # the search space is refused before the log is opened, so the log of
+    # an earlier run survives byte for byte
+    assert main(["embed", "--graph", str(FIXTURES / "five_node.json"),
+                 "--out", str(tmp_path)]) == 0
+    register = str(tmp_path / "register.json")
+    out = tmp_path / "run"
+    argv = ["vqaa", "--register", register, "--rounds", "3", "--shots", "100",
+            "--dt", "8", "--out", str(out)]
+    assert main(argv) == 0
+    log = (out / "trials.jsonl").read_bytes()
+    assert len(log.splitlines()) == 3
+    config = _write(tmp_path / "narrow.json", {"device": {"omega_max": 0.1}})
+    assert main([*argv, "--config", config]) == 3
+    assert "empty Rabi band" in capsys.readouterr().err
+    assert (out / "trials.jsonl").read_bytes() == log
+
+
+def test_vqaa_log_holds_every_finished_trial(tmp_path):
+    # a search killed while it evaluates trial k leaves trials 0..k-1 as
+    # whole lines, which `--resume` can replay
+    emb = load_register(_p2_register(tmp_path), DEV)
+    log = tmp_path / "trials.jsonl"
+    seen = []
+
+    def on_trial(trial, state):
+        assert [t.round for t in load_trials(log)] == list(range(trial.round))
+        assert log.read_text().endswith("\n") or trial.round == 0
+        seen.append(trial.round)
+
+    vqaa(emb, DEV, rounds=4, shots=100, dt=8.0, log_path=log, on_trial=on_trial)
+    assert seen == [0, 1, 2, 3]
+    assert len(load_trials(log)) == 4
+
+
 @pytest.mark.parametrize("seed, evolves", [(2, 10), (3, 9)])
 def test_vqaa_resume_extends_a_shorter_log(tmp_path, monkeypatch, seed, evolves):
     # resuming 5 -> 14 rounds replays the 5 logged trials and evaluates only

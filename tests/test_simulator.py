@@ -42,8 +42,8 @@ from rydock.simulator import (
     _groups,
     _phase_rows,
     _plan,
+    _rows,
     _signed_index,
-    _stretch_phases,
     _substeps,
     drive_table,
     evolve,
@@ -500,8 +500,8 @@ def real_drive(psi, theta, n):
     """G(theta)^{(x)n} psi as one sub-step of evolve's loop with a unit phase,
     on the interleaved floats of two buffers planned as evolve plans them."""
     a = psi.view(float).copy()
-    _substeps(_plan(_groups(n), a, np.empty_like(a)), [np.ones(1 << n, complex)],
-              [_factors(theta, n)])
+    _substeps(_plan(_groups(n), a, np.empty_like(a)),
+              [(np.ones(1 << n, complex), None, _factors(theta, n))], 1)
     return a.view(complex)
 
 
@@ -533,7 +533,7 @@ def test_one_substep_equals_the_dense_kron_product(n, data, seed):
     mats = [drive_table(theta, m).take(index) for (m, index), theta in zip(groups, thetas)]
     psi = _state(n, seed)
     a = psi.view(float).copy()
-    _substeps(_plan(groups, a, np.empty_like(a)), [np.ones(1 << n, complex)], [mats[::-1]])
+    _substeps(_plan(groups, a, np.empty_like(a)), [(np.ones(1 << n, complex), None, mats[::-1])], 1)
     assert np.abs(a.view(complex) - dense @ psi).max() < 1e-13
 
 
@@ -618,35 +618,41 @@ def test_phase_rows_match_the_direct_phase(n, data, kind, seed):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 12), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_stepped_rows_follow_an_affine_detuning(n, data, seed):
-    # a stretch of steps along a Ramp, with any anchor period and sub-step
-    # count, read in chunks of any split as evolve reads it: every phase row
-    # within 1e-13 of the exact one, and the same bytes whatever the split
+    # a stretch's rows along a Ramp, with any anchor period and batch, read
+    # in chunks of any split as evolve reads them, once as short rows and
+    # once with LONG_ROW at the row length: exact rows keep the broadcast
+    # build's bytes whatever the batch; stepped rows stay within 1e-13 of
+    # them, with the same bytes whatever the batch and the split; and long
+    # rows whose d is off its line are exact
     rng = np.random.default_rng(seed)
     occ, iocc = _random_occupation(n, data, rng)
-    u, carry = np.exp(-1j * rng.uniform(0.0, 2 * np.pi, (2, 1 << n)))
-    steps, nsub = data.draw(st.integers(1, 150)), data.draw(st.integers(1, 4))
-    period = data.draw(st.integers(1, 64))
+    u = np.exp(-1j * rng.uniform(0.0, 2 * np.pi, 1 << n))
+    steps, period = data.draw(st.integers(1, 150)), data.draw(st.integers(1, 64))
     edges = np.linspace(0.0, 1000.0, steps + 1)  # midpoints as _compile takes them
-    half = rng.uniform(1e-4, 2e-3)
     delta = Ramp(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0), 1000.0)
-    leads = delta.sample(0.5 * (edges[:-1] + edges[1:])) * half
-    d_firsts = np.append(rng.uniform(-0.05, 0.05), leads[:-1]) + leads
-    want = []
-    for j, (first, lead) in enumerate(zip(d_firsts, leads)):
-        want.append((carry if j == 0 else u) * np.exp(1j * first * occ))
-        want += [u * np.exp(2j * lead * occ)] * (nsub - 1)
-    split = sorted(data.draw(st.lists(st.integers(0, steps), max_size=4)))
-    runs = []
-    for bounds in ([0, steps], [0, *split, steps]):
+    d = delta.sample(0.5 * (edges[:-1] + edges[1:])) * rng.uniform(2e-4, 4e-3)
+    batches = data.draw(st.lists(st.integers(1, 160), min_size=2, max_size=2))
+    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, steps), max_size=4))), steps]
+
+    def read(long_row, d, batch):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulator, "ANCHOR_PERIOD", period)
-            phases = _stretch_phases(carry, u, iocc, occ, d_firsts, leads, nsub)
-            runs.append([row.copy() for c0, c1 in zip(bounds, bounds[1:])
-                         for row in islice(phases, nsub * (c1 - c0))])
-            assert next(phases, None) is None
-    assert len(runs[0]) == len(want)
-    assert all(np.abs(got - row).max() <= 1e-13 for got, row in zip(runs[0], want))
-    assert [row.tobytes() for row in runs[0]] == [row.tobytes() for row in runs[1]]
+            patch.setattr(simulator, "LONG_ROW", long_row)
+            rows = _rows(u, iocc, occ, d, period, batch)
+            got = [row.copy() for c0, c1 in zip(bounds, bounds[1:])
+                   for row in islice(rows, c1 - c0)]
+            assert next(rows, None) is None
+        return [row.tobytes() for row in got], got
+
+    want = _broadcast_phase_rows(u, iocc, d)
+    for batch in batches:
+        assert read(2 << n, d, batch)[0] == [row.tobytes() for row in want]
+    stepped = [read(1 << n, d, batch) for batch in batches]
+    assert stepped[0][0] == stepped[1][0]
+    assert all(np.abs(got - row).max() <= 1e-13 for got, row in zip(stepped[0][1], want))
+    if steps > 2 and period > 1:
+        wave = rng.uniform(-0.3, 0.3, steps)
+        assert read(1 << n, wave, batches[0])[0] == [
+            row.tobytes() for row in _broadcast_phase_rows(u, iocc, wave)]
 
 
 def test_partition_covers_the_atoms_in_order():
@@ -835,32 +841,46 @@ class PchipWave:
         return PchipInterpolator(knots, self.points)(np.clip(t, 0.0, self.duration))
 
 
+def _centred_complex(emb, t_rise, t_fall):
+    """The complex pulse at the centre of the register's search space, with
+    the given ramp durations (ns)."""
+    space = search_space(emb, DEV, "complex")
+    centre = {k: 0.5 * (lo + hi) for k, (lo, hi) in space.intervals.items()}
+    return sequence_for(space.clamp(dict(centre, t_rise=t_rise, t_fall=t_fall)), "complex", DEV)
+
+
 def test_rows_step_along_a_ramp_and_not_along_a_pchip_wave(monkeypatch):
     # 10 and 12 atoms, so evolve steps the rows. Along a Ramp detuning they
     # move the amplitudes, by at most 1e-13, also on triangle-2-s6, whose
-    # repeated row enters the state up to 37 times a step; along a PchipWave
-    # the stretch leaves its line, and evolve takes exact rows, the bytes of
-    # an anchor every step
+    # repeated row enters the state up to 37 times a step, and on two-segment
+    # pulses whose segments share a step width, where a stretch ends at the
+    # segment boundary and the falling ramp steps; along a PchipWave the
+    # stretch leaves its line, and evolve takes exact rows, the bytes of an
+    # anchor every step
     rng = np.random.default_rng(11)  # corpus pulses are drawn in corpus order
     for entry in generate_corpus(DEV):
         pulse = _random_complex_pulse(entry.embedding, rng)
         if entry.name == "triangle-2-s6":
             break
-    hexagon = corpus_entry("hexagon", 4, 9.75, DEV).embedding.register
+    hexagon = corpus_entry("hexagon", 4, 9.75, DEV).embedding
     omega = 0.3 * DEV.omega_max
     waves = {"ramp": Ramp(-3.0, 4.0, 400.0), "pchip": PchipWave((-3.0, 2.0, -1.0, 4.0), 400.0)}
-    cases = {k: (hexagon, PulseSequence(segments=(
+    cases = {k: (hexagon.register, PulseSequence(segments=(
         Segment(omega=Ramp(omega, omega, 400.0), delta=wave),))) for k, wave in waves.items()}
     cases["stiff"] = (entry.embedding.register, pulse)
+    for k, emb in {"two_segments_12": hexagon,
+                   "two_segments_10": corpus_entry("hexagon", 2, 9.75, DEV).embedding}.items():
+        cases[k] = (emb.register, _centred_complex(emb, 1000.0, 1000.0))
     assert all(1 << reg.n >= LONG_ROW for reg, _ in cases.values())
     got = {k: evolve(reg, seq, DEV, dt=8.0).amplitudes for k, (reg, seq) in cases.items()}
     monkeypatch.setattr(simulator, "ANCHOR_PERIOD", 1)
     exact = {k: evolve(reg, seq, DEV, dt=8.0).amplitudes for k, (reg, seq) in cases.items()}
-    for k in ("ramp", "stiff"):
+    for k in ("ramp", "stiff", "two_segments_12", "two_segments_10"):
         assert got[k].tobytes() != exact[k].tobytes()
         assert np.abs(got[k] - exact[k]).max() <= 1e-13
     assert got["pchip"].tobytes() == exact["pchip"].tobytes()
-    assert np.abs(got["pchip"] - complex_evolve(hexagon, cases["pchip"][1], DEV, 8.0)).max() <= 1e-12
+    assert np.abs(got["pchip"] - complex_evolve(hexagon.register, cases["pchip"][1], DEV,
+                                                8.0)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 6, 12, 13])
@@ -902,18 +922,27 @@ def test_evolve_memory_is_bounded():
     # two state buffers, the detuning-free phase of the stretch and of its
     # first step, sigma, and the final phase's temporaries.
     # Holding two chunks at once, or a segment's rows, reads 16 or more.
+    # The rows are stepped along the simple pulse's one segment and the
+    # two-segment complex pulse's falling ramp, and exact along a PchipWave
     emb = corpus_entry("hexagon", 4, 9.75, DEV).embedding
-    seq = simple_sequence(dict(omega=0.8 * omega_bounds(emb, DEV)[1], delta=3.5,
-                                       time=1000.0), DEV.omega_max, DEV.delta_abs_max)
-    evolve(emb.register, seq, DEV, dt=4.0)  # warm the cached diagonals and indices
+    omega = 0.8 * omega_bounds(emb, DEV)[1]
+    pulses = [
+        simple_sequence(dict(omega=omega, delta=3.5, time=1000.0),
+                        DEV.omega_max, DEV.delta_abs_max),
+        _centred_complex(emb, 1000.0, 1000.0),
+        PulseSequence(segments=(Segment(omega=Ramp(omega, omega, 1000.0),
+                                        delta=PchipWave((-3.0, 2.0, -1.0, 4.0), 1000.0)),)),
+    ]
     state = 16 << emb.register.n
-    tracemalloc.start()
-    try:
-        evolve(emb.register, seq, DEV, dt=4.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * simulator.CHUNK_FLOATS + 10 * state
+    for seq in pulses:
+        evolve(emb.register, seq, DEV, dt=4.0)  # warm the cached diagonals and indices
+        tracemalloc.start()
+        try:
+            evolve(emb.register, seq, DEV, dt=4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * simulator.CHUNK_FLOATS + 10 * state
 
 
 def test_calibrate_substeps_counts_every_substep():
