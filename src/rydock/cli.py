@@ -50,10 +50,10 @@ from .mlqaa.dataset import (
 )
 from .mlqaa.gcn import (
     TARGETS,
-    featurize,
     load_models,
     mape,
     predict_params,
+    predict_unclamped,
     save_models,
     train,
 )
@@ -82,6 +82,8 @@ DEFAULTS = {
 CONFIG_KEYS = {"device", *DEFAULTS}
 # The sweep grid's flags, in qaa_sweep's argument order.
 SWEEP_AXES = ("omegas", "deltas", "times")
+# The model set's file: `train` writes it to --out, and --models names that directory.
+MODEL_FILE = "mlqaa_models.npz"
 # Enters every config digest: a change that moves any output bumps it, so
 # that one digest always stamps the same bytes.
 OUTPUT_VERSION = 1
@@ -120,7 +122,7 @@ def effective_config(args) -> dict:
             cfg[k] = float(cfg[k])
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad config value: {exc}") from None
-    for k, least in (("seed", 0), ("shots", 1), ("epochs", 1)):
+    for k, least in (("seed", 0), ("shots", 1), ("rounds", 1), ("epochs", 1), ("tau", 0)):
         if cfg[k] < least:
             raise InputError(f"{k} must be >= {least}")
     if not (math.isfinite(cfg["dt"]) and cfg["dt"] > 0):
@@ -179,7 +181,6 @@ def cmd_embed(args, cfg, meta, out, dev) -> int:
     emb = layout(g, dev, spacing=cfg["spacing"], seed=cfg["seed"])
     lo, hi = omega_bounds(emb, dev)
     ancillas = emb.ancilla_ids()
-    meta["spacing"] = emb.spacing
     save_register(emb, os.path.join(out, "register.json"), meta=meta)
     print(f"atoms: {emb.register.n}  ancillas: {len(ancillas)}  "
           f"links: {len(emb.link_map)}  omega band: [{lo:.4g}, {hi:.4g}] rad/us")
@@ -259,6 +260,14 @@ def cmd_sweep(args, cfg, meta, out, dev) -> int:
     return 0
 
 
+def _rounds_list(args) -> list:
+    """benchmark's --rounds as a sorted list of positive integers."""
+    rounds = _float_list(args.rounds_list)
+    if not rounds or not all(r >= 1 and r.is_integer() for r in rounds):
+        raise InputError(f"rounds list must contain positive integers, got {args.rounds_list!r}")
+    return sorted(int(r) for r in rounds)
+
+
 def _benchmark_entries(subset: str, dev: DeviceParams):
     entries = generate_corpus(dev)
     if subset == "lines":
@@ -278,10 +287,7 @@ def _refuse_other(cfg: dict, command: str, **runs):
 def cmd_benchmark(args, cfg, meta, out, dev) -> int:
     # replaying the longest search for every shorter one needs tpe
     _refuse_other(cfg, "benchmark", optimizer="tpe")
-    rounds = _float_list(args.rounds_list)
-    if not rounds or not all(r >= 1 and r.is_integer() for r in rounds):
-        raise InputError(f"rounds list must contain positive integers, got {args.rounds_list!r}")
-    rounds_list = sorted(int(r) for r in rounds)
+    rounds_list = _rounds_list(args)
     rows = []
     for entry in _benchmark_entries(args.subset, dev):
         entry_seed = int(substream(cfg["seed"], "bench", entry.name).integers(1 << 62))
@@ -349,17 +355,12 @@ def cmd_train(args, cfg, meta, out, dev) -> int:
         raise InputError("training split is empty: the holdout takes every record")
     report = {**meta, "train_size": len(train_recs), "holdout_size": len(hold_recs),
               "epochs": cfg["epochs"], "mape": {}}
-    # the Rabi band of every holdout register maps each model's label-scale
-    # prediction back to device units
-    bands = [omega_bounds(r.embedding(dev), dev) for r in hold_recs]
-    for target in TARGETS:
-        model = train(train_recs, target, epochs=cfg["epochs"], seed=cfg["seed"],
-                      dev=dev)
-        save_models({target: model}, os.path.join(out, f"mlqaa_{target}.npz"), meta=meta)
-        preds = [model.predict(featurize(r.positions), band)
-                 for r, band in zip(hold_recs, bands)]
-        truth = [r.params[target] for r in hold_recs]
-        value = mape(preds, truth)
+    models = {target: train(train_recs, target, epochs=cfg["epochs"], seed=cfg["seed"],
+                            dev=dev) for target in TARGETS}
+    save_models(models, os.path.join(out, MODEL_FILE), meta=meta)
+    preds = [predict_unclamped(models, r.embedding(dev), dev)[1] for r in hold_recs]
+    for target, model in models.items():
+        value = mape([p[target] for p in preds], [r.params[target] for r in hold_recs])
         report["mape"][target] = value
         print(f"{target}: holdout MAPE {value:.1f}%  "
               f"(best val loss {min(v for _, v in model.history):.5f})")
@@ -367,16 +368,9 @@ def cmd_train(args, cfg, meta, out, dev) -> int:
     return 0
 
 
-def _load_model_dir(path) -> dict:
-    models = {}
-    for target in TARGETS:
-        models.update(load_models(os.path.join(path, f"mlqaa_{target}.npz")))
-    return models
-
-
 def cmd_predict(args, cfg, meta, out, dev) -> int:
     emb = load_register(args.register, dev)
-    models = _load_model_dir(args.models)
+    models = load_models(os.path.join(args.models, MODEL_FILE))
     params = predict_params(models, emb, dev)
     files.write(os.path.join(out, "params.json"),
                 {**meta, "family": "complex", "params": params})
@@ -388,7 +382,7 @@ def cmd_mlqaa_eval(args, cfg, meta, out, dev) -> int:
     records = load_dataset(args.dataset)
     _, hold_recs = train_holdout_split(records, seed=cfg["seed"],
                                        holdout_frac=cfg["holdout_frac"])
-    models = _load_model_dir(args.models)
+    models = load_models(os.path.join(args.models, MODEL_FILE))
     rows = []
     for rec in hold_recs:
         emb = rec.embedding(dev)
@@ -506,19 +500,19 @@ def build_parser() -> argparse.ArgumentParser:
     ds.set_defaults(dt_default=8.0)
 
     t = sub.add_parser("train", parents=[common],
-                       help="fit the five pulse-parameter regressors")
+                       help=f"fit the five pulse-parameter regressors into --out/{MODEL_FILE}")
     t.add_argument("--dataset", required=True)
     t.add_argument("--epochs", type=int)
 
     pr = sub.add_parser("predict", parents=[common],
                         help="pulse parameters for a register from trained models")
     pr.add_argument("--register", required=True)
-    pr.add_argument("--models", required=True, help="directory with mlqaa_*.npz")
+    pr.add_argument("--models", required=True, help=f"train's --out, with {MODEL_FILE}")
 
     me = sub.add_parser("mlqaa-eval", parents=[common],
                         help="head-to-head: predicted pulses vs the search labels")
     me.add_argument("--dataset", required=True)
-    me.add_argument("--models", required=True)
+    me.add_argument("--models", required=True, help=f"train's --out, with {MODEL_FILE}")
 
     o = sub.add_parser("oracle", parents=[common],
                        help="exact solver listing for a graph file")
@@ -539,6 +533,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             for k in SWEEP_AXES:
                 _sweep_axis(args, k)
+        if args.command == "benchmark":
+            _rounds_list(args)
         if args.command == "vqaa" and args.resume and cfg["optimizer"] != "tpe":
             raise InputError("resume is only meaningful for the tpe optimizer")
         os.makedirs(cfg["out"], exist_ok=True)

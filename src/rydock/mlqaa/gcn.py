@@ -23,6 +23,10 @@ numpy calls over the whole model. After each epoch one dropout-free
 forward over all records gives the squared errors that split into the
 training and the validation loss, and the weights of the epoch with the
 lowest validation loss are kept.
+
+A model set is one `.npz` file: each target's weight arrays, and a JSON
+header with MODEL_VERSION and each target's min-max constants; the label
+scale is TARGET_SCALES[target]. Every prediction comes from `predict_unclamped`.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ BATCH_SIZE = 64
 LEARNING_RATE = (1e-2, 1e-4)  # decays geometrically from the first to the second
 VAL_FRAC = 0.2
 TARGETS = ("t_rise", "t_fall", "omega", "delta0", "deltaf")
-MODEL_VERSION = "2"
+MODEL_VERSION = "3"
 
 # Label scale per target. The Rabi drive is regressed as its fraction of
 # the register's usable band, not in rad/us: the score surface is flat in
@@ -107,15 +111,12 @@ class GcnModel:
     target: str
     t_lo: float
     t_hi: float
-    seed: int
-    scale: str = "identity"
-    version: str = MODEL_VERSION
     history: tuple = field(default=(), repr=False)
 
     def predict(self, feats: np.ndarray, band) -> float:
         """Prediction for one register in device units, given its Rabi band."""
         label = self.t_lo + forward(self, feats) * (self.t_hi - self.t_lo)
-        return _from_scale(label, self.scale, band)
+        return _from_scale(label, TARGET_SCALES[self.target], band)
 
 
 def _weight_names():
@@ -335,7 +336,7 @@ def train(records, target: str, epochs: int = 300, seed: int = 0,
 
     return GcnModel(
         weights=_views(best_flat, weights), target=target, t_lo=t_lo, t_hi=t_hi,
-        seed=seed, scale=scale, history=tuple(history),
+        history=tuple(history),
     )
 
 
@@ -354,15 +355,23 @@ def mape(predictions, targets) -> float:
     return float(100.0 * np.mean(np.abs(p[keep] - t[keep]) / np.abs(t[keep])))
 
 
-def predict_params(models: dict, emb: Embedding, dev: DeviceParams) -> dict:
-    """One pulse-parameter set from the five trained models, kept in-space."""
+def predict_unclamped(models: dict, emb: Embedding, dev: DeviceParams) -> tuple:
+    """(search space of `emb`, the five predictions in device units): the
+    space's omega interval is the band that maps `omega` back, and the
+    predictions are not yet clamped into it."""
     missing = [t for t in TARGETS if t not in models]
     if missing:
         raise InputError(f"missing models for {missing}")
     feats = featurize(emb.register.positions())
     space = search_space(emb, dev, "complex")
-    band = space.intervals["omega"]
-    return space.clamp({name: models[name].predict(feats, band) for name in TARGETS})
+    band = space.intervals["omega"]  # omega_bounds(emb, dev), computed once
+    return space, {name: models[name].predict(feats, band) for name in TARGETS}
+
+
+def predict_params(models: dict, emb: Embedding, dev: DeviceParams) -> dict:
+    """One pulse-parameter set from the five trained models, kept in-space."""
+    space, params = predict_unclamped(models, emb, dev)
+    return space.clamp(params)
 
 
 def save_models(models: dict, path, meta: dict | None = None):
@@ -373,10 +382,7 @@ def save_models(models: dict, path, meta: dict | None = None):
     for name, model in models.items():
         for wname, arr in model.weights.items():
             arrays[f"{name}:{wname}"] = arr
-        info["targets"][name] = {
-            "t_lo": model.t_lo, "t_hi": model.t_hi, "seed": model.seed,
-            "scale": model.scale, "version": model.version,
-        }
+        info["targets"][name] = {"t_lo": model.t_lo, "t_hi": model.t_hi}
     arrays["__meta__"] = np.frombuffer(
         json.dumps(info, sort_keys=True).encode(), dtype=np.uint8,
     )
@@ -385,26 +391,19 @@ def save_models(models: dict, path, meta: dict | None = None):
 
 def load_models(path) -> dict:
     """The models stored in `path`; any unreadable or malformed model file,
-    including a missing array or a target stored in a scale other than its
-    TARGET_SCALES entry, is an InputError naming it."""
+    including a missing array or another MODEL_VERSION, is an InputError
+    naming it."""
     try:
         # opened here, not by np.load, which leaves its file open on a bad zip
         with open(path, "rb") as fh, np.load(fh) as data:
             info = json.loads(bytes(data["__meta__"].tobytes()).decode())
             if info.get("version") != MODEL_VERSION:
                 raise InputError(f"unsupported version {info.get('version')!r}")
-            models = {name: GcnModel(
+            return {name: GcnModel(
                 weights={wname: np.array(data[f"{name}:{wname}"])
                          for wname in _weight_names()},
                 target=name, t_lo=float(tmeta["t_lo"]), t_hi=float(tmeta["t_hi"]),
-                seed=int(tmeta["seed"]), scale=tmeta["scale"],
-                version=str(tmeta["version"]),
             ) for name, tmeta in info["targets"].items()}
-            for name, model in models.items():
-                if model.scale != TARGET_SCALES.get(name):
-                    raise InputError(f"target {name!r} has scale {model.scale!r}, "
-                                     f"not {TARGET_SCALES.get(name)!r}")
-            return models
     except (OSError, EOFError, zipfile.BadZipFile, AttributeError, KeyError,
             TypeError, ValueError) as exc:
         raise InputError(f"bad model file {path}: {exc}") from None

@@ -535,11 +535,10 @@ def _malformed(case, tmp_path):
     if case == "junk_model_set":
         models = tmp_path / "models"
         models.mkdir()
-        for target in ("t_rise", "t_fall", "omega", "delta0", "deltaf"):
-            (models / f"mlqaa_{target}.npz").write_bytes(b"not a model")
+        (models / "mlqaa_models.npz").write_bytes(b"not a model")
         register = _p2_register(tmp_path)
         return (["predict", "--register", register, "--models", str(models), *out],
-                str(models / "mlqaa_t_rise.npz"))
+                str(models / "mlqaa_models.npz"))
     raise AssertionError(case)
 
 
@@ -583,6 +582,25 @@ def test_non_finite_flags_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["vqaa", "--register", "REGISTER", "--rounds", "0"], "rounds must be >= 1"),
+    (["dataset", "--rounds", "0"], "rounds must be >= 1"),
+    (["benchmark", "--rounds", "0"], "rounds list must contain positive integers"),
+    (["dock", "--ligand", LIGAND, "--receptor", RECEPTOR, "--tau", "-1"],
+     "tau must be >= 0"),
+], ids=["vqaa_rounds_0", "dataset_rounds_0", "benchmark_rounds_0", "dock_tau_negative"])
+def test_bad_rounds_or_tau_is_refused_before_the_output_directory(tmp_path, capsys,
+                                                                  argv, message):
+    if "REGISTER" in argv:
+        argv = [_p2_register(tmp_path) if a == "REGISTER" else a for a in argv]
+        capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+    assert not out.exists()
+
+
 def test_log_formats_are_pinned(tmp_path):
     # one trials.jsonl line and one dataset.jsonl line, byte for byte
     trial = Trial(round=0, params={"omega": 2.5, "delta": 3.0, "time": 400.0},
@@ -621,8 +639,8 @@ def test_train_predict_eval_round(tmp_path, capsys):
     assert report["train_size"] == 3
     assert report["holdout_size"] == 1
     assert set(report["mape"]) == {"t_rise", "t_fall", "omega", "delta0", "deltaf"}
-    for target in report["mape"]:
-        assert (models_dir / f"mlqaa_{target}.npz").exists()
+    assert sorted(p.name for p in models_dir.iterdir()) == ["mape_report.json",
+                                                            "mlqaa_models.npz"]
 
     register = _p2_register(tmp_path)
     rc = main(["predict", "--register", register, "--models", str(models_dir),

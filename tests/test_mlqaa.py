@@ -57,8 +57,7 @@ def _line(n, s):
 
 
 def _model(target, seed, t_lo=0.0, t_hi=1.0):
-    return GcnModel(weights=init_weights(seed), target=target, t_lo=t_lo,
-                    t_hi=t_hi, seed=seed, scale=TARGET_SCALES[target])
+    return GcnModel(weights=init_weights(seed), target=target, t_lo=t_lo, t_hi=t_hi)
 
 
 def _record(spacing, n=2, omega=None):
@@ -302,7 +301,6 @@ def test_train_overfits_single_record(monkeypatch):
     monkeypatch.setattr("rydock.mlqaa.gcn.DROPOUT", 0.0)
     rec = _record(9.0, n=3)
     model = train([rec], "t_rise", epochs=250, seed=0)
-    assert model.scale == "identity"
     assert min(tl for tl, _ in model.history) < 1e-3
     pred = model.predict(featurize(rec.positions), None)
     assert pred == pytest.approx(300.0, abs=0.5)
@@ -326,7 +324,6 @@ def test_train_band_scale_inverts_per_register(monkeypatch):
     monkeypatch.setattr("rydock.mlqaa.gcn.DROPOUT", 0.0)
     recs = [_record(6.0, omega=None), _record(11.0, omega=None)]
     model = train(recs, "omega", epochs=300, seed=0, dev=DEV)
-    assert model.scale == "band"
     for rec in recs:
         lo, hi = omega_bounds(rec.embedding(DEV), DEV)
         got = model.predict(featurize(rec.positions), (lo, hi))
@@ -376,14 +373,13 @@ def test_save_load_roundtrip(tmp_path, monkeypatch):
     loaded = load_models(path)
     assert set(loaded) == {"t_rise", "omega"}
     feats, band = featurize(_line(3, 8.5)), (1.0, 4.0)
+    # npz arrays and JSON floats round-trip exactly
     for name, model in models.items():
         other = loaded[name]
-        assert other.version == MODEL_VERSION
-        assert other.scale == model.scale
-        assert other.t_lo == pytest.approx(model.t_lo)
-        assert other.t_hi == pytest.approx(model.t_hi)
-        assert other.seed == model.seed
-        assert other.predict(feats, band) == pytest.approx(model.predict(feats, band))
+        assert other.target == name
+        assert other.t_lo == model.t_lo
+        assert other.t_hi == model.t_hi
+        assert other.predict(feats, band) == model.predict(feats, band)
     monkeypatch.setattr("rydock.mlqaa.gcn.MODEL_VERSION", "999")
     with pytest.raises(InputError):
         load_models(path)
@@ -476,22 +472,22 @@ def test_load_models_refuses_broken_files(tmp_path):
         load_models(tmp_path / "absent.npz")
 
 
-def test_load_models_refuses_a_wrong_scale(tmp_path):
-    # a target read in another scale predicts in the wrong units, silently
+def test_load_models_refuses_the_version_2_layout(tmp_path):
+    # version 2 stored each target's seed, scale and version beside its
+    # min-max constants; such a file is refused, not read with a dropped scale
     path = tmp_path / "m.npz"
     save_models({"omega": _model("omega", seed=3)}, path)
     with np.load(path) as data:
         arrays = dict(data)
     info = json.loads(arrays["__meta__"].tobytes().decode())
-    for scale in (None, "bogus", "identity"):
-        tmeta = info["targets"]["omega"]
-        tmeta.pop("scale", None)
-        if scale is not None:
-            tmeta["scale"] = scale
-        arrays["__meta__"] = np.frombuffer(json.dumps(info).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
-        with pytest.raises(InputError, match="bad model file .*m.npz"):
-            load_models(path)
+    assert info["version"] == MODEL_VERSION == "3"
+    assert info["targets"]["omega"] == {"t_lo": 0.0, "t_hi": 1.0}
+    info["version"] = "2"
+    info["targets"]["omega"].update(seed=3, scale="band", version="2")
+    arrays["__meta__"] = np.frombuffer(json.dumps(info).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(InputError, match="bad model file .*m.npz.*unsupported version '2'"):
+        load_models(path)
 
 
 def test_dataset_jsonl_roundtrip(tmp_path):
