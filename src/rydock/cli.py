@@ -55,7 +55,7 @@ from .mlqaa.gcn import (
     predict_params,
     predict_unclamped,
     save_models,
-    train,
+    train_models,
 )
 from .optimize import (
     evaluate_params,
@@ -86,7 +86,7 @@ SWEEP_AXES = ("omegas", "deltas", "times")
 MODEL_FILE = "mlqaa_models.npz"
 # Enters every config digest: a change that moves any output bumps it, so
 # that one digest always stamps the same bytes.
-OUTPUT_VERSION = 1
+OUTPUT_VERSION = 2
 
 
 def _config_doc(doc) -> dict:
@@ -165,6 +165,7 @@ def cmd_dock(args, cfg, meta, out, dev) -> int:
     ligand = load_molecule(args.ligand)
     receptor = load_molecule(args.receptor)
     table = load_table(args.table) if args.table else default_table()
+    os.makedirs(out, exist_ok=True)
     g = build_binding_graph(ligand, receptor, table, tau=cfg["tau"])
     gc = complement(g)
     save_graph(g, os.path.join(out, "binding_graph.json"), meta=meta)
@@ -178,6 +179,7 @@ def cmd_dock(args, cfg, meta, out, dev) -> int:
 
 def cmd_embed(args, cfg, meta, out, dev) -> int:
     g = load_graph(args.graph)
+    os.makedirs(out, exist_ok=True)
     emb = layout(g, dev, spacing=cfg["spacing"], seed=cfg["seed"])
     lo, hi = omega_bounds(emb, dev)
     ancillas = emb.ancilla_ids()
@@ -193,6 +195,7 @@ def cmd_vqaa(args, cfg, meta, out, dev) -> int:
     # a log is replayed for the same register and config but `rounds` only
     with open(args.register, "rb") as fh:
         register_sha = hashlib.sha256(fh.read()).hexdigest()
+    os.makedirs(out, exist_ok=True)
     digest = config_digest({**cfg, "rounds": None, "register": register_sha}, "vqaa")
 
     done = load_trials(log_path, digest) if args.resume and os.path.exists(log_path) else []
@@ -243,6 +246,7 @@ def _sweep_axis(args, k: str) -> list:
 
 def cmd_sweep(args, cfg, meta, out, dev) -> int:
     emb = load_register(args.register, dev)
+    os.makedirs(out, exist_ok=True)
     rows = qaa_sweep(
         emb, dev, *(_sweep_axis(args, k) for k in SWEEP_AXES),
         shots=cfg["shots"], seed=cfg["seed"], dt=cfg["dt"],
@@ -288,6 +292,7 @@ def cmd_benchmark(args, cfg, meta, out, dev) -> int:
     # replaying the longest search for every shorter one needs tpe
     _refuse_other(cfg, "benchmark", optimizer="tpe")
     rounds_list = _rounds_list(args)
+    os.makedirs(out, exist_ok=True)
     rows = []
     for entry in _benchmark_entries(args.subset, dev):
         entry_seed = int(substream(cfg["seed"], "bench", entry.name).integers(1 << 62))
@@ -320,6 +325,7 @@ def cmd_benchmark(args, cfg, meta, out, dev) -> int:
 def cmd_dataset(args, cfg, meta, out, dev) -> int:
     # the labels are the complex-family parameters the GCN learns, found by tpe
     _refuse_other(cfg, "dataset", optimizer="tpe", family="complex")
+    os.makedirs(out, exist_ok=True)
     entries = generate_corpus(dev)
 
     def progress(k, total, name, res):
@@ -355,15 +361,15 @@ def cmd_train(args, cfg, meta, out, dev) -> int:
         raise InputError("training split is empty: the holdout takes every record")
     report = {**meta, "train_size": len(train_recs), "holdout_size": len(hold_recs),
               "epochs": cfg["epochs"], "mape": {}}
-    models = {target: train(train_recs, target, epochs=cfg["epochs"], seed=cfg["seed"],
-                            dev=dev) for target in TARGETS}
+    os.makedirs(out, exist_ok=True)
+    models = train_models(train_recs, epochs=cfg["epochs"], seed=cfg["seed"], dev=dev)
     save_models(models, os.path.join(out, MODEL_FILE), meta=meta)
     preds = [predict_unclamped(models, r.embedding(dev), dev)[1] for r in hold_recs]
-    for target, model in models.items():
+    for target in TARGETS:
         value = mape([p[target] for p in preds], [r.params[target] for r in hold_recs])
         report["mape"][target] = value
-        print(f"{target}: holdout MAPE {value:.1f}%  "
-              f"(best val loss {min(v for _, v in model.history):.5f})")
+        print(f"{target}: holdout MAPE {value:.1f}%")
+    print(f"best val loss {min(v for _, v in models[TARGETS[0]].history):.5f}")
     files.write(os.path.join(out, "mape_report.json"), report)
     return 0
 
@@ -371,6 +377,7 @@ def cmd_train(args, cfg, meta, out, dev) -> int:
 def cmd_predict(args, cfg, meta, out, dev) -> int:
     emb = load_register(args.register, dev)
     models = load_models(os.path.join(args.models, MODEL_FILE))
+    os.makedirs(out, exist_ok=True)
     params = predict_params(models, emb, dev)
     files.write(os.path.join(out, "params.json"),
                 {**meta, "family": "complex", "params": params})
@@ -383,6 +390,7 @@ def cmd_mlqaa_eval(args, cfg, meta, out, dev) -> int:
     _, hold_recs = train_holdout_split(records, seed=cfg["seed"],
                                        holdout_frac=cfg["holdout_frac"])
     models = load_models(os.path.join(args.models, MODEL_FILE))
+    os.makedirs(out, exist_ok=True)
     rows = []
     for rec in hold_recs:
         emb = rec.embedding(dev)
@@ -529,7 +537,8 @@ def main(argv=None) -> int:
         cfg = effective_config(args)
         dev = DeviceParams(**cfg["device"])
         meta = {"config_digest": config_digest(cfg, args.command), "seed": cfg["seed"]}
-        # refused before the output directory is made
+        # refused before any input is read; each command makes its output
+        # directory once its inputs are read
         if args.command == "sweep":
             for k in SWEEP_AXES:
                 _sweep_axis(args, k)
@@ -537,7 +546,6 @@ def main(argv=None) -> int:
             _rounds_list(args)
         if args.command == "vqaa" and args.resume and cfg["optimizer"] != "tpe":
             raise InputError("resume is only meaningful for the tpe optimizer")
-        os.makedirs(cfg["out"], exist_ok=True)
         # looked up on every call, so a rebinding of a cmd_* name in this
         # module (as a tracer or a test makes) takes effect
         command = globals()["cmd_" + args.command.replace("-", "_")]

@@ -23,6 +23,7 @@ from .gcn import (
     predict_params,
     save_models,
     train,
+    train_models,
 )
 
 __all__ = [
@@ -30,5 +31,5 @@ __all__ = [
     "generate_corpus", "label_dataset", "load_dataset", "save_dataset",
     "shape_positions", "train_holdout_split",
     "TARGETS", "GcnModel", "featurize", "forward", "load_models", "mape",
-    "predict_params", "save_models", "train",
+    "predict_params", "save_models", "train", "train_models",
 ]

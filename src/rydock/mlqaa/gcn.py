@@ -2,14 +2,18 @@
 
 A register becomes a complete directed graph weighted by inverse squared
 pairwise distance, with all-ones node features: in a padded batch those
-are the atom mask itself. Five convolution layers
-(hidden width 128, ReLU, dropout 0.1 while training) pass messages through
-the raw weighted adjacency with unit self-loops, an
-additive pool collapses node states to one vector, and an affine head
-emits a single scalar. One model is trained per pulse parameter against
-min-max normalised targets; backpropagation and the adaptive-moment
-updates are implemented here directly so they can be checked against
-finite differences.
+are the atom mask itself. Five convolution layers (hidden width 128, ReLU,
+dropout 0.1 while training) pass messages through the raw weighted
+adjacency with unit self-loops, and an additive pool collapses node states
+to one vector. One trunk serves all five pulse parameters (multi-task
+learning: Caruana, Machine Learning 28, 1997): an affine head, `hw` (128, 5)
+and `hb` (5,), emits one output per target in TARGETS order. Each target's
+labels are min-max normalised to [0, 1], and the loss is the mean, over the
+batch and the five targets, of the squared error. The head bias starts at
+the training split's mean normalised targets, since sum pooling under a
+random head otherwise starts far from them. Backpropagation and the
+adaptive-moment updates are implemented here directly so they can be
+checked against finite differences.
 
 A training step is array code over the whole padded batch (b registers,
 n atom slots). One random draw gives all five layers' dropout masks. The
@@ -19,18 +23,27 @@ one matrix product over the flattened (b * n) node rows. Weights,
 gradients, both Adam moments and the best epoch's weights each live in one
 flat buffer, the weight and gradient dicts being views into theirs, so an
 Adam update (bias corrections folded into two scalars) is one pass of
-numpy calls over the whole model. After each epoch one dropout-free
+numpy calls over the whole model. Adam's scratch buffer and the dropout
+draw are allocated once per training. After each epoch one dropout-free
 forward over all records gives the squared errors that split into the
 training and the validation loss, and the weights of the epoch with the
 lowest validation loss are kept.
 
-A model set is one `.npz` file: each target's weight arrays, and a JSON
-header with MODEL_VERSION and each target's min-max constants; the label
-scale is TARGET_SCALES[target]. Every prediction comes from `predict_unclamped`.
+`train_models` returns the model set as five `GcnModel` views of one weight
+set, one per target, each with its own min-max constants. `train(records,
+target)` is one target's view, kept for callers that train per target: it
+holds the last set it trained, so five calls with the same arguments run
+one training.
+
+A model set is one `.npz` file: the weight arrays once, and a JSON header
+with MODEL_VERSION and each target's min-max constants; the label scale is
+TARGET_SCALES[target]. Every prediction comes from `predict_unclamped`, one
+forward for all five targets.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -51,7 +64,7 @@ BATCH_SIZE = 64
 LEARNING_RATE = (1e-2, 1e-4)  # decays geometrically from the first to the second
 VAL_FRAC = 0.2
 TARGETS = ("t_rise", "t_fall", "omega", "delta0", "deltaf")
-MODEL_VERSION = "3"
+MODEL_VERSION = "4"
 
 # Label scale per target. The Rabi drive is regressed as its fraction of
 # the register's usable band, not in rad/us: the score surface is flat in
@@ -107,16 +120,28 @@ def featurize(positions) -> np.ndarray:
 
 @dataclass
 class GcnModel:
+    """One target's view of a model set: `weights` are the set's shared
+    trunk and five-wide head, of which the target reads its own output."""
+
     weights: dict
     target: str
     t_lo: float
     t_hi: float
     history: tuple = field(default=(), repr=False)
 
+    def __post_init__(self):
+        if self.target not in TARGETS:
+            raise InputError(f"unknown target {self.target!r}")
+
+    def label(self, output: float, band) -> float:
+        """The model's normalised output in device units, given the
+        register's Rabi band."""
+        value = self.t_lo + output * (self.t_hi - self.t_lo)
+        return _from_scale(value, TARGET_SCALES[self.target], band)
+
     def predict(self, feats: np.ndarray, band) -> float:
         """Prediction for one register in device units, given its Rabi band."""
-        label = self.t_lo + forward(self, feats) * (self.t_hi - self.t_lo)
-        return _from_scale(label, TARGET_SCALES[self.target], band)
+        return self.label(forward(self, feats), band)
 
 
 def _weight_names():
@@ -135,9 +160,9 @@ def init_weights(seed: int) -> dict:
         w[f"W{layer}"] = rng.uniform(-bound, bound, size=(fan_in, HIDDEN))
         w[f"b{layer}"] = np.zeros(HIDDEN)
     rng = substream(seed, "init", "head")
-    bound = math.sqrt(6.0 / (HIDDEN + 1))
-    w["hw"] = rng.uniform(-bound, bound, size=HIDDEN)
-    w["hb"] = np.zeros(1)
+    bound = math.sqrt(6.0 / (HIDDEN + len(TARGETS)))
+    w["hw"] = rng.uniform(-bound, bound, size=(HIDDEN, len(TARGETS)))
+    w["hb"] = np.zeros(len(TARGETS))
     return w
 
 
@@ -154,6 +179,7 @@ def _pack(feats_list) -> tuple:
 
 
 def _forward_batch(weights, adj, mask, drop_masks=None):
+    """(outputs (b, len(TARGETS)), pooled node states, per-layer caches)."""
     h = mask
     caches = []
     for layer in range(LAYERS):
@@ -166,26 +192,25 @@ def _forward_batch(weights, adj, mask, drop_masks=None):
         caches.append((ah, r, d))
         h = r if d is None else r * d
     pooled = h.sum(axis=1)
-    y = pooled @ weights["hw"] + weights["hb"][0]
+    y = pooled @ weights["hw"]
+    y += weights["hb"]
     return y, pooled, caches
 
 
 def loss_and_gradients(weights, adj, mask, targets, drop_masks=None, grads=None):
-    """Mean-squared-error loss and its gradient for every weight array,
-    written into the arrays of `grads` when given."""
+    """The mean over the batch and the targets of the squared error, and its
+    gradient for every weight array, written into the arrays of `grads`
+    when given. `targets` is (b, len(TARGETS))."""
     y, pooled, caches = _forward_batch(weights, adj, mask, drop_masks)
     b = len(targets)
     diff = y - targets
     loss = float(np.mean(diff * diff))
-    dy = 2.0 * diff / b
+    dy = diff * (2.0 / diff.size)
     if grads is None:
         grads = {k: np.empty_like(w) for k, w in weights.items()}
-    grads["hb"][0] = float(dy.sum())
+    dy.sum(axis=0, out=grads["hb"])
     np.matmul(pooled.T, dy, out=grads["hw"])
-    dh = np.broadcast_to(
-        (dy[:, None] * weights["hw"][None, :])[:, None, :],
-        (b, adj.shape[1], HIDDEN),
-    )
+    dh = np.broadcast_to((dy @ weights["hw"].T)[:, None, :], (b, adj.shape[1], HIDDEN))
     for layer in reversed(range(LAYERS)):
         ah, r, d = caches[layer]
         dr = dh if d is None else dh * d
@@ -199,10 +224,11 @@ def loss_and_gradients(weights, adj, mask, targets, drop_masks=None, grads=None)
 
 
 def forward(model: GcnModel, feats: np.ndarray) -> float:
-    """Dropout-free scalar output for one graph (normalised target space)."""
+    """Dropout-free output of `model`'s target for one graph (normalised
+    target space)."""
     adj, mask = _pack([feats])
     y, _, _ = _forward_batch(model.weights, adj, mask)
-    return float(y[0])
+    return float(y[0, TARGETS.index(model.target)])
 
 
 def _flat_views(arrays: dict) -> tuple:
@@ -221,18 +247,19 @@ def _views(flat: np.ndarray, like: dict) -> dict:
     return views
 
 
-def _adam_step(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def _adam_step(w, g, m, v, step, lr, buf=None, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update of the weights `w`, in place, with gradient `g` and
     moments `m` and `v`: one call of each numpy operation over the flat
     buffers.
 
     The bias corrections fold into two scalars: lr * mhat / (sqrt(vhat) +
     eps) = a * m / (sqrt(v) * s + eps) with a = lr / (1 - beta1^t) and
-    s = 1 / sqrt(1 - beta2^t). The update takes one scratch buffer.
+    s = 1 / sqrt(1 - beta2^t). The update takes one scratch buffer, `buf`
+    when given.
     """
     a = lr / (1.0 - beta1 ** step)
     s = 1.0 / math.sqrt(1.0 - beta2 ** step)
-    buf = np.multiply(g, 1.0 - beta1)
+    buf = np.multiply(g, 1.0 - beta1, out=buf)
     m *= beta1
     m += buf
     np.multiply(g, g, out=buf)
@@ -247,45 +274,45 @@ def _adam_step(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     w -= buf
 
 
-def _drop_masks(rng, shape_b, shape_n):
+def _drop_masks(rng, shape_b, shape_n, scratch=None):
     """Inverted-dropout masks of all LAYERS layers, shape (LAYERS, b, n, HIDDEN).
 
     One draw fills the layers in order from the stream, exactly as one
     (b, n, HIDDEN) draw per layer would, so the masks equal those bit for bit.
+    `scratch`, a flat float and a flat bool buffer of at least that many
+    elements, holds the draw and its comparison instead of new arrays.
     """
-    draw = rng.random((LAYERS, shape_b, shape_n, HIDDEN))
-    return np.multiply(draw >= DROPOUT, 1.0 / (1.0 - DROPOUT), out=draw)
+    shape = (LAYERS, shape_b, shape_n, HIDDEN)
+    size = math.prod(shape)
+    draw, keep = scratch or (np.empty(size), np.empty(size, dtype=bool))
+    draw = rng.random(shape, out=draw[:size].reshape(shape))
+    keep = np.greater_equal(draw, DROPOUT, out=keep[:size].reshape(shape))
+    return np.multiply(keep, 1.0 / (1.0 - DROPOUT), out=draw)
 
 
-def train(records, target: str, epochs: int = 300, seed: int = 0,
-          dev: DeviceParams | None = None) -> GcnModel:
-    """Fit one regression model for `target` over labelled records.
+def train_models(records, epochs: int = 300, seed: int = 0,
+                 dev: DeviceParams | None = None) -> dict:
+    """Fit the model set over labelled records: {target: GcnModel}, five
+    views of one weight set.
 
-    Labels are moved into the target's scale (see TARGET_SCALES), then
-    min-max normalised to [0, 1], with the constants stored on the model
-    for inference. The learning rate decays geometrically over LEARNING_RATE.
-    The returned weights are the epoch-best by validation loss (VAL_FRAC of
-    the records, split off deterministically; with too few records for a
-    split the training loss stands in). The constants are read at call time.
+    Labels are moved into each target's scale (see TARGET_SCALES), then
+    min-max normalised to [0, 1] per target, with the constants stored on
+    that target's model for inference. The learning rate decays
+    geometrically over LEARNING_RATE. The returned weights are the
+    epoch-best by validation loss (VAL_FRAC of the records, split off
+    deterministically; with too few records for a split the training loss
+    stands in), and `history` holds each epoch's (training, validation)
+    loss. The constants are read at call time.
     """
-    if target not in TARGETS:
-        raise InputError(f"unknown target {target!r}")
     if not records:
         raise InputError("empty dataset")
-    scale = TARGET_SCALES[target]
-    if scale != "identity" and dev is None:
-        dev = DeviceParams()
+    dev = DeviceParams() if dev is None else dev
     feats = [featurize(r.positions) for r in records]
-    raw = np.array([
-        _to_scale(
-            float(r.params[target]), scale,
-            None if scale == "identity" else omega_bounds(r.embedding(dev), dev),
-        )
-        for r in records
-    ])
-    t_lo, t_hi = float(raw.min()), float(raw.max())
-    if t_hi <= t_lo:
-        t_hi = t_lo + 1.0
+    bands = [omega_bounds(r.embedding(dev), dev) for r in records]
+    raw = np.array([[_to_scale(float(r.params[t]), TARGET_SCALES[t], band) for t in TARGETS]
+                    for r, band in zip(records, bands)])
+    t_lo, t_hi = raw.min(axis=0), raw.max(axis=0)
+    t_hi = np.where(t_hi > t_lo, t_hi, t_lo + 1.0)
     targets = (raw - t_lo) / (t_hi - t_lo)
 
     n = len(records)
@@ -295,10 +322,15 @@ def train(records, target: str, epochs: int = 300, seed: int = 0,
     tr_idx = order[n_val:]
 
     adj, mask = _pack(feats)
-    flat_w, weights = _flat_views(init_weights(seed))
+    start = init_weights(seed)
+    start["hb"] = targets[tr_idx].mean(axis=0)
+    flat_w, weights = _flat_views(start)
     flat_g = np.empty_like(flat_w)
     grads = _views(flat_g, weights)
     m_state, v_state = np.zeros_like(flat_w), np.zeros_like(flat_w)
+    adam_buf = np.empty_like(flat_w)
+    drop_size = LAYERS * min(BATCH_SIZE, len(tr_idx)) * adj.shape[1] * HIDDEN
+    drop_scratch = np.empty(drop_size), np.empty(drop_size, dtype=bool)
     hi, lo = LEARNING_RATE
     decay = (lo / hi) ** (1.0 / max(epochs - 1, 1))
 
@@ -312,19 +344,14 @@ def train(records, target: str, epochs: int = 300, seed: int = 0,
         for bstart in range(0, len(tr_idx), BATCH_SIZE):
             batch = tr_idx[perm[bstart : bstart + BATCH_SIZE]]
             drop = _drop_masks(substream(seed, "drop", epoch, bstart),
-                               len(batch), adj.shape[1])
+                               len(batch), adj.shape[1], drop_scratch)
             loss, _, _ = loss_and_gradients(
                 weights, adj[batch], mask[batch], targets[batch], drop, grads,
             )
             if not math.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch} (target {target}, lr {epoch_lr:.2e})"
-                )
+                raise NumericalError(f"non-finite loss at epoch {epoch} (lr {epoch_lr:.2e})")
             step += 1
-            _adam_step(flat_w, flat_g, m_state, v_state, step, epoch_lr)
-        # free the last step's masks before the epoch forward, which would
-        # otherwise set the training's peak memory
-        del drop
+            _adam_step(flat_w, flat_g, m_state, v_state, step, epoch_lr, adam_buf)
         y, _, _ = _forward_batch(weights, adj, mask)
         sq = (y - targets) ** 2
         train_loss = float(np.mean(sq[tr_idx]))
@@ -334,10 +361,44 @@ def train(records, target: str, epochs: int = 300, seed: int = 0,
             best_val = val_loss
             np.copyto(best_flat, flat_w)
 
-    return GcnModel(
-        weights=_views(best_flat, weights), target=target, t_lo=t_lo, t_hi=t_hi,
-        history=tuple(history),
+    best = _views(best_flat, weights)
+    return {t: GcnModel(weights=best, target=t, t_lo=float(t_lo[k]), t_hi=float(t_hi[k]),
+                        history=tuple(history))
+            for k, t in enumerate(TARGETS)}
+
+
+# (key, model set) of the last `train` call that trained
+_last_set = (None, None)
+
+
+def train(records, target: str, epochs: int = 300, seed: int = 0,
+          dev: DeviceParams | None = None) -> GcnModel:
+    """`train_models(records, epochs, seed, dev)[target]`, for callers that
+    train one target at a time; it lasts until `bench/` moves to
+    `train_models` (ROADMAP item 1).
+
+    The last model set trained is kept, keyed by the records' positions,
+    spacings and params, the other arguments and the training constants as
+    read at call time, so the five targets' calls with the same arguments
+    run one training. Its weight arrays are read-only, being shared with
+    every later call that hits the key.
+    """
+    global _last_set
+    if target not in TARGETS:
+        raise InputError(f"unknown target {target!r}")
+    dev = DeviceParams() if dev is None else dev
+    key = (
+        tuple((tuple(map(float, np.ravel(r.positions))), float(r.spacing),
+               tuple(sorted(r.params.items()))) for r in records),
+        epochs, seed, dataclasses.astuple(dev),
+        HIDDEN, LAYERS, DROPOUT, BATCH_SIZE, LEARNING_RATE, VAL_FRAC,
     )
+    if _last_set[0] != key:
+        models = train_models(records, epochs=epochs, seed=seed, dev=dev)
+        for arr in models[target].weights.values():
+            arr.flags.writeable = False
+        _last_set = (key, models)
+    return _last_set[1][target]
 
 
 def mape(predictions, targets) -> float:
@@ -355,17 +416,27 @@ def mape(predictions, targets) -> float:
     return float(100.0 * np.mean(np.abs(p[keep] - t[keep]) / np.abs(t[keep])))
 
 
-def predict_unclamped(models: dict, emb: Embedding, dev: DeviceParams) -> tuple:
-    """(search space of `emb`, the five predictions in device units): the
-    space's omega interval is the band that maps `omega` back, and the
-    predictions are not yet clamped into it."""
+def _shared_weights(models: dict) -> dict:
+    """The one weight set behind the five targets' models."""
     missing = [t for t in TARGETS if t not in models]
     if missing:
         raise InputError(f"missing models for {missing}")
-    feats = featurize(emb.register.positions())
+    weights = models[TARGETS[0]].weights
+    if any(models[t].weights is not weights for t in TARGETS):
+        raise InputError("the five models do not share one weight set")
+    return weights
+
+
+def predict_unclamped(models: dict, emb: Embedding, dev: DeviceParams) -> tuple:
+    """(search space of `emb`, the five predictions in device units), from
+    one forward: the space's omega interval is the band that maps `omega`
+    back, and the predictions are not yet clamped into it."""
+    weights = _shared_weights(models)
+    adj, mask = _pack([featurize(emb.register.positions())])
+    y, _, _ = _forward_batch(weights, adj, mask)
     space = search_space(emb, dev, "complex")
     band = space.intervals["omega"]  # omega_bounds(emb, dev), computed once
-    return space, {name: models[name].predict(feats, band) for name in TARGETS}
+    return space, {t: models[t].label(float(y[0, k]), band) for k, t in enumerate(TARGETS)}
 
 
 def predict_params(models: dict, emb: Embedding, dev: DeviceParams) -> dict:
@@ -375,14 +446,14 @@ def predict_params(models: dict, emb: Embedding, dev: DeviceParams) -> dict:
 
 
 def save_models(models: dict, path, meta: dict | None = None):
-    arrays = {}
-    info = {"version": MODEL_VERSION, "targets": {}}
+    """Write the model set: its weight arrays once, and each target's
+    min-max constants in the header."""
+    arrays = dict(_shared_weights(models))
+    info = {"version": MODEL_VERSION,
+            "targets": {t: {"t_lo": models[t].t_lo, "t_hi": models[t].t_hi}
+                        for t in TARGETS}}
     if meta:
         info["meta"] = meta
-    for name, model in models.items():
-        for wname, arr in model.weights.items():
-            arrays[f"{name}:{wname}"] = arr
-        info["targets"][name] = {"t_lo": model.t_lo, "t_hi": model.t_hi}
     arrays["__meta__"] = np.frombuffer(
         json.dumps(info, sort_keys=True).encode(), dtype=np.uint8,
     )
@@ -390,20 +461,22 @@ def save_models(models: dict, path, meta: dict | None = None):
 
 
 def load_models(path) -> dict:
-    """The models stored in `path`; any unreadable or malformed model file,
-    including a missing array or another MODEL_VERSION, is an InputError
-    naming it."""
+    """The model set stored in `path`; any unreadable or malformed model
+    file, including a missing array, another MODEL_VERSION or targets other
+    than TARGETS, is an InputError naming it."""
     try:
         # opened here, not by np.load, which leaves its file open on a bad zip
         with open(path, "rb") as fh, np.load(fh) as data:
             info = json.loads(bytes(data["__meta__"].tobytes()).decode())
             if info.get("version") != MODEL_VERSION:
                 raise InputError(f"unsupported version {info.get('version')!r}")
-            return {name: GcnModel(
-                weights={wname: np.array(data[f"{name}:{wname}"])
-                         for wname in _weight_names()},
-                target=name, t_lo=float(tmeta["t_lo"]), t_hi=float(tmeta["t_hi"]),
-            ) for name, tmeta in info["targets"].items()}
+            if sorted(info["targets"]) != sorted(TARGETS):
+                raise InputError(f"targets {sorted(info['targets'])} are not {list(TARGETS)}")
+            weights = {k: np.array(data[k]) for k in _weight_names()}
+            return {t: GcnModel(weights=weights, target=t,
+                                t_lo=float(info["targets"][t]["t_lo"]),
+                                t_hi=float(info["targets"][t]["t_hi"]))
+                    for t in TARGETS}
     except (OSError, EOFError, zipfile.BadZipFile, AttributeError, KeyError,
             TypeError, ValueError) as exc:
         raise InputError(f"bad model file {path}: {exc}") from None

@@ -375,7 +375,10 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
     relaxation. Draws up to LAYOUT_SEED_RETRIES seeds and returns the first
     chain-free placement, or failing that the one with fewest ancilla atoms
     (every ancilla doubles the simulation space). A graph whose first
-    LAYOUT_BARREN_DRAWS draws gave no placement fails.
+    LAYOUT_BARREN_DRAWS draws gave no placement fails. A draw that needs
+    chains is held, its chains not yet routed, while a chain-free draw may
+    still come: at LAYOUT_BARREN_DRAWS the held draws are routed in order
+    until one assembles, and after the last seed the rest are.
     """
     if g.n == 0:
         raise InputError("cannot lay out an empty graph")
@@ -392,9 +395,29 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
 
     failures = []
     fallback = None
+    held = []  # (attempt, pos, direct, linked) of chained draws not yet routed
+
+    def route():
+        # the held draw's chains, kept as the fallback when it assembles
+        # with fewer ancillas (or a wider band) than every earlier one
+        nonlocal fallback
+        attempt, pos, direct, linked = held.pop(0)
+        try:
+            emb = _assemble(g, dev, pos, direct, linked, spacing)
+        except InfeasibilityError as exc:
+            failures.append((attempt, f"seed {attempt}: {exc}"))
+            return
+        lo, hi = omega_bounds(emb, dev)
+        key = (len(emb.ancilla_ids()), -(hi / max(lo, 1e-12)))
+        if fallback is None or key < fallback[0]:
+            fallback = (key, emb)
+
     for attempt in range(LAYOUT_SEED_RETRIES):
-        if attempt == LAYOUT_BARREN_DRAWS and fallback is None:
-            break
+        if attempt == LAYOUT_BARREN_DRAWS:
+            while fallback is None and held:
+                route()
+            if fallback is None:
+                break
         rng = substream(seed, "layout", attempt)
         side = spacing * (math.sqrt(g.n) + 1.0)
         pos = rng.uniform(0.0, side, size=(g.n, 2))
@@ -428,22 +451,21 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
             direct[i, j] = direct[j, i] = False
             linked[i, j] = linked[j, i] = True
         if not ok:
-            failures.append(f"seed {attempt}: no usable band")
+            failures.append((attempt, f"seed {attempt}: no usable band"))
+            continue
+        if linked.any():
+            held.append((attempt, pos, direct, linked))
             continue
         try:
-            emb = _assemble(g, dev, pos, direct, linked, spacing)
+            return _assemble(g, dev, pos, direct, linked, spacing)
         except InfeasibilityError as exc:
-            failures.append(f"seed {attempt}: {exc}")
-            continue
-        if not emb.ancilla_ids():
-            return emb
-        lo, hi = omega_bounds(emb, dev)
-        key = (len(emb.ancilla_ids()), -(hi / max(lo, 1e-12)))
-        if fallback is None or key < fallback[0]:
-            fallback = (key, emb)
+            failures.append((attempt, f"seed {attempt}: {exc}"))
+    while held:
+        route()
     if fallback is not None:
         return fallback[1]
-    raise InfeasibilityError("layout failed on all seeds: " + "; ".join(failures))
+    raise InfeasibilityError("layout failed on all seeds: "
+                             + "; ".join(text for _, text in sorted(failures)))
 
 
 def _extreme(pick, dist, pairs):

@@ -41,8 +41,9 @@ runs last, when (re/im, its atoms) are the highest bits, and after it the
 layout is canonical again. Each product writes the other buffer, and the
 phase multiply writes a -> b for an odd group count and in place for an even
 one, so every sub-step starts and ends in a and is one np.multiply and one
-np.dot per group, each with out=, creating no array. The detuning phase
-factorises over the groups. tests/measure_groups.py times the partitions and
+ndarray.dot per group, each with out=, creating no array; the method skips
+np.dot's __array_function__ dispatch. The detuning phase factorises over
+the groups. tests/measure_groups.py times the partitions and
 holds the timings behind these choices.
 
 Schedule. `_compile` turns the pulse into flat per-step arrays, the one place
@@ -311,20 +312,22 @@ def _substeps(plan, steps, nsub):
     multiplies the (2^N, 2) view from the left; otherwise each symmetric F
     multiplies its view from the right."""
     psi, out, views = plan
-    multiply, dot = np.multiply, np.dot
+    multiply = np.multiply
     if len(views) == 1:
         (x, y), = views
         for phase, rep, (mat,) in steps:
+            gemm = mat.dot
             for _ in range(nsub):
                 multiply(psi, phase, out=out)
-                dot(mat, x, out=y)
+                gemm(x, out=y)
                 phase = rep
         return
+    gemms = [(x.dot, y) for x, y in views]
     for phase, rep, mats in steps:
         for _ in range(nsub):
             multiply(psi, phase, out=out)
-            for mat, (x, y) in zip(mats, views):
-                dot(x, mat, out=y)
+            for mat, (gemm, y) in zip(mats, gemms):
+                gemm(mat, out=y)
             phase = rep
 
 

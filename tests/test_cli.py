@@ -601,6 +601,29 @@ def test_bad_rounds_or_tau_is_refused_before_the_output_directory(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["vqaa", "--register", "ABSENT"],
+    ["sweep", "--register", "ABSENT", "--omegas", "2", "--deltas", "3", "--times", "400"],
+    ["embed", "--graph", "ABSENT"],
+    ["dock", "--ligand", "ABSENT", "--receptor", RECEPTOR],
+    ["train", "--dataset", "ABSENT"],
+    ["predict", "--register", "REGISTER", "--models", "ABSENT"],
+    ["mlqaa-eval", "--dataset", "DATASET", "--models", "ABSENT"],
+], ids=["vqaa", "sweep", "embed", "dock", "train", "predict", "mlqaa_eval"])
+def test_unreadable_input_leaves_no_output_directory(tmp_path, capsys, argv):
+    absent = str(tmp_path / "absent.json")
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset([_record(s) for s in (6.0, 7.5, 9.0, 11.0)], dataset)
+    argv = [{"ABSENT": absent, "REGISTER": _p2_register(tmp_path),
+             "DATASET": str(dataset)}.get(a, a) for a in argv]
+    capsys.readouterr()
+    out = tmp_path / "D"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "absent.json" in err[0], err
+    assert not out.exists()
+
+
 def test_log_formats_are_pinned(tmp_path):
     # one trials.jsonl line and one dataset.jsonl line, byte for byte
     trial = Trial(round=0, params={"omega": 2.5, "delta": 3.0, "time": 400.0},

@@ -10,7 +10,9 @@ rows are long enough for `evolve` to step them; and `label_dataset` on three
 corpus entries. A refactor that claims identical outputs keeps every pin; a
 change that moves an output bumps `cli.OUTPUT_VERSION`, which enters every
 config digest, pins the new version's outputs and names the files that
-moved.
+moved. Version 2 moved the GCN commands' outputs only; the pinned files
+moved with the digest that stamps them, and their other bytes are version
+1's.
 
 The GCN commands (`train`, `predict`, `mlqaa-eval`) are left out: their
 weights are raw GEMM sums, whose last bits depend on the CPU's kernels.
@@ -29,32 +31,32 @@ from rydock.register import DeviceParams, save_register
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 # the sha256 of every output, by the `OUTPUT_VERSION` that wrote them
-PINNED = {1: {
+PINNED = {2: {
     "dataset/dataset.jsonl": "bfa7d45ede14f80c1dbdcd29ce24ee2d76b936922d1f92179a47a5891c8c0ed0",
-    "dock/binding_graph.json": "37054951df262c753457aaac668289591351c2ba8b219bf872ed9c258e926788",
-    "dock/complement_graph.json": "938962654c902843b751157994bb190eecc4a94ee3bbf415bf1afadd2c44e39c",
-    "embed6/register.json": "fcdcda78ac8d93c169bee944eff6551571ec4fd38fe17a981b907628368e4e2e",
-    "embed9/register.json": "cd6b34cbfef46069e6268ebc970c8a251719ede9e7451472701a4c9f054ed9a9",
-    "embed_anc/register.json": "d6f9806acc448cd89ca6b2945abdd2cba4e6bff9f5d19c7553567a134190b24f",
-    "nm_complex/histogram.json": "0582e69555f1a649965faa0cbf616a03a42bf3df805717845b61cc4fcb148bab",
-    "nm_complex/result.json": "3a689d83f86ed6a6389272ba3ad6dbfaa3f86f26333c30194ea2d327bc4474e9",
-    "nm_complex/trials.jsonl": "e0ef2f8bf294b40aa2df56b04a0485e84884dff4c3c71a682963b6b223a6c64c",
-    "nm_simple/histogram.json": "8c865309b0407f3866e6138c0c8eb901a8e24c3465e362bc15a21177eb18c2a9",
-    "nm_simple/result.json": "cb65eec47b72c100c6dc17ae56ecd5d1117b5e753a9807e32a20db768a59f72a",
-    "nm_simple/trials.jsonl": "40cbd7573e86e70fca97ab621a0480bca79b56f816a4f76a2a8d9acdb1cf309f",
+    "dock/binding_graph.json": "b915d53deb55271c6e36f4531831e0051281c86611606cbb5fb57eb8a880868d",
+    "dock/complement_graph.json": "189dd44a2e236b080a38b008d901f2256f72ffde0382dee4c44a96e50b4c193a",
+    "embed6/register.json": "d560536d6c82426ba15bfb6f07561d75b992cd73f6d6f24cb653be4799124611",
+    "embed9/register.json": "179347e9edcf34433079891beb89147052bc4cf24aad1a55fdef02538b68dbe4",
+    "embed_anc/register.json": "61b09e20ba099ccf79f10cc6dc9bfe006d4bf6b9b91a781fb3853d8aad7f6f92",
+    "nm_complex/histogram.json": "e209bc77d0841762bc2d87dce4cd92681f814f1df1cd48b3f04ce36c0ee540b5",
+    "nm_complex/result.json": "39ef3a126aafd302658d8d8a2f0fbe1a1fff1ef9d2369c9ce95e63d6f30901b2",
+    "nm_complex/trials.jsonl": "3a28c2d397fc8a8b9cad0244c668b580da88e727b7df4a4e17b4b6052e2094b9",
+    "nm_simple/histogram.json": "b0a2f8112bbcd9fdc60d2c5614a2aae3838f8d10c9fa4e7fc8aed96014d4e4b4",
+    "nm_simple/result.json": "2a3356decf70622094d7577d7f4f19fdc5fd029c932ad9a08453347ba8302072",
+    "nm_simple/trials.jsonl": "7b60be6be9964f8c21d798f24fff17948dca64d0ff05cf0ae12fc47092d536e5",
     "six_node_complement.json": "2f11c232ecb8df27ffaf863735ee823125a45509f51368b175b109f1e59ce955",
-    "sweep/sweep.csv": "52e56fa0efd220f59a0bfc6412cc478e303c1010ceb579566a9316b89d99bc83",
+    "sweep/sweep.csv": "772564975d2caa3f10408bcc3b51d5a4ab1489d6e7f561171efd4e2c77628309",
     "sweep12/hexagon-4-s9.75.json": "6a8b469764317a045789ca936530784eadc857a385c91db7229971b5a4592670",
-    "sweep12/sweep.csv": "6d2e936efea4eb2e8f51c8319c706ba65787a3c73857f25aa83cecc1ee0d7469",
-    "tpe_complex/histogram.json": "77f9722e6b0703f63d88743fc7460a1dcd847fd7b6d71d91285e40660776d9be",
-    "tpe_complex/result.json": "e74051297ae687e15f4bf0afd7420a83ff215ca268a42bf86ca0ab377d13aefe",
-    "tpe_complex/trials.jsonl": "fca51327bd307c02bad44b849ccb937e070083bda947015a0213729832ea508b",
-    "tpe_simple/histogram.json": "3144519e26c711fcd1693bd5d41ddf16da57dcff3c1714771fa4d2cad9c0105c",
-    "tpe_simple/result.json": "e4c08f493ccea8bba7f4deebf220ffa22715fd592bdcccaf31b74f1acf3f2852",
-    "tpe_simple/trials.jsonl": "5bef4f45f4a9fa4e4cafa16b976e21fa89955b8052b83d71c2139bd79aee61ad",
-    "vqaa_anc/histogram.json": "8ab98930824dab3f6400ecab6b2eebd5e7096a3559ce2b93949ddefa3c5355bb",
-    "vqaa_anc/result.json": "06b9cb9dd6f86f65f408b5706e04432362abc63a35a2abe74d9fdac2ea44743e",
-    "vqaa_anc/trials.jsonl": "76b7ab4cf41087bc87286b2455c71391249e49c6e696a3895d889177f28c1952",
+    "sweep12/sweep.csv": "25151e5fd25fff9f89b333b29fd3957c8e6e846017c5839f5d4e4d699144d9bb",
+    "tpe_complex/histogram.json": "e34d38015c5eb2707db9e0d96e0e41b843322cb6d339b5b84cc67eac566e7c2e",
+    "tpe_complex/result.json": "fff425cdb7b5604f7f95d22777c959d1264956d5564319a7edfc9123cbd189d8",
+    "tpe_complex/trials.jsonl": "5629f58bf159f1f2be5c11ce172b100de84c1e21797cc1802ec1e1b72b541fc5",
+    "tpe_simple/histogram.json": "fecac5e3c147fd4f8011c70a5a3e3fd60357fcc5e75c7c1488421f41ae707141",
+    "tpe_simple/result.json": "bd45fca438461095c3631be8e14c54969e80f6a4492843264cfb67f950dae906",
+    "tpe_simple/trials.jsonl": "470cebfd8187ba9e639033cd974b942a1929c9341c80510fc28894f48c65dcc4",
+    "vqaa_anc/histogram.json": "6b31db3d2b347a9c18aa04d9de0b3bbd59e8651f4fbaf8fe71d621da4cda8999",
+    "vqaa_anc/result.json": "6c4e2ec3046e2d5e749af02d626f30bf28f818ac77bb68ba4a763cd1718d2162",
+    "vqaa_anc/trials.jsonl": "c10c01d697cd19f7feef4172453554085abcdbef1f294cd392384b9164ad2ecd",
 }}
 PINS = PINNED.get(OUTPUT_VERSION, {})
 

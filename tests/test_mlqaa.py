@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from rydock.mlqaa import (
     shape_positions,
     train,
     train_holdout_split,
+    train_models,
 )
+from rydock.mlqaa import gcn
 from rydock.mlqaa.dataset import _canonical_trial
 from rydock.mlqaa.gcn import (
     DROPOUT,
@@ -44,10 +47,12 @@ from rydock.mlqaa.gcn import (
     init_weights,
     loss_and_gradients,
 )
-from rydock import optimize
+from rydock import cli, optimize
 from rydock.optimize import Trial, evaluate_params, search_space, vqaa
 from rydock.register import DeviceParams, embedding_from_positions, omega_bounds
 from rydock.rng import substream
+
+import measure_mlqaa
 
 DEV = DeviceParams()
 
@@ -58,6 +63,12 @@ def _line(n, s):
 
 def _model(target, seed, t_lo=0.0, t_hi=1.0):
     return GcnModel(weights=init_weights(seed), target=target, t_lo=t_lo, t_hi=t_hi)
+
+
+def _model_set(seed, t_lo=0.0, t_hi=1.0):
+    """Five views of one weight set, as train_models and load_models return."""
+    weights = init_weights(seed)
+    return {t: GcnModel(weights=weights, target=t, t_lo=t_lo, t_hi=t_hi) for t in TARGETS}
 
 
 def _record(spacing, n=2, omega=None):
@@ -156,20 +167,27 @@ def test_label_scale_transforms():
             assert _from_scale(z, scale, band) == pytest.approx(v)
 
 
-def gradient_check(model: GcnModel, feats, target_value: float,
-                   n_sample: int = 100, step: float = 1e-5,
+def gradient_check(model: GcnModel, feats_list, target_values,
+                   n_sample: int = 100, n_head: int = 40, step: float = 1e-5,
                    seed: int = 0) -> float:
-    """Max relative error of analytic vs central-difference gradients."""
-    adj, mask = _pack([feats])
-    targets = np.array([target_value], dtype=float)
+    """Max relative error of analytic vs central-difference gradients, at
+    n_sample weights drawn from the whole model plus n_head of the head's
+    `hw` and every entry of its bias `hb`."""
+    adj, mask = _pack(feats_list)
+    targets = np.asarray(target_values, dtype=float)
     weights = {k: v.copy() for k, v in model.weights.items()}
     _, grads, _ = loss_and_gradients(weights, adj, mask, targets)
     rng = substream(seed, "gradcheck")
     names = _weight_names()
     sizes = np.array([weights[k].size for k in names])
     total = int(sizes.sum())
-    picks = rng.choice(total, size=min(n_sample, total), replace=False)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
+    head = offsets[names.index("hw")]
+    picks = np.concatenate([
+        rng.choice(total, size=min(n_sample, total), replace=False),
+        head + rng.choice(weights["hw"].size, size=n_head, replace=False),
+        offsets[names.index("hb")] + np.arange(weights["hb"].size),
+    ])
     worst = 0.0
     for flat in picks:
         arr_k = int(np.searchsorted(offsets, flat, side="right") - 1)
@@ -191,10 +209,29 @@ def gradient_check(model: GcnModel, feats, target_value: float,
 
 def test_gradients_match_finite_differences():
     rng = substream(11, "gc")
-    pos = rng.uniform(0.0, 50.0, size=(4, 2))
-    model = _model("omega", seed=3)
-    worst = gradient_check(model, featurize(pos), target_value=0.7, seed=2)
+    feats = [featurize(rng.uniform(0.0, 50.0, size=(n, 2))) for n in (4, 3)]
+    weights = init_weights(3)
+    assert weights["hw"].shape == (HIDDEN, len(TARGETS))
+    assert weights["hb"].shape == (len(TARGETS),)
+    weights["hb"] = rng.uniform(0.0, 1.0, size=len(TARGETS))
+    model = GcnModel(weights=weights, target="omega", t_lo=0.0, t_hi=1.0)
+    targets = rng.uniform(0.0, 1.0, size=(2, len(TARGETS)))
+    worst = gradient_check(model, feats, targets, seed=2)
     assert worst < 1e-4
+
+
+def test_loss_is_the_mean_over_batch_and_targets():
+    feats = [featurize(_line(3, 8.0)), featurize(_line(2, 6.5))]
+    adj, mask = _pack(feats)
+    weights = init_weights(4)
+    targets = substream(4, "tg").uniform(0.0, 1.0, size=(2, len(TARGETS)))
+    loss, _, y = loss_and_gradients(weights, adj, mask, targets)
+    assert y.shape == (2, len(TARGETS))
+    assert loss == pytest.approx(float(np.mean((y - targets) ** 2)), rel=1e-12)
+    # each column is its target's output of the one forward
+    models = _model_set(4)
+    for k, t in enumerate(TARGETS):
+        assert forward(models[t], feats[0]) == pytest.approx(y[0, k], abs=1e-12)
 
 
 def test_forward_permutation_invariance():
@@ -214,8 +251,9 @@ def test_batch_padding_matches_single_forward():
     adj, mask = _pack([fa, fb])
     assert adj.shape == (2, 5, 5)
     y, _, _ = _forward_batch(model.weights, adj, mask)
-    assert y[0] == pytest.approx(forward(model, fa), abs=1e-10)
-    assert y[1] == pytest.approx(forward(model, fb), abs=1e-10)
+    k = TARGETS.index("delta0")
+    assert y[0, k] == pytest.approx(forward(model, fa), abs=1e-10)
+    assert y[1, k] == pytest.approx(forward(model, fb), abs=1e-10)
 
 
 def test_adam_step_matches_textbook_update():
@@ -246,7 +284,7 @@ def test_adam_step_matches_textbook_update():
             assert np.max(np.abs(v[k] - ref_v[k])) <= 1e-12
 
 
-def _per_array_adam(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def _per_array_adam(w, g, m, v, step, lr, buf=None, beta1=0.9, beta2=0.999, eps=1e-8):
     """Reference Adam: the same arithmetic, one weight array at a time,
     over the flat buffers' per-array views."""
     a = lr / (1.0 - beta1 ** step)
@@ -271,13 +309,13 @@ def _per_array_adam(w, g, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 def test_flat_buffer_training_equals_per_array_adam(monkeypatch):
     records = [_record(s, n=n) for s, n in ((7.0, 2), (8.0, 3), (9.0, 3), (10.0, 4), (6.5, 2))]
     monkeypatch.setattr("rydock.mlqaa.gcn.BATCH_SIZE", 2)
-    got = {t: train(records, t, epochs=6, seed=2) for t in TARGETS}
+    got = train_models(records, epochs=6, seed=2)
     monkeypatch.setattr("rydock.mlqaa.gcn._adam_step", _per_array_adam)
+    want = train_models(records, epochs=6, seed=2)
     for t in TARGETS:
-        want = train(records, t, epochs=6, seed=2)
-        assert got[t].history == want.history
-        assert all(got[t].weights[k].tobytes() == want.weights[k].tobytes()
-                   for k in want.weights)
+        assert got[t].history == want[t].history
+        assert all(got[t].weights[k].tobytes() == want[t].weights[k].tobytes()
+                   for k in want[t].weights)
     # gradients written into a flat buffer's views equal freshly allocated ones
     adj, mask = _pack([featurize(r.positions) for r in records])
     weights, targets = init_weights(5), np.linspace(0.0, 1.0, len(records))
@@ -287,6 +325,23 @@ def test_flat_buffer_training_equals_per_array_adam(monkeypatch):
     assert all(_views(flat, weights)[k].tobytes() == fresh[k].tobytes() for k in fresh)
 
 
+def test_preallocated_training_equals_allocating_training(monkeypatch):
+    # Adam's scratch buffer and the dropout draw are allocated once per
+    # training; fresh arrays at every step give the same weights bit for bit
+    records = [_record(s, n=n) for s, n in ((7.0, 2), (8.0, 3), (9.0, 4), (10.0, 3), (6.5, 2))]
+    monkeypatch.setattr("rydock.mlqaa.gcn.BATCH_SIZE", 3)
+    got = train_models(records, epochs=4, seed=3)
+    adam, drop = gcn._adam_step, gcn._drop_masks
+    monkeypatch.setattr("rydock.mlqaa.gcn._adam_step",
+                        lambda w, g, m, v, step, lr, buf: adam(w, g, m, v, step, lr))
+    monkeypatch.setattr("rydock.mlqaa.gcn._drop_masks",
+                        lambda rng, b, n, scratch: drop(rng, b, n))
+    want = train_models(records, epochs=4, seed=3)
+    assert got["omega"].history == want["omega"].history
+    assert all(got["omega"].weights[k].tobytes() == want["omega"].weights[k].tobytes()
+               for k in _weight_names())
+
+
 def test_drop_masks_one_draw_equals_per_layer_draws():
     masks = _drop_masks(substream(6, "drop"), 3, 7)
     rng = substream(6, "drop")
@@ -294,6 +349,12 @@ def test_drop_masks_one_draw_equals_per_layer_draws():
     for layer in range(LAYERS):
         keep = (rng.random((3, 7, HIDDEN)) >= DROPOUT).astype(float)
         assert np.array_equal(masks[layer], keep / (1.0 - DROPOUT))
+    # drawn into larger scratch buffers, the masks are the same
+    size = LAYERS * 4 * 7 * HIDDEN
+    scratch = np.full(size, np.nan), np.empty(size, dtype=bool)
+    again = _drop_masks(substream(6, "drop"), 3, 7, scratch)
+    assert np.shares_memory(again, scratch[0])
+    assert np.array_equal(again, masks)
 
 
 def test_train_overfits_single_record(monkeypatch):
@@ -308,13 +369,42 @@ def test_train_overfits_single_record(monkeypatch):
 
 def test_train_determinism():
     recs = [_record(s) for s in (6.0, 7.5, 9.0, 11.0)]
-    a = train(recs, "t_fall", epochs=3, seed=1)
-    b = train(recs, "t_fall", epochs=3, seed=1)
+    a = train_models(recs, epochs=3, seed=1)["t_fall"]
+    b = train_models(recs, epochs=3, seed=1)["t_fall"]
     assert a.weights.keys() == b.weights.keys()
     for k in a.weights:
         assert np.array_equal(a.weights[k], b.weights[k])
-    c = train(recs, "t_fall", epochs=3, seed=2)
+    c = train_models(recs, epochs=3, seed=2)["t_fall"]
     assert any(not np.array_equal(a.weights[k], c.weights[k]) for k in a.weights)
+
+
+def test_train_models_is_one_weight_set_with_a_mean_head_bias(monkeypatch):
+    recs = [_record(s, n=n) for s, n in ((6.0, 2), (7.5, 3), (9.0, 2), (11.0, 3))]
+    models = train_models(recs, epochs=1, seed=4)
+    assert list(models) == list(TARGETS)
+    weights = models["t_rise"].weights
+    assert all(models[t].weights is weights for t in TARGETS)
+    assert all(models[t].history == models["t_rise"].history for t in TARGETS)
+    assert weights["hw"].shape == (HIDDEN, 5) and weights["hb"].shape == (5,)
+    # with no epoch run, the head bias is the training split's mean
+    # normalised target, and the head weights keep their uniform init
+    monkeypatch.setattr("rydock.mlqaa.gcn.VAL_FRAC", 0.25)
+    start = train_models(recs, epochs=0, seed=4)
+    assert start["t_rise"].history == ()
+    val = set(substream(4, "val").permutation(4)[:1].tolist())
+    for k, t in enumerate(TARGETS):
+        m = start[t]
+        labels = [
+            gcn._to_scale(r.params[t], TARGET_SCALES[t], omega_bounds(r.embedding(DEV), DEV))
+            for r in recs
+        ]
+        assert m.t_lo == min(labels)
+        want = np.mean([(v - m.t_lo) / (m.t_hi - m.t_lo)
+                        for j, v in enumerate(labels) if j not in val])
+        assert m.weights["hb"][k] == pytest.approx(want, abs=1e-15)
+    bound = math.sqrt(6.0 / (HIDDEN + 5))
+    assert np.array_equal(start["omega"].weights["hw"], init_weights(4)["hw"])
+    assert 0.9 * bound < np.abs(init_weights(4)["hw"]).max() <= bound
 
 
 def test_train_band_scale_inverts_per_register(monkeypatch):
@@ -335,6 +425,69 @@ def test_train_errors():
         train([_record(9.0)], "phase")
     with pytest.raises(InputError):
         train([], "omega")
+    with pytest.raises(InputError):
+        train_models([])
+    with pytest.raises(InputError, match="unknown target 'phase'"):
+        _model("phase", seed=0)
+
+
+def _fresh_cache(monkeypatch):
+    """Empty train's one-entry cache, and count the trainings it runs."""
+    monkeypatch.setattr("rydock.mlqaa.gcn._last_set", (None, None))
+    calls = []
+    inner = gcn.train_models
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr("rydock.mlqaa.gcn.train_models", counted)
+    return calls
+
+
+def test_train_is_a_view_of_train_models(monkeypatch):
+    recs = [_record(s, n=n) for s, n in ((6.0, 2), (7.5, 3), (9.0, 2), (11.0, 3))]
+    calls = _fresh_cache(monkeypatch)
+    views = {t: train(recs, t, epochs=3, seed=1) for t in TARGETS}
+    assert len(calls) == 1
+    models = train_models(recs, epochs=3, seed=1)
+    for t in TARGETS:
+        assert (views[t].target, views[t].t_lo, views[t].t_hi, views[t].history) == (
+            t, models[t].t_lo, models[t].t_hi, models[t].history)
+        assert all(views[t].weights[k].tobytes() == models[t].weights[k].tobytes()
+                   for k in _weight_names())
+    # the cached weights are shared by every hit, so they cannot be written
+    with pytest.raises(ValueError):
+        views["omega"].weights["hb"][0] = 0.0
+
+
+def test_train_cache_misses_on_any_changed_input(monkeypatch):
+    recs = [_record(s) for s in (6.0, 7.5, 9.0)]
+    calls = _fresh_cache(monkeypatch)
+    base = train(recs, "omega", epochs=2, seed=0)
+    assert train(recs, "t_rise", epochs=2, seed=0).weights is base.weights
+    assert train(list(recs), "deltaf", epochs=2, seed=0, dev=DEV).weights is base.weights
+    assert len(calls) == 1
+    moved = [recs[0], recs[1], _record(9.5)]
+    relabelled = [recs[0], recs[1], replace(recs[2], params={**recs[2].params, "delta0": 2.5})]
+    for args, kwargs in (
+        ((moved, "omega"), dict(epochs=2, seed=0)),
+        ((relabelled, "omega"), dict(epochs=2, seed=0)),
+        ((recs, "omega"), dict(epochs=3, seed=0)),
+        ((recs, "omega"), dict(epochs=2, seed=1)),
+        ((recs, "omega"), dict(epochs=2, seed=0, dev=replace(DEV, omega_max=14.0))),
+    ):
+        before = len(calls)
+        train(*args, **kwargs)
+        assert len(calls) == before + 1, (args, kwargs)
+    for name, value in (("DROPOUT", 0.2), ("BATCH_SIZE", 2), ("LEARNING_RATE", (1e-3, 1e-4)),
+                        ("VAL_FRAC", 0.4), ("HIDDEN", 16), ("LAYERS", 2)):
+        train(recs, "omega", epochs=2, seed=0)
+        before = len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(f"rydock.mlqaa.gcn.{name}", value)
+            train(recs, "omega", epochs=2, seed=0)
+        assert len(calls) == before + 1, name
 
 
 def test_mape_contract():
@@ -348,8 +501,7 @@ def test_mape_contract():
 
 
 def test_predict_params_stays_in_space():
-    models = {t: _model(t, seed=k, t_lo=-3.0, t_hi=9.0)
-              for k, t in enumerate(TARGETS)}
+    models = _model_set(seed=1, t_lo=-3.0, t_hi=9.0)
     emb = embedding_from_positions([(0.0, 0.0), (9.0, 0.0), (18.0, 0.0)],
                                    DEV, spacing=9.0)
     out = predict_params(models, emb, DEV)
@@ -360,18 +512,27 @@ def test_predict_params_stays_in_space():
     del short["omega"]
     with pytest.raises(InputError):
         predict_params(short, emb, DEV)
+    # the five predictions come from one forward of one weight set
+    mixed = {**models, "omega": _model("omega", seed=2)}
+    with pytest.raises(InputError, match="share one weight set"):
+        predict_params(mixed, emb, DEV)
+    feats = featurize(emb.register.positions())
+    band = omega_bounds(emb, DEV)
+    _, unclamped = gcn.predict_unclamped(models, emb, DEV)
+    assert unclamped == {t: models[t].predict(feats, band) for t in TARGETS}
 
 
 def test_save_load_roundtrip(tmp_path, monkeypatch):
     recs = [_record(s) for s in (6.0, 8.0, 10.0)]
-    models = {
-        "t_rise": train(recs, "t_rise", epochs=2, seed=0),
-        "omega": train(recs, "omega", epochs=2, seed=0, dev=DEV),
-    }
+    models = train_models(recs, epochs=2, seed=0, dev=DEV)
     path = tmp_path / "models.npz"
     save_models(models, path, meta={"note": "roundtrip"})
     loaded = load_models(path)
-    assert set(loaded) == {"t_rise", "omega"}
+    assert list(loaded) == list(TARGETS)
+    # the weight set is stored once, and loads as one shared set
+    with np.load(path) as data:
+        assert sorted(data.files) == sorted([*_weight_names(), "__meta__"])
+    assert all(loaded[t].weights is loaded["omega"].weights for t in TARGETS)
     feats, band = featurize(_line(3, 8.5)), (1.0, 4.0)
     # npz arrays and JSON floats round-trip exactly
     for name, model in models.items():
@@ -457,14 +618,14 @@ def test_load_models_refuses_broken_files(tmp_path):
     # a truncated npz raises BadZipFile, which is not a ValueError; junk bytes
     # read as a pickle, which np.load refuses
     path = tmp_path / "m.npz"
-    save_models({"t_rise": train([_record(6.0), _record(9.0)], "t_rise", epochs=1)}, path)
+    save_models(train_models([_record(6.0), _record(9.0)], epochs=1), path)
     with np.load(path) as data:
         arrays = dict(data)
     for broken in (path.read_bytes()[:200], b"", b"not a model"):
         path.write_bytes(broken)
         with pytest.raises(InputError, match="m.npz"):
             load_models(path)
-    for missing in ("__meta__", "t_rise:hb"):
+    for missing in ("__meta__", "hb"):
         np.savez(path, **{k: v for k, v in arrays.items() if k != missing})
         with pytest.raises(InputError, match="m.npz"):
             load_models(path)
@@ -472,22 +633,50 @@ def test_load_models_refuses_broken_files(tmp_path):
         load_models(tmp_path / "absent.npz")
 
 
+def _rewrite_header(path, edit):
+    """Rewrite the JSON header of the model file at `path` through `edit`."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    info = json.loads(arrays["__meta__"].tobytes().decode())
+    edit(info)
+    arrays["__meta__"] = np.frombuffer(json.dumps(info).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
 def test_load_models_refuses_the_version_2_layout(tmp_path):
     # version 2 stored each target's seed, scale and version beside its
     # min-max constants; such a file is refused, not read with a dropped scale
     path = tmp_path / "m.npz"
-    save_models({"omega": _model("omega", seed=3)}, path)
+    save_models(_model_set(seed=3), path)
     with np.load(path) as data:
-        arrays = dict(data)
-    info = json.loads(arrays["__meta__"].tobytes().decode())
-    assert info["version"] == MODEL_VERSION == "3"
+        info = json.loads(data["__meta__"].tobytes().decode())
+    assert info["version"] == MODEL_VERSION == "4"
     assert info["targets"]["omega"] == {"t_lo": 0.0, "t_hi": 1.0}
-    info["version"] = "2"
-    info["targets"]["omega"].update(seed=3, scale="band", version="2")
-    arrays["__meta__"] = np.frombuffer(json.dumps(info).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+
+    def version_2(info):
+        info["version"] = "2"
+        info["targets"]["omega"].update(seed=3, scale="band", version="2")
+
+    _rewrite_header(path, version_2)
     with pytest.raises(InputError, match="bad model file .*m.npz.*unsupported version '2'"):
         load_models(path)
+
+
+def test_load_models_refuses_version_3_and_other_targets(tmp_path):
+    # version 3 held one network per target, its arrays named "target:W0"
+    path = tmp_path / "m.npz"
+    np.savez(path, **{f"{t}:{k}": w for t in TARGETS for k, w in init_weights(0).items()},
+             __meta__=np.frombuffer(json.dumps({"version": "3", "targets": {
+                 t: {"t_lo": 0.0, "t_hi": 1.0} for t in TARGETS}}).encode(), dtype=np.uint8))
+    with pytest.raises(InputError, match="bad model file .*m.npz.*unsupported version '3'"):
+        load_models(path)
+    # a header must name exactly the five targets
+    for edit in (lambda info: info["targets"].pop("omega"),
+                 lambda info: info["targets"].update(phase={"t_lo": 0.0, "t_hi": 1.0})):
+        save_models(_model_set(seed=3), path)
+        _rewrite_header(path, edit)
+        with pytest.raises(InputError, match="bad model file .*m.npz.*targets"):
+            load_models(path)
 
 
 def test_dataset_jsonl_roundtrip(tmp_path):
@@ -553,3 +742,18 @@ def test_label_dataset_small_register():
         assert space.feasible(rec.params)
     again = label_dataset(entries, DEV, rounds=4, shots=100, seed=0, dt=8.0)
     assert again == recs
+
+
+def test_measure_mlqaa_script_runs(tmp_path, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset([_record(s, n=n) for s, n in ((6.0, 2), (7.5, 3), (9.0, 2), (11.0, 3))],
+                 dataset)
+    assert measure_mlqaa.main(["--seed", "0", "--epochs", "2", "--work", str(tmp_path),
+                               "--dataset", str(dataset)]) == 0
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert set(result["mape"]) == set(TARGETS)
+    for key in ("holdout_normalized", "constant_normalized", "vqaa_normalized"):
+        assert 0.0 <= result[key] <= 1.0
+    # the constant predictor is scored through mlqaa-eval, which is left as shipped
+    assert (tmp_path / "constant-s0" / "mlqaa_eval.csv").exists()
+    assert cli.predict_params is predict_params

@@ -492,6 +492,24 @@ def test_layout_keeps_drawing_seeds_for_a_chain_free_placement():
     assert emb.register.n == 6
 
 
+def test_layout_routes_no_chain_of_a_draw_it_discards(monkeypatch):
+    # seed 9's first draws need chains (routing them took four
+    # insert_quantum_link calls), and a later one, still before
+    # LAYOUT_BARREN_DRAWS, is chain-free: the chained draws are held and
+    # never routed, since the chain-free one wins
+    calls = []
+    inner = rydock.register.insert_quantum_link
+    monkeypatch.setattr(rydock.register, "insert_quantum_link",
+                        lambda *a, **k: calls.append(a[1:3]) or inner(*a, **k))
+    emb = layout(_fixture_complement(), DEV, spacing=DEFAULTS["spacing"], seed=9)
+    assert emb.ancilla_ids() == ()
+    assert calls == []
+    # a graph that needs a chain at every draw still routes them
+    six = complement(load_graph(FIXTURES / "six_node.json"))
+    assert layout(six, DEV, spacing=6.0, seed=1).ancilla_ids()
+    assert calls
+
+
 def test_fixture_layouts_are_chain_free_at_one_band_ratio():
     # seeds 0-19 of the fixture complement graph at the CLI spacing, a
     # subset of the seeds 0-59 that tests/measure_layout.py reports
