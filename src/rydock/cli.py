@@ -190,6 +190,8 @@ def cmd_embed(args, cfg, meta, out, dev) -> int:
 
 
 def cmd_vqaa(args, cfg, meta, out, dev) -> int:
+    if args.resume and cfg["optimizer"] != "tpe":
+        raise InputError("resume is only meaningful for the tpe optimizer")
     emb = load_register(args.register, dev)
     log_path = os.path.join(out, "trials.jsonl")
     # a log is replayed for the same register and config but `rounds` only
@@ -245,12 +247,10 @@ def _sweep_axis(args, k: str) -> list:
 
 
 def cmd_sweep(args, cfg, meta, out, dev) -> int:
+    axes = [_sweep_axis(args, k) for k in SWEEP_AXES]
     emb = load_register(args.register, dev)
     os.makedirs(out, exist_ok=True)
-    rows = qaa_sweep(
-        emb, dev, *(_sweep_axis(args, k) for k in SWEEP_AXES),
-        shots=cfg["shots"], seed=cfg["seed"], dt=cfg["dt"],
-    )
+    rows = qaa_sweep(emb, dev, *axes, shots=cfg["shots"], seed=cfg["seed"], dt=cfg["dt"])
     _write_csv(os.path.join(out, "sweep.csv"), meta,
                ["omega", "delta", "time", "success_prob"], rows)
     feasible = [r for r in rows if not math.isnan(r["success_prob"])]
@@ -272,15 +272,6 @@ def _rounds_list(args) -> list:
     return sorted(int(r) for r in rounds)
 
 
-def _benchmark_entries(subset: str, dev: DeviceParams):
-    entries = generate_corpus(dev)
-    if subset == "lines":
-        return [e for e in entries if e.family == "line"]
-    if subset == "all":
-        return entries
-    raise InputError(f"unknown subset {subset!r}")
-
-
 def _refuse_other(cfg: dict, command: str, **runs):
     """InputError when the config sets a key to a value `command` ignores."""
     for k, v in runs.items():
@@ -289,12 +280,14 @@ def _refuse_other(cfg: dict, command: str, **runs):
 
 
 def cmd_benchmark(args, cfg, meta, out, dev) -> int:
+    rounds_list = _rounds_list(args)
     # replaying the longest search for every shorter one needs tpe
     _refuse_other(cfg, "benchmark", optimizer="tpe")
-    rounds_list = _rounds_list(args)
     os.makedirs(out, exist_ok=True)
     rows = []
-    for entry in _benchmark_entries(args.subset, dev):
+    # argparse's choices leave "lines" and "all"
+    entries = [e for e in generate_corpus(dev) if args.subset == "all" or e.family == "line"]
+    for entry in entries:
         entry_seed = int(substream(cfg["seed"], "bench", entry.name).integers(1 << 62))
         kw = dict(family=cfg["family"], shots=cfg["shots"], optimizer="tpe",
                   seed=entry_seed, dt=cfg["dt"])
@@ -537,17 +530,10 @@ def main(argv=None) -> int:
         cfg = effective_config(args)
         dev = DeviceParams(**cfg["device"])
         meta = {"config_digest": config_digest(cfg, args.command), "seed": cfg["seed"]}
-        # refused before any input is read; each command makes its output
-        # directory once its inputs are read
-        if args.command == "sweep":
-            for k in SWEEP_AXES:
-                _sweep_axis(args, k)
-        if args.command == "benchmark":
-            _rounds_list(args)
-        if args.command == "vqaa" and args.resume and cfg["optimizer"] != "tpe":
-            raise InputError("resume is only meaningful for the tpe optimizer")
-        # looked up on every call, so a rebinding of a cmd_* name in this
-        # module (as a tracer or a test makes) takes effect
+        # each command refuses its own flags before it reads an input and
+        # makes its output directory once its inputs are read. Looked up on
+        # every call, so a rebinding of a cmd_* name in this module (as a
+        # tracer or a test makes) takes effect
         command = globals()["cmd_" + args.command.replace("-", "_")]
         return command(args, cfg, meta, cfg["out"], dev)
     except InputError as exc:

@@ -17,7 +17,6 @@ from .gcn import (
     TARGETS,
     GcnModel,
     featurize,
-    forward,
     load_models,
     mape,
     predict_params,
@@ -30,6 +29,6 @@ __all__ = [
     "FAMILIES", "SPACINGS", "CorpusEntry", "DatasetRecord", "corpus_entry",
     "generate_corpus", "label_dataset", "load_dataset", "save_dataset",
     "shape_positions", "train_holdout_split",
-    "TARGETS", "GcnModel", "featurize", "forward", "load_models", "mape",
+    "TARGETS", "GcnModel", "featurize", "load_models", "mape",
     "predict_params", "save_models", "train", "train_models",
 ]

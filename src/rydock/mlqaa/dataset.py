@@ -36,29 +36,16 @@ _RECT_DIMS = ((2, 2), (2, 3), (2, 4), (3, 3), (2, 5))
 _ROOT3 = math.sqrt(3.0)
 
 
-def _line(k: int, s: float) -> list:
-    return [(i * s, 0.0) for i in range(k)]
-
-
 def _rectangle(rows: int, cols: int, s: float) -> list:
     return [(j * s, i * s) for i in range(rows) for j in range(cols)]
 
 
-def _triangle_patch(rows: int, s: float) -> list:
-    pts = []
-    for i in range(rows):
-        for j in range(i + 1):
-            pts.append(((j - i / 2.0) * s, i * s * _ROOT3 / 2.0))
-    return pts
-
-
-def _triangle_outline(rows: int, s: float) -> list:
-    pts = []
-    for i in range(rows):
-        for j in range(i + 1):
-            if i == rows - 1 or j == 0 or j == i:
-                pts.append(((j - i / 2.0) * s, i * s * _ROOT3 / 2.0))
-    return pts
+def _triangle(rows: int, s: float, outline: bool) -> list:
+    """Triangular patch of `rows` rows, row i holding i + 1 sites, or only
+    the sites on its outline."""
+    return [((j - i / 2.0) * s, i * s * _ROOT3 / 2.0)
+            for i in range(rows) for j in range(i + 1)
+            if not outline or i == rows - 1 or j == 0 or j == i]
 
 
 def _tri_lattice(rows: int, cols: int, s: float) -> list:
@@ -107,13 +94,13 @@ def shape_positions(family: str, size_index: int, spacing: float) -> np.ndarray:
     if spacing <= 0:
         raise InputError("spacing must be positive")
     if family == "line":
-        pts = _line(size_index + 2, spacing)
+        pts = _rectangle(1, size_index + 2, spacing)
     elif family == "rectangle":
         pts = _rectangle(*_RECT_DIMS[size_index], spacing)
     elif family == "triangle":
-        kind, dim = (("patch", size_index + 2) if size_index < 3
-                     else ("outline", size_index + 1))
-        pts = (_triangle_patch if kind == "patch" else _triangle_outline)(dim, spacing)
+        # patches of 2 to 4 rows, then the outlines of 4 and 5 rows
+        outline = size_index >= 3
+        pts = _triangle(size_index + (1 if outline else 2), spacing, outline)
     elif family == "tri_lattice":
         pts = _tri_lattice(*_RECT_DIMS[size_index], spacing)
     elif family == "hexagon":
@@ -254,8 +241,9 @@ def save_dataset(records, path):
             fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
-def load_dataset(path) -> list:
-    return files.read(path, lambda docs: [DatasetRecord(
+def _record_from_doc(d) -> DatasetRecord:
+    """One record as stored, each of its numbers finite."""
+    rec = DatasetRecord(
         family=str(d["family"]), size_index=int(d["size_index"]),
         spacing=float(d["spacing"]),
         ids=tuple(str(i) for i in d["ids"]),
@@ -263,7 +251,17 @@ def load_dataset(path) -> list:
         params={str(k): float(v) for k, v in d["params"].items()},
         score=float(d["score"]),
         rounds=int(d["rounds"]), seed=int(d["seed"]),
-    ) for d in docs], lines=True)
+    )
+    # JSON reads NaN and Infinity literals
+    for name, value in [("spacing", rec.spacing), ("score", rec.score), *rec.params.items(),
+                        *(("positions", v) for xy in rec.positions for v in xy)]:
+        if not math.isfinite(value):
+            raise InputError(f"record {rec.name}: {name} must be finite, got {value}")
+    return rec
+
+
+def load_dataset(path) -> list:
+    return files.read(path, lambda docs: [_record_from_doc(d) for d in docs], lines=True)
 
 
 def train_holdout_split(records, seed: int = 0, holdout_frac: float = 0.2):

@@ -139,10 +139,6 @@ class GcnModel:
         value = self.t_lo + output * (self.t_hi - self.t_lo)
         return _from_scale(value, TARGET_SCALES[self.target], band)
 
-    def predict(self, feats: np.ndarray, band) -> float:
-        """Prediction for one register in device units, given its Rabi band."""
-        return self.label(forward(self, feats), band)
-
 
 def _weight_names():
     names = []
@@ -221,14 +217,6 @@ def loss_and_gradients(weights, adj, mask, targets, drop_masks=None, grads=None)
         if layer:
             dh = adj @ (dz @ weights[f"W{layer}"].T)
     return loss, grads, y
-
-
-def forward(model: GcnModel, feats: np.ndarray) -> float:
-    """Dropout-free output of `model`'s target for one graph (normalised
-    target space)."""
-    adj, mask = _pack([feats])
-    y, _, _ = _forward_batch(model.weights, adj, mask)
-    return float(y[0, TARGETS.index(model.target)])
 
 
 def _flat_views(arrays: dict) -> tuple:
@@ -462,8 +450,8 @@ def save_models(models: dict, path, meta: dict | None = None):
 
 def load_models(path) -> dict:
     """The model set stored in `path`; any unreadable or malformed model
-    file, including a missing array, another MODEL_VERSION or targets other
-    than TARGETS, is an InputError naming it."""
+    file, including a missing array, another MODEL_VERSION, targets other
+    than TARGETS or a non-finite number, is an InputError naming it."""
     try:
         # opened here, not by np.load, which leaves its file open on a bad zip
         with open(path, "rb") as fh, np.load(fh) as data:
@@ -473,10 +461,17 @@ def load_models(path) -> dict:
             if sorted(info["targets"]) != sorted(TARGETS):
                 raise InputError(f"targets {sorted(info['targets'])} are not {list(TARGETS)}")
             weights = {k: np.array(data[k]) for k in _weight_names()}
-            return {t: GcnModel(weights=weights, target=t,
-                                t_lo=float(info["targets"][t]["t_lo"]),
-                                t_hi=float(info["targets"][t]["t_hi"]))
-                    for t in TARGETS}
+            models = {t: GcnModel(weights=weights, target=t,
+                                  t_lo=float(info["targets"][t]["t_lo"]),
+                                  t_hi=float(info["targets"][t]["t_hi"]))
+                      for t in TARGETS}
+            # JSON reads NaN and Infinity literals, and arrays can hold them
+            bad = [f"{t}'s t_lo or t_hi" for t, m in models.items()
+                   if not np.isfinite([m.t_lo, m.t_hi]).all()]
+            bad += [f"array {k}" for k, w in weights.items() if not np.isfinite(w).all()]
+            if bad:
+                raise InputError(f"{bad[0]} is not finite")
+            return models
     except (OSError, EOFError, zipfile.BadZipFile, AttributeError, KeyError,
             TypeError, ValueError) as exc:
         raise InputError(f"bad model file {path}: {exc}") from None

@@ -10,6 +10,17 @@ Every register with known positions becomes an Embedding in `_assemble`:
 `layout`'s relaxed draws, graphs that carry positions, and the geometric
 registers of `embedding_from_positions`.
 
+`_usable` is the one band test, lo * BAND_MARGIN < hi, which `_rabi_band`,
+`_layout_ok` and layout's crowding step share. A usable band needs no
+disk-graph re-check: with omega = sqrt(lo * hi), or hi / 2 when lo = 0,
+every intended pair interacts by at least hi > omega and every other pair
+by at most lo < omega, so the radius lies between the longest intended
+edge and the shortest non-edge with a margin of at least 1.05^(1/12) in
+distance, even when omega_max caps hi. The disk graph `_embedding_for`
+reads is then exactly the intended edge set, and so an assembled
+embedding projects onto exactly its graph's edges: the direct and linked
+pairs split them, and each even chain realises only its own path.
+
 Atom-pair distances come from one place: `Register.distances()`, a cached
 read-only (n, n) np.hypot matrix, or its helper on `layout`'s positions,
 which `_relax` reads once per iteration. An edge set is one symmetric
@@ -227,7 +238,7 @@ def _band(dist, edges, dev: DeviceParams) -> tuple:
     """Rabi band (lo, hi] from a distance matrix and a symmetric boolean
     matrix of intended edges: hi keeps the longest edge inside the blockade
     disk (capped at the hardware omega_max), lo the shortest non-edge
-    outside it. The band is usable when lo * BAND_MARGIN < hi."""
+    outside it. `_usable` tells whether the band can be used."""
     iu = np.triu_indices(len(dist), 1)
     d, e = dist[iu], edges[iu]
     hi = min(dev.omega_max, interaction(float(d[e].max()), dev)) if e.any() else dev.omega_max
@@ -235,11 +246,16 @@ def _band(dist, edges, dev: DeviceParams) -> tuple:
     return lo, hi
 
 
+def _usable(lo: float, hi: float) -> bool:
+    """Whether the band (lo, hi] is wide enough to use."""
+    return lo * BAND_MARGIN < hi
+
+
 def _rabi_band(reg: Register, intended, dev: DeviceParams) -> tuple:
     """Rabi band (omega_min, omega_max] that keeps every intended pair inside
     the blockade disk and every other pair outside it; raises when empty."""
     lo, hi = _band(reg.distances(), intended, dev)
-    if lo * BAND_MARGIN >= hi:
+    if not _usable(lo, hi):
         raise InfeasibilityError(
             f"empty Rabi band: omega_min {lo:.4g} vs omega_max {hi:.4g}"
         )
@@ -265,20 +281,18 @@ def _band_omega(lo: float, hi: float) -> float:
 def _embedding_for(reg: Register, dev: DeviceParams, spacing: float,
                    intended, link_map: dict | None = None) -> Embedding:
     """Embedding whose disk graph realises exactly the intended pairs, given
-    as a symmetric boolean matrix."""
+    as a symmetric boolean matrix: a usable band guarantees it (see the
+    module docstring)."""
     if reg.min_distance() < dev.min_spacing:
         raise InfeasibilityError(
             f"atoms closer than the {dev.min_spacing} um hardware minimum"
         )
     lo, hi = _rabi_band(reg, intended, dev)
     radius = blockade_radius(_band_omega(lo, hi) if reg.n > 1 else dev.omega_max, dev)
-    induced = _induced_pairs(reg, radius)
-    if not np.array_equal(_edge_matrix(reg.ids, induced), intended):
-        raise InfeasibilityError("disk graph does not match the intended edges")
     return Embedding(
         register=reg,
         blockade_radius=radius,
-        induced_edges=induced,
+        induced_edges=_induced_pairs(reg, radius),
         link_map=dict(link_map or {}),
         spacing=spacing,
     )
@@ -356,11 +370,7 @@ def _layout_ok(dist, direct, linked, spacing, dev):
         return False
     if (dist[linked] < 2.5 * spacing).any():
         return False
-    if direct.any():
-        lo, hi = _band(dist, direct, dev)
-        if lo * BAND_MARGIN >= hi:
-            return False
-    return True
+    return not direct.any() or _usable(*_band(dist, direct, dev))
 
 
 def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
@@ -434,14 +444,14 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
             if worst is None:
                 # Frustration can also surface as non-edges jammed inside
                 # the blockade floor (the omega_max cap makes that floor an
-                # absolute distance). Free the tightest such pair by
-                # rerouting its longest incident edge through a chain.
+                # absolute distance). Free the tightest such pair, if it
+                # alone leaves no usable band, by rerouting its longest
+                # incident edge through a chain.
                 if not direct.any():
                     break
-                hi = min(dev.omega_max, interaction(float(dmat[direct].max()), dev))
-                needed = (dev.c6 * BAND_MARGIN / hi) ** (1.0 / 6.0)
-                crowded = _extreme(min, dmat, ~edges & (dmat < needed))
-                if crowded is None:
+                _, hi = _band(dmat, direct, dev)
+                crowded = _extreme(min, dmat, ~edges)
+                if crowded is None or _usable(interaction(float(dmat[crowded]), dev), hi):
                     break
                 ends = np.isin(np.arange(g.n), crowded)
                 worst = _extreme(max, dmat, direct & (ends[:, None] | ends[None, :]))
@@ -479,7 +489,8 @@ def _assemble(g, dev, pos, direct, linked, spacing):
     """Embedding of `g` with vertex k at pos[k]. `direct` and `linked` are
     symmetric boolean matrices over vertex order: `direct` holds its
     disk-graph edges, and each `linked` pair, in sorted order, gets an
-    ancilla chain."""
+    ancilla chain. `direct | linked` is `g`'s edge set, so the embedding
+    projects onto exactly `g.edges` (see the module docstring)."""
     atoms = tuple(
         Atom(id=g.vertex_ids[k], x=float(pos[k][0]), y=float(pos[k][1]),
              detuning_weight=g.weights[k])
@@ -489,13 +500,6 @@ def _assemble(g, dev, pos, direct, linked, spacing):
     emb = _embedding_for(reg, dev, spacing, direct)
     for i, j in zip(*np.nonzero(np.triu(linked))):
         emb = insert_quantum_link(emb, g.vertex_ids[i], g.vertex_ids[j], dev)
-    want = {frozenset(e) for e in g.edges}
-    got = emb.projected_edges()
-    if want != got:
-        raise InfeasibilityError(
-            f"embedding does not realise the graph: missing "
-            f"{sorted(map(sorted, want - got))}, unintended {sorted(map(sorted, got - want))}"
-        )
     return emb
 
 

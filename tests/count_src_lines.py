@@ -1,4 +1,4 @@
-"""Code and docstring lines of every module under `src/`.
+"""Code, docstring and physical lines of every module under `src/`.
 
 Run from the repository root:
 
@@ -7,8 +7,9 @@ Run from the repository root:
 ROOT defaults to the `src/` directory next to `tests/`. A docstring line is
 a line of a module, class or function docstring. A code line is any other
 line that holds a token other than a comment: blank lines, comment-only
-lines and docstring lines are not code. `wc -l` counts all three, so it
-moves when a change only rewords or deletes documentation.
+lines and docstring lines are not code. The physical lines are the figure `wc -l`
+prints, which counts all three, so it moves when a change only rewords or
+deletes documentation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def count(source: str) -> tuple:
-    """(code lines, docstring lines) of one module's source."""
+    """(code lines, docstring lines, physical lines) of one module's source."""
     doc = set()
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, DOCUMENTED) or not node.body:
@@ -38,19 +39,18 @@ def count(source: str) -> tuple:
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in NOT_CODE:
             code.update(range(tok.start[0], tok.end[0] + 1))
-    return len(code - doc), len(doc)
+    return len(code - doc), len(doc), source.count("\n")
 
 
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src"
-    total_code = total_doc = 0
-    print(f"{'module':<40} {'code':>6} {'doc':>6}")
+    totals = [0, 0, 0]
+    print(f"{'module':<40} {'code':>6} {'doc':>6} {'lines':>6}")
     for path in sorted(root.rglob("*.py")):
-        code, doc = count(path.read_text())
-        total_code += code
-        total_doc += doc
-        print(f"{path.relative_to(root).as_posix():<40} {code:>6} {doc:>6}")
-    print(f"{'total':<40} {total_code:>6} {total_doc:>6}")
+        counts = count(path.read_text())
+        totals = [t + c for t, c in zip(totals, counts)]
+        print(f"{path.relative_to(root).as_posix():<40}" + "".join(f" {c:>6}" for c in counts))
+    print(f"{'total':<40}" + "".join(f" {t:>6}" for t in totals))
     return 0
 
 

@@ -17,6 +17,7 @@ from rydock.errors import InputError
 from rydock.graphs import load_graph
 from rydock.mlqaa import DatasetRecord, save_dataset
 from rydock.mlqaa.dataset import corpus_entry
+from rydock.mlqaa.gcn import TARGETS, GcnModel, init_weights, save_models
 from rydock.optimize import Trial, load_trials, normalized_score, search_space, vqaa
 from rydock.register import DeviceParams, load_register, omega_bounds
 from rydock.rng import substream
@@ -539,6 +540,27 @@ def _malformed(case, tmp_path):
         register = _p2_register(tmp_path)
         return (["predict", "--register", register, "--models", str(models), *out],
                 str(models / "mlqaa_models.npz"))
+    if case in ("dataset_score_nan", "dataset_label_nan", "model_t_lo_nan"):
+        recs = [_record(s) for s in (6.0, 7.5, 9.0, 11.0)]
+        if case == "dataset_score_nan":
+            recs = [replace(r, score=math.nan) for r in recs]
+        if case == "dataset_label_nan":
+            recs[0] = replace(recs[0], params={**recs[0].params, "t_rise": math.nan})
+        dataset = str(tmp_path / "dataset.jsonl")
+        save_dataset(recs, dataset)
+        models = tmp_path / "models"
+        models.mkdir()
+        weights = init_weights(0)
+        save_models({t: GcnModel(weights=weights, target=t, t_hi=1.0,
+                                 t_lo=math.nan if case == "model_t_lo_nan" else 0.0)
+                     for t in TARGETS}, models / "mlqaa_models.npz")
+        if case == "dataset_score_nan":
+            return (["mlqaa-eval", "--dataset", dataset, "--models", str(models), *out],
+                    dataset)
+        if case == "dataset_label_nan":
+            return ["train", "--dataset", dataset, "--epochs", "1", *out], dataset
+        return (["predict", "--register", _p2_register(tmp_path), "--models", str(models),
+                 *out], str(models / "mlqaa_models.npz"))
     raise AssertionError(case)
 
 
@@ -552,6 +574,7 @@ def _malformed(case, tmp_path):
     # is checked for being finite
     "xyz_nan", "atom_weight_nan", "atom_x_nan", "atom_x_infinite", "radius_infinite",
     "graph_pos_nan", "device_c6_infinite", "table_s_nan", "table_s_infinite",
+    "dataset_score_nan", "dataset_label_nan", "model_t_lo_nan",
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     argv, path = _malformed(case, tmp_path)

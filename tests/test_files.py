@@ -1,7 +1,9 @@
-"""The one JSON reader: its error mapping, and that no other module reads JSON."""
+"""The one JSON reader: its error mapping, and that no other module reads
+JSON; and the script that counts the source's lines."""
 
 import ast
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,8 @@ import pytest
 import rydock
 from rydock import files
 from rydock.errors import InputError
+
+import count_src_lines
 
 SRC = Path(rydock.__file__).resolve().parent
 
@@ -116,3 +120,22 @@ def test_the_scan_sees_what_it_forbids():
     assert sorted(_json_reads_and_handlers(ast.parse(code))) == [
         (4, "json.load"), (5, "except FileNotFoundError"),
         (5, "except JSONDecodeError"), (6, "json.loads")]
+
+
+def test_count_src_lines_splits_code_docstring_and_physical_lines(tmp_path, capsys,
+                                                                  monkeypatch):
+    # code 3, 6, 9, 10; docstrings 1, 7, 8; ten newlines, as `wc -l` counts
+    source = ('"""Module doc."""\n\nimport os  # comment\n\n\ndef f():\n'
+              '    """Function\n    doc."""\n    return (1,\n            2)\n')
+    assert count_src_lines.count(source) == (4, 3, 10)
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(source)
+    (tmp_path / "b.py").write_text("x = 1\n# note\n")
+    monkeypatch.setattr(sys, "argv", ["count_src_lines.py", str(tmp_path)])
+    assert count_src_lines.main() == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["module", "code", "doc", "lines"],
+        ["b.py", "1", "0", "2"],
+        ["pkg/a.py", "4", "3", "10"],
+        ["total", "5", "3", "12"],
+    ]

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rydock.mlqaa
 from rydock.errors import InputError
 from rydock.mlqaa import (
     DatasetRecord,
@@ -14,7 +15,6 @@ from rydock.mlqaa import (
     GcnModel,
     corpus_entry,
     featurize,
-    forward,
     generate_corpus,
     label_dataset,
     load_dataset,
@@ -69,6 +69,19 @@ def _model_set(seed, t_lo=0.0, t_hi=1.0):
     """Five views of one weight set, as train_models and load_models return."""
     weights = init_weights(seed)
     return {t: GcnModel(weights=weights, target=t, t_lo=t_lo, t_hi=t_hi) for t in TARGETS}
+
+
+def _output(model, feats):
+    """Dropout-free output of `model`'s target for one graph (normalised
+    target space)."""
+    adj, mask = _pack([feats])
+    y, _, _ = _forward_batch(model.weights, adj, mask)
+    return float(y[0, TARGETS.index(model.target)])
+
+
+def _predict(model, feats, band):
+    """`model`'s prediction for one graph in device units, given its Rabi band."""
+    return model.label(_output(model, feats), band)
 
 
 def _record(spacing, n=2, omega=None):
@@ -145,8 +158,8 @@ def test_propagation_matrix_hand_values():
 def test_forward_sees_length_scale():
     model = _model("t_rise", seed=5)
     pos = _line(4, 8.0)
-    a = forward(model, featurize(pos))
-    b = forward(model, featurize(2.0 * pos))
+    a = _output(model, featurize(pos))
+    b = _output(model, featurize(2.0 * pos))
     assert abs(a - b) > 1e-6
 
 
@@ -231,17 +244,17 @@ def test_loss_is_the_mean_over_batch_and_targets():
     # each column is its target's output of the one forward
     models = _model_set(4)
     for k, t in enumerate(TARGETS):
-        assert forward(models[t], feats[0]) == pytest.approx(y[0, k], abs=1e-12)
+        assert _output(models[t], feats[0]) == pytest.approx(y[0, k], abs=1e-12)
 
 
 def test_forward_permutation_invariance():
     rng = substream(9, "perm")
     pos = rng.uniform(0.0, 45.0, size=(6, 2))
     model = _model("deltaf", seed=1)
-    base = forward(model, featurize(pos))
+    base = _output(model, featurize(pos))
     for k in range(4):
         perm = substream(9, "perm", k).permutation(6)
-        assert forward(model, featurize(pos[perm])) == pytest.approx(base, abs=1e-8)
+        assert _output(model, featurize(pos[perm])) == pytest.approx(base, abs=1e-8)
 
 
 def test_batch_padding_matches_single_forward():
@@ -252,8 +265,8 @@ def test_batch_padding_matches_single_forward():
     assert adj.shape == (2, 5, 5)
     y, _, _ = _forward_batch(model.weights, adj, mask)
     k = TARGETS.index("delta0")
-    assert y[0, k] == pytest.approx(forward(model, fa), abs=1e-10)
-    assert y[1, k] == pytest.approx(forward(model, fb), abs=1e-10)
+    assert y[0, k] == pytest.approx(_output(model, fa), abs=1e-10)
+    assert y[1, k] == pytest.approx(_output(model, fb), abs=1e-10)
 
 
 def test_adam_step_matches_textbook_update():
@@ -363,7 +376,7 @@ def test_train_overfits_single_record(monkeypatch):
     rec = _record(9.0, n=3)
     model = train([rec], "t_rise", epochs=250, seed=0)
     assert min(tl for tl, _ in model.history) < 1e-3
-    pred = model.predict(featurize(rec.positions), None)
+    pred = _predict(model, featurize(rec.positions), None)
     assert pred == pytest.approx(300.0, abs=0.5)
 
 
@@ -416,7 +429,7 @@ def test_train_band_scale_inverts_per_register(monkeypatch):
     model = train(recs, "omega", epochs=300, seed=0, dev=DEV)
     for rec in recs:
         lo, hi = omega_bounds(rec.embedding(DEV), DEV)
-        got = model.predict(featurize(rec.positions), (lo, hi))
+        got = _predict(model, featurize(rec.positions), (lo, hi))
         assert abs(got - 0.5 * (lo + hi)) <= 0.05 * (hi - lo)
 
 
@@ -519,7 +532,7 @@ def test_predict_params_stays_in_space():
     feats = featurize(emb.register.positions())
     band = omega_bounds(emb, DEV)
     _, unclamped = gcn.predict_unclamped(models, emb, DEV)
-    assert unclamped == {t: models[t].predict(feats, band) for t in TARGETS}
+    assert unclamped == {t: _predict(models[t], feats, band) for t in TARGETS}
 
 
 def test_save_load_roundtrip(tmp_path, monkeypatch):
@@ -533,14 +546,15 @@ def test_save_load_roundtrip(tmp_path, monkeypatch):
     with np.load(path) as data:
         assert sorted(data.files) == sorted([*_weight_names(), "__meta__"])
     assert all(loaded[t].weights is loaded["omega"].weights for t in TARGETS)
-    feats, band = featurize(_line(3, 8.5)), (1.0, 4.0)
     # npz arrays and JSON floats round-trip exactly
     for name, model in models.items():
         other = loaded[name]
         assert other.target == name
         assert other.t_lo == model.t_lo
         assert other.t_hi == model.t_hi
-        assert other.predict(feats, band) == model.predict(feats, band)
+    emb = embedding_from_positions(_line(3, 8.5), DEV, spacing=8.5)
+    assert (gcn.predict_unclamped(loaded, emb, DEV)[1]
+            == gcn.predict_unclamped(models, emb, DEV)[1])
     monkeypatch.setattr("rydock.mlqaa.gcn.MODEL_VERSION", "999")
     with pytest.raises(InputError):
         load_models(path)
@@ -677,6 +691,31 @@ def test_load_models_refuses_version_3_and_other_targets(tmp_path):
         _rewrite_header(path, edit)
         with pytest.raises(InputError, match="bad model file .*m.npz.*targets"):
             load_models(path)
+
+
+def test_load_models_refuses_non_finite_numbers(tmp_path):
+    # JSON reads NaN and Infinity literals into the header, and an array
+    # can hold them too; either is refused at load, naming the file
+    path = tmp_path / "m.npz"
+    for edit in (lambda info: info["targets"]["omega"].update(t_lo=math.nan),
+                 lambda info: info["targets"]["t_fall"].update(t_hi=math.inf)):
+        save_models(_model_set(seed=3), path)
+        _rewrite_header(path, edit)
+        with pytest.raises(InputError, match="bad model file .*m.npz.*not finite"):
+            load_models(path)
+    weights = init_weights(3)
+    weights["W2"][1, 7] = math.nan
+    save_models({t: GcnModel(weights=weights, target=t, t_lo=0.0, t_hi=1.0)
+                 for t in TARGETS}, path)
+    with pytest.raises(InputError, match="bad model file .*m.npz.*array W2 is not finite"):
+        load_models(path)
+
+
+def test_every_exported_name_resolves():
+    for module in (rydock, rydock.mlqaa):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+        assert len(set(module.__all__)) == len(module.__all__)
+        exec(f"from {module.__name__} import *", {})
 
 
 def test_dataset_jsonl_roundtrip(tmp_path):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rydock.register
@@ -43,7 +43,15 @@ from rydock.register import (
     save_register,
     strip_ancillas,
 )
-from rydock.register import _distance_matrix, _layout_ok, _relax
+from rydock.register import (
+    _band,
+    _distance_matrix,
+    _edge_matrix,
+    _embedding_for,
+    _layout_ok,
+    _relax,
+    _usable,
+)
 from rydock.rng import substream
 
 import measure_layout
@@ -424,6 +432,84 @@ def test_layout_ok_needs_linked_pairs_two_and_a_half_spacings_apart():
     for x, ok in ((2.5 * spacing, True), (np.nextafter(2.5 * spacing, 0.0), False)):
         dist = _distance_matrix(np.array([[0.0, 0.0], [x, 0.0]]))
         assert _layout_ok(dist, np.zeros_like(linked), linked, spacing, DEV) is ok
+
+
+@st.composite
+def banded_edge_sets(draw):
+    """Atoms at least the hardware minimum apart, a symmetric edge matrix
+    over them with a usable Rabi band, and a device whose omega_max may cap
+    the band's top. A band is usable only where every intended pair is
+    shorter than every other pair, so the edge sets are the pairs up to a
+    drawn cut: none, all, or any count between."""
+    n = draw(st.integers(1, 7))
+    coord = st.floats(0.0, 45.0)
+    pos = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    dist = _distance_matrix(pos.reshape(n, 2))
+    iu = np.triu_indices(n, 1)
+    assume(n == 1 or dist[iu].min() >= DEV.min_spacing)
+    cut = draw(st.sampled_from([0.0, *dist[iu].tolist()]))
+    edges = (dist <= cut) & ~np.eye(n, dtype=bool)
+    dev = DeviceParams(omega_max=draw(st.sampled_from([15.7, 4.0, 0.5])))
+    assume(_usable(*_band(dist, edges, dev)))
+    return pos.reshape(n, 2), edges, dev
+
+
+def _pair(d):
+    return np.array([[False, d], [d, False]])
+
+
+@given(banded_edge_sets())
+@settings(max_examples=300, deadline=None)
+# omega_max caps hi; lo = 0 (every pair an edge); no edge at all
+@example((np.array([[0.0, 0.0], [5.0, 0.0], [30.0, 0.0]]),
+          np.array([[False, True, False], [True, False, False], [False, False, False]]),
+          DEV))
+@example((np.array([[0.0, 0.0], [6.0, 0.0]]), _pair(True), DEV))
+@example((np.array([[0.0, 0.0], [20.0, 0.0]]), _pair(False), DEV))
+def test_a_usable_band_realises_exactly_the_intended_edges(case):
+    # _embedding_for's radius sits between the longest intended edge and
+    # the shortest other pair with 1.05^(1/12) to spare on either side, so
+    # its disk graph needs no comparison with the intended edges
+    pos, edges, dev = case
+    reg = Register(atoms=tuple(Atom(f"a{k}", x, y) for k, (x, y) in enumerate(pos.tolist())))
+    emb = _embedding_for(reg, dev, 6.0, edges)
+    assert np.array_equal(_edge_matrix(reg.ids, emb.induced_edges), edges)
+    iu = np.triu_indices(reg.n, 1)
+    d, e = reg.distances()[iu], edges[iu]
+    margin = 1.05 ** (1.0 / 12.0) * (1.0 - 1e-12)
+    if e.any():
+        assert emb.blockade_radius >= margin * d[e].max()
+    if not e.all():
+        assert d[~e].min() >= margin * emb.blockade_radius
+
+
+def test_layout_projects_onto_exactly_the_graph_edges():
+    # `direct | linked` is the graph's edge set and each chain realises its
+    # own path alone, so every placement projects onto exactly g.edges
+    rng = np.random.default_rng(1)
+    graphs = [WeightedGraph.from_parts(["u", "v", "w"], [("u", "v"), ("v", "w")],
+                                       positions=[(0, 0), (27, 0), (27, 9)])]
+    for _ in range(20):
+        n = int(rng.integers(3, 8))
+        ids = [f"v{k}" for k in range(n)]
+        edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.5]
+        graphs.append(WeightedGraph.from_parts(ids, edges, weights=rng.uniform(0.5, 2.0, n)))
+    placed = chained = 0
+    for g in graphs:
+        for spacing, seed in ((6.0, 0), (9.0, 1)):
+            try:
+                emb = layout(g, DEV, spacing=spacing, seed=seed)
+            except InfeasibilityError:
+                continue
+            assert emb.projected_edges() == {frozenset(e) for e in g.edges}
+            ancillas = set(emb.ancilla_ids())
+            paths = {frozenset(step) for (u, v), chain in emb.link_map.items()
+                     for step in zip((u, *chain), (*chain, v))}
+            assert {frozenset(e) for e in emb.induced_edges if set(e) & ancillas} == paths
+            placed += 1
+            chained += bool(emb.link_map)
+    assert placed >= 36 and chained >= 4
 
 
 def test_layout_path_band_nonempty():
