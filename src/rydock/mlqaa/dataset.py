@@ -242,7 +242,7 @@ def save_dataset(records, path):
 
 
 def _record_from_doc(d) -> DatasetRecord:
-    """One record as stored, each of its numbers finite."""
+    """One record as stored, one position per id and each number finite."""
     rec = DatasetRecord(
         family=str(d["family"]), size_index=int(d["size_index"]),
         spacing=float(d["spacing"]),
@@ -252,6 +252,9 @@ def _record_from_doc(d) -> DatasetRecord:
         score=float(d["score"]),
         rounds=int(d["rounds"]), seed=int(d["seed"]),
     )
+    if len(rec.ids) != len(rec.positions):
+        raise InputError(f"record {rec.name}: {len(rec.ids)} ids but "
+                         f"{len(rec.positions)} positions")
     # JSON reads NaN and Infinity literals
     for name, value in [("spacing", rec.spacing), ("score", rec.score), *rec.params.items(),
                         *(("positions", v) for xy in rec.positions for v in xy)]:

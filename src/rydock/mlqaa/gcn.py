@@ -450,8 +450,9 @@ def save_models(models: dict, path, meta: dict | None = None):
 
 def load_models(path) -> dict:
     """The model set stored in `path`; any unreadable or malformed model
-    file, including a missing array, another MODEL_VERSION, targets other
-    than TARGETS or a non-finite number, is an InputError naming it."""
+    file, including a missing array, an array of another shape than
+    `init_weights` gives or not of floats, another MODEL_VERSION, targets
+    other than TARGETS or a non-finite number, is an InputError naming it."""
     try:
         # opened here, not by np.load, which leaves its file open on a bad zip
         with open(path, "rb") as fh, np.load(fh) as data:
@@ -461,6 +462,10 @@ def load_models(path) -> dict:
             if sorted(info["targets"]) != sorted(TARGETS):
                 raise InputError(f"targets {sorted(info['targets'])} are not {list(TARGETS)}")
             weights = {k: np.array(data[k]) for k in _weight_names()}
+            for k, w in init_weights(0).items():
+                if weights[k].shape != w.shape or weights[k].dtype.kind != "f":
+                    raise InputError(f"array {k} is {weights[k].dtype} {weights[k].shape}, "
+                                     f"not float {w.shape}")
             models = {t: GcnModel(weights=weights, target=t,
                                   t_lo=float(info["targets"][t]["t_lo"]),
                                   t_hi=float(info["targets"][t]["t_hi"]))

@@ -49,7 +49,7 @@ class Ramp:
             raise InputError(f"waveform shorter than {MIN_WAVEFORM_NS} ns")
 
     def sample(self, t):
-        frac = np.clip(np.asarray(t, dtype=float) / self.duration, 0.0, 1.0)
+        frac = np.minimum(np.maximum(np.asarray(t, dtype=float) / self.duration, 0.0), 1.0)
         return self.start + (self.end - self.start) * frac
 
 
@@ -65,7 +65,7 @@ class Parabola:
             raise InputError(f"waveform shorter than {MIN_WAVEFORM_NS} ns")
 
     def sample(self, t):
-        u = np.clip(np.asarray(t, dtype=float) / self.duration, 0.0, 1.0)
+        u = np.minimum(np.maximum(np.asarray(t, dtype=float) / self.duration, 0.0), 1.0)
         return 4.0 * self.peak * u * (1.0 - u)
 
 

@@ -385,10 +385,12 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
     relaxation. Draws up to LAYOUT_SEED_RETRIES seeds and returns the first
     chain-free placement, or failing that the one with fewest ancilla atoms
     (every ancilla doubles the simulation space). A graph whose first
-    LAYOUT_BARREN_DRAWS draws gave no placement fails. A draw that needs
-    chains is held, its chains not yet routed, while a chain-free draw may
-    still come: at LAYOUT_BARREN_DRAWS the held draws are routed in order
-    until one assembles, and after the last seed the rest are.
+    LAYOUT_BARREN_DRAWS draws gave no placement fails. A draw that fails its
+    first relaxation can no longer be chain-free, so it is held right after
+    it, its worst edge already marked for a chain, while a chain-free draw
+    may still come; its remaining relaxations and its chains run only when
+    it is needed: at LAYOUT_BARREN_DRAWS the held draws are finished in
+    order until one assembles, and after the last seed the rest are.
     """
     if g.n == 0:
         raise InputError("cannot lay out an empty graph")
@@ -405,13 +407,52 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
 
     failures = []
     fallback = None
-    held = []  # (attempt, pos, direct, linked) of chained draws not yet routed
+    held = []  # (attempt, pos, direct, linked) of chained draws not yet finished
+
+    def relax_round(pos, direct, linked):
+        # one relaxation, then "ok" if the draw passes `_layout_ok`; else its
+        # worst edge is rerouted through a chain, in `direct` and `linked`
+        # in place ("linked"), or no edge can go ("stuck")
+        target = spacing * np.where(direct, 1.0, np.where(linked, LINK_TARGET, NONEDGE_TARGET))
+        pos = _relax(pos, target, ~direct, spacing)
+        dmat = _distance_matrix(pos)
+        if _layout_ok(dmat, direct, linked, spacing, dev):
+            return pos, "ok"
+        worst = _extreme(max, dmat, direct & (dmat > LINK_CUT * spacing))
+        if worst is None:
+            # Frustration can also surface as non-edges jammed inside the
+            # blockade floor (the omega_max cap makes that floor an absolute
+            # distance). Free the tightest such pair, if it alone leaves no
+            # usable band, by rerouting its longest incident edge through a
+            # chain.
+            if not direct.any():
+                return pos, "stuck"
+            _, hi = _band(dmat, direct, dev)
+            crowded = _extreme(min, dmat, ~edges)
+            if crowded is None or _usable(interaction(float(dmat[crowded]), dev), hi):
+                return pos, "stuck"
+            ends = np.isin(np.arange(g.n), crowded)
+            worst = _extreme(max, dmat, direct & (ends[:, None] | ends[None, :]))
+            if worst is None:
+                return pos, "stuck"
+        i, j = worst
+        direct[i, j] = direct[j, i] = False
+        linked[i, j] = linked[j, i] = True
+        return pos, "linked"
 
     def route():
-        # the held draw's chains, kept as the fallback when it assembles
-        # with fewer ancillas (or a wider band) than every earlier one
+        # the held draw's remaining rounds, then its chains, kept as the
+        # fallback when it assembles with fewer ancillas (or a wider band)
+        # than every earlier one
         nonlocal fallback
         attempt, pos, direct, linked = held.pop(0)
+        for _round in range(len(g.edges)):  # the first of 1 + len(g.edges) ran
+            pos, state = relax_round(pos, direct, linked)
+            if state != "linked":
+                break
+        if state != "ok":
+            failures.append((attempt, f"seed {attempt}: no usable band"))
+            return
         try:
             emb = _assemble(g, dev, pos, direct, linked, spacing)
         except InfeasibilityError as exc:
@@ -432,39 +473,13 @@ def layout(g: WeightedGraph, dev: DeviceParams, spacing: float = 6.0,
         side = spacing * (math.sqrt(g.n) + 1.0)
         pos = rng.uniform(0.0, side, size=(g.n, 2))
         direct, linked = edges.copy(), np.zeros_like(edges)
-        ok = False
-        for _round in range(1 + len(g.edges)):
-            target = spacing * np.where(direct, 1.0, np.where(linked, LINK_TARGET, NONEDGE_TARGET))
-            pos = _relax(pos, target, ~direct, spacing)
-            dmat = _distance_matrix(pos)
-            if _layout_ok(dmat, direct, linked, spacing, dev):
-                ok = True
-                break
-            worst = _extreme(max, dmat, direct & (dmat > LINK_CUT * spacing))
-            if worst is None:
-                # Frustration can also surface as non-edges jammed inside
-                # the blockade floor (the omega_max cap makes that floor an
-                # absolute distance). Free the tightest such pair, if it
-                # alone leaves no usable band, by rerouting its longest
-                # incident edge through a chain.
-                if not direct.any():
-                    break
-                _, hi = _band(dmat, direct, dev)
-                crowded = _extreme(min, dmat, ~edges)
-                if crowded is None or _usable(interaction(float(dmat[crowded]), dev), hi):
-                    break
-                ends = np.isin(np.arange(g.n), crowded)
-                worst = _extreme(max, dmat, direct & (ends[:, None] | ends[None, :]))
-                if worst is None:
-                    break
-            i, j = worst
-            direct[i, j] = direct[j, i] = False
-            linked[i, j] = linked[j, i] = True
-        if not ok:
-            failures.append((attempt, f"seed {attempt}: no usable band"))
-            continue
-        if linked.any():
+        # a draw that fails its first round can no longer be chain-free
+        pos, state = relax_round(pos, direct, linked)
+        if state == "linked":
             held.append((attempt, pos, direct, linked))
+            continue
+        if state == "stuck":
+            failures.append((attempt, f"seed {attempt}: no usable band"))
             continue
         try:
             return _assemble(g, dev, pos, direct, linked, spacing)

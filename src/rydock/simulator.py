@@ -51,26 +51,33 @@ where a step's first phase merges the previous sub-step's trailing half, and
 cuts them into stretches of steps with equal (nsub, half) that end at
 segment boundaries. evolve runs a stretch in chunks of steps, counted back
 from its end. A chunk's matrices are one gather per group,
-table[c0:c1].take(index, axis=1), from one table per group size, and
-`_substeps` runs each step's nsub sub-steps: its first phase row once, then
-its repeated row nsub - 1 times. A chunk holds at most CHUNK_FLOATS = 2^16
-floats (512 KiB) of matrices and rows, or one step's where that is more
-(from 14 atoms), so the 2^N-sized buffers do not grow with the schedule.
+table[c0:c1].take(index, axis=1), from one table per group size, and its
+phase rows come as one batch of each kind from `_rows`; evolve zips the
+batches and the matrices straight into `_substeps`, prepending only the
+stretch's first row to its first chunk. `_substeps` runs each step's nsub
+sub-steps: its first phase row once, then its repeated row nsub - 1 times. A
+chunk holds at most CHUNK_FLOATS = 2^16 floats (512 KiB) of matrices and
+rows, or one step's where that is more (from 14 atoms), so the 2^N-sized
+buffers do not grow with the schedule. What depends on the register alone
+(sigma, i^popcount, each group's i w.n parts, the flip gaps and the detuning
+weights) is built once per register and c6 and kept on the frozen register
+(`_register_terms`), so a small evolve pays little beyond its sub-steps.
 
 Phase rows. A row is u exp(i d occ), u = sigma exp(-i t U), with d = d_first
 for a step's first row and d = 2 lead for its repeated row; the stretch's
 first row takes its own u, whose t holds the previous step's trailing half.
-`_rows` gives each kind of row across a stretch:
+`_rows` gives each kind of row across a stretch, one batch per chunk:
 - By default a row is exact: the broadcast outer product over the groups of
-  exp(i d w.n), times u (`_phase_rows`). Rows are built a chunk at a time,
-  in batches that line up with the chunks; a constant d builds one row.
+  exp(i d w.n), times u (`_phase_rows`). A chunk's batch is built at once;
+  a constant d builds one row.
 - Rows of at least LONG_ROW = 2^10 amplitudes (10 atoms and more) are
   stepped where d is affine along the stretch, as along the Ramp detuning
   of both pulse families: row_{j+1} = row_j R, R = exp(i slope occ) from
   np.cos and np.sin of slope occ, one contiguous complex multiply in place.
-  Each kind keeps one running row and one R, so stepped bytes do not depend
-  on CHUNK_FLOATS. The first rows are rebuilt exactly every ANCHOR_PERIOD =
-  16 steps from the stretch's second step; the repeated row enters the state
+  Each kind keeps one running row and one R, and a chunk's batch iterates
+  the running row over the chunk's steps, so stepped bytes do not depend on
+  CHUNK_FLOATS. The first rows are rebuilt exactly every ANCHOR_PERIOD = 16
+  steps from the stretch's second step; the repeated row enters the state
   nsub - 1 times a step, so it is rebuilt every max(1, 16 // (nsub - 1))
   steps. d is affine when it leaves no anchor's line, d_a + k slope, by a
   phase over AFFINE_TOL = 1e-14 rad; other long rows are exact, one at a
@@ -256,36 +263,44 @@ def _phase_rows(u, iocc, d):
     return out if len(d) == steps else [out[0]] * steps
 
 
-def _rows(u, iocc, occ, d, period, batch):
-    """Yield the rows u exp(i d_j occ), one per entry of `d`, in order.
+def _rows(u, iocc, occ, d, period, ends):
+    """The rows u exp(i d_j occ), one per entry of `d`, as one batch per
+    chunk: each entry of `ends` closes a batch of the rows from the previous
+    end (0 for the first) to its own, and the last end is len(d). A batch may
+    be empty. The batches are read in order, each before the next.
 
-    Rows are exact (`_phase_rows`), built `batch` at a time, the batches
-    counted back from the last row. Rows of at least LONG_ROW amplitudes are
-    stepped instead, as one running row that each yield overwrites: it is
-    built exactly every `period` rows from the first and otherwise multiplied
-    by R = exp(i slope occ), slope = d's mean step, R from np.cos and np.sin
-    of slope occ; with slope 0 the first row serves them all. Long rows whose
-    d leaves an anchor's line, d_anchor + k slope, by a phase over AFFINE_TOL
-    are exact, one at a time."""
-    if len(u) >= LONG_ROW and len(d):
-        steps = np.arange(len(d))
-        back = steps % period
-        slope = (d[-1] - d[0]) / max(1, len(d) - 1)
-        if np.abs(d - d[steps - back] - back * slope).max() * np.abs(occ).max() <= AFFINE_TOL:
-            if slope and period > 1:
-                ratio = np.empty_like(u)
-                np.cos(slope * occ, out=ratio.real)
-                np.sin(slope * occ, out=ratio.imag)
-            for j in range(len(d)):
-                if j == 0 or slope and j % period == 0:
-                    row = _phase_rows(u, iocc, d[j:j + 1])[0]
-                elif slope:
-                    row *= ratio
-                yield row
-            return
-        batch = 1
-    for c1 in range(len(d) % batch or batch, len(d) + 1, batch):
-        yield from _phase_rows(u, iocc, d[max(0, c1 - batch):c1])
+    Rows are exact (`_phase_rows`), a batch built at once. Rows of at least
+    LONG_ROW amplitudes are stepped instead, each batch iterating one running
+    row that each step overwrites: it is built exactly every `period` rows
+    from the first and otherwise multiplied by R = exp(i slope occ), slope =
+    d's mean step, R from np.cos and np.sin of slope occ; with slope 0 the
+    first row serves them all. Long rows whose d leaves an anchor's line,
+    d_anchor + k slope, by a phase over AFFINE_TOL are exact, one at a time."""
+    cuts = zip(chain((0,), ends), ends)
+    if len(u) < LONG_ROW or not len(d):
+        return (_phase_rows(u, iocc, d[c0:c1]) if c1 > c0 else () for c0, c1 in cuts)
+    steps = np.arange(len(d))
+    back = steps % period
+    slope = (d[-1] - d[0]) / max(1, len(d) - 1)
+    if np.abs(d - d[steps - back] - back * slope).max() * np.abs(occ).max() > AFFINE_TOL:
+        rows = (_phase_rows(u, iocc, d[j:j + 1])[0] for j in range(len(d)))
+    else:
+        rows = _stepped_rows(u, iocc, occ, d, period, slope)
+    return (islice(rows, c1 - c0) for c0, c1 in cuts)
+
+
+def _stepped_rows(u, iocc, occ, d, period, slope):
+    """The running row of `_rows`, yielded once per entry of `d`."""
+    if slope and period > 1:
+        ratio = np.empty_like(u)
+        np.cos(slope * occ, out=ratio.real)
+        np.sin(slope * occ, out=ratio.imag)
+    for j in range(len(d)):
+        if j == 0 or slope and j % period == 0:
+            row = _phase_rows(u, iocc, d[j:j + 1])[0]
+        elif slope:
+            row *= ratio
+        yield row
 
 
 def _plan(groups, a: np.ndarray, b: np.ndarray) -> tuple:
@@ -310,7 +325,8 @@ def _substeps(plan, steps, nsub):
     and then by the repeated one, and one GEMM per group, the matrices in
     the order the products run, top group first. A single group's G
     multiplies the (2^N, 2) view from the left; otherwise each symmetric F
-    multiplies its view from the right."""
+    multiplies its view from the right. Each call passes its output buffer
+    positionally, which numpy parses faster than out=."""
     psi, out, views = plan
     multiply = np.multiply
     if len(views) == 1:
@@ -318,16 +334,16 @@ def _substeps(plan, steps, nsub):
         for phase, rep, (mat,) in steps:
             gemm = mat.dot
             for _ in range(nsub):
-                multiply(psi, phase, out=out)
-                gemm(x, out=y)
+                multiply(psi, phase, out)
+                gemm(x, y)
                 phase = rep
         return
     gemms = [(x.dot, y) for x, y in views]
     for phase, rep, mats in steps:
         for _ in range(nsub):
-            multiply(psi, phase, out=out)
+            multiply(psi, phase, out)
             for mat, (gemm, y) in zip(mats, gemms):
-                gemm(mat, out=y)
+                gemm(mat, y)
             phase = rep
 
 
@@ -339,7 +355,7 @@ def substep_counts(tau: float, gap: float, omegas: np.ndarray,
     1 and at most ceil(tau gap / PHI_MAX)."""
     cap = max(1, math.ceil(tau * gap / PHI_MAX))
     want = np.ceil(tau * gap * (np.abs(omegas) / omega_max) ** OMEGA_EXPONENT / PHI_OMEGA)
-    return np.clip(want, 1, cap).astype(np.int64)
+    return np.minimum(np.maximum(want, 1), cap).astype(np.int64)
 
 
 def _compile(seq: PulseSequence, dt: float, flip_gap: np.ndarray, weights: np.ndarray,
@@ -351,51 +367,67 @@ def _compile(seq: PulseSequence, dt: float, flip_gap: np.ndarray, weights: np.nd
     the previous step's trailing half: t_first and d_first are the previous
     half and lead plus its own, 0 before the first step. A stretch is a run of
     steps with equal (nsub, half) within one segment; the bounds run from 0 to
-    the step count."""
-    omegas, deltas, nsubs, halves = [], [], [], []
+    the step count. The detuning `weights` are positive, as `Atom` holds them."""
+    # one leading 0 entry of delta and half, the "previous step" of the first
+    omegas, deltas, nsubs, halves, ends = [], [np.zeros(1)], [], [np.zeros(1)], [0]
     for seg in seq.segments:
-        steps = max(1, int(np.ceil(seg.duration / dt - 1e-9)))
+        steps = max(1, math.ceil(seg.duration / dt - 1e-9))
         edges = np.linspace(0.0, seg.duration, steps + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        omegas.append(np.asarray(seg.omega.sample(mids), dtype=float).reshape(-1))
-        deltas.append(np.asarray(seg.delta.sample(mids), dtype=float).reshape(-1))
+        omegas.append(np.asarray(seg.omega.sample(mids), dtype=float))
+        deltas.append(np.asarray(seg.delta.sample(mids), dtype=float))
         tau = seg.duration / steps * 1e-3  # ns -> us
-        gap = float(np.max(flip_gap + np.abs(deltas[-1]).max() * np.abs(weights)))
+        gap = float((flip_gap + np.abs(deltas[-1]).max() * weights).max())
         nsubs.append(substep_counts(tau, gap, omegas[-1], omega_max))
         halves.append(0.5 * tau / nsubs[-1])
+        ends.append(ends[-1] + steps)
     omega, delta, nsub, half = map(np.concatenate, (omegas, deltas, nsubs, halves))
     lead = delta * half
     # half changes within a segment only where nsub does
-    bounds = np.union1d(np.flatnonzero(np.diff(nsub)) + 1, np.cumsum(list(map(len, nsubs))))
-    return (omega * half, nsub, half, lead, np.append(0.0, lead[:-1]) + lead,
-            np.append(0.0, half[:-1]) + half, [0, *bounds.tolist()])
+    bounds = sorted({*ends, *(np.flatnonzero(nsub[1:] != nsub[:-1]) + 1).tolist()})
+    return (omega * half[1:], nsub, half[1:], lead[1:], lead[:-1] + lead[1:],
+            half[:-1] + half[1:], bounds)
+
+
+def _register_terms(reg: Register, dev: DeviceParams) -> tuple:
+    """What evolve needs of the register beyond the pulse, read-only, built
+    once per register and c6 and kept on the frozen register: the interaction
+    and occupation diagonals, sigma = (-1)^popcount and i^popcount, each
+    atom's flip gap sum_j U_kj, the detuning weights, and the i w.n parts of
+    each group (occ where only its atoms are excited), top group first."""
+    cache = reg.__dict__.setdefault("_register_terms", {})
+    if dev.c6 not in cache:
+        inter, occ = interaction_diagonal(reg, dev), occupation_diagonal(reg)
+        n, groups, pop = reg.n, _groups(reg.n), _popcount(reg.n)
+        lows = np.cumsum([0] + [m for m, _ in groups])
+        iocc = tuple(1j * occ[np.arange(1 << m) << lo] for (m, _), lo in zip(groups, lows))[::-1]
+        # one flip of atom k changes U by at most sum_j U_kj (U >= 0)
+        flip_gap = inter[-1] - inter[((1 << n) - 1) ^ (1 << np.arange(n))]
+        terms = (inter, occ, 1.0 - 2.0 * (pop & 1), _I_POWERS[pop & 3], flip_gap,
+                 reg.detuning_weights(), iocc)
+        for array in (*terms[:-1], *iocc):
+            array.flags.writeable = False
+        cache[dev.c6] = terms
+    return cache[dev.c6]
 
 
 def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
            dt: float = 4.0) -> StateVector:
     """Integrate the schedule from |00...0> with midpoint steps of `dt` ns,
     each run as Strang sub-steps; steps never straddle segment boundaries.
-    The schedule is compiled into stretches (`_compile`); each stretch draws
-    its first and repeated phase rows from `_rows` and runs in chunks of
-    steps through `_substeps`.
+    The schedule is compiled into stretches (`_compile`); each stretch runs
+    in chunks of steps through `_substeps`, each chunk with its batch of
+    first and repeated phase rows from `_rows`.
 
     Raises NumericalError when the norm drifts by more than 1e-4; drift is
     never hidden by renormalising.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise InputError(f"dt must be a positive finite number, got {dt}")
-    inter = interaction_diagonal(reg, dev)
-    occ = occupation_diagonal(reg)
-    n, dim, groups = reg.n, 1 << reg.n, _groups(reg.n)
-    pop = _popcount(n)
-    sign = 1.0 - 2.0 * (pop & 1)  # sigma = S_N^2 = (-1)^popcount
-    # i w.n over each group's atoms (occ where only they are excited), top first
-    lows = np.cumsum([0] + [m for m, _ in groups])
-    iocc = [1j * occ[np.arange(1 << m) << lo] for (m, _), lo in zip(groups, lows)][::-1]
-    # one flip of atom k changes U by at most sum_j U_kj (U >= 0)
-    flip_gap = inter[-1] - inter[(dim - 1) ^ (1 << np.arange(n))]
+    inter, occ, sign, i_powers, flip_gap, weights, iocc = _register_terms(reg, dev)
+    dim, groups = 1 << reg.n, _groups(reg.n)
     theta, nsubs, halves, leads, d_firsts, t_firsts, bounds = _compile(
-        seq, dt, flip_gap, reg.detuning_weights(), dev.omega_max)
+        seq, dt, flip_gap, weights, dev.omega_max)
     tables = {m: drive_table(theta, m) for m in {size for size, _ in groups}}
     gathers = [(tables[m], index) for m, index in groups[::-1]]  # in run order
     mat_floats = sum(index.size for _, index in groups)
@@ -414,26 +446,28 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
         row_floats = 2 * dim * min(nsub, 2)
         chunk = max(1, (CHUNK_FLOATS - 2 * row_floats) // mat_floats if dim >= LONG_ROW
                     else CHUNK_FLOATS // (mat_floats + row_floats))
-        # iter(): the chain drops the first step's row once it has run
-        firsts = chain(iter(_phase_rows(carry, iocc, d_firsts[start:start + 1])),
-                       _rows(u, iocc, occ, d_firsts[start + 1:end], ANCHOR_PERIOD, chunk))
+        # chunks counted back from the stretch's end: each one's end, counted
+        # from the stretch's start; the first rows' batches skip the first
+        # step, whose row takes the carried phase
+        ends = range((end - start) % chunk or chunk, end - start + 1, chunk)
+        firsts = _rows(u, iocc, occ, d_firsts[start + 1:end], ANCHOR_PERIOD,
+                       range(ends[0] - 1, end - start, chunk))
         # the repeated row enters the state nsub - 1 times a step, so it is
         # anchored nsub - 1 times as often
-        repeats = repeat(None) if nsub == 1 else _rows(
+        repeats = repeat(repeat(None)) if nsub == 1 else _rows(
             u, iocc, occ, leads[start:end] + leads[start:end],
-            max(1, ANCHOR_PERIOD // (nsub - 1)), chunk)
-        # chunks counted back from the stretch's end, as `_rows` counts its
-        # batches, so that both kinds of batch line up with the chunks
-        for c1 in range(start + ((end - start) % chunk or chunk), end + 1, chunk):
-            c0 = max(start, c1 - chunk)
-            _substeps(plan, zip(islice(firsts, c1 - c0), islice(repeats, c1 - c0), zip(
+            max(1, ANCHOR_PERIOD // (nsub - 1)), ends)
+        head = _phase_rows(carry, iocc, d_firsts[start:start + 1])
+        for stop, rows, reps in zip(ends, firsts, repeats):
+            c0, c1 = start + max(0, stop - chunk), start + stop
+            _substeps(plan, zip(chain(head, rows) if c0 == start else rows, reps, zip(
                 *(table[c0:c1].take(index, axis=1) for table, index in gathers))), nsub)
         firsts = repeats = None  # the running rows, freed before the next stretch's
     # sigma S_N = i^popcount turns the sigma-phased G products into R products
     last = _phase_rows(sign * np.exp(-1j * float(halves[-1]) * inter), iocc, leads[-1:])[0]
     psi = plan[0]
     psi *= last
-    psi *= _I_POWERS[pop & 3]
+    psi *= i_powers
 
     drift = abs(np.linalg.norm(psi) - 1.0)
     if drift > DRIFT_LIMIT:

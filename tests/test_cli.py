@@ -9,6 +9,7 @@ from argparse import Namespace
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rydock
@@ -540,24 +541,29 @@ def _malformed(case, tmp_path):
         register = _p2_register(tmp_path)
         return (["predict", "--register", register, "--models", str(models), *out],
                 str(models / "mlqaa_models.npz"))
-    if case in ("dataset_score_nan", "dataset_label_nan", "model_t_lo_nan"):
+    if case in ("dataset_score_nan", "dataset_label_nan", "dataset_ids_not_positions",
+                "model_t_lo_nan", "model_w2_wrong_shape"):
         recs = [_record(s) for s in (6.0, 7.5, 9.0, 11.0)]
         if case == "dataset_score_nan":
             recs = [replace(r, score=math.nan) for r in recs]
         if case == "dataset_label_nan":
             recs[0] = replace(recs[0], params={**recs[0].params, "t_rise": math.nan})
+        if case == "dataset_ids_not_positions":
+            recs = [replace(r, ids=r.ids[:1]) for r in recs]
         dataset = str(tmp_path / "dataset.jsonl")
         save_dataset(recs, dataset)
         models = tmp_path / "models"
         models.mkdir()
         weights = init_weights(0)
+        if case == "model_w2_wrong_shape":
+            weights["W2"] = np.zeros((128, 64))
         save_models({t: GcnModel(weights=weights, target=t, t_hi=1.0,
                                  t_lo=math.nan if case == "model_t_lo_nan" else 0.0)
                      for t in TARGETS}, models / "mlqaa_models.npz")
         if case == "dataset_score_nan":
             return (["mlqaa-eval", "--dataset", dataset, "--models", str(models), *out],
                     dataset)
-        if case == "dataset_label_nan":
+        if case in ("dataset_label_nan", "dataset_ids_not_positions"):
             return ["train", "--dataset", dataset, "--epochs", "1", *out], dataset
         return (["predict", "--register", _p2_register(tmp_path), "--models", str(models),
                  *out], str(models / "mlqaa_models.npz"))
@@ -575,6 +581,9 @@ def _malformed(case, tmp_path):
     "xyz_nan", "atom_weight_nan", "atom_x_nan", "atom_x_infinite", "radius_infinite",
     "graph_pos_nan", "device_c6_infinite", "table_s_nan", "table_s_infinite",
     "dataset_score_nan", "dataset_label_nan", "model_t_lo_nan",
+    # a record's ids and positions pair up, and each model array has the
+    # shape and float type `init_weights` gives it
+    "dataset_ids_not_positions", "model_w2_wrong_shape",
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     argv, path = _malformed(case, tmp_path)

@@ -596,6 +596,20 @@ def test_layout_routes_no_chain_of_a_draw_it_discards(monkeypatch):
     assert calls
 
 
+def test_layout_relaxes_a_held_draw_no_further_than_needed(monkeypatch):
+    # seed 9's first four draws fail their first relaxation, so none can be
+    # chain-free; each is held after that round, and the fifth draw is
+    # chain-free, so their remaining relaxations never run: 5 `_relax` calls,
+    # where finishing every draw before holding it took 9
+    calls = []
+    inner = rydock.register._relax
+    monkeypatch.setattr(rydock.register, "_relax",
+                        lambda *a: calls.append(1) or inner(*a))
+    emb = layout(_fixture_complement(), DEV, spacing=DEFAULTS["spacing"], seed=9)
+    assert emb.ancilla_ids() == ()
+    assert len(calls) == 5
+
+
 def test_fixture_layouts_are_chain_free_at_one_band_ratio():
     # seeds 0-19 of the fixture complement graph at the CLI spacing, a
     # subset of the seeds 0-59 that tests/measure_layout.py reports

@@ -3,12 +3,11 @@
 import math
 import tracemalloc
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import expm
@@ -18,9 +17,10 @@ from rydock.cli import DEFAULTS
 from rydock.docking import build_binding_graph, default_table, load_molecule
 from rydock.errors import InputError
 from rydock.graphs import bitstrings, complement
-from rydock.mlqaa.dataset import corpus_entry, generate_corpus
+from rydock.mlqaa.dataset import SPACINGS, corpus_entry, generate_corpus
 from rydock.optimize import search_space, sequence_for
 from rydock.pulses import (
+    ParamSpace,
     PulseSequence,
     Ramp,
     Segment,
@@ -55,8 +55,10 @@ from rydock.simulator import (
     substep_counts,
 )
 import calibrate_substeps
+import measure_evolve_calls
 import measure_groups
 from allocating_loop_reference import allocating_substeps
+from compile_reference import reference_compile
 from complex_drive_reference import complex_evolve
 from taylor_reference import DENSE_MAX_ATOMS, THETA_MAX, _step_operator, taylor_evolve
 
@@ -274,6 +276,28 @@ def test_diagonals_are_built_once_per_register_and_c6(monkeypatch):
     # a fresh register of the same atoms builds the same values
     fresh = Register(atoms=reg.atoms)
     assert interaction_diagonal(fresh, DEV).tobytes() == interaction_diagonal(reg, DEV).tobytes()
+
+
+def test_register_terms_are_kept_per_c6():
+    # evolve keeps sigma, the i w.n parts, the flip gaps and the detuning
+    # weights on the register, per c6: one register evolved under two c6
+    # values, in either order and again, gives each the bytes of a fresh
+    # register, and the kept terms are read-only
+    seq = complex_sequence(dict(t_rise=200.0, t_fall=300.0, omega=6.0, delta0=3.0, deltaf=7.0),
+                           DEV.omega_max, DEV.delta_abs_max)
+    devs = (DEV, DeviceParams(c6=0.25 * DEV.c6))
+    reg = line_register(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, weights=[1.0, 1.5, 0.5, 2.0, 1.0, 1.2])
+    fresh = {dev: evolve(Register(atoms=reg.atoms), seq, dev, dt=8.0).amplitudes.tobytes()
+             for dev in devs}
+    assert fresh[devs[0]] != fresh[devs[1]]
+    for order in (devs, devs[::-1]):
+        shared = Register(atoms=reg.atoms)
+        for dev in (*order, *order):
+            assert evolve(shared, seq, dev, dt=8.0).amplitudes.tobytes() == fresh[dev]
+    for dev in devs:
+        terms = simulator._register_terms(reg, dev)
+        assert simulator._register_terms(reg, dev) is terms
+        assert not any(a.flags.writeable for a in (*terms[:-1], *terms[-1]))
 
 
 def test_occupation_diagonal_weights():
@@ -618,12 +642,13 @@ def test_phase_rows_match_the_direct_phase(n, data, kind, seed):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 12), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_stepped_rows_follow_an_affine_detuning(n, data, seed):
-    # a stretch's rows along a Ramp, with any anchor period and batch, read
-    # in chunks of any split as evolve reads them, once as short rows and
-    # once with LONG_ROW at the row length: exact rows keep the broadcast
-    # build's bytes whatever the batch; stepped rows stay within 1e-13 of
-    # them, with the same bytes whatever the batch and the split; and long
-    # rows whose d is off its line are exact
+    # a stretch's rows along a Ramp, with any anchor period, read as evolve
+    # reads them, one batch per chunk, over two random chunk splits (a chunk
+    # may be empty, as the first rows' first batch is when the stretch's
+    # first chunk holds one step), once as short rows and once with LONG_ROW
+    # at the row length: exact rows keep the broadcast build's bytes whatever
+    # the split; stepped rows stay within 1e-13 of them, with the same bytes
+    # whatever the split; and long rows whose d is off its line are exact
     rng = np.random.default_rng(seed)
     occ, iocc = _random_occupation(n, data, rng)
     u = np.exp(-1j * rng.uniform(0.0, 2 * np.pi, 1 << n))
@@ -631,27 +656,28 @@ def test_stepped_rows_follow_an_affine_detuning(n, data, seed):
     edges = np.linspace(0.0, 1000.0, steps + 1)  # midpoints as _compile takes them
     delta = Ramp(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0), 1000.0)
     d = delta.sample(0.5 * (edges[:-1] + edges[1:])) * rng.uniform(2e-4, 4e-3)
-    batches = data.draw(st.lists(st.integers(1, 160), min_size=2, max_size=2))
-    bounds = [0, *sorted(data.draw(st.lists(st.integers(0, steps), max_size=4))), steps]
+    splits = [[*sorted(data.draw(st.lists(st.integers(0, steps), max_size=6))), steps]
+              for _ in range(2)]
 
-    def read(long_row, d, batch):
+    def read(long_row, d, ends):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator, "LONG_ROW", long_row)
-            rows = _rows(u, iocc, occ, d, period, batch)
-            got = [row.copy() for c0, c1 in zip(bounds, bounds[1:])
-                   for row in islice(rows, c1 - c0)]
-            assert next(rows, None) is None
+            batches, got = list(_rows(u, iocc, occ, d, period, ends)), []
+            assert len(batches) == len(ends)
+            for batch, c1 in zip(batches, ends):
+                got += [row.copy() for row in batch]
+                assert len(got) == c1
         return [row.tobytes() for row in got], got
 
     want = _broadcast_phase_rows(u, iocc, d)
-    for batch in batches:
-        assert read(2 << n, d, batch)[0] == [row.tobytes() for row in want]
-    stepped = [read(1 << n, d, batch) for batch in batches]
+    for ends in splits:
+        assert read(2 << n, d, ends)[0] == [row.tobytes() for row in want]
+    stepped = [read(1 << n, d, ends) for ends in splits]
     assert stepped[0][0] == stepped[1][0]
     assert all(np.abs(got - row).max() <= 1e-13 for got, row in zip(stepped[0][1], want))
     if steps > 2 and period > 1:
         wave = rng.uniform(-0.3, 0.3, steps)
-        assert read(1 << n, wave, batches[0])[0] == [
+        assert read(1 << n, wave, splits[0])[0] == [
             row.tobytes() for row in _broadcast_phase_rows(u, iocc, wave)]
 
 
@@ -849,6 +875,37 @@ def _centred_complex(emb, t_rise, t_fall):
     return sequence_for(space.clamp(dict(centre, t_rise=t_rise, t_fall=t_fall)), "complex", DEV)
 
 
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["simple", "complex", "pchip"]), data=st.data(),
+       dt=st.sampled_from([0.5, 1.0, 3.0, 4.0, 8.0, 16.0, 100.0]),
+       stiffness=st.sampled_from([1.0, 100.0, 3000.0]), seed=st.integers(0, 2**32 - 1))
+def test_compile_matches_the_reference_schedule(family, data, dt, stiffness, seed):
+    # both families at any hardware point, and one to three segments of PCHIP
+    # waves whose drive starts at 0, over registers from weak to stiff, so
+    # that nsub changes within segments and at their boundaries: every array
+    # keeps the reference's dtype and bytes, and the stretch bounds its ints
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(1, 9))
+    flip_gap, weights = rng.uniform(0.0, stiffness, n), rng.uniform(0.5, 3.0, n)
+    if family == "pchip":
+        seq = PulseSequence(segments=tuple(
+            Segment(omega=PchipWave((0.0, *rng.uniform(0.0, DEV.omega_max, 3)), duration),
+                    delta=PchipWave(tuple(rng.uniform(-20.0, 20.0, 3)), duration))
+            for duration in rng.uniform(16.0, 1500.0, data.draw(st.integers(1, 3)))))
+    else:
+        space = ParamSpace.hardware(family, DEV.omega_max, DEV.delta_abs_max,
+                                    DEV.coherence_time)
+        params = space.clamp({k: data.draw(st.floats(lo, hi))
+                              for k, (lo, hi) in space.intervals.items()})
+        assume(space.feasible(params))
+        seq = sequence_for(params, family, DEV)
+    got = simulator._compile(seq, dt, flip_gap, weights, DEV.omega_max)
+    want = reference_compile(seq, dt, flip_gap, weights, DEV.omega_max)
+    for array, ref in zip(got[:6], want[:6]):
+        assert array.dtype == ref.dtype and array.tobytes() == ref.tobytes()
+    assert got[6] == want[6] and all(type(b) is int for b in got[6])
+
+
 def test_rows_step_along_a_ramp_and_not_along_a_pchip_wave(monkeypatch):
     # 10 and 12 atoms, so evolve steps the rows. Along a Ramp detuning they
     # move the amplitudes, by at most 1e-13, also on triangle-2-s6, whose
@@ -976,6 +1033,17 @@ def test_measure_groups_script_runs(capsys):
             assert row.split()[6:] == ["1.00", "*"]
         else:
             assert float(row.split()[6]) > 0 and row.split()[7].startswith("[")
+
+
+def test_measure_evolve_calls_script_runs(capsys):
+    # the per-call and per-sub-step timing scan, on the 2-atom corpus
+    # registers and the fixture docking register
+    measure_evolve_calls.main(["--atoms", "2", "--repeats", "1"])
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [f"line-0-s{s:g}" for s in SPACINGS] + ["fixture"]
+    assert [row[1] for row in rows] == ["2"] * len(SPACINGS) + ["6"]
+    for row in rows:
+        assert float(row[2]) > 0 and float(row[3]) > 0 and int(row[4]) >= 626
 
 
 def test_norm_preserved():
