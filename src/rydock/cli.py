@@ -19,8 +19,10 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -58,11 +60,12 @@ from .mlqaa.gcn import (
     train_models,
 )
 from .optimize import (
+    Trial,
     evaluate_params,
-    load_trials,
     normalized_score,
     normalized_value,
     qaa_sweep,
+    replayable,
     success_probability,
     vqaa,
 )
@@ -86,7 +89,7 @@ SWEEP_AXES = ("omegas", "deltas", "times")
 MODEL_FILE = "mlqaa_models.npz"
 # Enters every config digest: a change that moves any output bumps it, so
 # that one digest always stamps the same bytes.
-OUTPUT_VERSION = 2
+OUTPUT_VERSION = 3
 
 
 def _config_doc(doc) -> dict:
@@ -115,13 +118,14 @@ def effective_config(args) -> dict:
         flag = getattr(args, k, None)
         if flag is not None:
             cfg[k] = flag
-    try:
-        for k in ("seed", "shots", "rounds", "epochs"):
-            cfg[k] = int(cfg[k])
-        for k in ("dt", "tau", "spacing", "holdout_frac"):
-            cfg[k] = float(cfg[k])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad config value: {exc}") from None
+    for k in ("seed", "shots", "rounds", "epochs", "dt", "tau", "spacing", "holdout_frac"):
+        whole = k in ("seed", "shots", "rounds", "epochs")
+        v = cfg[k]
+        # a JSON true is an int to Python, and int() truncates 1.7 to 1
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or whole and not float(v).is_integer()):
+            raise InputError(f"{k} must be a {'whole ' if whole else ''}number, got {v!r}")
+        cfg[k] = int(v) if whole else float(v)
     for k, least in (("seed", 0), ("shots", 1), ("rounds", 1), ("epochs", 1), ("tau", 0)):
         if cfg[k] < least:
             raise InputError(f"{k} must be >= {least}")
@@ -189,9 +193,20 @@ def cmd_embed(args, cfg, meta, out, dev) -> int:
     return 0
 
 
+def load_trials(path, digest=None) -> list:
+    """The trials `cmd_vqaa` logged to `path`, rounds 0..k-1 in order; none
+    when `digest` is given and the log's `search_digest` differs, as the log
+    of another search."""
+    def parse(docs):
+        if digest is not None and any(d.get("search_digest") != digest for d in docs):
+            return []
+        trials = [Trial(**{f.name: d[f.name] for f in fields(Trial)}) for d in docs]
+        # JSON reads the (bitstring, count) pairs of `top` back as lists
+        return replayable(replace(t, top=tuple(map(tuple, t.top))) for t in trials)
+    return files.read(path, parse, lines=True)
+
+
 def cmd_vqaa(args, cfg, meta, out, dev) -> int:
-    if args.resume and cfg["optimizer"] != "tpe":
-        raise InputError("resume is only meaningful for the tpe optimizer")
     emb = load_register(args.register, dev)
     log_path = os.path.join(out, "trials.jsonl")
     # a log is replayed for the same register and config but `rounds` only
@@ -200,14 +215,32 @@ def cmd_vqaa(args, cfg, meta, out, dev) -> int:
     os.makedirs(out, exist_ok=True)
     digest = config_digest({**cfg, "rounds": None, "register": register_sha}, "vqaa")
 
+    # a log of the same search is replayed, and extended past its last trial
     done = load_trials(log_path, digest) if args.resume and os.path.exists(log_path) else []
-    # a log of the same search is replayed, and extended if it is shorter
-    res = vqaa(
-        emb, dev, family=cfg["family"], rounds=cfg["rounds"],
-        shots=cfg["shots"], optimizer=cfg["optimizer"], seed=cfg["seed"],
-        dt=cfg["dt"], log_path=None if len(done) >= cfg["rounds"] else log_path,
-        log_fields={"search_digest": digest}, replay=done,
-    )
+    # opened at the first trial not in it, so that a search refused before
+    # (on an empty Rabi band) leaves the log of an earlier run whole;
+    # line-buffered, so that a search killed between trials leaves only
+    # whole lines to replay
+    log = None
+
+    def write_trial(trial, state):
+        nonlocal log
+        if trial.round < len(done):
+            return
+        if log is None:
+            log = open(log_path, "a" if done else "w", buffering=1)
+        # vars, not asdict, which deep-copies every leaf: 100 against 20 us a line
+        log.write(json.dumps({"search_digest": digest, **vars(trial)}, sort_keys=True) + "\n")
+
+    try:
+        res = vqaa(
+            emb, dev, family=cfg["family"], rounds=cfg["rounds"],
+            shots=cfg["shots"], optimizer=cfg["optimizer"], seed=cfg["seed"],
+            dt=cfg["dt"], on_trial=write_trial, replay=done,
+        )
+    finally:
+        if log is not None:
+            log.close()
 
     g = emb.graph
     norm = normalized_score(res.refined_histogram, g, res.refined)
@@ -281,15 +314,13 @@ def _refuse_other(cfg: dict, command: str, **runs):
 
 def cmd_benchmark(args, cfg, meta, out, dev) -> int:
     rounds_list = _rounds_list(args)
-    # replaying the longest search for every shorter one needs tpe
-    _refuse_other(cfg, "benchmark", optimizer="tpe")
     os.makedirs(out, exist_ok=True)
     rows = []
     # argparse's choices leave "lines" and "all"
     entries = [e for e in generate_corpus(dev) if args.subset == "all" or e.family == "line"]
     for entry in entries:
         entry_seed = int(substream(cfg["seed"], "bench", entry.name).integers(1 << 62))
-        kw = dict(family=cfg["family"], shots=cfg["shots"], optimizer="tpe",
+        kw = dict(family=cfg["family"], shots=cfg["shots"], optimizer=cfg["optimizer"],
                   seed=entry_seed, dt=cfg["dt"])
         full = vqaa(entry.embedding, dev, rounds=rounds_list[-1], **kw)
         for k in rounds_list:
@@ -476,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--register", required=True)
     v.add_argument("--family", choices=FAMILIES)
     v.add_argument("--optimizer", choices=["tpe", "nm"])
-    v.add_argument("--rounds", type=int)
+    v.add_argument("--rounds", type=int, help="evaluations per search")
     v.add_argument("--resume", action="store_true",
                    help="replay trials.jsonl of the same search, extending a shorter one")
 
@@ -491,12 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="normalized score vs optimization rounds on the corpus")
     b.add_argument("--subset", default="lines", choices=["lines", "all"])
     b.add_argument("--rounds", dest="rounds_list", default="10,50,200",
-                   help="comma list")
+                   help="comma list of evaluations per search")
     b.add_argument("--family", choices=FAMILIES)
 
     ds = sub.add_parser("dataset", parents=[common],
                         help="generate and label the 125-register corpus")
-    ds.add_argument("--rounds", type=int, help="search rounds per register")
+    ds.add_argument("--rounds", type=int, help="evaluations per search")
     ds.add_argument("--verbose", action="store_true")
     ds.set_defaults(dt_default=8.0)
 

@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .. import files, optimize
+from .. import files
 from ..errors import InputError
+from ..optimize import REFINE_SHOT_FACTOR, evaluate_params, search_space, vqaa
 from ..register import DeviceParams, Embedding, embedding_from_positions
 from ..rng import substream
-from ..optimize import search_space, vqaa
 
 SPACINGS = (6.0, 7.25, 8.5, 9.75, 11.0)
 FAMILIES = ("line", "rectangle", "triangle", "tri_lattice", "hexagon")
@@ -190,7 +190,7 @@ def label_dataset(entries, dev: DeviceParams, rounds: int = 40,
     relabelled independently), picks the canonical trial of the near-best
     plateau, and stores its parameters with a REFINE_SHOT_FACTOR x shots re-score.
     The search keeps the final state of every trial still within LABEL_TOL
-    of its running best, so `optimize._outcome` re-measures the canonical
+    of its running best, so `evaluate_params` re-measures the canonical
     trial, not evolving it again. Entries that stay nullified even after the
     search's second pass are dropped.
     """
@@ -214,12 +214,9 @@ def label_dataset(entries, dev: DeviceParams, rounds: int = 40,
             continue
         space = search_space(entry.embedding, dev, "complex")
         canon = _canonical_trial(res.trials, space)
-        # looked up on the module, as vqaa's calls are, so wrappers see them
-        hist, _ = optimize._outcome(canon.params, entry.embedding, dev, "complex",
-                                    optimize.REFINE_SHOT_FACTOR * shots,
-                                    substream(entry_seed, "canon"), dt,
-                                    state=plateau[canon.round][1])
-        sb = optimize.score(hist, entry.embedding.graph)
+        sb, _ = evaluate_params(entry.embedding, dev, canon.params, "complex",
+                                REFINE_SHOT_FACTOR * shots, substream(entry_seed, "canon"),
+                                dt, state=plateau[canon.round][1])
         if sb.score <= 0.0:
             continue
         reg = entry.embedding.register

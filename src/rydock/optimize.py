@@ -17,6 +17,13 @@ search space is a `pulses.ParamSpace`, the hardware space narrowed where the
 search decides (`search_space`); its methods are both optimizers' one
 feasibility test, clamp and draw. `sequence_for` checks every pulse.
 
+`vqaa` runs one loop for both optimizers, and `rounds` is its budget of
+evaluations: each round asks TPE (`tpe_suggest`) or the running simplex
+(`nelder_mead`, a generator that is sent each value) for one point. So a
+k-round search is the first k rounds of any longer one with the same seed,
+and its trials, logged to `trials.jsonl` by the CLI's `vqaa` command,
+replay exactly.
+
 Every pulse is evolved (or a kept final state re-measured) and stripped by
 `_outcome`, the one home of the exact omega=0 shortcut. `qaa_sweep` calls
 it too, but marks an omega=0 cell infeasible before the shortcut is reached.
@@ -24,13 +31,12 @@ it too, but marks an omega=0 cell infeasible before the shortcut is reached.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import files
 from .errors import InfeasibilityError, InputError
 from .graphs import WeightedGraph, brute_force_mwis, independent_weights
 from .histogram import Histogram
@@ -43,7 +49,6 @@ GINI_THRESHOLD = 1.0 / 3.0
 TPE_STARTUP = 10
 TPE_GAMMA = 0.25
 TPE_CANDIDATES = 24
-NM_RESTARTS = 5
 REFINE_SHOT_FACTOR = 5
 
 
@@ -143,14 +148,14 @@ def sequence_for(params: dict, family: str, dev: DeviceParams):
     return build(params, dev.omega_max, dev.delta_abs_max, dev.coherence_time)
 
 
-def nelder_mead(objective, x0, bounds, max_iter: int = 200, seed: int = 0):
-    """Minimise `objective` over a box with a hand-rolled simplex search.
+def nelder_mead(x0, bounds, seed: int = 0):
+    """A hand-rolled simplex search over a box, as a generator to be
+    minimised by its caller: it yields each point to evaluate, is sent that
+    point's value, and returns (x_best, f_best) once the simplex diameter,
+    scaled by the interval widths, falls below 1e-3.
 
     Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
-    Candidate points are clamped into the bounds before evaluation, so the
-    objective is never called outside the box. Terminates when the simplex
-    diameter, scaled by the interval widths, falls below 1e-3, or after
-    `max_iter` iterations. Returns (x_best, f_best, evaluations).
+    Every point is clamped into the bounds before it is yielded.
     """
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
@@ -171,10 +176,11 @@ def nelder_mead(objective, x0, bounds, max_iter: int = 200, seed: int = 0):
         if x0[k] + step[k] > hi[k]:
             step[k] = -abs(step[k])
         simplex.append(clamp(x0 + step))
-    values = [objective(x) for x in simplex]
-    evals = len(simplex)
+    values = []
+    for x in simplex:
+        values.append((yield x))
 
-    for _ in range(max_iter):
+    while True:
         order = np.argsort(values)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
@@ -183,36 +189,47 @@ def nelder_mead(objective, x0, bounds, max_iter: int = 200, seed: int = 0):
             for i in range(1, ndim + 1)
         )
         if diam < 1e-3:
-            break
+            return simplex[0], values[0]
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
         refl = clamp(centroid + 1.0 * (centroid - worst))
-        f_refl = objective(refl)
-        evals += 1
+        f_refl = yield refl
         if values[0] <= f_refl < values[-2]:
             simplex[-1], values[-1] = refl, f_refl
         elif f_refl < values[0]:
             expd = clamp(centroid + 2.0 * (centroid - worst))
-            f_expd = objective(expd)
-            evals += 1
+            f_expd = yield expd
             if f_expd < f_refl:
                 simplex[-1], values[-1] = expd, f_expd
             else:
                 simplex[-1], values[-1] = refl, f_refl
         else:
             contr = clamp(centroid + 0.5 * (worst - centroid))
-            f_contr = objective(contr)
-            evals += 1
+            f_contr = yield contr
             if f_contr < values[-1]:
                 simplex[-1], values[-1] = contr, f_contr
             else:
                 best = simplex[0]
                 for i in range(1, ndim + 1):
                     simplex[i] = clamp(best + 0.5 * (simplex[i] - best))
-                    values[i] = objective(simplex[i])
-                    evals += 1
-    order = np.argsort(values)
-    return simplex[order[0]], values[order[0]], evals
+                    values[i] = yield simplex[i]
+
+
+def _simplex_points(space: ParamSpace, seed: int):
+    """Endless parameter points of `nelder_mead` searches, each sent the
+    score of the point before it: a search maximises the score from an
+    "nm-start" draw, and a converged one restarts from the next draw."""
+    bounds = list(space.intervals.values())
+    for restart in itertools.count():
+        x0 = space.uniform(substream(seed, "nm-start", restart))
+        search = nelder_mead(list(x0.values()), bounds, seed=substream_seed(seed, "nm", restart))
+        try:
+            x = next(search)
+            while True:
+                value = yield space.clamp(dict(zip(space.names, x)))
+                x = search.send(-value)
+        except StopIteration:
+            pass
 
 
 def _kernel_density(x: np.ndarray, centres: list, sigma: float, lo: float,
@@ -312,125 +329,86 @@ def _outcome(params, emb, dev, family, shots, shot_seed, dt, state=None):
 
 def evaluate_params(emb: Embedding, dev: DeviceParams, params: dict,
                     family: str = "complex", shots: int = 1000, seed=0,
-                    dt: float = 4.0):
+                    dt: float = 4.0, state=None):
     """(ScoreBreakdown, stripped Histogram) of one parameter set: evolve,
-    measure, strip, score."""
-    hist, _ = _outcome(params, emb, dev, family, shots, seed, dt)
+    measure, strip, score; or of its kept final `state`, measured again."""
+    hist, _ = _outcome(params, emb, dev, family, shots, seed, dt, state)
     return score(hist, emb.graph), hist
+
+
+def replayable(trials) -> list:
+    """`trials` as a list, refused unless they are rounds 0..k-1 in order."""
+    trials = list(trials)
+    if [t.round for t in trials] != list(range(len(trials))):
+        raise InputError("replayed trials must be rounds 0..k-1 in order")
+    return trials
 
 
 def vqaa(emb: Embedding, dev: DeviceParams, family: str = "complex",
          rounds: int = 50, shots: int = 1000, optimizer: str = "tpe",
-         seed: int = 0, dt: float = 4.0, log_path=None,
-         log_fields: dict | None = None, on_trial=None, replay=()) -> VqaaResult:
+         seed: int = 0, dt: float = 4.0, on_trial=None, replay=()) -> VqaaResult:
     """Variational search for pulse parameters on one embedding.
 
-    optimizer="tpe": `rounds` sequential suggestions; when every trial ends
-    nullified the loop runs a second pass of the same depth before giving
-    up (low_confidence marks a best trial that still scored 0).
-    optimizer="nm": NM_RESTARTS simplex searches from random starts,
-    `rounds` iterations each, in the same `search_space` as tpe.
+    One loop of `rounds` evaluations runs both optimizers in the same
+    `search_space`. Round r evaluates `tpe_suggest` on trials[:r] under
+    optimizer="tpe", or the running simplex's next point under "nm"
+    (`_simplex_points`). When every trial ends nullified the loop runs a
+    second pass of `rounds` more before giving up (low_confidence marks a
+    best trial that still scored 0).
 
     Every evaluation draws its shots from a stream keyed by (seed, round),
     and the final state of the winning trial is kept and re-measured at
-    REFINE_SHOT_FACTOR x shots for reporting. Trials go to `log_path` as JSON
-    lines with `log_fields`. `on_trial(trial, state)` sees each trial with its
-    final state (None on the exact omega=0 shortcut and on a replayed trial).
+    REFINE_SHOT_FACTOR x shots for reporting. `on_trial(trial, state)` sees
+    each trial with its final state (None on the exact omega=0 shortcut and
+    on a replayed trial).
 
-    `replay` holds the logged trials of rounds 0..k-1 of an identically
-    seeded tpe search; they stand in for those rounds, exactly, since round r
-    consumes only trials[:r] and streams keyed by r. k may exceed `rounds`:
-    a longer search replays as a standalone one, second pass included. A
-    replayed winner has no state, so it is evolved again for the re-measure.
+    `replay` holds the trials of rounds 0..k-1 of an identically seeded
+    search; they stand in for those rounds, exactly, since round r consumes
+    only trials[:r] and streams keyed by r. k may exceed `rounds`: a longer
+    search replays as a standalone one, second pass included. A replayed
+    winner has no state, so it is evolved again for the re-measure.
     """
     if rounds < 1:
         raise InputError("rounds must be >= 1")
     if optimizer not in ("tpe", "nm"):
         raise InputError(f"unknown optimizer {optimizer!r}")
-    if replay and optimizer != "tpe":
-        raise InputError("only a tpe search can replay logged trials")
-    if [t.round for t in replay] != list(range(len(replay))):
-        raise InputError("replayed trials must be rounds 0..k-1 in order")
-    g = emb.graph
-    # an empty Rabi band raises here, before the log of an earlier run is truncated
+    replay = replayable(replay)
     space = search_space(emb, dev, family)
+    simplex = _simplex_points(space, seed) if optimizer == "nm" else None
     trials = []
     best = best_state = None
-    # line-buffered: each trial's line is flushed before the next evaluation,
-    # so a search killed between trials leaves only whole lines to replay
-    log_fh = open(log_path, "w", buffering=1) if log_path else None
-
-    def record(trial, state):
-        nonlocal best, best_state
+    target, second_pass = rounds, False
+    for rnd in itertools.count():
+        if rnd == target:
+            if second_pass or any(t.score != 0.0 for t in trials):
+                break
+            target, second_pass = target + rounds, True
+        if simplex:
+            # sent every score, a replayed one too, so that it walks the
+            # path it walked when the trials were logged
+            params = simplex.send(trials[-1].score if trials else None)
+        if rnd < len(replay):
+            trial, state = replay[rnd], None
+        else:
+            if not simplex:
+                params = tpe_suggest(trials, space, substream(seed, "suggest", rnd))
+            stripped, state = _outcome(params, emb, dev, family, shots,
+                                       substream(seed, "shots", rnd), dt)
+            sb = score(stripped, emb.graph)
+            trial = Trial(round=rnd, params=dict(params), score=sb.score, gini=sb.gini,
+                          mean_f=sb.mean_f, top=tuple(stripped.top(10)))
         trials.append(trial)
         if on_trial:
             on_trial(trial, state)
         if best is None or _rank(trial) > _rank(best):
             best, best_state = trial, state
-        if log_fh:
-            # vars, not asdict, which deep-copies every leaf: 100 against 20 us a line
-            log_fh.write(json.dumps({**(log_fields or {}), **vars(trial)},
-                                    sort_keys=True) + "\n")
-        return trial
 
-    def run_one(params, rnd):
-        stripped, state = _outcome(params, emb, dev, family, shots,
-                                   substream(seed, "shots", rnd), dt)
-        sb = score(stripped, g)
-        return record(Trial(
-            round=rnd, params=dict(params), score=sb.score, gini=sb.gini,
-            mean_f=sb.mean_f, top=tuple(stripped.top(10)),
-        ), state)
-
-    second_pass = False
-    try:
-        if optimizer == "tpe":
-            target = rounds
-            rnd = 0
-            while rnd < target:
-                if rnd < len(replay):
-                    record(replay[rnd], None)
-                else:
-                    run_one(tpe_suggest(trials, space, substream(seed, "suggest", rnd)), rnd)
-                rnd += 1
-                if rnd == target and not second_pass and all(t.score == 0.0 for t in trials):
-                    target += rounds
-                    second_pass = True
-        else:
-            counter = [0]
-
-            def objective(x):
-                params = space.clamp(dict(zip(space.names, x)))
-                trial = run_one(params, counter[0])
-                counter[0] += 1
-                return -trial.score
-
-            for restart in range(NM_RESTARTS):
-                x0 = space.uniform(substream(seed, "nm-start", restart))
-                nelder_mead(objective, list(x0.values()), list(space.intervals.values()),
-                            max_iter=rounds, seed=substream_seed(seed, "nm", restart))
-    finally:
-        if log_fh:
-            log_fh.close()
-
-    rh, _ = _outcome(best.params, emb, dev, family, shots * REFINE_SHOT_FACTOR,
-                     substream(seed, "refine"), dt, state=best_state)
+    refined, rh = evaluate_params(emb, dev, best.params, family, shots * REFINE_SHOT_FACTOR,
+                                  substream(seed, "refine"), dt, state=best_state)
     return VqaaResult(
-        best=best, trials=tuple(trials), refined=score(rh, g), refined_histogram=rh,
+        best=best, trials=tuple(trials), refined=refined, refined_histogram=rh,
         low_confidence=best.score == 0.0, second_pass=second_pass, family=family,
     )
-
-
-def load_trials(path, digest=None) -> list:
-    """The trials `vqaa` logged to `path`; none when `digest` is given and
-    the log's `search_digest` differs, as the log of another search."""
-    def parse(docs):
-        if digest is not None and any(d.get("search_digest") != digest for d in docs):
-            return []
-        trials = [Trial(**{f.name: d[f.name] for f in fields(Trial)}) for d in docs]
-        # JSON reads the (bitstring, count) pairs of `top` back as lists
-        return [replace(t, top=tuple(map(tuple, t.top))) for t in trials]
-    return files.read(path, parse, lines=True)
 
 
 def _rank(trial: Trial) -> tuple:

@@ -66,12 +66,9 @@ NONEDGE_TARGET = 1.7
 LINK_TARGET = 3.0
 MAX_CHAIN_ATOMS = 6
 # Relaxation stops once no atom moves more than LAYOUT_TOL * spacing in one
-# iteration. On the fixture complement graph at seeds 0-59, 129 of 183
-# relaxations stop so, 97 of them within 250 iterations. The other 54, on
-# draws whose targets conflict, creep on past 1,000 iterations, and
-# LAYOUT_MAX_ITERS cuts them off. Every placement layout returned there (at
-# 6 and 9 um) and on complement(six_node) came from a relaxation that met
-# the tolerance.
+# iteration, or after LAYOUT_MAX_ITERS, which cuts off the draws whose targets
+# conflict and only creep. tests/measure_layout.py counts the relaxations
+# and their iterations per fixture seed.
 LAYOUT_TOL = 1e-9
 LAYOUT_MAX_ITERS = 500
 # Seeds drawn before settling for ancillas; 5 settled on 5 of 200 fixture

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 import rydock
-from rydock.cli import DEFAULTS, config_digest, effective_config, main
+from rydock.cli import DEFAULTS, config_digest, effective_config, load_trials, main
 from rydock.errors import InputError
 from rydock.graphs import load_graph
 from rydock.mlqaa import DatasetRecord, save_dataset
 from rydock.mlqaa.dataset import corpus_entry
 from rydock.mlqaa.gcn import TARGETS, GcnModel, init_weights, save_models
-from rydock.optimize import Trial, load_trials, normalized_score, search_space, vqaa
+from rydock.optimize import Trial, normalized_score, search_space, vqaa
 from rydock.register import DeviceParams, load_register, omega_bounds
 from rydock.rng import substream
 
@@ -96,6 +96,15 @@ def test_effective_config_validation(tmp_path):
         {"seed": "xyz"},
         {"seed": -1},
         {"epochs": 0},
+        # a JSON true is an int to Python, and int() truncates a fraction
+        {"seed": 1.7},
+        {"rounds": True},
+        {"shots": 99.5},
+        {"epochs": False},
+        {"dt": True},
+        {"tau": True},
+        {"spacing": False},
+        {"holdout_frac": True},
         ["not", "an", "object"],
     ):
         with pytest.raises(InputError):
@@ -163,47 +172,41 @@ def test_dock_embed_vqaa_pipeline(tmp_path, capsys):
 
 def test_vqaa_resume_reuses_trials(tmp_path):
     register = _p2_register(tmp_path)
-    run_a = tmp_path / "a"
-    rc = main(["vqaa", "--register", register, "--rounds", "3", "--shots", "100",
-               "--dt", "8", "--seed", "0", "--out", str(run_a)])
-    assert rc == 0
-    assert len(load_trials(run_a / "trials.jsonl")) == 3
+    for optimizer in ("tpe", "nm"):
+        flags = ["--register", register, "--shots", "100", "--dt", "8", "--seed", "0",
+                 "--optimizer", optimizer]
+        run_a = tmp_path / optimizer / "a"
+        assert main(["vqaa", *flags, "--rounds", "3", "--out", str(run_a)]) == 0
+        assert len(load_trials(run_a / "trials.jsonl")) == 3
 
-    # resume trims to the first two rounds without touching the log
-    log = (run_a / "trials.jsonl").read_bytes()
-    rc = main(["vqaa", "--register", register, "--rounds", "2", "--shots", "100",
-               "--dt", "8", "--seed", "0", "--out", str(run_a), "--resume"])
-    assert rc == 0
-    assert (run_a / "trials.jsonl").read_bytes() == log
-    resumed = json.loads((run_a / "result.json").read_text())
+        # resume trims to the first two rounds without touching the log
+        log = (run_a / "trials.jsonl").read_bytes()
+        assert main(["vqaa", *flags, "--rounds", "2", "--out", str(run_a), "--resume"]) == 0
+        assert (run_a / "trials.jsonl").read_bytes() == log
+        resumed = json.loads((run_a / "result.json").read_text())
 
-    run_b = tmp_path / "b"
-    rc = main(["vqaa", "--register", register, "--rounds", "2", "--shots", "100",
-               "--dt", "8", "--seed", "0", "--out", str(run_b)])
-    assert rc == 0
-    fresh = json.loads((run_b / "result.json").read_text())
-    assert not fresh["second_pass"]
-    assert resumed == fresh
-
-    rc = main(["vqaa", "--register", register, "--rounds", "2", "--optimizer",
-               "nm", "--out", str(run_a), "--resume"])
-    assert rc == 2
+        run_b = tmp_path / optimizer / "b"
+        assert main(["vqaa", *flags, "--rounds", "2", "--out", str(run_b)]) == 0
+        fresh = json.loads((run_b / "result.json").read_text())
+        assert not fresh["second_pass"]
+        assert fresh["rounds_run"] == 2
+        assert resumed == fresh
 
 
-def test_vqaa_resume_with_nm_is_refused_before_any_output(tmp_path, capsys):
-    # refused whether or not a log exists, before the search and before the
-    # output directory is made
+def test_vqaa_resume_logs_a_second_pass_past_the_log(tmp_path, monkeypatch):
+    # every trial nullified: a 3-round search logs 6 trials, and a 4-round
+    # resume replays them and runs rounds 6-7 of its second pass, which must
+    # reach the log as a fresh 4-round search's do
+    monkeypatch.setattr("rydock.optimize.GINI_THRESHOLD", 2.0)
     register = _p2_register(tmp_path)
-    out = tmp_path / "nm"
-    argv = ["vqaa", "--register", register, "--rounds", "2", "--optimizer", "nm",
-            "--out", str(out), "--resume"]
-    assert main(argv) == 2
-    assert not out.exists()
-    assert capsys.readouterr().err == "error: resume is only meaningful for the tpe optimizer\n"
-    out.mkdir()
-    (out / "trials.jsonl").write_text("")
-    assert main(argv) == 2
-    assert [p.name for p in out.iterdir()] == ["trials.jsonl"]
+    flags = ["--register", register, "--shots", "100", "--dt", "8"]
+    run_a, run_b = tmp_path / "a", tmp_path / "b"
+    assert main(["vqaa", *flags, "--rounds", "3", "--out", str(run_a)]) == 0
+    assert len(load_trials(run_a / "trials.jsonl")) == 6
+    assert main(["vqaa", *flags, "--rounds", "4", "--out", str(run_a), "--resume"]) == 0
+    assert main(["vqaa", *flags, "--rounds", "4", "--out", str(run_b)]) == 0
+    for name in ("trials.jsonl", "histogram.json", "result.json"):
+        assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
 
 
 def test_vqaa_resume_reruns_a_log_of_another_search(tmp_path):
@@ -245,30 +248,38 @@ def test_vqaa_on_an_empty_band_exits_3_and_keeps_the_log(tmp_path, capsys):
     assert (out / "trials.jsonl").read_bytes() == log
 
 
-def test_vqaa_log_holds_every_finished_trial(tmp_path):
-    # a search killed while it evaluates trial k leaves trials 0..k-1 as
+def test_vqaa_log_holds_every_finished_trial(tmp_path, monkeypatch):
+    # a search killed while it evaluates trial k+1 leaves trials 0..k as
     # whole lines, which `--resume` can replay
-    emb = load_register(_p2_register(tmp_path), DEV)
-    log = tmp_path / "trials.jsonl"
+    register = _p2_register(tmp_path)
+    log = tmp_path / "run" / "trials.jsonl"
     seen = []
 
-    def on_trial(trial, state):
-        assert [t.round for t in load_trials(log)] == list(range(trial.round))
-        assert log.read_text().endswith("\n") or trial.round == 0
-        seen.append(trial.round)
+    def search(*args, on_trial, **kwargs):
+        def check(trial, state):
+            on_trial(trial, state)  # the command's log writer
+            assert [t.round for t in load_trials(log)] == list(range(trial.round + 1))
+            assert log.read_text().endswith("\n")
+            seen.append(trial.round)
+        return vqaa(*args, on_trial=check, **kwargs)
 
-    vqaa(emb, DEV, rounds=4, shots=100, dt=8.0, log_path=log, on_trial=on_trial)
+    monkeypatch.setattr("rydock.cli.vqaa", search)
+    assert main(["vqaa", "--register", register, "--rounds", "4", "--shots", "100",
+                 "--dt", "8", "--out", str(log.parent)]) == 0
     assert seen == [0, 1, 2, 3]
     assert len(load_trials(log)) == 4
 
 
-@pytest.mark.parametrize("seed, evolves", [(2, 10), (3, 9)])
-def test_vqaa_resume_extends_a_shorter_log(tmp_path, monkeypatch, seed, evolves):
+@pytest.mark.parametrize("optimizer, seed, evolves",
+                         [("tpe", 2, 10), ("tpe", 3, 9), ("nm", 2, 10), ("nm", 3, 9)])
+def test_vqaa_resume_extends_a_shorter_log(tmp_path, monkeypatch, optimizer, seed, evolves):
     # resuming 5 -> 14 rounds replays the 5 logged trials and evaluates only
     # the 9 new ones, plus the winner again when it is a replayed one (its
-    # state was not kept): round 1 wins at seed 2, round 11 at seed 3
+    # state was not kept): under tpe round 1 wins at seed 2, round 11 at
+    # seed 3; under nm round 1 at seed 2, round 9 at seed 3
     register = _p2_register(tmp_path)
-    flags = ["--register", register, "--shots", "100", "--dt", "8", "--seed", str(seed)]
+    flags = ["--register", register, "--shots", "100", "--dt", "8", "--seed", str(seed),
+             "--optimizer", optimizer]
     run_a, run_b = tmp_path / "a", tmp_path / "b"
     assert main(["vqaa", *flags, "--rounds", "14", "--out", str(run_b)]) == 0
     assert main(["vqaa", *flags, "--rounds", "5", "--out", str(run_a)]) == 0
@@ -284,20 +295,25 @@ def test_vqaa_resume_extends_a_shorter_log(tmp_path, monkeypatch, seed, evolves)
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
 
 
-def test_benchmark_rows_equal_standalone_runs(tmp_path, monkeypatch):
-    # every trial of line-3-s11's first two rounds is nullified, so a
-    # standalone 2-round search runs a second pass, and so must its row
+@pytest.mark.parametrize("optimizer, second_passes",
+                         [("tpe", (True, False)), ("nm", (True, True))], ids=["tpe", "nm"])
+def test_benchmark_rows_equal_standalone_runs(tmp_path, monkeypatch, optimizer,
+                                              second_passes):
+    # every trial of line-3-s11's first two rounds is nullified (under nm,
+    # of its first four), so a standalone search runs a second pass, and so
+    # must its row, replayed from the longest search
     entry = corpus_entry("line", 3, 11.0, DEV)
     monkeypatch.setattr("rydock.cli.generate_corpus", lambda *a, **k: [entry])
+    cfg = _write(tmp_path / "cfg.json", {"optimizer": optimizer})
     assert main(["benchmark", "--subset", "lines", "--rounds", "2,4", "--shots", "200",
-                 "--dt", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
+                 "--dt", "8", "--seed", "3", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "benchmark.csv").read_text().splitlines()[2:]
     seed = int(substream(3, "bench", entry.name).integers(1 << 62))
     assert len(rows) == 2
-    for row, k in zip(rows, (2, 4)):
+    for row, k, second_pass in zip(rows, (2, 4), second_passes):
         res = vqaa(entry.embedding, DEV, family="complex", rounds=k, shots=200,
-                   optimizer="tpe", seed=seed, dt=8.0)
-        assert res.second_pass == (k == 2)
+                   optimizer=optimizer, seed=seed, dt=8.0)
+        assert res.second_pass == second_pass
         norm = normalized_score(res.refined_histogram, entry.embedding.graph, res.refined)
         assert row.split(",")[4:] == [str(k), str(res.refined.score), str(norm),
                                       str(res.low_confidence)]
@@ -316,14 +332,13 @@ def test_benchmark_refuses_rounds_that_are_not_positive_integers(tmp_path, monke
 
 
 @pytest.mark.parametrize("command, doc", [
-    ("benchmark", {"optimizer": "nm"}),
     ("dataset", {"optimizer": "nm"}),
     ("dataset", {"family": "simple"}),
 ])
 def test_corpus_commands_refuse_settings_they_ignore(tmp_path, monkeypatch, capsys,
                                                      command, doc):
-    # benchmark always searches with tpe, and dataset labels with tpe on the
-    # complex family; another value is refused before any corpus is built
+    # dataset labels with tpe on the complex family; another value is
+    # refused before any corpus is built
     monkeypatch.setattr("rydock.cli.generate_corpus",
                         lambda *a, **k: pytest.fail("corpus built"))
     cfg = _write(tmp_path / "cfg.json", doc)
@@ -541,6 +556,16 @@ def _malformed(case, tmp_path):
         register = _p2_register(tmp_path)
         return (["predict", "--register", register, "--models", str(models), *out],
                 str(models / "mlqaa_models.npz"))
+    if case in ("trials_out_of_order", "trials_round_missing"):
+        register = _p2_register(tmp_path)
+        flags = ["vqaa", "--register", register, "--rounds", "3", "--shots", "100",
+                 "--dt", "8", *out]
+        assert main(flags) == 0
+        path = str(tmp_path / "out" / "trials.jsonl")
+        lines = Path(path).read_text().splitlines(keepends=True)
+        Path(path).write_text("".join([lines[1], lines[0], lines[2]]
+                                      if case == "trials_out_of_order" else lines[::2]))
+        return [*flags, "--resume"], path
     if case in ("dataset_score_nan", "dataset_label_nan", "dataset_ids_not_positions",
                 "model_t_lo_nan", "model_w2_wrong_shape"):
         recs = [_record(s) for s in (6.0, 7.5, 9.0, 11.0)]
@@ -584,6 +609,8 @@ def _malformed(case, tmp_path):
     # a record's ids and positions pair up, and each model array has the
     # shape and float type `init_weights` gives it
     "dataset_ids_not_positions", "model_w2_wrong_shape",
+    # a resumed log holds rounds 0..k-1 in order
+    "trials_out_of_order", "trials_round_missing",
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     argv, path = _malformed(case, tmp_path)
@@ -656,14 +683,17 @@ def test_unreadable_input_leaves_no_output_directory(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_log_formats_are_pinned(tmp_path):
+def test_log_formats_are_pinned(tmp_path, monkeypatch):
     # one trials.jsonl line and one dataset.jsonl line, byte for byte
     trial = Trial(round=0, params={"omega": 2.5, "delta": 3.0, "time": 400.0},
                   score=0.5, gini=0.25, mean_f=0.75, top=(("10", 60), ("01", 40)))
-    emb = load_register(_p2_register(tmp_path), DEV)
-    log = tmp_path / "trials.jsonl"
-    vqaa(emb, DEV, family="simple", rounds=1, shots=100, dt=8.0, log_path=log,
-         log_fields={"search_digest": "abc"}, replay=[trial])
+    register = _p2_register(tmp_path)
+    log = tmp_path / "run" / "trials.jsonl"
+    # the search finds `trial`, and the command stamps it with digest "abc"
+    monkeypatch.setattr("rydock.cli.vqaa", lambda *a, **k: vqaa(*a, **{**k, "replay": [trial]}))
+    monkeypatch.setattr("rydock.cli.config_digest", lambda cfg, command: "abc")
+    assert main(["vqaa", "--register", register, "--family", "simple", "--rounds", "1",
+                 "--shots", "100", "--dt", "8", "--out", str(log.parent)]) == 0
     assert log.read_text() == (
         '{"gini": 0.25, "mean_f": 0.75, "params": {"delta": 3.0, "omega": 2.5, '
         '"time": 400.0}, "round": 0, "score": 0.5, "search_digest": "abc", '

@@ -10,9 +10,10 @@ rows are long enough for `evolve` to step them; and `label_dataset` on three
 corpus entries. A refactor that claims identical outputs keeps every pin; a
 change that moves an output bumps `cli.OUTPUT_VERSION`, which enters every
 config digest, pins the new version's outputs and names the files that
-moved. Version 2 moved the GCN commands' outputs only; the pinned files
-moved with the digest that stamps them, and their other bytes are version
-1's.
+moved. Version 2 moved the GCN commands' outputs only. Version 3 made
+`rounds` nm's budget of evaluations, as it is tpe's, so only the `nm_*`
+files moved; every other pinned file moved with the digest that stamps it,
+and its other bytes are version 1's.
 
 The GCN commands (`train`, `predict`, `mlqaa-eval`) are left out: their
 weights are raw GEMM sums, whose last bits depend on the CPU's kernels.
@@ -31,32 +32,32 @@ from rydock.register import DeviceParams, save_register
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 # the sha256 of every output, by the `OUTPUT_VERSION` that wrote them
-PINNED = {2: {
+PINNED = {3: {
     "dataset/dataset.jsonl": "bfa7d45ede14f80c1dbdcd29ce24ee2d76b936922d1f92179a47a5891c8c0ed0",
-    "dock/binding_graph.json": "b915d53deb55271c6e36f4531831e0051281c86611606cbb5fb57eb8a880868d",
-    "dock/complement_graph.json": "189dd44a2e236b080a38b008d901f2256f72ffde0382dee4c44a96e50b4c193a",
-    "embed6/register.json": "d560536d6c82426ba15bfb6f07561d75b992cd73f6d6f24cb653be4799124611",
-    "embed9/register.json": "179347e9edcf34433079891beb89147052bc4cf24aad1a55fdef02538b68dbe4",
-    "embed_anc/register.json": "61b09e20ba099ccf79f10cc6dc9bfe006d4bf6b9b91a781fb3853d8aad7f6f92",
-    "nm_complex/histogram.json": "e209bc77d0841762bc2d87dce4cd92681f814f1df1cd48b3f04ce36c0ee540b5",
-    "nm_complex/result.json": "39ef3a126aafd302658d8d8a2f0fbe1a1fff1ef9d2369c9ce95e63d6f30901b2",
-    "nm_complex/trials.jsonl": "3a28c2d397fc8a8b9cad0244c668b580da88e727b7df4a4e17b4b6052e2094b9",
-    "nm_simple/histogram.json": "b0a2f8112bbcd9fdc60d2c5614a2aae3838f8d10c9fa4e7fc8aed96014d4e4b4",
-    "nm_simple/result.json": "2a3356decf70622094d7577d7f4f19fdc5fd029c932ad9a08453347ba8302072",
-    "nm_simple/trials.jsonl": "7b60be6be9964f8c21d798f24fff17948dca64d0ff05cf0ae12fc47092d536e5",
+    "dock/binding_graph.json": "62e0cbc8e8db55cae89e890151433a0b8b86c67938d48ecf204f7844949b023c",
+    "dock/complement_graph.json": "dee11b73134d5d739f9d5c6e7cf5adaec39ab29feca95fcb9653bb25ffdb6824",
+    "embed6/register.json": "d4f9769cd49c432934bcc82ee04fdf2e25775270a03818dac03ca3ac5c5d8bce",
+    "embed9/register.json": "94ae48bd6b80dfbb5146c44ffb3f986c507c8cc6e3f6fefaddf41c5ab7edc93d",
+    "embed_anc/register.json": "16c1130147de3d708c0bb64fe0280dd7bb0a8f554b5d455a29d50b4eaa11b403",
+    "nm_complex/histogram.json": "58f33b4862f513ca3bf5235c53c792165e73c20a25df4aae8cd82758a7462eee",
+    "nm_complex/result.json": "53b43169cb71531f04684ecd8bcf331d784e9323bde8fa51779e570033dc457f",
+    "nm_complex/trials.jsonl": "3ae5a691bb5c14597644339f7040f988ccdbd15a87f588889cc8549550613865",
+    "nm_simple/histogram.json": "d44b765a2a9c02d177154cb429d2983bb15200027b4b171bb77bc3517f42a3d9",
+    "nm_simple/result.json": "2b29638ca8a7d066dc5a9070831d6f8e7871bf1b15d33270de53c68c8388cd94",
+    "nm_simple/trials.jsonl": "33527e5cbeb8083adfa882d5a8a8e8e15e1bca641899c7283161f661e2f70948",
     "six_node_complement.json": "2f11c232ecb8df27ffaf863735ee823125a45509f51368b175b109f1e59ce955",
-    "sweep/sweep.csv": "772564975d2caa3f10408bcc3b51d5a4ab1489d6e7f561171efd4e2c77628309",
+    "sweep/sweep.csv": "4b7f6257b00cb7fa06a89b740deaf843bc573c807c1473a3ec1643b2c467a424",
     "sweep12/hexagon-4-s9.75.json": "6a8b469764317a045789ca936530784eadc857a385c91db7229971b5a4592670",
-    "sweep12/sweep.csv": "25151e5fd25fff9f89b333b29fd3957c8e6e846017c5839f5d4e4d699144d9bb",
-    "tpe_complex/histogram.json": "e34d38015c5eb2707db9e0d96e0e41b843322cb6d339b5b84cc67eac566e7c2e",
-    "tpe_complex/result.json": "fff425cdb7b5604f7f95d22777c959d1264956d5564319a7edfc9123cbd189d8",
-    "tpe_complex/trials.jsonl": "5629f58bf159f1f2be5c11ce172b100de84c1e21797cc1802ec1e1b72b541fc5",
-    "tpe_simple/histogram.json": "fecac5e3c147fd4f8011c70a5a3e3fd60357fcc5e75c7c1488421f41ae707141",
-    "tpe_simple/result.json": "bd45fca438461095c3631be8e14c54969e80f6a4492843264cfb67f950dae906",
-    "tpe_simple/trials.jsonl": "470cebfd8187ba9e639033cd974b942a1929c9341c80510fc28894f48c65dcc4",
-    "vqaa_anc/histogram.json": "6b31db3d2b347a9c18aa04d9de0b3bbd59e8651f4fbaf8fe71d621da4cda8999",
-    "vqaa_anc/result.json": "6c4e2ec3046e2d5e749af02d626f30bf28f818ac77bb68ba4a763cd1718d2162",
-    "vqaa_anc/trials.jsonl": "c10c01d697cd19f7feef4172453554085abcdbef1f294cd392384b9164ad2ecd",
+    "sweep12/sweep.csv": "1ffad34b2ae083121bdb240c2d2c5b45ffb3b690ae283be0ecb9c7fea08e6854",
+    "tpe_complex/histogram.json": "ba385556b53fefd038cd7683e25682f3fb8b9cb4fa7f4cc8164ed6f326ff4dab",
+    "tpe_complex/result.json": "814d3378c47d26b8693068e93010e70efbbb3e640d87bc0765ecb56f964f1cbd",
+    "tpe_complex/trials.jsonl": "35bc0b7149a84fec8611d4b4fc85ee1e5952bcdd4e71015bbd42794c22754481",
+    "tpe_simple/histogram.json": "75a1fa935a1cbe8aa1c6f74d32c309a8c97c766a38f41d0c56704da99bb43252",
+    "tpe_simple/result.json": "f794e45b7a3d22a5dc0a885e3cf36c7753e3e22157c356ce2f649cc924ab8e7f",
+    "tpe_simple/trials.jsonl": "de7c43d57e3b8c8c16435345cc757f8d7c060a977b24e1c0918b0ad8e7280a50",
+    "vqaa_anc/histogram.json": "e9873fefe32e0d3e65088f9a59e3b23c12dd581d384eeee46fafcdc88e5971ec",
+    "vqaa_anc/result.json": "d32f26a457105dd46574dd6d682ea0130e7a706cd56cc06dc0e961d1249dbbbd",
+    "vqaa_anc/trials.jsonl": "1d58aa753006781bd9071c312351b0212c1577332285bb6dd844edfd62cd049b",
 }}
 PINS = PINNED.get(OUTPUT_VERSION, {})
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rydock.optimize
+from rydock import cli
 from rydock.errors import InputError
 from rydock.graphs import WeightedGraph
 from rydock.histogram import Histogram
@@ -35,7 +36,7 @@ from rydock.optimize import (
     vqaa,
 )
 from rydock.pulses import ParamSpace
-from rydock.register import DeviceParams, layout, strip_ancillas
+from rydock.register import DeviceParams, layout, save_register, strip_ancillas
 from rydock.rng import substream
 from rydock.simulator import evolve, measure
 
@@ -339,6 +340,19 @@ def test_sequence_for_hardware_check(family, params, accepted):
             sequence_for(params, family, DEV)
 
 
+def minimise(f, search, cap=5000):
+    """(x, f(x), evaluations) of a `nelder_mead` generator sent the values
+    of f until it converges, within `cap` evaluations."""
+    x, evals = next(search), 0
+    try:
+        while evals < cap:
+            evals += 1
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return (*stop.value, evals)
+    raise AssertionError(f"no convergence in {cap} evaluations")
+
+
 def test_nelder_mead_quadratic():
     calls = []
 
@@ -346,8 +360,7 @@ def test_nelder_mead_quadratic():
         calls.append(np.array(x))
         return (x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2
 
-    x, fx, evals = nelder_mead(f, [4.0, 4.0], [(-5, 5), (-5, 5)],
-                               max_iter=300, seed=1)
+    x, fx, evals = minimise(f, nelder_mead([4.0, 4.0], [(-5, 5), (-5, 5)], seed=1))
     assert fx < 1e-3
     assert abs(x[0] - 2.0) < 0.02 and abs(x[1] + 1.0) < 0.02
     assert evals == len(calls)
@@ -359,19 +372,18 @@ def test_nelder_mead_rosenbrock():
     def rosen(x):
         return (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
 
-    x, fx, _ = nelder_mead(rosen, [-1.2, 1.0], [(-2, 2), (-2, 2)],
-                           max_iter=500, seed=0)
+    x, fx, _ = minimise(rosen, nelder_mead([-1.2, 1.0], [(-2, 2), (-2, 2)], seed=0))
     assert fx < 1e-6
     assert np.allclose(x, [1.0, 1.0], atol=0.01)
 
 
 def test_nelder_mead_deterministic_and_validated():
     f = lambda x: float(np.sum(np.square(x)))
-    a = nelder_mead(f, [1.0, 1.0], [(-2, 2), (-2, 2)], seed=5)
-    b = nelder_mead(f, [1.0, 1.0], [(-2, 2), (-2, 2)], seed=5)
+    a = minimise(f, nelder_mead([1.0, 1.0], [(-2, 2), (-2, 2)], seed=5))
+    b = minimise(f, nelder_mead([1.0, 1.0], [(-2, 2), (-2, 2)], seed=5))
     assert np.allclose(a[0], b[0]) and a[1] == b[1] and a[2] == b[2]
     with pytest.raises(InputError):
-        nelder_mead(f, [0.0], [(1.0, 1.0)])
+        next(nelder_mead([0.0], [(1.0, 1.0)]))
 
 
 SPACE_1D = ParamSpace(intervals={"x": (0.0, 1.0)})
@@ -484,11 +496,15 @@ def test_vqaa_refines_the_kept_best_state(monkeypatch):
     assert res.refined_histogram.counts == hist.counts
 
 
-def test_vqaa_trial_log(tmp_path):
-    emb = k2_embedding()
+def test_vqaa_trial_log(tmp_path, monkeypatch):
+    register = tmp_path / "k2.json"
+    save_register(k2_embedding(), register)
+    searches = []
+    monkeypatch.setattr(cli, "vqaa", lambda *a, **k: searches.append(vqaa(*a, **k)) or searches[-1])
+    assert cli.main(["vqaa", "--register", str(register), "--family", "simple", "--rounds", "3",
+                     "--shots", "100", "--seed", "2", "--dt", "8", "--out", str(tmp_path)]) == 0
+    res, = searches
     path = tmp_path / "trials.jsonl"
-    res = vqaa(emb, DEV, family="simple", rounds=3, shots=100,
-               optimizer="tpe", seed=2, dt=8.0, log_path=path)
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert len(lines) == len(res.trials) == 3
     for row, trial in zip(lines, res.trials):
@@ -515,10 +531,11 @@ def test_vqaa_second_pass_on_all_nullified(monkeypatch):
 
 def test_vqaa_nm_handles_zero_drive_bound():
     emb = k2_embedding()
-    # seed 75 drives the simplex onto the omega=0 box edge; the run must
-    # record that as a worthless trial rather than fail
-    res = vqaa(emb, DEV, family="simple", rounds=3, shots=100,
-               optimizer="nm", seed=75, dt=8.0)
+    # at seed 216 the simplex's first reflection (round 4) is clamped onto the
+    # omega=0 box edge; the run must record that as a worthless trial rather
+    # than fail
+    res = vqaa(emb, DEV, family="simple", rounds=5, shots=100,
+               optimizer="nm", seed=216, dt=8.0)
     assert res.best.score > 0.0
     zero = [t for t in res.trials if t.params["omega"] == 0.0]
     assert zero and zero[0].top == (("00", 100),)
@@ -538,16 +555,20 @@ def test_vqaa_trials_pass_the_hardware_check(optimizer, family):
             sequence_for(t.params, family, DEV)
 
 
-def test_replay_of_a_longer_search_matches_standalone_run(monkeypatch):
-    # the trials of a 6-round run replay as a 3-round run, and where every
-    # trial of those 3 rounds is nullified, as its second pass too
+@pytest.mark.parametrize("family", ["simple", "complex"])
+@pytest.mark.parametrize("optimizer", ["tpe", "nm"])
+def test_replay_of_a_longer_search_matches_standalone_run(monkeypatch, optimizer, family):
+    # a 3-round search is the first rounds of a 6-round one, and the trials
+    # of the 6-round run replay as the 3-round run; where every trial of
+    # those 3 rounds is nullified, as its second pass too
     emb = k2_embedding()
-    kw = dict(family="simple", shots=150, optimizer="tpe", seed=0, dt=8.0)
+    kw = dict(family=family, shots=150, optimizer=optimizer, seed=0, dt=8.0)
     for threshold, passes in ((GINI_THRESHOLD, 1), (2.0, 2)):
         monkeypatch.setattr(rydock.optimize, "GINI_THRESHOLD", threshold)
         long = vqaa(emb, DEV, rounds=6, **kw)
         short = vqaa(emb, DEV, rounds=3, **kw)
         assert len(short.trials) == 3 * passes
+        assert short.trials == long.trials[:3 * passes]
         got = vqaa(emb, DEV, rounds=3, **kw, replay=long.trials)
         assert got.trials == short.trials and got.best == short.best
         assert got.second_pass == short.second_pass == (passes == 2)
@@ -558,21 +579,21 @@ def test_replay_of_a_longer_search_matches_standalone_run(monkeypatch):
 
 def test_vqaa_replay_extends_a_shorter_search(monkeypatch):
     # the trials of a 3-round run stand in for rounds 0-2 of a 6-round run,
-    # and of the first pass of a search that every trial nullifies
+    # and of the first pass of a search that every trial nullifies, under
+    # either optimizer: the simplex is sent the replayed scores
     emb = k2_embedding()
-    kw = dict(family="simple", shots=150, optimizer="tpe", seed=0, dt=8.0)
-    short = vqaa(emb, DEV, rounds=3, **kw)
-    for threshold in (GINI_THRESHOLD, 2.0):
-        monkeypatch.setattr(rydock.optimize, "GINI_THRESHOLD", threshold)
-        want = vqaa(emb, DEV, rounds=6, **kw)
-        got = vqaa(emb, DEV, rounds=6, **kw,
-                   replay=vqaa(emb, DEV, rounds=3, **kw).trials)
-        assert got.trials == want.trials and got.best == want.best
-        assert got.second_pass == want.second_pass
-        assert got.refined == want.refined
-        assert got.refined_histogram.counts == want.refined_histogram.counts
-    with pytest.raises(InputError):
-        vqaa(emb, DEV, rounds=6, **dict(kw, optimizer="nm"), replay=short.trials)
+    short = vqaa(emb, DEV, rounds=3, family="simple", shots=150, seed=0, dt=8.0)
+    for optimizer in ("tpe", "nm"):
+        kw = dict(family="simple", shots=150, optimizer=optimizer, seed=0, dt=8.0)
+        for threshold in (GINI_THRESHOLD, 2.0):
+            monkeypatch.setattr(rydock.optimize, "GINI_THRESHOLD", threshold)
+            want = vqaa(emb, DEV, rounds=6, **kw)
+            got = vqaa(emb, DEV, rounds=6, **kw,
+                       replay=vqaa(emb, DEV, rounds=3, **kw).trials)
+            assert got.trials == want.trials and got.best == want.best
+            assert got.second_pass == want.second_pass
+            assert got.refined == want.refined
+            assert got.refined_histogram.counts == want.refined_histogram.counts
     with pytest.raises(InputError):
         vqaa(emb, DEV, rounds=6, **kw, replay=short.trials[1:])
 
