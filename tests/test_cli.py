@@ -332,8 +332,8 @@ def test_benchmark_refuses_rounds_that_are_not_positive_integers(tmp_path, monke
 
 
 @pytest.mark.parametrize("command, doc", [
-    ("dataset", {"optimizer": "nm"}),
-    ("dataset", {"family": "simple"}),
+    pytest.param("dataset", {"optimizer": "nm"}, id="dataset-doc1"),
+    pytest.param("dataset", {"family": "simple"}, id="dataset-doc2"),
 ])
 def test_corpus_commands_refuse_settings_they_ignore(tmp_path, monkeypatch, capsys,
                                                      command, doc):
