@@ -23,8 +23,12 @@ one matrix product over the flattened (b * n) node rows. Weights,
 gradients, both Adam moments and the best epoch's weights each live in one
 flat buffer, the weight and gradient dicts being views into theirs, so an
 Adam update (bias corrections folded into two scalars) is one pass of
-numpy calls over the whole model. Adam's scratch buffer and the dropout
-draw are allocated once per training. After each epoch one dropout-free
+numpy calls over the whole model. Adam's scratch buffer, the dropout draw
+and the (b, n, HIDDEN) layer arrays of the forward and backward passes
+(`_layer_scratch`, written with out=) are allocated once per training, so
+a step neither allocates them nor faults their pages in again, which at
+b = 64 and n = 12 cost a quarter of a training's time in the kernel; the
+weights are the same bit for bit. After each epoch one dropout-free
 forward over all records gives the squared errors that split into the
 training and the validation loss, and the weights of the epoch with the
 lowest validation loss are kept.
@@ -174,30 +178,50 @@ def _pack(feats_list) -> tuple:
     return adj, mask
 
 
-def _forward_batch(weights, adj, mask, drop_masks=None):
-    """(outputs (b, len(TARGETS)), pooled node states, per-layer caches)."""
+def _layer_scratch(b: int, n: int) -> tuple:
+    """Buffers for the (b', n, HIDDEN) arrays of a forward and backward pass
+    over b' <= b registers of n atom slots: the adjacency product of each
+    layer but the first (whose input has one feature) and the ReLU output of
+    each, which the backward pass reads; three float arrays that every layer
+    overwrites: the dropped-out output in the forward pass, then in the
+    backward pass the gradient by a layer's output (in the same array), by
+    its pre-activation and by its adjacency product; and the backward's
+    ReLU gate."""
+    return (np.empty((LAYERS - 1, b, n, HIDDEN)), np.empty((LAYERS, b, n, HIDDEN)),
+            np.empty((3, b, n, HIDDEN)), np.empty((b, n, HIDDEN), dtype=bool))
+
+
+def _forward_batch(weights, adj, mask, drop_masks=None, scratch=None):
+    """(outputs (b, len(TARGETS)), pooled node states, per-layer caches).
+    The layer arrays live in `scratch` (`_layer_scratch`), new when None."""
+    b = len(adj)
+    ahs, rs, temps, _ = scratch or _layer_scratch(b, adj.shape[1])
     h = mask
     caches = []
     for layer in range(LAYERS):
-        ah = adj @ h
-        z = ah @ weights[f"W{layer}"]
+        ah = adj @ h if layer == 0 else np.matmul(adj, h, out=ahs[layer - 1, :b])
+        z = np.matmul(ah, weights[f"W{layer}"], out=rs[layer, :b])
         z += weights[f"b{layer}"]
         r = np.maximum(z, 0.0, out=z)
         r *= mask
         d = None if drop_masks is None else drop_masks[layer]
         caches.append((ah, r, d))
-        h = r if d is None else r * d
+        h = r if d is None else np.multiply(r, d, out=temps[0, :b])
     pooled = h.sum(axis=1)
     y = pooled @ weights["hw"]
     y += weights["hb"]
     return y, pooled, caches
 
 
-def loss_and_gradients(weights, adj, mask, targets, drop_masks=None, grads=None):
+def loss_and_gradients(weights, adj, mask, targets, drop_masks=None, grads=None,
+                       scratch=None):
     """The mean over the batch and the targets of the squared error, and its
     gradient for every weight array, written into the arrays of `grads`
-    when given. `targets` is (b, len(TARGETS))."""
-    y, pooled, caches = _forward_batch(weights, adj, mask, drop_masks)
+    when given. `targets` is (b, len(TARGETS)). The layer arrays live in
+    `scratch` (`_layer_scratch`), new when None."""
+    scratch = scratch or _layer_scratch(len(adj), adj.shape[1])
+    y, pooled, caches = _forward_batch(weights, adj, mask, drop_masks, scratch)
+    temps, gate = scratch[2][:, :len(adj)], scratch[3][:len(adj)]
     b = len(targets)
     diff = y - targets
     loss = float(np.mean(diff * diff))
@@ -209,13 +233,14 @@ def loss_and_gradients(weights, adj, mask, targets, drop_masks=None, grads=None)
     dh = np.broadcast_to((dy @ weights["hw"].T)[:, None, :], (b, adj.shape[1], HIDDEN))
     for layer in reversed(range(LAYERS)):
         ah, r, d = caches[layer]
-        dr = dh if d is None else dh * d
-        dz = dr * (r > 0.0)
+        dr = dh if d is None else np.multiply(dh, d, out=temps[1])
+        dz = np.multiply(dr, np.greater(r, 0.0, out=gate), out=temps[1])
         np.matmul(ah.reshape(-1, ah.shape[-1]).T, dz.reshape(-1, HIDDEN),
                   out=grads[f"W{layer}"])
         dz.sum(axis=(0, 1), out=grads[f"b{layer}"])
         if layer:
-            dh = adj @ (dz @ weights[f"W{layer}"].T)
+            dh = np.matmul(adj, np.matmul(dz, weights[f"W{layer}"].T, out=temps[2]),
+                           out=temps[0])
     return loss, grads, y
 
 
@@ -319,6 +344,8 @@ def train_models(records, epochs: int = 300, seed: int = 0,
     adam_buf = np.empty_like(flat_w)
     drop_size = LAYERS * min(BATCH_SIZE, len(tr_idx)) * adj.shape[1] * HIDDEN
     drop_scratch = np.empty(drop_size), np.empty(drop_size, dtype=bool)
+    # every batch's layer arrays, and those of the forward over all records
+    scratch = _layer_scratch(n, adj.shape[1])
     hi, lo = LEARNING_RATE
     decay = (lo / hi) ** (1.0 / max(epochs - 1, 1))
 
@@ -334,13 +361,13 @@ def train_models(records, epochs: int = 300, seed: int = 0,
             drop = _drop_masks(substream(seed, "drop", epoch, bstart),
                                len(batch), adj.shape[1], drop_scratch)
             loss, _, _ = loss_and_gradients(
-                weights, adj[batch], mask[batch], targets[batch], drop, grads,
+                weights, adj[batch], mask[batch], targets[batch], drop, grads, scratch,
             )
             if not math.isfinite(loss):
                 raise NumericalError(f"non-finite loss at epoch {epoch} (lr {epoch_lr:.2e})")
             step += 1
             _adam_step(flat_w, flat_g, m_state, v_state, step, epoch_lr, adam_buf)
-        y, _, _ = _forward_batch(weights, adj, mask)
+        y, _, _ = _forward_batch(weights, adj, mask, scratch=scratch)
         sq = (y - targets) ** 2
         train_loss = float(np.mean(sq[tr_idx]))
         val_loss = float(np.mean(sq[val_idx])) if len(val_idx) else train_loss

@@ -46,34 +46,49 @@ np.dot's __array_function__ dispatch. The detuning phase factorises over
 the groups. tests/measure_groups.py times the partitions and
 holds the timings behind these choices.
 
+Sub-step loop. On a small register a sub-step is little arithmetic (64
+amplitudes at 6 atoms), so what is left to save is Python's own work
+around those calls. `_substeps` has one body per group count, 1 to 4
+under ATOM_CAP, with the groups' products written out rather than looped
+over; each step applies its first phase row once and its repeated row in
+a range(nsub - 1) loop. tests/substeps_reference.py keeps the generic
+loop, which gives the same bytes.
+
 Schedule. `_compile` turns the pulse into flat per-step arrays, the one place
 where a step's first phase merges the previous sub-step's trailing half, and
 cuts them into stretches of steps with equal (nsub, half) that end at
 segment boundaries. evolve runs a stretch in chunks of steps, counted back
-from its end. A chunk's matrices are one gather per group,
-table[c0:c1].take(index, axis=1), from one table per group size, and its
-phase rows come as one batch of each kind from `_rows`; evolve zips the
-batches and the matrices straight into `_substeps`, prepending only the
-stretch's first row to its first chunk. `_substeps` runs each step's nsub
-sub-steps: its first phase row once, then its repeated row nsub - 1 times. A
-chunk holds at most CHUNK_FLOATS = 2^16 floats (512 KiB) of matrices and
-rows, or one step's where that is more (from 14 atoms), so the 2^N-sized
-buffers do not grow with the schedule. What depends on the register alone
-(sigma, i^popcount, each group's i w.n parts, the flip gaps and the detuning
-weights) is built once per register and c6 and kept on the frozen register
-(`_register_terms`), so a small evolve pays little beyond its sub-steps.
+from its end. A chunk's matrices (`_drives`) are one gather per group size,
+table[c0:c1].take(index, axis=1) from that size's table, which the groups
+of that size share. With several groups the lowest one's G^{(x)m} (x) I_2
+is that gather written twice, into [:, ::2, ::2] and [:, 1::2, 1::2] of a
+zeroed buffer that evolve keeps across chunks and stretches, and replaces
+only when a chunk is longer than any before; the other entries are never
+written, so they stay 0. A chunk's phase rows come as one batch of each
+kind from `_rows`; evolve zips the batches and the matrices straight into
+`_substeps`, prepending only the stretch's first row to its first chunk.
+Chunks are sized so that their rows and one matrix per group take at most
+CHUNK_FLOATS = 2^16 floats (512 KiB), or one step's where that is more
+(from 14 atoms), so the 2^N-sized buffers do not grow with the schedule.
+What depends on the register alone (sigma, i^popcount, each group's real
+w.n part, the flip gaps and the detuning weights) is built once per
+register and c6 and kept on the frozen register (`_register_terms`), so a
+small evolve pays little beyond its sub-steps.
 
 Phase rows. A row is u exp(i d occ), u = sigma exp(-i t U), with d = d_first
 for a step's first row and d = 2 lead for its repeated row; the stretch's
 first row takes its own u, whose t holds the previous step's trailing half.
 `_rows` gives each kind of row across a stretch, one batch per chunk:
 - By default a row is exact: the broadcast outer product over the groups of
-  exp(i d w.n), times u (`_phase_rows`). A chunk's batch is built at once;
-  a constant d builds one row.
+  exp(i d w.n), times u (`_phase_rows`). Each factor exp(i x) of a real x is
+  np.cos and np.sin of x written into a complex array's real and imaginary
+  parts (`_cis`), one call for all groups' d w.n at once; the complex exp
+  of i x gives the same bytes at more cost. A chunk's batch is built at
+  once; a constant d builds one row.
 - Rows of at least LONG_ROW = 2^10 amplitudes (10 atoms and more) are
   stepped where d is affine along the stretch, as along the Ramp detuning
-  of both pulse families: row_{j+1} = row_j R, R = exp(i slope occ) from
-  np.cos and np.sin of slope occ, one contiguous complex multiply in place.
+  of both pulse families: row_{j+1} = row_j R, R = exp(i slope occ) =
+  `_cis(slope occ)`, one contiguous complex multiply in place.
   Each kind keeps one running row and one R, and a chunk's batch iterates
   the running row over the chunk's steps, so stepped bytes do not depend on
   CHUNK_FLOATS. The first rows are rebuilt exactly every ANCHOR_PERIOD = 16
@@ -220,23 +235,14 @@ def group_sizes(n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _signed_index(m: int, reim: bool) -> np.ndarray:
-    """Each entry of G^{(x)m} (x) I_2 if `reim`, else of G^{(x)m}, as its
-    place in a `drive_table` row: h = popcount(r ^ c), plus m + 1 where the
-    sign (-1)^popcount(r & c) is negative."""
+def _signed_index(m: int) -> np.ndarray:
+    """Each entry of G^{(x)m} as its place in a `drive_table` row: h =
+    popcount(r ^ c), plus m + 1 where the sign (-1)^popcount(r & c) is
+    negative."""
     pop, idx = _popcount(m), np.arange(1 << m)
     index = pop[idx[:, None] ^ idx] + (m + 1) * (pop[idx[:, None] & idx] & 1)
-    if reim:  # the zeros of I_2 become -1, the row's last entry
-        index = np.kron(index + 1, np.eye(2, dtype=np.intp)) - 1
     index.flags.writeable = False
     return index
-
-
-def _groups(n: int) -> tuple:
-    """(m, `_signed_index`) of each group, lowest (carrying re/im) first."""
-    sizes = group_sizes(n)
-    return tuple((m, _signed_index(m, g == 0 and len(sizes) > 1))
-                 for g, m in enumerate(sizes))
 
 
 def drive_table(theta, m: int) -> np.ndarray:
@@ -248,22 +254,50 @@ def drive_table(theta, m: int) -> np.ndarray:
     return np.concatenate([table, -table, np.zeros_like(theta)], axis=-1)
 
 
-def _phase_rows(u, iocc, d):
+def _drives(tables: dict, sizes: tuple, low: np.ndarray, c0: int, c1: int) -> list:
+    """The group matrices of steps c0:c1 in the order the products run, top
+    group first, each a (c1 - c0, k, k) array: one gather of G^{(x)m} per
+    group size from its `drive_table`, shared by the groups of that size.
+    With several groups the lowest one's G^{(x)m} (x) I_2 is `low`'s first
+    c1 - c0 steps, whose two diagonal blocks this writes; the rest of `low`
+    is 0 and stays so."""
+    plain = {m: table[c0:c1].take(_signed_index(m), axis=1) for m, table in tables.items()}
+    mats = [plain[m] for m in sizes[::-1]]
+    if len(sizes) > 1:
+        mats[-1] = low[:c1 - c0]
+        mats[-1][:, ::2, ::2] = mats[-1][:, 1::2, 1::2] = plain[sizes[0]]
+    return mats
+
+
+def _cis(x: np.ndarray) -> np.ndarray:
+    """exp(i x) of the real `x`, as np.cos and np.sin written into the
+    real and imaginary parts of one complex array."""
+    out = np.empty(x.shape, complex)
+    np.cos(x, out.real)
+    np.sin(x, out.imag)
+    return out
+
+
+def _phase_rows(u, parts, d):
     """The rows u exp(i d occ), one per entry of `d`; a constant `d` builds
     one row and repeats it. exp(i d occ) is a broadcast outer product over
-    the groups, whose i w.n parts `iocc` come top group first."""
+    the groups of their exp(i d w.n) factors. `parts` is (the groups' w.n
+    end to end, top group first; each group's slice of it), and the factors
+    of all groups are one `_cis` of the real d w.n."""
     steps = len(d)
-    if (d == d[:1]).all():
+    if steps > 1 and (d == d[:1]).all():
         d = d[:1]
-    out = np.exp(d[:, None] * iocc[0])
-    for col in iocc[1:]:
-        out = (out[:, :, None] * np.exp(d[:, None] * col)[:, None, :]).reshape(
-            len(d), out.shape[1] * len(col))
+    flat, cuts = parts
+    factors = _cis(d[:, None] * flat)
+    out = factors[:, cuts[0]]
+    for cut in cuts[1:]:
+        out = (out[:, :, None] * factors[:, None, cut]).reshape(
+            len(d), out.shape[1] * (cut.stop - cut.start))
     np.multiply(u, out, out=out)  # in place, in u * out's operand order and rounding
     return out if len(d) == steps else [out[0]] * steps
 
 
-def _rows(u, iocc, occ, d, period, ends):
+def _rows(u, parts, occ, d, period, ends):
     """The rows u exp(i d_j occ), one per entry of `d`, as one batch per
     chunk: each entry of `ends` closes a batch of the rows from the previous
     end (0 for the first) to its own, and the last end is len(d). A batch may
@@ -273,47 +307,45 @@ def _rows(u, iocc, occ, d, period, ends):
     LONG_ROW amplitudes are stepped instead, each batch iterating one running
     row that each step overwrites: it is built exactly every `period` rows
     from the first and otherwise multiplied by R = exp(i slope occ), slope =
-    d's mean step, R from np.cos and np.sin of slope occ; with slope 0 the
-    first row serves them all. Long rows whose d leaves an anchor's line,
-    d_anchor + k slope, by a phase over AFFINE_TOL are exact, one at a time."""
+    d's mean step, R = `_cis(slope occ)`; with slope 0 the first row serves
+    them all. Long rows whose d leaves an anchor's line, d_anchor + k slope,
+    by a phase over AFFINE_TOL are exact, one at a time."""
     cuts = zip(chain((0,), ends), ends)
     if len(u) < LONG_ROW or not len(d):
-        return (_phase_rows(u, iocc, d[c0:c1]) if c1 > c0 else () for c0, c1 in cuts)
+        return (_phase_rows(u, parts, d[c0:c1]) if c1 > c0 else () for c0, c1 in cuts)
     steps = np.arange(len(d))
     back = steps % period
     slope = (d[-1] - d[0]) / max(1, len(d) - 1)
     if np.abs(d - d[steps - back] - back * slope).max() * np.abs(occ).max() > AFFINE_TOL:
-        rows = (_phase_rows(u, iocc, d[j:j + 1])[0] for j in range(len(d)))
+        rows = (_phase_rows(u, parts, d[j:j + 1])[0] for j in range(len(d)))
     else:
-        rows = _stepped_rows(u, iocc, occ, d, period, slope)
+        rows = _stepped_rows(u, parts, occ, d, period, slope)
     return (islice(rows, c1 - c0) for c0, c1 in cuts)
 
 
-def _stepped_rows(u, iocc, occ, d, period, slope):
+def _stepped_rows(u, parts, occ, d, period, slope):
     """The running row of `_rows`, yielded once per entry of `d`."""
     if slope and period > 1:
-        ratio = np.empty_like(u)
-        np.cos(slope * occ, out=ratio.real)
-        np.sin(slope * occ, out=ratio.imag)
+        ratio = _cis(slope * occ)
     for j in range(len(d)):
         if j == 0 or slope and j % period == 0:
-            row = _phase_rows(u, iocc, d[j:j + 1])[0]
+            row = _phase_rows(u, parts, d[j:j + 1])[0]
         elif slope:
             row *= ratio
         yield row
 
 
-def _plan(groups, a: np.ndarray, b: np.ndarray) -> tuple:
+def _plan(sizes: tuple, a: np.ndarray, b: np.ndarray) -> tuple:
     """The fixed views of a sub-step that starts and ends in buffer `a`: the
     phase multiply's complex input and output, and the (input, output) float
     views of each product in the order they run, top group first. Each
     product writes the other buffer, and the phase writes a -> b for an odd
     group count and in place for an even one."""
-    src = a if len(groups) % 2 == 0 else b
+    src = a if len(sizes) % 2 == 0 else b
     psi, out, views = a.view(np.complex128), src.view(np.complex128), []
-    for _, index in groups[::-1]:
-        dst, k = (b if src is a else a), len(index)
-        views.append((src.reshape(-1, 2), dst.reshape(-1, 2)) if len(groups) == 1
+    for g in reversed(range(len(sizes))):
+        dst, k = (b if src is a else a), 2 << sizes[g] if g == 0 else 1 << sizes[g]
+        views.append((src.reshape(-1, 2), dst.reshape(-1, 2)) if len(sizes) == 1
                      else (src.reshape(k, -1).T, dst.reshape(-1, k)))
         src = dst
     return psi, out, views
@@ -322,29 +354,62 @@ def _plan(groups, a: np.ndarray, b: np.ndarray) -> tuple:
 def _substeps(plan, steps, nsub):
     """Run `nsub` sub-steps per (first row, repeated row, group matrices)
     triple on a `_plan`'s buffers: each a phase multiply, by the first row
-    and then by the repeated one, and one GEMM per group, the matrices in
-    the order the products run, top group first. A single group's G
+    once and then by the repeated one, and one GEMM per group, the matrices
+    in the order the products run, top group first. A single group's G
     multiplies the (2^N, 2) view from the left; otherwise each symmetric F
-    multiplies its view from the right. Each call passes its output buffer
+    multiplies its view from the right. Each group count has its own body
+    with the groups' products written out, and every step's repeated rows
+    run over one range(nsub - 1), so that a sub-step is its numpy calls and
+    no loop over the groups. Each call passes its output buffer
     positionally, which numpy parses faster than out=."""
     psi, out, views = plan
-    multiply = np.multiply
+    multiply, rest = np.multiply, range(nsub - 1)
     if len(views) == 1:
         (x, y), = views
-        for phase, rep, (mat,) in steps:
-            gemm = mat.dot
-            for _ in range(nsub):
-                multiply(psi, phase, out)
-                gemm(x, y)
-                phase = rep
+        for phase, rep, (f,) in steps:
+            multiply(psi, phase, out)
+            f.dot(x, y)
+            for _ in rest:
+                multiply(psi, rep, out)
+                f.dot(x, y)
         return
     gemms = [(x.dot, y) for x, y in views]
-    for phase, rep, mats in steps:
-        for _ in range(nsub):
+    if len(gemms) == 2:
+        (g1, y1), (g0, y0) = gemms
+        for phase, rep, (f1, f0) in steps:
             multiply(psi, phase, out)
-            for mat, (gemm, y) in zip(mats, gemms):
-                gemm(mat, y)
-            phase = rep
+            g1(f1, y1)
+            g0(f0, y0)
+            for _ in rest:
+                multiply(psi, rep, out)
+                g1(f1, y1)
+                g0(f0, y0)
+    elif len(gemms) == 3:
+        (g2, y2), (g1, y1), (g0, y0) = gemms
+        for phase, rep, (f2, f1, f0) in steps:
+            multiply(psi, phase, out)
+            g2(f2, y2)
+            g1(f1, y1)
+            g0(f0, y0)
+            for _ in rest:
+                multiply(psi, rep, out)
+                g2(f2, y2)
+                g1(f1, y1)
+                g0(f0, y0)
+    else:
+        (g3, y3), (g2, y2), (g1, y1), (g0, y0) = gemms
+        for phase, rep, (f3, f2, f1, f0) in steps:
+            multiply(psi, phase, out)
+            g3(f3, y3)
+            g2(f2, y2)
+            g1(f1, y1)
+            g0(f0, y0)
+            for _ in rest:
+                multiply(psi, rep, out)
+                g3(f3, y3)
+                g2(f2, y2)
+                g1(f1, y1)
+                g0(f0, y0)
 
 
 def substep_counts(tau: float, gap: float, omegas: np.ndarray,
@@ -393,19 +458,22 @@ def _register_terms(reg: Register, dev: DeviceParams) -> tuple:
     """What evolve needs of the register beyond the pulse, read-only, built
     once per register and c6 and kept on the frozen register: the interaction
     and occupation diagonals, sigma = (-1)^popcount and i^popcount, each
-    atom's flip gap sum_j U_kj, the detuning weights, and the i w.n parts of
-    each group (occ where only its atoms are excited), top group first."""
+    atom's flip gap sum_j U_kj, the detuning weights, and the real w.n parts
+    of the groups (occ where only a group's atoms are excited) as
+    `_phase_rows` takes them."""
     cache = reg.__dict__.setdefault("_register_terms", {})
     if dev.c6 not in cache:
         inter, occ = interaction_diagonal(reg, dev), occupation_diagonal(reg)
-        n, groups, pop = reg.n, _groups(reg.n), _popcount(reg.n)
-        lows = np.cumsum([0] + [m for m, _ in groups])
-        iocc = tuple(1j * occ[np.arange(1 << m) << lo] for (m, _), lo in zip(groups, lows))[::-1]
+        n, sizes, pop = reg.n, group_sizes(reg.n), _popcount(reg.n)
+        lows = np.cumsum([0, *sizes])
+        parts = [occ[np.arange(1 << m) << lo] for m, lo in zip(sizes, lows)][::-1]
+        cuts = np.cumsum([0, *map(len, parts)]).tolist()
+        parts = np.concatenate(parts), tuple(map(slice, cuts, cuts[1:]))
         # one flip of atom k changes U by at most sum_j U_kj (U >= 0)
         flip_gap = inter[-1] - inter[((1 << n) - 1) ^ (1 << np.arange(n))]
         terms = (inter, occ, 1.0 - 2.0 * (pop & 1), _I_POWERS[pop & 3], flip_gap,
-                 reg.detuning_weights(), iocc)
-        for array in (*terms[:-1], *iocc):
+                 reg.detuning_weights(), parts)
+        for array in (*terms[:-1], parts[0]):
             array.flags.writeable = False
         cache[dev.c6] = terms
     return cache[dev.c6]
@@ -416,25 +484,27 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     """Integrate the schedule from |00...0> with midpoint steps of `dt` ns,
     each run as Strang sub-steps; steps never straddle segment boundaries.
     The schedule is compiled into stretches (`_compile`); each stretch runs
-    in chunks of steps through `_substeps`, each chunk with its batch of
-    first and repeated phase rows from `_rows`.
+    in chunks of steps through `_substeps`, each chunk with its group
+    matrices from `_drives` and its batch of first and repeated phase rows
+    from `_rows`.
 
     Raises NumericalError when the norm drifts by more than 1e-4; drift is
     never hidden by renormalising.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise InputError(f"dt must be a positive finite number, got {dt}")
-    inter, occ, sign, i_powers, flip_gap, weights, iocc = _register_terms(reg, dev)
-    dim, groups = 1 << reg.n, _groups(reg.n)
+    inter, occ, sign, i_powers, flip_gap, weights, parts = _register_terms(reg, dev)
+    dim, sizes = 1 << reg.n, group_sizes(reg.n)
     theta, nsubs, halves, leads, d_firsts, t_firsts, bounds = _compile(
         seq, dt, flip_gap, weights, dev.omega_max)
-    tables = {m: drive_table(theta, m) for m in {size for size, _ in groups}}
-    gathers = [(tables[m], index) for m, index in groups[::-1]]  # in run order
-    mat_floats = sum(index.size for _, index in groups)
+    tables = {m: drive_table(theta, m) for m in set(sizes)}
+    # floats of a step's group matrices, the lowest of several with re/im
+    mat_floats = sum(4 ** m for m in sizes) + (3 << 2 * sizes[0] if len(sizes) > 1 else 0)
+    low = np.zeros((0, 2 << sizes[0], 2 << sizes[0]))  # `_drives`' lowest-group buffer
 
     a = np.zeros(2 * dim)  # the state's interleaved re/im floats, between sub-steps
     a[0] = 1.0
-    plan = _plan(groups, a, np.empty_like(a))
+    plan = _plan(sizes, a, np.empty_like(a))
     for start, end in zip(bounds, bounds[1:]):
         nsub, half = int(nsubs[start]), float(halves[start])
         # sigma exp(-i t U) of every phase but the stretch's first, t = 2 half,
@@ -450,21 +520,23 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
         # from the stretch's start; the first rows' batches skip the first
         # step, whose row takes the carried phase
         ends = range((end - start) % chunk or chunk, end - start + 1, chunk)
-        firsts = _rows(u, iocc, occ, d_firsts[start + 1:end], ANCHOR_PERIOD,
+        if len(sizes) > 1 and len(low) < min(chunk, end - start):
+            low = np.zeros((min(chunk, end - start), *low.shape[1:]))
+        firsts = _rows(u, parts, occ, d_firsts[start + 1:end], ANCHOR_PERIOD,
                        range(ends[0] - 1, end - start, chunk))
         # the repeated row enters the state nsub - 1 times a step, so it is
         # anchored nsub - 1 times as often
         repeats = repeat(repeat(None)) if nsub == 1 else _rows(
-            u, iocc, occ, leads[start:end] + leads[start:end],
+            u, parts, occ, leads[start:end] + leads[start:end],
             max(1, ANCHOR_PERIOD // (nsub - 1)), ends)
-        head = _phase_rows(carry, iocc, d_firsts[start:start + 1])
+        head = _phase_rows(carry, parts, d_firsts[start:start + 1])
         for stop, rows, reps in zip(ends, firsts, repeats):
             c0, c1 = start + max(0, stop - chunk), start + stop
-            _substeps(plan, zip(chain(head, rows) if c0 == start else rows, reps, zip(
-                *(table[c0:c1].take(index, axis=1) for table, index in gathers))), nsub)
+            _substeps(plan, zip(chain(head, rows) if c0 == start else rows, reps,
+                                zip(*_drives(tables, sizes, low, c0, c1))), nsub)
         firsts = repeats = None  # the running rows, freed before the next stretch's
     # sigma S_N = i^popcount turns the sigma-phased G products into R products
-    last = _phase_rows(sign * np.exp(-1j * float(halves[-1]) * inter), iocc, leads[-1:])[0]
+    last = _phase_rows(sign * np.exp(-1j * float(halves[-1]) * inter), parts, leads[-1:])[0]
     psi = plan[0]
     psi *= last
     psi *= i_powers

@@ -53,6 +53,7 @@ from rydock.register import DeviceParams, embedding_from_positions, omega_bounds
 from rydock.rng import substream
 
 import measure_mlqaa
+from gcn_reference import allocating_forward, allocating_loss_and_gradients
 
 DEV = DeviceParams()
 
@@ -339,8 +340,10 @@ def test_flat_buffer_training_equals_per_array_adam(monkeypatch):
 
 
 def test_preallocated_training_equals_allocating_training(monkeypatch):
-    # Adam's scratch buffer and the dropout draw are allocated once per
-    # training; fresh arrays at every step give the same weights bit for bit
+    # Adam's scratch buffer, the dropout draw and the layer arrays of the
+    # forward and backward passes are allocated once per training; fresh
+    # arrays at every step give the same weights bit for bit, over batches
+    # of 3 and 1 records and the forward over all 5 that ends each epoch
     records = [_record(s, n=n) for s, n in ((7.0, 2), (8.0, 3), (9.0, 4), (10.0, 3), (6.5, 2))]
     monkeypatch.setattr("rydock.mlqaa.gcn.BATCH_SIZE", 3)
     got = train_models(records, epochs=4, seed=3)
@@ -349,6 +352,8 @@ def test_preallocated_training_equals_allocating_training(monkeypatch):
                         lambda w, g, m, v, step, lr, buf: adam(w, g, m, v, step, lr))
     monkeypatch.setattr("rydock.mlqaa.gcn._drop_masks",
                         lambda rng, b, n, scratch: drop(rng, b, n))
+    monkeypatch.setattr("rydock.mlqaa.gcn._forward_batch", allocating_forward)
+    monkeypatch.setattr("rydock.mlqaa.gcn.loss_and_gradients", allocating_loss_and_gradients)
     want = train_models(records, epochs=4, seed=3)
     assert got["omega"].history == want["omega"].history
     assert all(got["omega"].weights[k].tobytes() == want["omega"].weights[k].tobytes()

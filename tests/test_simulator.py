@@ -39,7 +39,7 @@ from rydock.simulator import (
     PHI_OMEGA,
     SMALL_GROUP_MAX_ATOMS,
     StateVector,
-    _groups,
+    _drives,
     _phase_rows,
     _plan,
     _rows,
@@ -60,6 +60,7 @@ import measure_groups
 from allocating_loop_reference import allocating_substeps
 from compile_reference import reference_compile
 from complex_drive_reference import complex_evolve
+from substeps_reference import exp_phase_rows, generic_substeps, iocc_of, reim_drives
 from taylor_reference import DENSE_MAX_ATOMS, THETA_MAX, _step_operator, taylor_evolve
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -297,7 +298,7 @@ def test_register_terms_are_kept_per_c6():
     for dev in devs:
         terms = simulator._register_terms(reg, dev)
         assert simulator._register_terms(reg, dev) is terms
-        assert not any(a.flags.writeable for a in (*terms[:-1], *terms[-1]))
+        assert not any(a.flags.writeable for a in (*terms[:-1], terms[-1][0]))
 
 
 def test_occupation_diagonal_weights():
@@ -406,7 +407,7 @@ def test_oracle_above_dense_threshold():
     # one atom past DENSE_MAX_ATOMS: the Taylor reference's step operator is
     # sparse, and evolve's drive factor runs as two Kronecker groups
     n = DENSE_MAX_ATOMS + 1
-    assert len(_groups(n)) == 2
+    assert len(group_sizes(n)) == 2
     reg = line_register(*(9.0 * k for k in range(n)),
                         weights=[1.0 + 0.25 * k for k in range(n)])
     seq = simple_sequence(dict(omega=3.0, delta=2.5, time=200.0),
@@ -516,15 +517,19 @@ def _state(n, seed):
 
 
 def _factors(theta, n):
-    """Each group's matrix in the order `_substeps` runs them, top group first."""
-    return [drive_table(theta, m).take(index) for m, index in _groups(n)[::-1]]
+    """Each group's matrix in the order `_substeps` runs them, top group
+    first, as evolve gathers them (`_drives`)."""
+    sizes = group_sizes(n)
+    tables = {m: drive_table([theta], m) for m in sizes}
+    return [mat[0] for mat in _drives(tables, sizes, np.zeros((1, 2 << sizes[0], 2 << sizes[0])),
+                                      0, 1)]
 
 
 def real_drive(psi, theta, n):
     """G(theta)^{(x)n} psi as one sub-step of evolve's loop with a unit phase,
     on the interleaved floats of two buffers planned as evolve plans them."""
     a = psi.view(float).copy()
-    _substeps(_plan(_groups(n), a, np.empty_like(a)),
+    _substeps(_plan(group_sizes(n), a, np.empty_like(a)),
               [(np.ones(1 << n, complex), None, _factors(theta, n))], 1)
     return a.view(complex)
 
@@ -548,16 +553,18 @@ def test_one_substep_equals_the_dense_kron_product(n, data, seed):
     # 1, 2 and 3 groups, each turned by its own angle; the dense product fixes
     # which atoms each group acts on whatever the GEMM orientation, so a view
     # built against the wrong buffer or a flipped group order fails here
-    groups = _groups(n)
-    thetas = data.draw(st.lists(_angles, min_size=len(groups), max_size=len(groups)))
+    sizes = group_sizes(n)
+    thetas = data.draw(st.lists(_angles, min_size=len(sizes), max_size=len(sizes)))
     dense = np.ones((1, 1))
-    for (m, _), theta in zip(groups, thetas):
+    for m, theta in zip(sizes, thetas):
         for _ in range(m):
             dense = np.kron(_reflection(theta), dense)
-    mats = [drive_table(theta, m).take(index) for (m, index), theta in zip(groups, thetas)]
+    mats = [drive_table(theta, m).take(_signed_index(m)) for m, theta in zip(sizes, thetas)]
+    if len(sizes) > 1:  # the lowest group carries the re/im axis
+        mats[0] = np.kron(mats[0], np.eye(2))
     psi = _state(n, seed)
     a = psi.view(float).copy()
-    _substeps(_plan(groups, a, np.empty_like(a)), [(np.ones(1 << n, complex), None, mats[::-1])], 1)
+    _substeps(_plan(sizes, a, np.empty_like(a)), [(np.ones(1 << n, complex), None, mats[::-1])], 1)
     assert np.abs(a.view(complex) - dense @ psi).max() < 1e-13
 
 
@@ -570,7 +577,7 @@ def test_phased_real_factor_equals_the_rotation(n, theta):
     for _ in range(n):
         dense = np.kron(_rotation(theta), dense)
     d = (-1j) ** np.array([bin(i).count("1") for i in range(1 << n)])
-    g = drive_table(theta, n).take(_signed_index(n, False))
+    g = drive_table(theta, n).take(_signed_index(n))
     assert np.abs(d[:, None] * g * d - dense).max() < 1e-12
 
 
@@ -591,30 +598,17 @@ def test_grouped_drive_factor_equals_per_atom_rotations(n, theta, seed):
 
 
 def _random_occupation(n, data, rng):
-    """occ = w.n over n atoms with random weights, and its i w.n parts over
-    1-4 groups of any sizes, top group first, as evolve passes them."""
+    """occ = w.n over n atoms with random weights, and its w.n parts over 1-4
+    groups of any sizes, top group first, as evolve passes them: end to end,
+    with each group's slice."""
     cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True))
     sizes = np.diff([0, *sorted(cuts), n])
     weights = rng.uniform(0.5, 1.5, n)
     bits = (np.arange(1 << n)[None, :] >> np.arange(n)[:, None]) & 1
     lows = np.cumsum([0, *sizes])
-    iocc = [1j * (weights[lo:lo + m] @ bits[:m, :1 << m])
-            for m, lo in zip(sizes, lows)][::-1]
-    return weights @ bits, iocc
-
-
-def _broadcast_phase_rows(u, iocc, d):
-    """`_phase_rows` as a plain copy: broadcast outer products over the
-    groups, then one broadcast multiply by u."""
-    steps = len(d)
-    if (d == d[:1]).all():
-        d = d[:1]
-    out = np.exp(d[:, None] * iocc[0])
-    for col in iocc[1:]:
-        out = (out[:, :, None] * np.exp(d[:, None] * col)[:, None, :]).reshape(
-            len(d), out.shape[1] * len(col))
-    np.multiply(u, out, out=out)
-    return out if len(d) == steps else [out[0]] * steps
+    parts = [weights[lo:lo + m] @ bits[:m, :1 << m] for m, lo in zip(sizes, lows)][::-1]
+    ends = np.cumsum([0, *map(len, parts)]).tolist()
+    return weights @ bits, (np.concatenate(parts), tuple(map(slice, ends, ends[1:])))
 
 
 @settings(max_examples=80, deadline=None)
@@ -624,18 +618,18 @@ def test_phase_rows_match_the_direct_phase(n, data, kind, seed):
     # 1-4 groups of any sizes, rows of 2^3 to 2^13 amplitudes; a chunk's d is
     # empty (its one step opens the stretch), constant (one row, repeated) or
     # varying. Rows of every length, the anchors and the exact fallback of
-    # stepped rows included, keep the broadcast build's bytes
+    # stepped rows included, keep the complex-exp build's bytes
     rng = np.random.default_rng(seed)
-    occ, iocc = _random_occupation(n, data, rng)
+    occ, parts = _random_occupation(n, data, rng)
     u = np.exp(-1j * rng.uniform(0.0, 2 * np.pi, 1 << n))
     rows = data.draw(st.integers(1, 4))
     d = {"empty": np.empty(0), "constant": np.full(rows, rng.uniform(-0.3, 0.3)),
          "varying": rng.uniform(-0.3, 0.3, rows)}[kind]
-    got = _phase_rows(u, iocc, d)
+    got = _phase_rows(u, parts, d)
     assert len(got) == len(d)
     for row, step in zip(got, d):
         assert np.abs(row - u * np.exp(1j * step * occ)).max() <= 1e-14
-    want = _broadcast_phase_rows(u, iocc, d)
+    want = exp_phase_rows(u, iocc_of(parts), d)
     assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
 
 
@@ -646,11 +640,11 @@ def test_stepped_rows_follow_an_affine_detuning(n, data, seed):
     # reads them, one batch per chunk, over two random chunk splits (a chunk
     # may be empty, as the first rows' first batch is when the stretch's
     # first chunk holds one step), once as short rows and once with LONG_ROW
-    # at the row length: exact rows keep the broadcast build's bytes whatever
+    # at the row length: exact rows keep the complex-exp build's bytes whatever
     # the split; stepped rows stay within 1e-13 of them, with the same bytes
     # whatever the split; and long rows whose d is off its line are exact
     rng = np.random.default_rng(seed)
-    occ, iocc = _random_occupation(n, data, rng)
+    occ, parts = _random_occupation(n, data, rng)
     u = np.exp(-1j * rng.uniform(0.0, 2 * np.pi, 1 << n))
     steps, period = data.draw(st.integers(1, 150)), data.draw(st.integers(1, 64))
     edges = np.linspace(0.0, 1000.0, steps + 1)  # midpoints as _compile takes them
@@ -662,14 +656,14 @@ def test_stepped_rows_follow_an_affine_detuning(n, data, seed):
     def read(long_row, d, ends):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator, "LONG_ROW", long_row)
-            batches, got = list(_rows(u, iocc, occ, d, period, ends)), []
+            batches, got = list(_rows(u, parts, occ, d, period, ends)), []
             assert len(batches) == len(ends)
             for batch, c1 in zip(batches, ends):
                 got += [row.copy() for row in batch]
                 assert len(got) == c1
         return [row.tobytes() for row in got], got
 
-    want = _broadcast_phase_rows(u, iocc, d)
+    want = exp_phase_rows(u, iocc_of(parts), d)
     for ends in splits:
         assert read(2 << n, d, ends)[0] == [row.tobytes() for row in want]
     stepped = [read(1 << n, d, ends) for ends in splits]
@@ -678,7 +672,7 @@ def test_stepped_rows_follow_an_affine_detuning(n, data, seed):
     if steps > 2 and period > 1:
         wave = rng.uniform(-0.3, 0.3, steps)
         assert read(1 << n, wave, splits[0])[0] == [
-            row.tobytes() for row in _broadcast_phase_rows(u, iocc, wave)]
+            row.tobytes() for row in exp_phase_rows(u, iocc_of(parts), wave)]
 
 
 def test_partition_covers_the_atoms_in_order():
@@ -688,11 +682,12 @@ def test_partition_covers_the_atoms_in_order():
         assert sum(sizes) == n and min(sizes) >= 1 and max(sizes) <= cap
         assert len(sizes) == -(-n // cap)  # as few groups as the cap allows
         assert max(sizes) - min(sizes) <= 1 and list(sizes) == sorted(sizes)
-        assert [m for m, _ in _groups(n)] == list(sizes)
-        for g, (m, index) in enumerate(_groups(n)):
+        mats = _drives({m: drive_table([0.3], m) for m in sizes}, sizes,
+                       np.zeros((1, 2 << sizes[0], 2 << sizes[0])), 0, 1)
+        for m, mat in zip(sizes, mats[::-1]):
             # with several groups the lowest one carries the re/im axis
-            size = 2 << m if g == 0 and len(sizes) > 1 else 1 << m
-            assert index.shape == (size, size)
+            size = 2 << m if mat is mats[-1] and len(sizes) > 1 else 1 << m
+            assert mat.shape == (1, size, size)
     assert group_sizes(5) == (5,) and group_sizes(6) == (3, 3) and group_sizes(7) == (3, 4)
     assert group_sizes(9) == (3, 3, 3) and group_sizes(10) == (3, 3, 4)
     assert group_sizes(11) == (3, 4, 4) and group_sizes(12) == (4, 4, 4)
@@ -973,6 +968,86 @@ def test_two_buffer_loop_equals_the_allocating_loop(n, spacing, seed, frac, dt):
     assert counts[0].min() == 1 and counts[0].max() > 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([3, 5, 6, 7, 8, 9, 10, 12, 13]), nsub=st.integers(1, 4),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_unrolled_substeps_equal_the_generic_loop(n, nsub, data, seed):
+    # 1, 2, 3 and 4 groups at 1-4 sub-steps a step, over chunks of different
+    # lengths, the last shorter than an earlier one, with one lowest-group
+    # buffer for all of them as evolve keeps it: each chunk's matrices from
+    # `_drives` through the group count's own body give the bytes of the
+    # re/im gather through the generic loop, so a stale entry of the buffer,
+    # a body that skips or repeats a row, or a swapped matrix shows
+    sizes = group_sizes(n)
+    lengths = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    assume(lengths[-1] < max(lengths[:-1]))
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-3.0, 3.0, sum(lengths))
+    tables = {m: drive_table(theta, m) for m in set(sizes)}
+    rows = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (sum(lengths), 2, 1 << n)))
+    low = np.zeros((max(lengths), 2 << sizes[0], 2 << sizes[0]))
+    got, want = (_state(n, seed).view(float).copy() for _ in range(2))
+    plans = [(_substeps, _drives, _plan(sizes, got, np.empty_like(got))),
+             (generic_substeps, reim_drives, _plan(sizes, want, np.empty_like(want)))]
+    for c0, c1 in zip(np.cumsum([0, *lengths[:-1]]), np.cumsum(lengths)):
+        for run, drives, plan in plans:
+            run(plan, zip(rows[c0:c1, 0], rows[c0:c1, 1],
+                          zip(*drives(tables, sizes, low, c0, c1))), nsub)
+        assert got.tobytes() == want.tobytes()
+
+
+def _exp_phase_rows(u, parts, d):
+    return exp_phase_rows(u, iocc_of(parts), d)
+
+
+@pytest.mark.parametrize("n, chunk_floats", [(3, 200), (6, 1400), (10, 9444), (13, 66826)])
+def test_evolve_equals_its_reference_pieces(n, chunk_floats, monkeypatch):
+    # evolve through `_drives`, the unrolled bodies and the cos/sin rows, and
+    # through the re/im gather, the generic loop and the complex-exp rows:
+    # the same bytes for 1-4 groups, with stepped rows from 10 atoms. The
+    # second segment's drive rises from 0, so it holds stretches of one
+    # sub-step a step and of several, and `chunk_floats` gives them chunks
+    # of different lengths (2 and 3 steps at 6 atoms); the lowest-group
+    # buffer, sized by the driven first segment, must grow for them
+    reg = _grid_register(n, 6.0, n)
+    omega = 0.9 * DEV.omega_max
+    seq = PulseSequence(segments=(
+        Segment(omega=Ramp(omega, 0.3 * omega, 200.0), delta=Ramp(3.0, 6.0, 200.0)),
+        Segment(omega=PchipWave((0.0, 0.0, omega, omega), 240.0), delta=Ramp(-2.0, 3.0, 240.0))))
+    monkeypatch.setattr(simulator, "CHUNK_FLOATS", chunk_floats)
+    lengths, drives = set(), simulator._drives
+    monkeypatch.setattr(simulator, "_drives", lambda tables, sizes, low, c0, c1: (
+        lengths.add(c1 - c0), drives(tables, sizes, low, c0, c1))[1])
+    got = evolve(reg, seq, DEV, dt=4.0).amplitudes
+    assert len(lengths) > 1
+    monkeypatch.setattr(simulator, "_drives", reim_drives)
+    monkeypatch.setattr(simulator, "_substeps", generic_substeps)
+    monkeypatch.setattr(simulator, "_phase_rows", _exp_phase_rows)
+    assert got.tobytes() == evolve(reg, seq, DEV, dt=4.0).amplitudes.tobytes()
+
+
+def test_phase_rows_keep_the_complex_exp_bytes_on_the_corpus(monkeypatch):
+    # every corpus register's groups, with d negative, zero, positive and
+    # constant: the cos/sin rows have the complex exp's bytes, signed zeros
+    # included; and a 10-atom triangle, whose stepped rows call
+    # `_phase_rows` at their anchors, evolves to the same bytes with either
+    rng = np.random.default_rng(3)
+    for entry in generate_corpus(DEV):
+        reg = entry.embedding.register
+        inter, _, sign, _, _, _, parts = simulator._register_terms(reg, DEV)
+        u = sign * np.exp(-1j * 0.01 * inter)
+        for d in (-rng.uniform(0.0, 0.3, 3), np.zeros(3), rng.uniform(0.0, 0.3, 3),
+                  np.full(3, -0.2)):
+            assert [row.tobytes() for row in _phase_rows(u, parts, d)] == [
+                row.tobytes() for row in exp_phase_rows(u, iocc_of(parts), d)]
+    emb = corpus_entry("triangle", 2, 8.5, DEV).embedding
+    assert 1 << emb.register.n >= LONG_ROW
+    seq = _centred_complex(emb, 1000.0, 1000.0)
+    got = evolve(emb.register, seq, DEV, dt=8.0).amplitudes
+    monkeypatch.setattr(simulator, "_phase_rows", _exp_phase_rows)
+    assert got.tobytes() == evolve(emb.register, seq, DEV, dt=8.0).amplitudes.tobytes()
+
+
 def test_evolve_memory_is_bounded():
     # a 12-atom evolve holds at most one chunk's group matrices and phase
     # rows (CHUNK_FLOATS floats) and about nine state-sized vectors: the
@@ -1044,6 +1119,18 @@ def test_measure_evolve_calls_script_runs(capsys):
     assert [row[1] for row in rows] == ["2"] * len(SPACINGS) + ["6"]
     for row in rows:
         assert float(row[2]) > 0 and float(row[3]) > 0 and int(row[4]) >= 626
+
+
+def test_measure_evolve_calls_against_a_tree_runs(capsys):
+    # the paired mode: this tree against itself, in two worker processes,
+    # each printing its times and its ratio to the other's with quartiles
+    measure_evolve_calls.main(["--only", "fixture", "--repeats", "2",
+                               "--against", str(FIXTURES.parent)])
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["fixture", "6"]]
+    (row,) = rows
+    assert float(row[2]) > 0 and float(row[3]) > 0 and row[4].startswith("[")
+    assert float(row[5]) > 0 and float(row[6]) > 0 and row[7].startswith("[")
 
 
 def test_norm_preserved():
