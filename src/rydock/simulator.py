@@ -48,11 +48,14 @@ holds the timings behind these choices.
 
 Sub-step loop. On a small register a sub-step is little arithmetic (64
 amplitudes at 6 atoms), so what is left to save is Python's own work
-around those calls. `_substeps` has one body per group count, 1 to 4
-under ATOM_CAP, with the groups' products written out rather than looped
-over; each step applies its first phase row once and its repeated row in
-a range(nsub - 1) loop. tests/substeps_reference.py keeps the generic
-loop, which gives the same bytes.
+around those calls. One, two and three groups (up to 12 atoms, every
+corpus register) have `_substeps` bodies of their own, with the products
+written out: each step applies its first phase row once and its repeated
+row in one range(nsub - 1) loop. Four groups (13-16 atoms, GEMM-bound) run
+the generic loop over the sub-steps and the groups, which
+tests/substeps_reference.py keeps as the reference the bodies must match
+bit for bit. Against that loop, the three-group body's sub-step took
+0.90-0.94 of the time at 9-11 atoms, and no time measurably less at 12.
 
 Schedule. `_compile` turns the pulse into flat per-step arrays, the one place
 where a step's first phase merges the previous sub-step's trailing half, and
@@ -67,9 +70,12 @@ only when a chunk is longer than any before; the other entries are never
 written, so they stay 0. A chunk's phase rows come as one batch of each
 kind from `_rows`; evolve zips the batches and the matrices straight into
 `_substeps`, prepending only the stretch's first row to its first chunk.
-Chunks are sized so that their rows and one matrix per group take at most
-CHUNK_FLOATS = 2^16 floats (512 KiB), or one step's where that is more
-(from 14 atoms), so the 2^N-sized buffers do not grow with the schedule.
+Chunks are sized so that their rows and matrices (the gathers and the
+lowest group's part of the buffer) take at most CHUNK_FLOATS = 2^16 floats
+(512 KiB), or one step's where that is more (from 14 atoms), so the
+2^N-sized buffers do not grow with the schedule. The buffer keeps the
+longest chunk's size, so beside a later stretch's shorter chunks it can
+hold up to CHUNK_FLOATS more.
 What depends on the register alone (sigma, i^popcount, each group's real
 w.n part, the flip gaps and the detuning weights) is built once per
 register and c6 and kept on the frozen register (`_register_terms`), so a
@@ -285,7 +291,7 @@ def _phase_rows(u, parts, d):
     end to end, top group first; each group's slice of it), and the factors
     of all groups are one `_cis` of the real d w.n."""
     steps = len(d)
-    if steps > 1 and (d == d[:1]).all():
+    if steps > 1 and (d == d[:1]).all():  # one row skips the test: 5-8% of a short evolve
         d = d[:1]
     flat, cuts = parts
     factors = _cis(d[:, None] * flat)
@@ -357,11 +363,12 @@ def _substeps(plan, steps, nsub):
     once and then by the repeated one, and one GEMM per group, the matrices
     in the order the products run, top group first. A single group's G
     multiplies the (2^N, 2) view from the left; otherwise each symmetric F
-    multiplies its view from the right. Each group count has its own body
-    with the groups' products written out, and every step's repeated rows
-    run over one range(nsub - 1), so that a sub-step is its numpy calls and
-    no loop over the groups. Each call passes its output buffer
-    positionally, which numpy parses faster than out=."""
+    multiplies its view from the right. One to three groups have bodies of
+    their own with the products written out and each step's repeated rows
+    in one range(nsub - 1), so that their sub-step is its numpy calls
+    alone; four groups loop over the sub-steps and the groups. Each call
+    passes its output buffer positionally, which numpy parses faster than
+    out=."""
     psi, out, views = plan
     multiply, rest = np.multiply, range(nsub - 1)
     if len(views) == 1:
@@ -397,19 +404,12 @@ def _substeps(plan, steps, nsub):
                 g1(f1, y1)
                 g0(f0, y0)
     else:
-        (g3, y3), (g2, y2), (g1, y1), (g0, y0) = gemms
-        for phase, rep, (f3, f2, f1, f0) in steps:
-            multiply(psi, phase, out)
-            g3(f3, y3)
-            g2(f2, y2)
-            g1(f1, y1)
-            g0(f0, y0)
-            for _ in rest:
-                multiply(psi, rep, out)
-                g3(f3, y3)
-                g2(f2, y2)
-                g1(f1, y1)
-                g0(f0, y0)
+        for phase, rep, mats in steps:
+            for _ in range(nsub):
+                multiply(psi, phase, out)
+                for f, (gemm, y) in zip(mats, gemms):
+                    gemm(f, y)
+                phase = rep
 
 
 def substep_counts(tau: float, gap: float, omegas: np.ndarray,
@@ -498,8 +498,11 @@ def evolve(reg: Register, seq: PulseSequence, dev: DeviceParams,
     theta, nsubs, halves, leads, d_firsts, t_firsts, bounds = _compile(
         seq, dt, flip_gap, weights, dev.omega_max)
     tables = {m: drive_table(theta, m) for m in set(sizes)}
-    # floats of a step's group matrices, the lowest of several with re/im
-    mat_floats = sum(4 ** m for m in sizes) + (3 << 2 * sizes[0] if len(sizes) > 1 else 0)
+    # floats of a step's group matrices, at most: a G^{(x)m} per group
+    # (groups of one size share one), and with several groups the lowest
+    # one's G^{(x)m} (x) I_2, beside its plain gather unless a group shares it
+    mat_floats = sum(4 ** m for m in sizes) + (
+        3 + (sizes[1] != sizes[0]) << 2 * sizes[0] if len(sizes) > 1 else 0)
     low = np.zeros((0, 2 << sizes[0], 2 << sizes[0]))  # `_drives`' lowest-group buffer
 
     a = np.zeros(2 * dim)  # the state's interleaved re/im floats, between sub-steps

@@ -36,8 +36,8 @@ percent.
 
 Output on 2 vCPUs of an AVX-512 Xeon with one BLAS thread, --repeats 5, one
 register at a time with --only, pinned to one CPU, the min of three runs
-alternating with the tree before the sub-step bodies were written out, one
-per group count (`before`); the host ran about 1.8x slower than when the
+alternating with the tree before the sub-step bodies were written out for
+one to three groups (`before`); the host ran about 1.8x slower than when the
 previous table was taken, so compare within this table:
 
     name                 atoms  us/call  us/substep  substeps    before: us/call  us/substep

@@ -6,7 +6,8 @@ phase rows, as they were before their per-call costs were cut.
   group size once and writes the lowest group's two diagonal blocks into a
   zeroed buffer it reuses.
 - `generic_substeps`: one loop over the groups and one over the sub-steps,
-  where `_substeps` has one body per group count, written out.
+  where `_substeps` has one body per group count up to three, written
+  out; for four groups `_substeps` runs this loop itself.
 - `exp_phase_rows`: each group's factor as the complex exp of its i w.n,
   where `_phase_rows` takes np.cos and np.sin of all groups' real d w.n at
   once.

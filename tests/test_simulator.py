@@ -975,7 +975,7 @@ def test_unrolled_substeps_equal_the_generic_loop(n, nsub, data, seed):
     # 1, 2, 3 and 4 groups at 1-4 sub-steps a step, over chunks of different
     # lengths, the last shorter than an earlier one, with one lowest-group
     # buffer for all of them as evolve keeps it: each chunk's matrices from
-    # `_drives` through the group count's own body give the bytes of the
+    # `_drives` through `_substeps` (its own body for 1-3 groups) give the bytes of the
     # re/im gather through the generic loop, so a stale entry of the buffer,
     # a body that skips or repeats a row, or a swapped matrix shows
     sizes = group_sizes(n)
@@ -1075,6 +1075,47 @@ def test_evolve_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 8 * simulator.CHUNK_FLOATS + 10 * state
+
+
+@pytest.mark.parametrize("shape, size, spacing", [
+    ("hexagon", 0, 6.0), ("hexagon", 1, 6.0), ("rectangle", 2, 7.25)])
+def test_a_chunk_keeps_to_chunk_floats(shape, size, spacing, monkeypatch):
+    # 6, 7 and 8 atoms, exact rows, up to 15 sub-steps a step: each chunk's
+    # phase rows, the gathers `_drives` makes for it, transient ones too,
+    # and its steps of the lowest-group buffer take at most CHUNK_FLOATS
+    # floats, within 4 KiB of Python objects around the arrays. At 7 atoms
+    # (3 + 4) the lowest group's plain gather is a gather of its own; a
+    # chunk sized without it reads 32 KiB over
+    emb = corpus_entry(shape, size, spacing, DEV).embedding
+    seq = _centred_complex(emb, 1000.0, 1000.0)
+    evolve(emb.register, seq, DEV, dt=4.0)  # warm the cached diagonals and indices
+    m0 = group_sizes(emb.register.n)[0]
+    rows, drives, phase_rows = [], simulator._drives, simulator._phase_rows
+    over = []
+
+    def counted_rows(u, parts, d):
+        out = phase_rows(u, parts, d)
+        rows.append(out[0].nbytes * (len(out) if isinstance(out, np.ndarray) else 1))
+        return out
+
+    def counted_drives(tables, sizes, low, c0, c1):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mats = drives(tables, sizes, low, c0, c1)
+        made = tracemalloc.get_traced_memory()[1] - before
+        low_bytes = (c1 - c0) * 8 << 2 * m0 + 2
+        over.append(sum(rows) + made + low_bytes - 8 * simulator.CHUNK_FLOATS)
+        rows.clear()
+        return mats
+
+    monkeypatch.setattr(simulator, "_phase_rows", counted_rows)
+    monkeypatch.setattr(simulator, "_drives", counted_drives)
+    tracemalloc.start()
+    try:
+        evolve(emb.register, seq, DEV, dt=4.0)
+    finally:
+        tracemalloc.stop()
+    assert len(over) > 10 and max(over) < 4096
 
 
 def test_calibrate_substeps_counts_every_substep():
